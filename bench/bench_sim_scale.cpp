@@ -17,17 +17,6 @@
 //                 Unlike `uberun hotpath` this keeps the batched fast path
 //                 engaged — no event sink is attached.
 //   --nodes CSV   cluster sizes to run (default 4096,8192,16384,32768)
-//   --opt CSV     SimOptFlags selection, for per-flag attribution:
-//                   all  (default: every optimization on)
-//                   none (every optimization off — the legacy paths)
-//                   base (indexed + memo + singlepass; the pre-fast-path
-//                         configuration, baseline for the new flags)
-//                 plus additive tokens starting from none:
-//                   indexed, memo, singlepass, prune, batch, parallel, simd,
-//                   lazy, calendar, gate, dedup, slots
-//                 e.g. --opt base,prune measures incremental pruning alone,
-//                 and --opt base,batch,lazy,calendar builds the event engine
-//                 up flag by flag (the attribution ladder in EXPERIMENTS.md).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -49,63 +38,6 @@ double counterValue(const sns::obs::Registry& m, const char* name) {
   return c != nullptr ? c->value() : 0.0;
 }
 
-sns::sim::SimOptFlags parseOpt(const std::string& csv) {
-  sns::sim::SimOptFlags f;  // defaults: all on
-  if (csv.empty() || csv == "all") return f;
-  f.indexed_ledger = false;
-  f.memoize_solves = false;
-  f.single_pass_schedule = false;
-  f.incremental_prune = false;
-  f.batched_scoring = false;
-  f.parallel_select = false;
-  f.simd_solver = false;
-  f.lazy_progress = false;
-  f.finish_calendar = false;
-  f.futile_pass_gate = false;
-  f.dedup_node_solves = false;
-  f.slot_rates = false;
-  std::stringstream ss(csv);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (tok == "none") {
-    } else if (tok == "all") {
-      f = sns::sim::SimOptFlags{};
-    } else if (tok == "base") {
-      f.indexed_ledger = true;
-      f.memoize_solves = true;
-      f.single_pass_schedule = true;
-    } else if (tok == "indexed") {
-      f.indexed_ledger = true;
-    } else if (tok == "memo") {
-      f.memoize_solves = true;
-    } else if (tok == "singlepass") {
-      f.single_pass_schedule = true;
-    } else if (tok == "prune") {
-      f.incremental_prune = true;
-    } else if (tok == "batch") {
-      f.batched_scoring = true;
-    } else if (tok == "parallel") {
-      f.parallel_select = true;
-    } else if (tok == "simd") {
-      f.simd_solver = true;
-    } else if (tok == "lazy") {
-      f.lazy_progress = true;
-    } else if (tok == "calendar") {
-      f.finish_calendar = true;
-    } else if (tok == "gate") {
-      f.futile_pass_gate = true;
-    } else if (tok == "dedup") {
-      f.dedup_node_solves = true;
-    } else if (tok == "slots") {
-      f.slot_rates = true;
-    } else {
-      std::fprintf(stderr, "unknown --opt token: %s\n", tok.c_str());
-      std::exit(2);
-    }
-  }
-  return f;
-}
-
 std::vector<int> parseNodes(const std::string& csv) {
   std::vector<int> out;
   std::stringstream ss(csv);
@@ -120,24 +52,20 @@ int main(int argc, char** argv) {
   using namespace sns;
   bool quick = false;
   bool phases = false;
-  std::string opt_csv = "all";
   std::vector<int> cluster_sizes = {4096, 8192, 16384, 32768};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(argv[i], "--phases") == 0) {
       phases = true;
-    } else if (std::strcmp(argv[i], "--opt") == 0 && i + 1 < argc) {
-      opt_csv = argv[++i];
     } else if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
       cluster_sizes = parseNodes(argv[++i]);
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--opt CSV] [--nodes CSV]\n",
+      std::fprintf(stderr, "usage: %s [--quick] [--phases] [--nodes CSV]\n",
                    argv[0]);
       return 2;
     }
   }
-  const sim::SimOptFlags opt = parseOpt(opt_csv);
 
   snsbench::Env env;
 
@@ -156,8 +84,8 @@ int main(int argc, char** argv) {
   const auto db = trace::synthesizeTraceProfiles(env.db(), 16, jobs, env.est());
 
   std::printf("=== simulator scalability: events/sec and placement latency ===\n");
-  std::printf("trace: %zu jobs over %.0f hours, scaling ratio %.1f, opt %s\n\n",
-              jobs.size(), params.horizon_hours, ratio, opt_csv.c_str());
+  std::printf("trace: %zu jobs over %.0f hours, scaling ratio %.1f\n\n",
+              jobs.size(), params.horizon_hours, ratio);
 
   const std::vector<sched::PolicyKind> policies = {sched::PolicyKind::kCE,
                                                    sched::PolicyKind::kSNS};
@@ -177,7 +105,6 @@ int main(int argc, char** argv) {
       cfg.age_limit_s = 14.0 * 86400.0;
       cfg.max_queue_scan = 256;
       cfg.metrics = &metrics;
-      cfg.opt = opt;
       telemetry::PhaseProfiler prof;
       if (phases) cfg.phases = &prof;
       sim::ClusterSimulator sim(env.est(), env.lib(), db, cfg);
@@ -224,7 +151,7 @@ int main(int argc, char** argv) {
               ? 100.0 * cache_hits / (cache_hits + cache_misses)
               : 0.0;
       // Fast-decision-path attribution: ledger selection-cache reuse and
-      // failed-spec skips (both zero when the flags are off).
+      // failed-spec skips.
       const double sel_hits = counterValue(metrics, "sim.select_cache_hits");
       const double sel_misses = counterValue(metrics, "sim.select_cache_misses");
       const double sel_hit_pct =
@@ -274,7 +201,6 @@ int main(int argc, char** argv) {
   util::Json out;
   out["bench"] = "sim_scale";
   out["quick"] = quick;
-  out["opt"] = opt_csv;
   out["trace_jobs"] = jobs.size();
   out["scaling_ratio"] = ratio;
   out["results"] = util::Json(std::move(results));

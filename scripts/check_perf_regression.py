@@ -19,8 +19,9 @@ checked per cell:
     O(active) loop sneaks back in even if decision latency stays flat;
   * decision_us_mean must not grow by more than --mean-tolerance
     (default 8x) — the headline number of the fast decision path
-    (DESIGN.md section 10); losing one of the SimOptFlags optimizations
-    moves it far more than runner noise does;
+    (DESIGN.md section 10); losing one of its mechanisms (selection
+    cache, failed-spec memo, deferred refresh) moves it far more than
+    runner noise does;
   * decision_us_p99 must not grow by more than --latency-tolerance
     (default 8x) — the per-decision tail is what sns::xray attributes,
     and a span site accidentally left on the unsampled path shows up

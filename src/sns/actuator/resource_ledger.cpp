@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <future>
 #include <limits>
-#include <map>
 
 #include "sns/util/error.hpp"
 #include "sns/util/thread_pool.hpp"
@@ -89,7 +88,7 @@ void ResourceLedger::allocate(int nd, JobId job, const NodeAllocation& alloc) {
   reindex(nd, old_idle);
   --gridCell(old_idle, old_fw);
   ++gridCell(node(nd).idleCores(), node(nd).freeWays());
-  if (cache_on_) noteMutation(old_idle, node(nd).idleCores(), false);
+  noteMutation(old_idle, node(nd).idleCores(), false);
 }
 
 void ResourceLedger::release(int nd, JobId job) {
@@ -110,26 +109,12 @@ void ResourceLedger::release(int nd, JobId job) {
   ++gridCell(node(nd).idleCores(), node(nd).freeWays());
   ++release_epoch_;
   release_idle_watermark_ = std::max(release_idle_watermark_, node(nd).idleCores());
-  if (cache_on_) noteMutation(old_idle, node(nd).idleCores(), true);
+  noteMutation(old_idle, node(nd).idleCores(), true);
 }
 
 std::vector<int> ResourceLedger::feasibleNodes(const NodeAllocation& request) const {
   query_core_floor_ = std::min(query_core_floor_, request.cores);
   std::vector<int> out;
-  if (full_scan_) {
-    // Legacy path: regroup all nodes by idle-core count on the fly.
-    std::map<int, std::vector<int>> groups;
-    for (int id = 0; id < nodeCount(); ++id) {
-      groups[nodes_[static_cast<std::size_t>(id)].idleCores()].push_back(id);
-    }
-    for (auto it = groups.rbegin(); it != groups.rend(); ++it) {
-      if (it->first < request.cores) break;
-      for (int id : it->second) {
-        if (node(id).fits(request)) out.push_back(id);
-      }
-    }
-    return out;
-  }
   for (int c = mach_->cores; c >= std::max(0, request.cores); --c) {
     const auto& bucket = buckets_[static_cast<std::size_t>(c)];
     if (bucket.empty()) continue;
@@ -222,32 +207,13 @@ void ResourceLedger::collectCandidates(const NodeAllocation& request,
   cand_.clear();
   group_end_.clear();
   const int from = std::max(0, request.cores);
-  if (full_scan_) {
-    std::map<int, std::vector<int>> groups;
-    for (int id = 0; id < nodeCount(); ++id) {
-      const int idle = nodes_[static_cast<std::size_t>(id)].idleCores();
-      if (idle >= from) groups[idle].push_back(id);
-    }
-    for (const auto& [idle, ids] : groups) {
-      std::size_t in_group = 0;
-      for (int id : ids) {
-        if (node(id).fits(request)) {
-          cand_.push_back(id);
-          ++in_group;
-        }
-        if (in_group >= per_group_cap) break;
-      }
-      group_end_.push_back(cand_.size());
-    }
-    return;
-  }
   for (int c = from; c <= mach_->cores; ++c) {
     const auto& bucket = buckets_[static_cast<std::size_t>(c)];
     if (bucket.empty()) continue;
     if (request.exclusive && c < mach_->cores) {
       // idleCores < cores proves a resident holds >= 1 core, so an
-      // exclusive request cannot fit anywhere in this bucket; keep the
-      // (empty) group so the group structure matches the per-node scan.
+      // exclusive request cannot fit anywhere in this bucket: an empty
+      // group.
       group_end_.push_back(cand_.size());
       continue;
     }
@@ -278,11 +244,7 @@ std::vector<int> ResourceLedger::selectNodes(int count, const NodeAllocation& re
     // already too small the scan cannot succeed — failed placement
     // attempts (a deep queue probing an overcommitted cluster every
     // scheduling point) cost O(1) instead of a walk over every idle node.
-    // The full-scan path reaches the same empty answer by scanning.
-    if (!full_scan_ &&
-        buckets_[static_cast<std::size_t>(mach_->cores)].size() < count) {
-      return {};
-    }
+    if (idleNodeCount() < count) return {};
     collectCandidates(request, static_cast<std::size_t>(count));
     if (cand_.size() < static_cast<std::size_t>(count)) return {};
     std::size_t begin = 0;
@@ -296,7 +258,6 @@ std::vector<int> ResourceLedger::selectNodes(int count, const NodeAllocation& re
     return {};
   }
 
-  if (!cache_on_) return selectNodesRanked(count, request, beta);
   const SelectQuery q = makeQuery(/*kind=*/0, count, request, beta);
   if (const std::vector<int>* hit = cacheLookup(q)) return *hit;
   std::vector<int> out;
@@ -362,26 +323,11 @@ std::vector<int> ResourceLedger::selectNodesRanked(int count,
   // single placement stays sub-linear on 32K-node clusters.
   const std::size_t scan_cap =
       std::max<std::size_t>(64, 2 * static_cast<std::size_t>(count) + 8);
-  if (full_scan_) {
-    collectCandidates(request, scan_cap);
-    std::size_t begin = 0;
-    for (std::size_t end : group_end_) {
-      if (end - begin >= static_cast<std::size_t>(count)) {
-        return best(cand_.data() + begin, end - begin, /*ids_ascending=*/true);
-      }
-      begin = end;
-    }
-    // No single group suffices: fall back to all feasible candidates, which
-    // is exactly the flattened group concatenation (ascending only within
-    // each group, so the shortcut does not apply).
-    if (cand_.size() < static_cast<std::size_t>(count)) return {};
-    return best(cand_.data(), cand_.size(), /*ids_ascending=*/false);
-  }
-  // Indexed arm: walk buckets lazily, best-fit first, and stop at the
-  // first group that satisfies the whole request on its own — identical
-  // to collecting every group up front and then walking (the winning
-  // group's candidates don't depend on groups after it), but a typical
-  // placement ends after one bucket instead of scanning all of them.
+  // Walk buckets lazily, best-fit first, and stop at the first group that
+  // satisfies the whole request on its own — identical to collecting every
+  // group up front and then walking (the winning group's candidates don't
+  // depend on groups after it), but a typical placement ends after one
+  // bucket instead of scanning all of them.
   cand_.clear();
   group_end_.clear();
   for (int c = std::max(0, request.cores); c <= mach_->cores; ++c) {
@@ -409,7 +355,8 @@ std::vector<int> ResourceLedger::selectNodesRanked(int count,
     }
   }
   // No single group sufficed; every bucket has been scanned above, so the
-  // flattened concatenation is complete.
+  // flattened concatenation is complete (ascending only within each
+  // group, so the uniform-score shortcut does not apply).
   if (cand_.size() < static_cast<std::size_t>(count)) return {};
   return best(cand_.data(), cand_.size(), /*ids_ascending=*/false);
 }
@@ -418,7 +365,7 @@ std::vector<int> ResourceLedger::selectNodesByAlignment(
     int count, const NodeAllocation& request) const {
   SNS_REQUIRE(count >= 1, "selectNodesByAlignment() needs count >= 1");
   query_core_floor_ = std::min(query_core_floor_, request.cores);
-  if (!cache_on_ || request.exclusive) return selectNodesAligned(count, request);
+  if (request.exclusive) return selectNodesAligned(count, request);
   const SelectQuery q = makeQuery(/*kind=*/1, count, request, /*beta=*/0.0);
   if (const std::vector<int>* hit = cacheLookup(q)) return *hit;
   std::vector<int> out;
@@ -476,26 +423,7 @@ std::vector<int> ResourceLedger::selectNodesAligned(
   return candidates;
 }
 
-int ResourceLedger::idleNodeCount() const {
-  if (full_scan_) {
-    int idle = 0;
-    for (const NodeLedger& n : nodes_) idle += n.idle() ? 1 : 0;
-    return idle;
-  }
-  return static_cast<int>(buckets_[static_cast<std::size_t>(mach_->cores)].size());
-}
-
 // ---- selection cache --------------------------------------------------------
-
-void ResourceLedger::setSelectionCache(bool on) {
-  cache_on_ = on;
-  sel_cache_.clear();
-  // With no live entries the suffix stacks protect nothing; restart them.
-  mut_suffix_.clear();
-  rel_suffix_.clear();
-  cache_hits_ = 0;
-  cache_misses_ = 0;
-}
 
 void ResourceLedger::setSearchPool(util::ThreadPool* pool,
                                    int min_parallel_nodes) {
@@ -636,7 +564,6 @@ int ResourceLedger::feasibleUpperBound(int from, int ways, int enough) const {
 
 std::vector<std::string> ResourceLedger::auditSelectionCache() const {
   std::vector<std::string> out;
-  if (!cache_on_) return out;
   // Violations are sorted below, so map order never reaches output.
   for (const auto& [q, e] : sel_cache_) {  // snslint: allow(unordered-iteration)
     // An entry the lookup would not serve recomputes on next use; only

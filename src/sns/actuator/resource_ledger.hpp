@@ -110,10 +110,8 @@ class NodeBitset {
 /// count is updated incrementally on every allocate/release, groups are
 /// walked best-fit first, bucket scans are capped, and the fully-idle
 /// bucket doubles as the free list CE-style exclusive placements draw
-/// from. The original implementation — rebuild the grouping by scanning
-/// every node on each query — is kept behind setFullScan(true) as the
-/// equivalence baseline: both paths must return bit-identical selections
-/// (tests/sim/test_sim_equivalence.cpp, tests/actuator).
+/// from. tests/actuator/test_selection_cache.cpp checks every selection
+/// against a reference that regroups all nodes per query.
 ///
 /// Thread contract: SNS_THREAD_HOSTILE — even const selection queries
 /// mutate the mutable scratch buffers and the selection cache below, so
@@ -135,28 +133,17 @@ class SNS_THREAD_HOSTILE ResourceLedger {
     return nodes_[static_cast<std::size_t>(id)];
   }
 
-  /// A/B switch: when true, every query recomputes the idle-core grouping
-  /// from a full scan of all nodes (the legacy O(N) path) instead of using
-  /// the incrementally maintained index. Results must be identical; the
-  /// flag exists so equivalence tests can prove the index is maintained
-  /// correctly.
-  void setFullScan(bool on) { full_scan_ = on; }
-  bool fullScan() const { return full_scan_; }
-
-  /// A/B switch (SimOptFlags::incremental_prune): memoize selection
-  /// queries and reuse the previous decision's result while the ledger
-  /// state it read is provably unchanged. Invalidation is node-level:
-  /// every allocate/release records the maximum of the touched node's
-  /// idle-core count before and after the mutation (as a suffix-max
-  /// stack, see mut_suffix_); a cached query is reusable iff no mutation
-  /// since its fill reaches into the idle-core range
-  /// [request.cores, cores] the query scanned.
-  /// Cached empty results additionally survive any run of pure
-  /// allocations (failure is monotone: capacity only shrinks until a
-  /// release). Results must be bit-identical to the uncached path; the
-  /// equivalence suite and auditSelectionCache() enforce it.
-  void setSelectionCache(bool on);
-  bool selectionCache() const { return cache_on_; }
+  /// Selection cache: non-exclusive selection queries are memoized and
+  /// the previous decision's result is reused while the ledger state it
+  /// read is provably unchanged. Invalidation is node-level: every
+  /// allocate/release records the maximum of the touched node's idle-core
+  /// count before and after the mutation (as a suffix-max stack, see
+  /// mut_suffix_); a cached query is reusable iff no mutation since its
+  /// fill reaches into the idle-core range [request.cores, cores] the
+  /// query scanned. Cached empty results additionally survive any run of
+  /// pure allocations (failure is monotone: capacity only shrinks until a
+  /// release). Results must be bit-identical to a fresh scan;
+  /// auditSelectionCache() and the selection-cache tests enforce it.
   std::uint64_t selectionCacheHits() const { return cache_hits_; }
   std::uint64_t selectionCacheMisses() const { return cache_misses_; }
 
@@ -229,9 +216,11 @@ class SNS_THREAD_HOSTILE ResourceLedger {
                        beta);
   }
 
-  /// Count of completely idle nodes (for CE feasibility checks). O(1) on
-  /// the indexed path: the fully-idle bucket is the free list.
-  int idleNodeCount() const;
+  /// Count of completely idle nodes (for CE feasibility checks). O(1):
+  /// the fully-idle bucket is the free list.
+  int idleNodeCount() const {
+    return buckets_[static_cast<std::size_t>(mach_->cores)].size();
+  }
 
   /// Number of nodes currently running at least one job.
   int busyNodeCount() const { return nodeCount() - idleNodeCount(); }
@@ -272,7 +261,7 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   /// Re-execute every currently-reusable selection-cache entry through the
   /// uncached path and report any mismatch (sns::audit). Returns
   /// human-readable violation strings, sorted for determinism; empty when
-  /// the cache is off or consistent.
+  /// the cache is consistent.
   std::vector<std::string> auditSelectionCache() const;
 
   // ---- test hooks (tests/audit) ---------------------------------------------
@@ -295,9 +284,7 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   /// Collect feasible candidates grouped by idle-core count into the
   /// cand_ / group_end_ scratch: ascending from request.cores (best-fit
   /// first), ascending id within a group; each group's scan stops at
-  /// `per_group_cap` candidates. Shared core of the indexed and full-scan
-  /// selection paths — both produce this exact sequence, which is what the
-  /// equivalence tests pin down. Flattened into reusable buffers so a
+  /// `per_group_cap` candidates. Flattened into reusable buffers so a
   /// placement query allocates nothing at steady state.
   void collectCandidates(const NodeAllocation& request,
                          std::size_t per_group_cap) const;
@@ -386,11 +373,9 @@ class SNS_THREAD_HOSTILE ResourceLedger {
                         static_cast<std::size_t>(mach_->llc_ways + 1) +
                     static_cast<std::size_t>(free_ways)];
   }
-  bool full_scan_ = false;
-  // ---- selection-cache state (see setSelectionCache) ------------------------
+  // ---- selection-cache state (see selectionCacheHits) -----------------------
   // Mutable: lookups run on the logically-const selection path; a ledger
   // is owned by one simulator and queried from one thread.
-  bool cache_on_ = false;
   mutable std::unordered_map<SelectQuery, CacheEntry, SelectQueryHash>
       sel_cache_;
   /// Suffix-maxima of the mutation history, for O(log) revalidation. Each

@@ -75,8 +75,8 @@ struct AuditorConfig {
 
 /// Runtime invariant auditor: cross-validates the scheduler stack's
 /// hand-maintained O(1) caches against full recomputation from ground
-/// truth — the redundancy the PR-3 equivalence claim ("optimized replay is
-/// bit-identical to the legacy path") silently relies on:
+/// truth — together with the golden SimResult digests, what pins the
+/// simulator's one implementation:
 ///
 ///   - ResourceLedger: cached occupancy totals and per-node occupancy
 ///     fractions vs re-summed per-node allocations; every node present in

@@ -68,15 +68,15 @@ class NodeContentionSolver {
   /// Solve one node. `shares` may mix CAT-partitioned and free entries.
   std::vector<ShareOutcome> solve(std::span<const NodeShare> shares) const;
 
-  /// Allocation-free, SIMD-friendly form of solve() (A/B-switched by
-  /// SimOptFlags::simd_solver): identical model arithmetic — each
-  /// per-share quantity is produced by the same expressions in the same
-  /// element order, and every cross-share reduction stays a serial
-  /// in-order sum — but staged through the caller's flat scratch arrays,
-  /// so results are bit-identical to solve() while the element-wise
-  /// demand/roofline/outcome loops compile to vector code and the ~6
-  /// per-call heap allocations disappear. `out` is resized to
-  /// shares.size().
+  /// Allocation-free, SIMD-friendly form of solve() — the path SolverCache
+  /// misses take; solve() is its test reference. Identical model
+  /// arithmetic — each per-share quantity is produced by the same
+  /// expressions in the same element order, and every cross-share
+  /// reduction stays a serial in-order sum — but staged through the
+  /// caller's flat scratch arrays, so results are bit-identical to solve()
+  /// while the element-wise demand/roofline/outcome loops compile to
+  /// vector code and the ~6 per-call heap allocations disappear. `out` is
+  /// resized to shares.size().
   void solveInto(std::span<const NodeShare> shares, SolveScratch& scratch,
                  std::vector<ShareOutcome>& out) const;
 

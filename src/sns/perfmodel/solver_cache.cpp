@@ -69,11 +69,7 @@ const std::vector<ShareOutcome>& SolverCache::solve(
     last_ = nullptr;
   }
   std::vector<ShareOutcome> fresh;
-  if (flat_) {
-    solver_->solveInto(shares, solve_scratch_, fresh);
-  } else {
-    fresh = solver_->solve(shares);
-  }
+  solver_->solveInto(shares, solve_scratch_, fresh);
   auto [ins, added] = cache_.emplace(scratch_, std::move(fresh));
   (void)added;
   last_sig_ = &ins->first;

@@ -23,7 +23,9 @@ namespace sns::perfmodel {
 ///
 /// Doubles are keyed on their exact bit patterns; any difference re-solves.
 /// Programs are keyed by pointer identity, which is stable for the program
-/// library the simulator resolves jobs against.
+/// library the simulator resolves jobs against. Misses are filled through
+/// the allocation-free flat path (NodeContentionSolver::solveInto), which
+/// is bit-identical to solve().
 class SolverCache {
  public:
   explicit SolverCache(const NodeContentionSolver& solver) : solver_(&solver) {}
@@ -31,13 +33,6 @@ class SolverCache {
   /// Solve `shares`, reusing a cached outcome when the signature was seen
   /// before. The returned reference stays valid until clear().
   const std::vector<ShareOutcome>& solve(std::span<const NodeShare> shares);
-
-  /// A/B switch (SimOptFlags::simd_solver): fill cache misses through the
-  /// allocation-free flat path (NodeContentionSolver::solveInto) instead
-  /// of solve(). Bit-identical outcomes either way; the flag exists so the
-  /// equivalence suite can prove it.
-  void setFlatSolve(bool on) { flat_ = on; }
-  bool flatSolve() const { return flat_; }
 
   void clear();
   std::size_t size() const { return cache_.size(); }
@@ -103,7 +98,6 @@ class SolverCache {
   std::size_t capacity_ = kMaxEntries;  ///< see setCapacity()
   std::unordered_map<Signature, std::vector<ShareOutcome>, SigHash> cache_;
   Signature scratch_;  ///< reused lookup key, no per-call allocation at steady state
-  bool flat_ = false;            ///< see setFlatSolve()
   SolveScratch solve_scratch_;   ///< flat-path working set, reused across misses
   /// Most-recent entry, for the consecutive-identical-lookup fast path
   /// (stable across rehash: node-based map, entries only move on clear()).

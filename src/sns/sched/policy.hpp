@@ -48,11 +48,11 @@ class SchedulingPolicy {
   /// die at this boundary (ClusterSimulator::run() copies the database).
   virtual void beginRun() {}
 
-  /// Plumbing for SimOptFlags::batched_scoring: when on, a policy may
-  /// memoize pure per-profile computations (demand-curve evaluations)
-  /// inside tryPlace(), invalidated by ProfileDatabase::generation() and
-  /// beginRun(). Results must stay bit-identical either way. Default off,
-  /// so standalone policy users keep the memo-free path.
+  /// Batched scoring: when on, a policy may memoize pure per-profile
+  /// computations (demand-curve evaluations) inside tryPlace(),
+  /// invalidated by ProfileDatabase::generation() and beginRun(). Results
+  /// must stay bit-identical either way. The simulator always turns it
+  /// on; default off, so standalone policy users keep the memo-free path.
   virtual void setBatchScoring(bool) {}
 
  protected:

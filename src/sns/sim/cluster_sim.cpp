@@ -57,13 +57,13 @@ ClusterSimulator::ClusterSimulator(const perfmodel::Estimator& est,
     owned_pool_ = std::make_unique<util::ThreadPool>(
         std::min(4u, std::thread::hardware_concurrency()));
   }
-  applyLedgerOpts();
+  attachSearchPool();
   if (cfg_.policy == sched::PolicyKind::kSNS) {
     policy_ = std::make_unique<sched::SnsPolicy>(est, cfg_.sns);
   } else {
     policy_ = sched::makePolicy(cfg_.policy, est);
   }
-  policy_->setBatchScoring(cfg_.opt.batched_scoring);
+  policy_->setBatchScoring(true);
   node_stamp_.assign(static_cast<std::size_t>(cfg.nodes), 0u);
   node_jobs_.resize(static_cast<std::size_t>(cfg.nodes));
   node_job_slots_.resize(static_cast<std::size_t>(cfg.nodes));
@@ -116,15 +116,12 @@ ClusterSimulator::ClusterSimulator(const perfmodel::Estimator& est,
 
 ClusterSimulator::~ClusterSimulator() = default;
 
-void ClusterSimulator::applyLedgerOpts() {
-  ledger_.setFullScan(!cfg_.opt.indexed_ledger);
-  ledger_.setSelectionCache(cfg_.opt.incremental_prune);
+void ClusterSimulator::attachSearchPool() {
   if (cfg_.opt.parallel_select) {
     util::ThreadPool* pool =
         cfg_.search_pool != nullptr ? cfg_.search_pool : owned_pool_.get();
     ledger_.setSearchPool(pool, cfg_.opt.parallel_min_candidates);
   }
-  solve_cache_.setFlatSolve(cfg_.opt.simd_solver);
 }
 
 std::size_t ClusterSimulator::SpecKeyHash::operator()(const SpecKey& k) const {
@@ -171,7 +168,7 @@ std::size_t ClusterSimulator::FlightSigHash::operator()(
 }
 
 bool ClusterSimulator::batchFastPath() const {
-  if (!cfg_.opt.batched_scoring || rec_.enabled()) return false;
+  if (rec_.enabled()) return false;
   return cfg_.xray == nullptr || cfg_.xray->provenance() == nullptr;
 }
 
@@ -333,21 +330,10 @@ void ClusterSimulator::resolveNode(int nd) {
     // Solver spans only attribute inside a decision pass; the refreshes a
     // finishJob triggers are not decision cost and stay untimed.
     xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kSolverCall);
-    if (cfg_.opt.memoize_solves) {
-      const std::uint64_t hits_before = solve_cache_.hits();
-      outcomes = &solve_cache_.solve(shares_scratch_);
-      if (m_solver_memo_hits_ && solve_cache_.hits() > hits_before) {
-        m_solver_memo_hits_->inc();
-      }
-    } else if (cfg_.opt.simd_solver) {
-      // Flat-array solve into the hoisted scratch: identical arithmetic,
-      // zero allocations at steady state.
-      est_->solver().solveInto(shares_scratch_, solve_scratch_,
-                               outcomes_scratch_);
-      outcomes = &outcomes_scratch_;
-    } else {
-      outcomes_scratch_ = est_->solver().solve(shares_scratch_);
-      outcomes = &outcomes_scratch_;
+    const std::uint64_t hits_before = solve_cache_.hits();
+    outcomes = &solve_cache_.solve(shares_scratch_);
+    if (m_solver_memo_hits_ && solve_cache_.hits() > hits_before) {
+      m_solver_memo_hits_->inc();
     }
   }
   sol.rate.reserve(jobs.size());
@@ -371,15 +357,12 @@ void ClusterSimulator::refreshRates(double now,
     stamp_epoch_ = 1;
   }
   affected_scratch_.clear();
-  const bool dedup = cfg_.opt.dedup_node_solves;
-  const bool slots_on = cfg_.opt.slot_rates;
-  // With slot-indexed derivation on and episode monitoring off, nothing
-  // ever reads a non-representative node's stored solution (derivation
-  // reads the slot arrays, accumulate() reads solutions only when
-  // monitoring) — so group members can read the rep's solution in place
-  // instead of materializing a copy per node.
-  const bool keep_solutions = !slots_on || cfg_.monitor_episode_s > 0.0;
-  if (dedup) solve_group_reps_.clear();
+  // With episode monitoring off, nothing ever reads a non-representative
+  // node's stored solution (derivation reads the slot arrays, accumulate()
+  // reads solutions only when monitoring) — so group members can read the
+  // rep's solution in place instead of materializing a copy per node.
+  const bool keep_solutions = cfg_.monitor_episode_s > 0.0;
+  solve_group_reps_.clear();
   for (int nd : dirty_nodes) {
     const auto& resident = node_jobs_[static_cast<std::size_t>(nd)];
     // Solve dedup: every node of a spread placement hosts the same
@@ -392,17 +375,15 @@ void ClusterSimulator::refreshRates(double now,
     // the decision path.
     int src_node = nd;
     bool copied = false;
-    if (dedup) {
-      for (int rep : solve_group_reps_) {
-        if (node_jobs_[static_cast<std::size_t>(rep)] == resident) {
-          src_node = rep;
-          copied = true;
-          break;
-        }
+    for (int rep : solve_group_reps_) {
+      if (node_jobs_[static_cast<std::size_t>(rep)] == resident) {
+        src_node = rep;
+        copied = true;
+        break;
       }
-      if (!copied) solve_group_reps_.push_back(nd);
     }
     if (!copied) {
+      solve_group_reps_.push_back(nd);
       resolveNode(nd);
     } else if (keep_solutions) {
       auto& dst = node_solution_[static_cast<std::size_t>(nd)];
@@ -410,16 +391,14 @@ void ClusterSimulator::refreshRates(double now,
       dst.rate.assign(src.rate.begin(), src.rate.end());
       dst.bw.assign(src.bw.begin(), src.bw.end());
     }
-    if (slots_on) {
-      // Write the fresh solution through to each resident's flat slot
-      // arrays, so the per-job derivation below reads contiguous memory.
-      const auto& sol = node_solution_[static_cast<std::size_t>(src_node)];
-      const auto& slot_of = node_job_slots_[static_cast<std::size_t>(nd)];
-      for (std::size_t i = 0; i < resident.size(); ++i) {
-        Running& r = running(resident[i]);
-        r.rate_slots[slot_of[i]] = sol.rate[i];
-        r.bw_slots[slot_of[i]] = sol.bw[i];
-      }
+    // Write the fresh solution through to each resident's flat slot
+    // arrays, so the per-job derivation below reads contiguous memory.
+    const auto& sol = node_solution_[static_cast<std::size_t>(src_node)];
+    const auto& slot_of = node_job_slots_[static_cast<std::size_t>(nd)];
+    for (std::size_t i = 0; i < resident.size(); ++i) {
+      Running& r = running(resident[i]);
+      r.rate_slots[slot_of[i]] = sol.rate[i];
+      r.bw_slots[slot_of[i]] = sol.bw[i];
     }
     for (sched::JobId id : resident) {
       auto& stamp = job_stamp_[static_cast<std::size_t>(id)];
@@ -451,58 +430,35 @@ void ClusterSimulator::refreshRates(double now,
     int bottleneck = -1;   // argmin-rate node (first-wins, placement order)
     int net_node = -1;     // argmax-NIC-demand node (first-wins)
     double max_net = -kInf;
-    if (slots_on) {
-      // Same nodes in the same order, same min/sum/max sequence as the
-      // search loop below — bit-identical, just contiguous reads. The
-      // flight arm additionally tracks the argmin/argmax nodes the
-      // attribution needs; `rate < corun_rate ? rate : corun_rate` is
-      // exactly std::min, so the min sequence is unchanged.
-      const auto& nodes = r.placement.nodes;
-      if (!flight_on) {
-        for (std::size_t s = 0; s < nodes.size(); ++s) {
-          corun_rate = std::min(corun_rate, r.rate_slots[s]);
-          bw_sum += r.bw_slots[s];
-          net_over = std::max(
-              net_over,
-              node_net_demand_[static_cast<std::size_t>(nodes[s])] / nic_cap);
-        }
-      } else {
-        for (std::size_t s = 0; s < nodes.size(); ++s) {
-          const double rate_here = r.rate_slots[s];
-          if (rate_here < corun_rate) {
-            corun_rate = rate_here;
-            bottleneck = nodes[s];
-          }
-          bw_sum += r.bw_slots[s];
-          const double demand =
-              node_net_demand_[static_cast<std::size_t>(nodes[s])];
-          if (demand > max_net) {
-            max_net = demand;
-            net_node = nodes[s];
-          }
-          net_over = std::max(net_over, demand / nic_cap);
-        }
+    // Placement order over the job's slot arrays. NIC oversubscription on
+    // any node stretches everyone's comm. The flight arm additionally
+    // tracks the argmin/argmax nodes the attribution needs;
+    // `rate < corun_rate ? rate : corun_rate` is exactly std::min, so the
+    // min sequence is the same in both arms.
+    const auto& nodes = r.placement.nodes;
+    if (!flight_on) {
+      for (std::size_t s = 0; s < nodes.size(); ++s) {
+        corun_rate = std::min(corun_rate, r.rate_slots[s]);
+        bw_sum += r.bw_slots[s];
+        net_over = std::max(
+            net_over,
+            node_net_demand_[static_cast<std::size_t>(nodes[s])] / nic_cap);
       }
     } else {
-      for (int nd : r.placement.nodes) {
-        const auto& resident = node_jobs_[static_cast<std::size_t>(nd)];
-        const auto& sol = node_solution_[static_cast<std::size_t>(nd)];
-        std::size_t k = 0;
-        while (k < resident.size() && resident[k] != id) ++k;
-        SNS_REQUIRE(k < resident.size(), "job missing from node solution");
-        if (flight_on) {
-          if (sol.rate[k] < corun_rate) bottleneck = nd;
-          const double demand = node_net_demand_[static_cast<std::size_t>(nd)];
-          if (demand > max_net) {
-            max_net = demand;
-            net_node = nd;
-          }
+      for (std::size_t s = 0; s < nodes.size(); ++s) {
+        const double rate_here = r.rate_slots[s];
+        if (rate_here < corun_rate) {
+          corun_rate = rate_here;
+          bottleneck = nodes[s];
         }
-        corun_rate = std::min(corun_rate, sol.rate[k]);
-        bw_sum += sol.bw[k];
-        // NIC oversubscription on this node stretches everyone's comm.
-        net_over = std::max(
-            net_over, node_net_demand_[static_cast<std::size_t>(nd)] / nic_cap);
+        bw_sum += r.bw_slots[s];
+        const double demand =
+            node_net_demand_[static_cast<std::size_t>(nodes[s])];
+        if (demand > max_net) {
+          max_net = demand;
+          net_node = nodes[s];
+        }
+        net_over = std::max(net_over, demand / nic_cap);
       }
     }
     SNS_REQUIRE(corun_rate > 0.0, "co-run rate must be positive");
@@ -514,9 +470,9 @@ void ClusterSimulator::refreshRates(double now,
     r.rate = 1.0 / t_inst;
     // Project the completion off the fresh settlement; the projection is
     // the calendar key and the done criterion (finish_time <= now,
-    // exactly) in every configuration.
+    // exactly).
     r.finish_time = r.anchor_time + r.anchor_remaining / r.rate;
-    if (cfg_.opt.finish_calendar) calendar_.upsert(id, r.finish_time);
+    calendar_.upsert(id, r.finish_time);
     r.bw_per_node = bw_sum / r.placement.nodeCount();
     if (cfg_.enforce_bandwidth_caps && rec_.enabled()) {
       // Report each transition into the MBA-capped regime exactly once.
@@ -747,26 +703,20 @@ void ClusterSimulator::startJob(const sched::Job& job, const sched::Placement& p
   const double solo_ways =
       p.ways > 0 ? p.ways : static_cast<double>(est_->machine().llc_ways);
   const perfmodel::SoloRun solo =
-      cfg_.opt.batched_scoring
-          ? soloMemo(*job.program, job.spec.procs, p.nodeCount(), solo_ways)
-          : est_->solo(*job.program, job.spec.procs, p.nodeCount(), solo_ways);
+      soloMemo(*job.program, job.spec.procs, p.nodeCount(), solo_ways);
   double reps = std::max(1, job.spec.repeats);
   if (job.spec.ce_time_override > 0.0) {
     // Trace-driven jobs: rescale work so the CE run matches the trace
     // duration, preserving the program's relative scaling behaviour.
-    const int ce_nodes = est_->minNodes(job.spec.procs);
-    const perfmodel::SoloRun ce =
-        cfg_.opt.batched_scoring
-            ? soloMemo(*job.program, job.spec.procs, ce_nodes,
-                       static_cast<double>(est_->machine().llc_ways))
-            : est_->soloCE(*job.program, job.spec.procs, ce_nodes);
+    const perfmodel::SoloRun& ce =
+        soloMemo(*job.program, job.spec.procs, est_->minNodes(job.spec.procs),
+                 static_cast<double>(est_->machine().llc_ways));
     reps *= job.spec.ce_time_override / ce.time;
   }
   r.comp_time_solo = solo.comp_time * reps;
   r.comm_data_time = solo.comm_data_time * reps;
   r.wait_time = solo.wait_time * reps;
   r.solo_rate = solo.ipc * est_->machine().frequency_ghz * 1e9;
-  r.remaining = 1.0;
   // Anchor at the start instant with zero rate: the mandatory rate
   // refresh that follows every placement (possibly deferred to the end of
   // the pass, still at the same virtual time) performs the first real
@@ -774,10 +724,8 @@ void ClusterSimulator::startJob(const sched::Job& job, const sched::Placement& p
   r.anchor_time = now;
   r.anchor_remaining = 1.0;
   r.finish_time = kInf;
-  if (cfg_.opt.slot_rates) {
-    r.rate_slots.assign(p.nodes.size(), 0.0);
-    r.bw_slots.assign(p.nodes.size(), 0.0);
-  }
+  r.rate_slots.assign(p.nodes.size(), 0.0);
+  r.bw_slots.assign(p.nodes.size(), 0.0);
   // Ground-truth NIC usage: remote traffic volume over the solo run time
   // (repeats and trace rescaling multiply volume and time alike).
   r.nic_demand = solo.time > 0.0
@@ -820,7 +768,7 @@ void ClusterSimulator::finishJob(sched::JobId id, double now) {
   // Normally the main loop already popped the finisher; the contains()
   // guard covers a co-finisher at the same instant whose settlement
   // re-inserted it (its projected finish collapses onto `now`).
-  if (cfg_.opt.finish_calendar && calendar_.contains(id)) calendar_.erase(id);
+  if (calendar_.contains(id)) calendar_.erase(id);
   JobRecord& record = records_[static_cast<std::size_t>(id)];
   record.finish = now;
   // Final settle of the job's open co-residency interval + rollup
@@ -970,12 +918,11 @@ void ClusterSimulator::scheduleSinglePass(double now) {
   // One priority-ordered walk. A placement only consumes resources and
   // per-node feasibility is monotone in free capacity, so a job that
   // failed tryPlace earlier in this pass can never succeed later in the
-  // same pass — continuing past a placement visits exactly the jobs the
-  // legacy restart-from-head walk would have placed, in the same order,
-  // without re-running tryPlace over the already-skipped prefix. The
-  // `scanned` counter tracks the job's live queue position so the
-  // max_queue_scan window and the head-age check keep their legacy
-  // semantics.
+  // same pass — continuing past a placement visits exactly the jobs a
+  // restart-from-head walk would place, in the same order, without
+  // re-running tryPlace over the already-skipped prefix. The `scanned`
+  // counter tracks the job's live queue position, so the max_queue_scan
+  // window and the head-age check count queue positions, not visits.
   int scanned = 0;
   queue_.walk([&](const sched::Job& job) {
     using W = sched::JobQueue::Walk;
@@ -999,35 +946,6 @@ void ClusterSimulator::scheduleSinglePass(double now) {
   });
 }
 
-void ClusterSimulator::scheduleLegacy(double now) {
-  // Legacy walk: restart from the head after every successful placement,
-  // re-running tryPlace over the whole skipped prefix. Kept for the
-  // equivalence suite; the placements it produces are identical to
-  // scheduleSinglePass().
-  bool placed_any = true;
-  while (placed_any) {
-    placed_any = false;
-    int scanned = 0;
-    queue_.walk([&](const sched::Job& job) {
-      using W = sched::JobQueue::Walk;
-      if (++scanned > cfg_.max_queue_scan) return W::kStop;
-      if (tryDispatch(job, now)) {
-        placed_any = true;
-        return W::kRemoveAndStop;  // queue changed; restart the walk
-      }
-      if (scanned == 1 && job.age(now) > cfg_.age_limit_s) {
-        // Event-log append allocates: boundary, as in scheduleSinglePass.
-        util::hotpath::markInnermostBoundary();
-        rec_.backfillSkipped(job.id, job.age(now),
-                             "head job aged past the backfill age limit");
-        if (m_backfill_skips_) m_backfill_skips_->inc();
-        return W::kStop;
-      }
-      return W::kContinue;
-    });
-  }
-}
-
 bool ClusterSimulator::passProvablyFutile() const {
   if (queue_.empty()) return true;
   // Memo arm: the last executed pass placed nothing with every visited
@@ -1046,8 +964,7 @@ bool ClusterSimulator::passProvablyFutile() const {
 }
 
 void ClusterSimulator::schedule(double now) {
-  if (cfg_.opt.futile_pass_gate && cfg_.xray == nullptr &&
-      passProvablyFutile()) {
+  if (cfg_.xray == nullptr && passProvablyFutile()) {
     // A skipped pass is provably a no-op on simulation state: no clock
     // reads, no queue walk, no events. Gauges still track reality; the
     // pass counter stays put (no pass ran).
@@ -1084,11 +1001,7 @@ void ClusterSimulator::schedule(double now) {
 
   {
     telemetry::ScopedPhase sp(cfg_.phases, telemetry::Phase::kQueueWalk);
-    if (cfg_.opt.single_pass_schedule) {
-      scheduleSinglePass(now);
-    } else {
-      scheduleLegacy(now);
-    }
+    scheduleSinglePass(now);
   }
 
   if (defer_refresh_) {
@@ -1125,17 +1038,15 @@ void ClusterSimulator::auditTick() {
   // a single predictable branch; Release builds compile the call out.
   if (cfg_.auditor != nullptr) {
     cfg_.auditor->auditSchedulerState(ledger_, queue_, solve_cache_);
-    if (cfg_.opt.finish_calendar) {
-      // Cross-check every calendar key against a full recomputation of
-      // the expected membership: exactly the active jobs, each keyed by
-      // its boundary-settled finish projection, bit-for-bit.
-      std::vector<std::pair<sched::JobId, double>> expected;
-      expected.reserve(active_.size());
-      for (sched::JobId id : active_) {
-        expected.emplace_back(id, running(id).finish_time);
-      }
-      cfg_.auditor->auditFinishCalendar(calendar_, expected);
+    // Cross-check every calendar key against a full recomputation of the
+    // expected membership: exactly the active jobs, each keyed by its
+    // boundary-settled finish projection, bit-for-bit.
+    std::vector<std::pair<sched::JobId, double>> expected;
+    expected.reserve(active_.size());
+    for (sched::JobId id : active_) {
+      expected.emplace_back(id, running(id).finish_time);
     }
+    cfg_.auditor->auditFinishCalendar(calendar_, expected);
   }
 #endif
 }
@@ -1269,7 +1180,7 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
   const std::size_t n = jobs.size();
   local_db_ = *db_;
   ledger_ = actuator::ResourceLedger(cfg_.nodes, est_->machine());
-  applyLedgerOpts();
+  attachSearchPool();
   queue_ = sched::JobQueue{};
   solve_cache_.clear();
   // Batched-scoring memos: the spec memo is epoch-guarded but the ledger
@@ -1361,17 +1272,8 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
 
   while (!active_.empty() || !queue_.empty() || next_submit < submits.size()) {
     // Next completion: the calendar's top key IS the minimum projected
-    // finish time; the legacy arm scans the active list reading the same
-    // boundary-settled projections (identical doubles, O(active) instead
-    // of O(log active)).
-    double t_finish = kInf;
-    if (cfg_.opt.finish_calendar) {
-      if (!calendar_.empty()) t_finish = calendar_.topKey();
-    } else {
-      for (sched::JobId id : active_) {
-        t_finish = std::min(t_finish, running(id).finish_time);
-      }
-    }
+    // finish time.
+    const double t_finish = calendar_.empty() ? kInf : calendar_.topKey();
     // Next submission.
     const double t_submit =
         next_submit < submits.size() ? submits[next_submit].submit_time : kInf;
@@ -1381,16 +1283,6 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
     const double t_next = std::min(t_finish, t_submit);
 
     accumulate(now, t_next);
-    if (!cfg_.opt.lazy_progress) {
-      // Legacy-arm structural cost: the old per-event decrement over every
-      // active job. Nothing reads `remaining` for decisions anymore — the
-      // canonical progress state is the boundary-settled anchor — so the
-      // lazy arm simply skips the loop.
-      for (sched::JobId id : active_) {
-        Running& r = running(id);
-        r.remaining -= (t_next - now) * r.rate;
-      }
-    }
     now = t_next;
     rec_.setTime(now);
 
@@ -1402,18 +1294,10 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
     // Finish everything projected to complete at this instant, in
     // ascending id order. Every such job carries finish_time == now
     // exactly (t_next is the minimum of the keys), so the calendar's
-    // (key, id) pop order IS ascending id order — identical to the legacy
-    // sweep-and-sort over the unordered active list.
+    // (key, id) pop order IS ascending id order.
     done_scratch_.clear();
-    if (cfg_.opt.finish_calendar) {
-      while (!calendar_.empty() && calendar_.topKey() <= now) {
-        done_scratch_.push_back(calendar_.pop());
-      }
-    } else {
-      for (sched::JobId id : active_) {
-        if (running(id).finish_time <= now) done_scratch_.push_back(id);
-      }
-      std::sort(done_scratch_.begin(), done_scratch_.end());
+    while (!calendar_.empty() && calendar_.topKey() <= now) {
+      done_scratch_.push_back(calendar_.pop());
     }
     for (sched::JobId id : done_scratch_) finishJob(id, now);
 

@@ -33,44 +33,11 @@ namespace sns::sim {
 
 struct JobRecord;
 
-/// Performance-path switches of the simulator. Everything defaults to the
-/// fast path; each legacy path is kept so the equivalence suite
-/// (tests/sim/test_sim_equivalence.cpp) can prove optimized == legacy
-/// bit-for-bit on the simulated results. See DESIGN.md "Simulator
-/// performance architecture".
+/// Threading knobs of the simulator. Every hot-path optimization is the
+/// simulator's one implementation, not a switch: golden SimResult digests
+/// (tests/sim/test_golden_digests.cpp) and the sns::audit invariants pin
+/// its behaviour. See DESIGN.md "Simulator performance architecture".
 struct SimOptFlags {
-  /// Incrementally maintained idle-core index in the resource ledger vs
-  /// the legacy full scan of all nodes per selection query.
-  bool indexed_ledger = true;
-  /// Cache NodeContentionSolver::solve() outcomes keyed on the node's
-  /// co-run signature; trace replay re-solves identical co-run sets
-  /// thousands of times.
-  bool memoize_solves = true;
-  /// Walk the queue once per scheduling point, continuing past a
-  /// successful placement (placements only shrink free resources, so
-  /// previously skipped jobs stay unplaceable within the point) vs the
-  /// legacy restart-from-head walk that re-ran tryPlace over the whole
-  /// skipped prefix after every placement — O(Q^2) in queue depth.
-  bool single_pass_schedule = true;
-  /// Incremental candidate pruning: the ledger memoizes selection queries
-  /// and reuses the previous decision's scored node set, invalidating by
-  /// a dirty log of which idle-core range each allocate/release touched;
-  /// plus an O(cores) feasibility upper bound that fast-fails hopeless
-  /// scans. The dominant cost of the contended SNS decision path — deep
-  /// queues re-scoring an unchanged cluster — collapses to hash lookups.
-  bool incremental_prune = true;
-  /// Batched queue-head scoring: amortize per-pass work across the queued
-  /// jobs scored against the same ledger. (a) tryPlace failures are
-  /// remembered per (program, procs, alpha) spec and skipped until a
-  /// release or profile change could unblock them (failure is monotone
-  /// under allocations); (b) the SNS demand-curve evaluation and the
-  /// estimator's solo baselines are memoized as pure functions; (c) rate
-  /// refreshes for the pass's placements are coalesced into one
-  /// end-of-pass refresh over the union of dirty nodes (nothing reads
-  /// rates mid-pass, so the final solve is what counts). The spec-skip
-  /// and deferred-refresh arms disable themselves while an event sink or
-  /// provenance tracing is attached, so diagnostic streams stay complete.
-  bool batched_scoring = true;
   /// Parallel placement search: shard large bucket scans and candidate
   /// scoring across util::ThreadPool workers with fixed shard boundaries
   /// and an ordered merge — results are bit-identical to the serial scan
@@ -78,54 +45,10 @@ struct SimOptFlags {
   /// least `parallel_min_candidates` nodes and the host has >1 hardware
   /// thread (or SimConfig::search_pool is injected).
   bool parallel_select = true;
-  /// SIMD-friendly solver inner loop: cache-missed contention solves run
-  /// through NodeContentionSolver::solveInto() — flat reusable arrays the
-  /// compiler can vectorize, identical arithmetic, zero allocations.
-  bool simd_solver = true;
   /// Minimum bucket/candidate size before parallel_select shards a scan
   /// (below it, handing work to the pool costs more than the scan).
   /// Tests set 1 to force the parallel path on small clusters.
   int parallel_min_candidates = 2048;
-  // ---- O(log n) event engine (DESIGN.md section 11) -------------------------
-  // Progress accounting is settled-at-rate-boundary in EVERY configuration
-  // (the canonical arithmetic; see the numeric re-baseline note in
-  // DESIGN.md section 11). These flags switch the *structures* around that
-  // arithmetic, so each legacy arm stays bit-identical to its optimized
-  // arm and the equivalence suite can prove it.
-  /// Lazy progress accounting: with the flag on, a running job's state is
-  /// touched only at its rate boundaries (start, a co-runner change on one
-  /// of its nodes, finish). The legacy arm additionally performs the old
-  /// per-event `remaining -= dt * rate` write over every active job — the
-  /// O(active)-per-event cost the re-baseline made redundant (decisions
-  /// read only the boundary-settled anchors in both arms).
-  bool lazy_progress = true;
-  /// Deterministic finish-time calendar: an indexed min-heap keyed on
-  /// (projected finish time, JobId) replaces both the per-event
-  /// next-completion min-scan and the done-job sweep; jobs are re-keyed
-  /// only when a rate refresh actually touches them. The legacy arm scans
-  /// the active set reading the same cached projections.
-  bool finish_calendar = true;
-  /// Skip scheduling passes that provably cannot place anything: the
-  /// queue is empty, or the previous pass placed nothing with every
-  /// failure memoized and nothing since could unblock one (no admission,
-  /// no profile change, and every release stayed below the failed-spec
-  /// memo's query-core floor — peeked, not consumed). Skipped passes do
-  /// no work at all (no clock reads, no walk); sim.futile_pass_skips
-  /// counts them. Engages the memo arm only under batchFastPath() and
-  /// skips entirely only when no xray tracer wants per-pass spans.
-  bool futile_pass_gate = true;
-  /// Deduplicate contention solves across dirty nodes with identical
-  /// resident sets: every node of a spread placement hosts the same
-  /// ordered job list (a job's allocation is uniform across its nodes),
-  /// so one representative solve per group is broadcast instead of
-  /// rebuilding and re-solving the same signature per node.
-  bool dedup_node_solves = true;
-  /// Slot-indexed rate derivation: each running job carries flat per-node
-  /// rate/bandwidth slots (parallel to its placement's node list) that
-  /// dirty-node solves write through, so re-deriving a job's progress
-  /// rate reads two contiguous arrays instead of searching each node's
-  /// resident list. Summation order equals the legacy per-node walk.
-  bool slot_rates = true;
 };
 
 /// Simulator knobs.
@@ -151,7 +74,7 @@ struct SimConfig {
   /// PMU/episode knobs of the online monitor.
   profile::ProfilerConfig monitor;
   sched::SnsPolicy::Options sns;    ///< SNS-specific options
-  /// Hot-path implementation switches (A/B-testable; results identical).
+  /// Threading knobs (results identical for every setting).
   SimOptFlags opt;
   /// Worker pool for opt.parallel_select. Null (the default) lets the
   /// simulator create its own pool when the cluster is large enough and
@@ -310,12 +233,8 @@ class ClusterSimulator {
     double nic_demand = 0.0;       ///< per-node NIC bandwidth demand, GB/s
     double remote_frac = 0.0;      ///< placement-fixed remote-traffic fraction
     double solo_rate = 0.0;        ///< per-proc instr rate when alone
-    /// Legacy-arm diagnostic only (opt.lazy_progress off): the old
-    /// per-event-decremented work fraction. Decisions never read it — the
-    /// canonical progress state is the boundary-settled anchor below.
-    double remaining = 1.0;
     double rate = 0.0;             ///< d(remaining)/dt under current co-run
-    // ---- settled-at-rate-boundary progress (canonical, DESIGN.md §11) ------
+    // ---- settled-at-rate-boundary progress (DESIGN.md §11) -----------------
     double anchor_time = 0.0;      ///< virtual time of the last settlement
     double anchor_remaining = 1.0; ///< work fraction left at anchor_time
     /// Projected completion, anchor_time + anchor_remaining / rate,
@@ -326,9 +245,9 @@ class ClusterSimulator {
     double bw_per_node = 0.0;      ///< current achieved per-node bandwidth
     bool throttled = false;        ///< MBA cap currently binding (for events)
     /// Per-placement-node achieved rate / bandwidth from the owning
-    /// node's latest solve (opt.slot_rates): slot i belongs to
-    /// placement.nodes[i]. Dirty-node solves write through
-    /// node_job_slots_; rate derivation then reads contiguous arrays.
+    /// node's latest solve: slot i belongs to placement.nodes[i].
+    /// Dirty-node solves write through node_job_slots_; rate derivation
+    /// then reads contiguous arrays.
     std::vector<double> rate_slots;
     std::vector<double> bw_slots;
   };
@@ -344,22 +263,19 @@ class ClusterSimulator {
   void auditTick();  ///< cfg_.auditor checks (no-op unless SNS_AUDIT build)
   void sampleTelemetry(double now);  ///< offer state to cfg_.sampler
   void scheduleSinglePass(double now);
-  void scheduleLegacy(double now);
   bool tryDispatch(const sched::Job& job, double now);  ///< tryPlace + start
-  /// (Re)apply the SimOptFlags wiring to the ledger and solver cache —
-  /// run() rebuilds the ledger, so the ctor and the per-run reset share
-  /// this.
-  void applyLedgerOpts();
-  /// True while the spec-skip / deferred-refresh arms of batched scoring
-  /// may run: flag on, no event sink recording, no provenance store.
-  /// Diagnostic runs (tracing, `uberun explain`) thus always see the full
-  /// per-job walk and per-placement refresh events.
+  /// (Re)wire the parallel-select pool into the ledger — run() rebuilds
+  /// the ledger, so the ctor and the per-run reset share this.
+  void attachSearchPool();
+  /// True while the batched-scoring fast path may run — the failed-spec
+  /// memo and the deferred end-of-pass refresh: no event sink recording,
+  /// no provenance store. Diagnostic runs (tracing, `uberun explain`) thus
+  /// always see the full per-job walk and per-placement refresh events.
   bool batchFastPath() const;
   /// Collect a placement's nodes into the deferred end-of-pass refresh
   /// set (deduplicated via node stamps).
   void markDeferredDirty(const std::vector<int>& nodes);
-  /// Memoized solo-baseline lookup (pure function of the arguments; only
-  /// used under opt.batched_scoring).
+  /// Memoized solo-baseline lookup (pure function of the arguments).
   const perfmodel::SoloRun& soloMemo(const app::ProgramModel& prog, int procs,
                                      int nodes, double ways);
   /// Fold the ledger's selection-cache hit/miss counters into the metrics
@@ -385,8 +301,12 @@ class ClusterSimulator {
   void flightReopen(sched::JobId id, const Running& r, double now,
                     double t_inst, double stretch, double net_over,
                     int bottleneck, int net_node);
-  /// True when schedule(now) provably cannot place anything (see
-  /// SimOptFlags::futile_pass_gate); only called with the flag on.
+  /// True when schedule(now) provably cannot place anything: the queue is
+  /// empty, or the previous pass placed nothing with every failure
+  /// memoized and nothing since could unblock one (no admission, no
+  /// profile change, and every release stayed below the failed-spec
+  /// memo's query-core floor — peeked, not consumed). schedule() then
+  /// skips the pass outright unless an xray tracer wants per-pass spans.
   bool passProvablyFutile() const;
   void accumulate(double t0, double t1);
   void admit(sched::Job job);
@@ -428,7 +348,7 @@ class ClusterSimulator {
   /// jobs resident on each node
   std::vector<std::vector<sched::JobId>> node_jobs_;
   /// Parallel to node_jobs_[nd]: the node's index within that job's
-  /// placement node list (its Running slot index; see opt.slot_rates).
+  /// placement node list (its Running::rate_slots index).
   std::vector<std::vector<std::uint32_t>> node_job_slots_;
   /// per-node, per-job achieved compute rate / bandwidth from the last solve
   std::vector<NodeSolution> node_solution_;
@@ -445,13 +365,11 @@ class ClusterSimulator {
 
   /// Hoisted scratch buffers (no per-event allocation at steady state).
   std::vector<perfmodel::NodeShare> shares_scratch_;
-  std::vector<perfmodel::ShareOutcome> outcomes_scratch_;
   std::vector<sched::JobId> affected_scratch_;
   std::vector<std::uint32_t> job_stamp_;   ///< refreshRates dedup stamps
   std::uint32_t stamp_epoch_ = 0;
   std::vector<std::pair<int, double>> bw_scratch_;  ///< (node, bandwidth)
   std::vector<sched::JobId> done_scratch_;
-  perfmodel::SolveScratch solve_scratch_;  ///< flat-solver working set
 
   // ---- flight-recorder attribution scratch (cfg_.flight only) ---------------
   std::vector<perfmodel::NodeShare> flight_shares_;      ///< full signature
@@ -514,8 +432,8 @@ class ClusterSimulator {
   /// so the settle/reopen pair is skipped outright and the open interval
   /// extends. Every field the reopened state depends on is either here or
   /// version-stamped; the comparison is pure FP/integer equality, so the
-  /// skip decision is identical across opt flags and the interval stores
-  /// stay byte-comparable.
+  /// skip decision is identical on the batched and per-dispatch paths and
+  /// the interval stores stay byte-comparable.
   struct FlightOpenKey {
     double rate = 0.0;
     double t_inst = 0.0;
@@ -530,17 +448,17 @@ class ClusterSimulator {
   std::vector<FlightOpenKey> flight_open_key_;
 
   // ---- O(log n) event engine state (DESIGN.md section 11) -------------------
-  /// Finish-time calendar (opt.finish_calendar): contains exactly the
-  /// active jobs between scheduling points, keyed by Running::finish_time.
+  /// Finish-time calendar: contains exactly the active jobs between
+  /// scheduling points, keyed by Running::finish_time.
   sched::FinishCalendar calendar_;
-  /// Representative nodes of this refresh's identical-resident-set groups
-  /// (opt.dedup_node_solves); hoisted scratch, small (one entry per
-  /// distinct co-run set among the dirty nodes).
+  /// Representative nodes of this refresh's identical-resident-set
+  /// groups; hoisted scratch, small (one entry per distinct co-run set
+  /// among the dirty nodes).
   std::vector<int> solve_group_reps_;
-  /// Futile-pass gate state (opt.futile_pass_gate): true when the last
-  /// executed pass placed nothing while the batched fast path memoized
-  /// every failure — the precondition for skipping a provably identical
-  /// pass. Cleared by admissions and at run start.
+  /// Futile-pass gate state: true when the last executed pass placed
+  /// nothing while the batched fast path memoized every failure — the
+  /// precondition for skipping a provably identical pass. Cleared by
+  /// admissions and at run start.
   bool futile_ready_ = false;
   /// Placements committed by the pass currently executing.
   int pass_placements_ = 0;
@@ -551,7 +469,7 @@ class ClusterSimulator {
   /// High-water mark of the active-job count this run (sim.active_jobs_hwm).
   std::size_t active_hwm_ = 0;
 
-  // ---- batched queue-head scoring state (opt.batched_scoring) ---------------
+  // ---- batched queue-head scoring state -------------------------------------
   /// "This spec cannot currently be placed" memo, keyed on the exact
   /// inputs tryPlace() reads off a job: program identity, process count,
   /// alpha bits. Each entry carries the minimum idle-core count any of the

@@ -1,11 +1,12 @@
 // Unit tests for the ledger's incremental candidate pruning (the selection
-// cache behind SimOptFlags::incremental_prune) and the sharded parallel
-// scan (parallel_select). Both are bit-identity optimizations: every
-// cached or sharded answer must equal the one a fresh serial scan returns.
+// cache) and the sharded parallel scan (parallel_select). Both are
+// bit-identity optimizations: every cached or sharded answer must equal
+// the one a fresh serial scan returns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
+#include <map>
 
 #include "sns/actuator/resource_ledger.hpp"
 #include "sns/util/rng.hpp"
@@ -16,7 +17,6 @@ namespace {
 
 class SelectionCacheTest : public ::testing::Test {
  protected:
-  SelectionCacheTest() { ledger_.setSelectionCache(true); }
   hw::MachineConfig mach_ = hw::MachineConfig::xeonE5_2680v4();
   ResourceLedger ledger_{8, mach_};
 };
@@ -155,14 +155,84 @@ TEST_F(SelectionCacheTest, AuditAcceptsFreshCacheRejectsNothing) {
   EXPECT_TRUE(ledger_.auditSelectionCache().empty());
 }
 
-// Randomized cross-check: a caching ledger and a cache-free ledger driven
-// through the same mutation/query stream must answer identically at every
-// step. This is the unit-level version of the simulator equivalence suite.
+// Reference selection over public NodeLedger state: regroup every node by
+// idle-core count on each query, with no index and no cache.
+//
+// Ranked (selectNodes): walk the groups best-fit first (fewest idle cores
+// that still hold the request), each scan capped at max(64, 2*count+8)
+// fitting nodes in ascending id order; the first group with `count`
+// candidates wins, else every candidate competes; rank by (score, id).
+std::vector<int> referenceRanked(const ResourceLedger& ledger, int count,
+                                 const NodeAllocation& req, double beta) {
+  std::map<int, std::vector<int>> groups;
+  for (int id = 0; id < ledger.nodeCount(); ++id) {
+    const int idle = ledger.node(id).idleCores();
+    if (idle >= std::max(0, req.cores)) groups[idle].push_back(id);
+  }
+  const std::size_t n = static_cast<std::size_t>(count);
+  const std::size_t cap = std::max<std::size_t>(64, 2 * n + 8);
+  const auto rank = [&](const std::vector<int>& ids) {
+    std::vector<std::pair<double, int>> scored;
+    for (int id : ids) scored.emplace_back(ledger.node(id).score(beta), id);
+    std::sort(scored.begin(), scored.end());
+    std::vector<int> out;
+    for (std::size_t i = 0; i < n; ++i) out.push_back(scored[i].second);
+    return out;
+  };
+  std::vector<int> all;
+  for (const auto& [idle, ids] : groups) {
+    std::vector<int> fit;
+    for (int id : ids) {
+      if (fit.size() >= cap) break;
+      if (ledger.node(id).fits(req)) fit.push_back(id);
+    }
+    if (fit.size() >= n) return rank(fit);
+    all.insert(all.end(), fit.begin(), fit.end());
+  }
+  return all.size() < n ? std::vector<int>{} : rank(all);
+}
+
+// Aligned (selectNodesByAlignment): every fitting node, ranked by the dot
+// product of the normalized request and free-capacity vectors, highest
+// first, id as the tie-break.
+std::vector<int> referenceAligned(const ResourceLedger& ledger, int count,
+                                  const NodeAllocation& req) {
+  const hw::MachineConfig& m = ledger.machine();
+  const double want[4] = {
+      static_cast<double>(req.cores) / m.cores,
+      static_cast<double>(req.ways) / m.llc_ways,
+      req.bw_gbps / m.peakBandwidth(),
+      req.net_gbps / m.net_bw_gbps,
+  };
+  std::vector<std::pair<double, int>> scored;
+  for (int id = 0; id < ledger.nodeCount(); ++id) {
+    const NodeLedger& nl = ledger.node(id);
+    if (!nl.fits(req)) continue;
+    const double free[4] = {
+        static_cast<double>(nl.idleCores()) / m.cores,
+        static_cast<double>(nl.freeWays()) / m.llc_ways,
+        nl.freeBandwidth() / m.peakBandwidth(),
+        nl.freeNetwork() / m.net_bw_gbps,
+    };
+    double dot = 0.0;
+    for (int d = 0; d < 4; ++d) dot += want[d] * free[d];
+    scored.emplace_back(dot, id);
+  }
+  if (scored.size() < static_cast<std::size_t>(count)) return {};
+  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  std::vector<int> out;
+  for (int i = 0; i < count; ++i) out.push_back(scored[static_cast<std::size_t>(i)].second);
+  return out;
+}
+
+// Randomized cross-check: the ledger (bucket index + selection cache)
+// driven through a mutation/query stream must answer exactly like the
+// regroup-everything reference at every step, cached repeats included.
 TEST(SelectionCacheRandomized, MatchesUncachedLedgerExactly) {
   const auto mach = hw::MachineConfig::xeonE5_2680v4();
   ResourceLedger cached(16, mach);
-  cached.setSelectionCache(true);
-  ResourceLedger plain(16, mach);
   util::Rng rng(42);
   int next_job = 1;
   std::vector<std::pair<int, int>> live;  // (node, job)
@@ -172,7 +242,6 @@ TEST(SelectionCacheRandomized, MatchesUncachedLedgerExactly) {
       const auto [nd, job] = live[static_cast<std::size_t>(rng.uniformInt(
           0, static_cast<std::int64_t>(live.size()) - 1))];
       cached.release(nd, job);
-      plain.release(nd, job);
       live.erase(std::remove(live.begin(), live.end(), std::make_pair(nd, job)),
                  live.end());
     } else if (op < 6) {
@@ -181,10 +250,9 @@ TEST(SelectionCacheRandomized, MatchesUncachedLedgerExactly) {
                                  2 * static_cast<int>(rng.uniformInt(0, 2)),
                                  2.0 * static_cast<double>(rng.uniformInt(0, 5)),
                                  false, 0.0};
-      const auto nodes = plain.selectNodes(1, alloc, 1.0);
+      const auto nodes = referenceRanked(cached, 1, alloc, 1.0);
       if (nodes.empty()) continue;
       cached.allocate(nodes[0], next_job, alloc);
-      plain.allocate(nodes[0], next_job, alloc);
       live.emplace_back(nodes[0], next_job);
       ++next_job;
     } else {
@@ -196,13 +264,13 @@ TEST(SelectionCacheRandomized, MatchesUncachedLedgerExactly) {
       const double beta = 0.5 * static_cast<double>(rng.uniformInt(1, 4));
       // Each query runs twice back-to-back: the repeat is served from the
       // cache (same version, no mutation in between) and must still match
-      // the cache-free ledger.
+      // the reference.
       for (int rep = 0; rep < 2; ++rep) {
         EXPECT_EQ(cached.selectNodes(count, req, beta),
-                  plain.selectNodes(count, req, beta))
+                  referenceRanked(cached, count, req, beta))
             << "step " << step << " rep " << rep;
         EXPECT_EQ(cached.selectNodesByAlignment(count, req),
-                  plain.selectNodesByAlignment(count, req))
+                  referenceAligned(cached, count, req))
             << "step " << step << " rep " << rep;
       }
       EXPECT_TRUE(cached.auditSelectionCache().empty()) << "step " << step;

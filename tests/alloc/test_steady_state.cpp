@@ -78,9 +78,9 @@ SteadyStateRun runQuickTrace() {
   cfg.max_queue_scan = 256;
   cfg.metrics = &metrics;
   cfg.flight = &flight;
-  // cfg.opt defaults: the full PR-8 engine (calendar, lazy progress,
-  // futile gate, batched scoring, memo, slot rates) — the configuration
-  // the contract gates.
+  // No event sink or tracer: the batched fast path (failed-spec memo,
+  // deferred refresh, futile gate) stays engaged — the configuration the
+  // contract gates.
   sim::ClusterSimulator sim(est, lib, db, cfg);
 
   util::hotpath::resetCounters();

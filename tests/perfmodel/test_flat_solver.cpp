@@ -1,5 +1,5 @@
-// The flat-array solver path (NodeContentionSolver::solveInto, behind
-// SimOptFlags::simd_solver) must reproduce solve() bit-for-bit: identical
+// The flat-array solver path (NodeContentionSolver::solveInto, which fills
+// every SolverCache miss) must reproduce solve() bit-for-bit: identical
 // expression shapes, identical iteration order, only the storage layout
 // differs. Exact double comparisons throughout.
 #include <gtest/gtest.h>

@@ -3,9 +3,9 @@
 // rate boundary moves a running job's projection, and the futile-pass gate
 // (empty queue / memoized-failure replay) — checked through observable
 // surfaces only: the event stream, the metrics registry, the audit hooks,
-// and the SimResult. The bit-identity of every engine flag against its
-// legacy arm lives in test_sim_equivalence.cpp; these tests pin down the
-// engine-specific semantics that identity alone does not express.
+// and the SimResult. The engine's results are pinned by
+// test_golden_digests.cpp; these tests pin down the engine-specific
+// semantics that the digests alone do not express.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -15,6 +15,7 @@
 #include "sns/obs/sink.hpp"
 #include "sns/profile/profiler.hpp"
 #include "sns/sim/cluster_sim.hpp"
+#include "sns/xray/span.hpp"
 
 namespace sns::sim {
 namespace {
@@ -71,8 +72,8 @@ TEST(EventEngine, SimultaneousFinishesEmitInAscendingIdOrder) {
   const SimResult res = sim.run(simultaneousBatch(6, 500.0));
 
   // All six fit the 8-node cluster at once, so all six finish together —
-  // a six-way tie the calendar must pop in ascending JobId order (the
-  // legacy done-sweep's order; DESIGN.md section 11 tie rule).
+  // a six-way tie the calendar must pop in ascending JobId order
+  // (DESIGN.md section 11 tie rule).
   std::vector<std::int64_t> finish_order;
   double finish_time = -1.0;
   for (const obs::Event& e : log.snapshot()) {
@@ -172,11 +173,13 @@ TEST(EventEngine, EmptyQueueEventsSkipSchedulingEntirely) {
   // pass that could place) still run, so both counters move.
   EXPECT_GT(passes, 0.0);
 
-  // Gate off: the same trace walks every point and skips none.
+  // Ungated: an attached xray tracer needs every pass's spans, so the same
+  // trace walks every point and skips none.
   SimConfig off = cfg;
   obs::Registry reg_off;
   off.metrics = &reg_off;
-  off.opt.futile_pass_gate = false;
+  xray::Tracer tracer;
+  off.xray = &tracer;
   ClusterSimulator sim_off(f.est, f.lib, f.db, off);
   sim_off.run(simultaneousBatch(6, 500.0));
   EXPECT_EQ(reg_off.counter("sim.futile_pass_skips").value(), 0.0);
@@ -207,9 +210,11 @@ TEST(EventEngine, MemoizedFailureReplayIsGated) {
   ClusterSimulator sim(f.est, f.lib, f.db, gated);
   const SimResult a = sim.run(seq);
 
+  // An attached xray tracer bypasses the gate: every pass runs.
   SimConfig ungated = gated;
   ungated.metrics = nullptr;
-  ungated.opt.futile_pass_gate = false;
+  xray::Tracer tracer;
+  ungated.xray = &tracer;
   ClusterSimulator sim_off(f.est, f.lib, f.db, ungated);
   const SimResult b = sim_off.run(seq);
 

@@ -1,11 +1,11 @@
 // sns::flight must observe the simulation, never feed it: attaching the
 // interference flight recorder must leave simulation results bit-for-bit
 // identical to a run without it (exact double comparisons, no tolerances —
-// same contract as the xray and SimOptFlags equivalence suites). The
+// same contract as the xray and simulator-path equivalence suites). The
 // recorder's own output must in turn be deterministic: byte-identical
-// dumps across repeated runs and across every SimConfig::opt flag setting,
-// and the reconciliation invariant must hold on every run the auditor
-// replays.
+// dumps across repeated runs, SimConfig::opt settings and the batched vs
+// per-dispatch paths, and the reconciliation invariant must hold on every
+// run the auditor replays.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,8 +14,10 @@
 #include "sns/app/library.hpp"
 #include "sns/audit/audit.hpp"
 #include "sns/flight/flight.hpp"
+#include "sns/obs/sink.hpp"
 #include "sns/profile/profiler.hpp"
 #include "sns/sim/cluster_sim.hpp"
+#include "sns/util/thread_pool.hpp"
 
 namespace sns::sim {
 namespace {
@@ -67,23 +69,6 @@ void expectIdentical(const SimResult& a, const SimResult& b) {
   }
 }
 
-SimOptFlags allLegacy() {
-  SimOptFlags f;
-  f.indexed_ledger = false;
-  f.memoize_solves = false;
-  f.single_pass_schedule = false;
-  f.incremental_prune = false;
-  f.batched_scoring = false;
-  f.parallel_select = false;
-  f.simd_solver = false;
-  f.lazy_progress = false;
-  f.finish_calendar = false;
-  f.futile_pass_gate = false;
-  f.dedup_node_solves = false;
-  f.slot_rates = false;
-  return f;
-}
-
 SimResult runWith(const Fixture& f, SimConfig cfg,
                   const std::vector<app::JobSpec>& seq,
                   flight::FlightRecorder* fr) {
@@ -116,58 +101,46 @@ TEST_P(FlightEquivalence, RecorderOnOffBitIdentical) {
 
 // The recorder's dump is the determinism contract for `uberun why-slow`
 // and the degradation census: identical runs must produce byte-identical
-// interval stores and rollups, and every SimConfig::opt flag — each of
-// which reorders or batches the settle arithmetic internally — must leave
-// the recorded ledgers byte-identical too.
+// interval stores and rollups, and every path that reorders or batches the
+// settle arithmetic internally — serial vs sharded selection, the batched
+// fast path vs the per-dispatch path an event sink forces — must leave the
+// recorded ledgers byte-identical too.
 TEST_P(FlightEquivalence, DumpByteIdenticalAcrossRunsAndOptFlags) {
   auto& f = fixture();
   const auto [policy, seed] = GetParam();
   util::Rng rng(seed + 41);
   const auto seq = app::randomSequence(rng, f.lib, 12, 0.9);
 
-  SimConfig legacy;
-  legacy.nodes = 8;
-  legacy.policy = policy;
-  legacy.monitor_episode_s = 0.0;
-  legacy.opt = allLegacy();
+  SimConfig cfg;
+  cfg.nodes = 8;
+  cfg.policy = policy;
+  cfg.monitor_episode_s = 0.0;
 
   flight::FlightRecorder ref_fr;
-  const SimResult ref = runWith(f, legacy, seq, &ref_fr);
+  const SimResult ref = runWith(f, cfg, seq, &ref_fr);
   const std::string ref_dump = ref_fr.toJson().dump();
 
   {
     flight::FlightRecorder again;
-    expectIdentical(runWith(f, legacy, seq, &again), ref);
+    expectIdentical(runWith(f, cfg, seq, &again), ref);
     EXPECT_EQ(again.toJson().dump(), ref_dump) << "repeat run diverged";
   }
 
-  for (int flag = 0; flag < 12; ++flag) {
-    SimConfig one = legacy;
-    one.opt.indexed_ledger = flag == 0;
-    one.opt.memoize_solves = flag == 1;
-    one.opt.single_pass_schedule = flag == 2;
-    one.opt.incremental_prune = flag == 3;
-    one.opt.batched_scoring = flag == 4;
-    one.opt.parallel_select = flag == 5;
-    one.opt.simd_solver = flag == 6;
-    one.opt.lazy_progress = flag == 7;
-    one.opt.finish_calendar = flag == 8;
-    one.opt.futile_pass_gate = flag == 9;
-    one.opt.dedup_node_solves = flag == 10;
-    one.opt.slot_rates = flag == 11;
-    if (flag == 5) one.opt.parallel_min_candidates = 1;
-    SCOPED_TRACE("flag " + std::to_string(flag));
+  util::ThreadPool pool(3);
+  obs::RingBufferLog log;
+  for (int variant = 0; variant < 3; ++variant) {
+    SimConfig one = cfg;
+    if (variant == 0) one.opt.parallel_select = false;
+    if (variant == 1) {
+      one.search_pool = &pool;
+      one.opt.parallel_min_candidates = 1;
+    }
+    if (variant == 2) one.sink = &log;
+    SCOPED_TRACE("variant " + std::to_string(variant));
     flight::FlightRecorder fr;
     expectIdentical(runWith(f, one, seq, &fr), ref);
     EXPECT_EQ(fr.toJson().dump(), ref_dump);
   }
-
-  // All optimizations on (the production default).
-  SimConfig fast = legacy;
-  fast.opt = SimOptFlags{};
-  flight::FlightRecorder fr;
-  expectIdentical(runWith(f, fast, seq, &fr), ref);
-  EXPECT_EQ(fr.toJson().dump(), ref_dump);
 }
 
 INSTANTIATE_TEST_SUITE_P(

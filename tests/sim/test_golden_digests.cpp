@@ -1,0 +1,331 @@
+// Golden SimResult digests: the simulator's behaviour pinned to checked-in
+// 64-bit hashes of every result bit (tests/sim/golden_digests.inc). Each
+// cell hashes the policy, the makespan and busy-node-seconds bits, every
+// job's id, program, submit/start/finish bits and full Placement, and the
+// per-node bandwidth episodes — plus, when a flight recorder is attached,
+// its byte-exact JSON dump. Any change to a scheduling decision, a solver
+// round-off or the event order moves a digest.
+//
+// The matrix: CE/CS/SNS x five small input sets (random sequences with
+// seeds 1-3 and trace-style ce_time_override jobs on 8 nodes, a contended
+// duplicate-spec burst on 4) x six config variants (default, no way
+// donation, MBA caps, online profiling, SNS network management,
+// dot-product packing) x observers off and all observers on; plus CE and
+// SNS on the 700-job Fig-20 quick trace at 4,096 and 32,768 nodes, where
+// the simulator's own parallel-select pool engages, with and without the
+// flight recorder.
+//
+// On a mismatch the test prints the complete replacement table. Replace
+// golden_digests.inc with it only when the behaviour change is intended
+// and explained.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "sns/app/library.hpp"
+#include "sns/audit/audit.hpp"
+#include "sns/flight/flight.hpp"
+#include "sns/obs/metrics.hpp"
+#include "sns/obs/sink.hpp"
+#include "sns/profile/profiler.hpp"
+#include "sns/sim/cluster_sim.hpp"
+#include "sns/telemetry/phase_profiler.hpp"
+#include "sns/telemetry/sampler.hpp"
+#include "sns/trace/replay.hpp"
+#include "sns/xray/span.hpp"
+
+namespace sns::sim {
+namespace {
+
+struct Golden {
+  const char* cell;
+  std::uint64_t digest;
+};
+
+constexpr Golden kGolden[] = {
+#include "golden_digests.inc"
+};
+
+/// FNV-1a over the bytes of each mixed value.
+class Digest {
+ public:
+  void mix(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) byte((v >> (8 * b)) & 0xffu);
+  }
+  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
+  void mix(int v) { mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
+  void mix(bool v) { mix(static_cast<std::uint64_t>(v)); }
+  void mix(const std::string& s) {
+    mix(static_cast<std::uint64_t>(s.size()));
+    for (unsigned char c : s) byte(c);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(std::uint64_t b) {
+    h_ ^= b;
+    h_ *= 1099511628211ull;
+  }
+  std::uint64_t h_ = 1469598103934665603ull;
+};
+
+std::uint64_t digestOf(const SimResult& res, const flight::FlightRecorder* fr) {
+  Digest d;
+  d.mix(res.policy);
+  d.mix(res.makespan);
+  d.mix(res.busy_node_seconds);
+  d.mix(static_cast<std::uint64_t>(res.jobs.size()));
+  for (const JobRecord& j : res.jobs) {
+    d.mix(static_cast<std::uint64_t>(j.id));
+    d.mix(j.spec.program);
+    d.mix(j.submit);
+    d.mix(j.start);
+    d.mix(j.finish);
+    const sched::Placement& p = j.placement;
+    d.mix(static_cast<std::uint64_t>(p.nodes.size()));
+    for (int nd : p.nodes) d.mix(nd);
+    d.mix(p.procs_per_node);
+    d.mix(p.scale_factor);
+    d.mix(p.ways);
+    d.mix(p.bw_gbps);
+    d.mix(p.net_gbps);
+    d.mix(p.exclusive);
+  }
+  d.mix(static_cast<std::uint64_t>(res.node_bw_episodes.size()));
+  for (const auto& node : res.node_bw_episodes) {
+    d.mix(static_cast<std::uint64_t>(node.size()));
+    for (double bw : node) d.mix(bw);
+  }
+  if (fr != nullptr) d.mix(fr->toJson().dump());
+  return d.value();
+}
+
+xray::TracerConfig keepRecords() {
+  xray::TracerConfig c;
+  c.keep_records = true;
+  return c;
+}
+
+audit::AuditorConfig failFast() {
+  audit::AuditorConfig c;
+  c.fail_fast = true;
+  return c;
+}
+
+/// Every observer the simulator accepts, fresh for one run.
+struct AllObservers {
+  void attach(SimConfig& cfg) {
+    cfg.sink = &log;
+    cfg.metrics = &metrics;
+    cfg.sampler = &sampler;
+    cfg.phases = &phases;
+    cfg.xray = &tracer;
+    cfg.auditor = &auditor;
+    cfg.flight = &flight;
+  }
+
+  obs::RingBufferLog log;
+  obs::Registry metrics;
+  telemetry::TimeSeriesStore store{256};
+  telemetry::Sampler sampler{store};
+  telemetry::PhaseProfiler phases;
+  xray::Tracer tracer{keepRecords()};
+  audit::Auditor auditor{failFast()};
+  flight::FlightRecorder flight;
+};
+
+// ---- small-cluster cells ----------------------------------------------------
+
+struct SmallEnv {
+  SmallEnv() : lib(app::programLibrary()) {
+    for (auto& p : lib) est.calibrate(p);
+    profile::ProfilerConfig cfg;
+    cfg.pmu_noise = 0.02;
+    profile::Profiler prof(est, cfg, 7);
+    for (const auto& p : lib) {
+      db.put(prof.profileProgram(p, 16));
+      if (!p.pow2_procs && p.multi_node) db.put(prof.profileProgram(p, 28));
+    }
+  }
+  perfmodel::Estimator est;
+  std::vector<app::ProgramModel> lib;
+  profile::ProfileDatabase db;
+};
+
+struct InputSet {
+  std::string name;
+  std::vector<app::JobSpec> jobs;
+  int nodes = 8;
+  double age_limit_s = 900.0;
+  int max_queue_scan = 1 << 20;
+};
+
+std::vector<InputSet> inputSets(const SmallEnv& env) {
+  std::vector<InputSet> sets;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    util::Rng rng(seed);
+    sets.push_back({"seed" + std::to_string(seed),
+                    app::randomSequence(rng, env.lib, 16, 0.9)});
+  }
+  // Trace-style jobs: ce_time_override supplies the run time (the Fig 20
+  // replay path); a short age limit and a 4-entry scan window force
+  // backfilling decisions.
+  InputSet trace{"trace", {}, 8, 120.0, 4};
+  const char* trace_progs[] = {"MG", "LU", "WC", "EP", "CG", "TS"};
+  for (int i = 0; i < 18; ++i) {
+    app::JobSpec j;
+    j.program = trace_progs[i % 6];
+    j.procs = (i % 6 == 2 || i % 6 == 5) ? 28 : 16;
+    j.alpha = 0.9;
+    j.submit_time = 40.0 * i;
+    j.ce_time_override = 300.0 + 60.0 * (i % 5);
+    trace.jobs.push_back(j);
+  }
+  sets.push_back(std::move(trace));
+  // Contended duplicate specs: waves of eight jobs sharing three specs on a
+  // 4-node cluster, so most dispatch attempts fail and repeat.
+  InputSet contended{"contended", {}, 4};
+  const char* dup_progs[] = {"MG", "LU", "EP"};
+  for (int i = 0; i < 24; ++i) {
+    app::JobSpec j;
+    j.program = dup_progs[i % 3];
+    j.procs = 16;
+    j.alpha = 0.9;
+    j.submit_time = 500.0 * (i / 8);
+    contended.jobs.push_back(j);
+  }
+  sets.push_back(std::move(contended));
+  return sets;
+}
+
+struct Variant {
+  const char* name;
+  void (*apply)(SimConfig&);
+};
+
+constexpr Variant kVariants[] = {
+    {"default", [](SimConfig&) {}},
+    {"no-donation", [](SimConfig& c) { c.donate_unused_ways = false; }},
+    {"mba", [](SimConfig& c) { c.enforce_bandwidth_caps = true; }},
+    {"online", [](SimConfig& c) { c.online_profiling = true; }},
+    {"network", [](SimConfig& c) { c.sns.manage_network = true; }},
+    {"dot-product",
+     [](SimConfig& c) { c.sns.packing = sched::SnsPolicy::Packing::kDotProduct; }},
+};
+
+// ---- Fig-20 quick-trace cells -----------------------------------------------
+
+/// The `bench_sim_scale --quick` environment: the figure benches' profile
+/// database and the 700-job trace mapped at scaling ratio 0.9.
+struct TraceEnv {
+  TraceEnv() : lib(app::programLibrary()) {
+    for (auto& p : lib) est.calibrate(p);
+    profile::ProfilerConfig cfg;
+    cfg.pmu_noise = 0.02;
+    profile::Profiler prof(est, cfg, 0xBE7C4);
+    profile::ProfileDatabase ref;
+    for (const auto& p : lib) {
+      ref.put(prof.profileProgram(p, 16));
+      if (!p.pow2_procs && p.multi_node) ref.put(prof.profileProgram(p, 28));
+    }
+    for (const char* n : {"HC", "BW"}) {
+      ref.put(prof.profileProgram(app::findProgram(lib, n), 28));
+    }
+    trace::TraceGenParams params;
+    params.jobs = 700;
+    params.horizon_hours = 190.0;
+    util::Rng trace_rng(0x7417177);
+    const auto raw = trace::generateTrace(trace_rng, params);
+    util::Rng map_rng(900);
+    jobs = trace::mapTraceToJobs(map_rng, raw, 0.9, est.machine().cores);
+    db = trace::synthesizeTraceProfiles(ref, 16, jobs, est);
+  }
+  perfmodel::Estimator est;
+  std::vector<app::ProgramModel> lib;
+  profile::ProfileDatabase db;
+  std::vector<app::JobSpec> jobs;
+};
+
+struct Computed {
+  std::string cell;
+  std::uint64_t digest;
+};
+
+std::vector<Computed> computeAll() {
+  std::vector<Computed> out;
+  const SmallEnv small;
+  for (const InputSet& set : inputSets(small)) {
+    for (sched::PolicyKind policy :
+         {sched::PolicyKind::kCE, sched::PolicyKind::kCS, sched::PolicyKind::kSNS}) {
+      for (const Variant& v : kVariants) {
+        for (bool observed : {false, true}) {
+          SimConfig cfg;
+          cfg.nodes = set.nodes;
+          cfg.policy = policy;
+          cfg.age_limit_s = set.age_limit_s;
+          cfg.max_queue_scan = set.max_queue_scan;
+          v.apply(cfg);
+          AllObservers obs;
+          if (observed) obs.attach(cfg);
+          ClusterSimulator sim(small.est, small.lib, small.db, cfg);
+          const SimResult res = sim.run(set.jobs);
+          EXPECT_TRUE(obs.auditor.ok()) << obs.auditor.report();
+          out.push_back({set.name + "/" + sched::to_string(policy) + "/" + v.name +
+                             (observed ? "/observed" : "/plain"),
+                         digestOf(res, observed ? &obs.flight : nullptr)});
+        }
+      }
+    }
+  }
+
+  const TraceEnv big;
+  for (int nodes : {4096, 32768}) {
+    for (sched::PolicyKind policy : {sched::PolicyKind::kCE, sched::PolicyKind::kSNS}) {
+      for (bool recorded : {false, true}) {
+        SimConfig cfg;
+        cfg.nodes = nodes;
+        cfg.policy = policy;
+        cfg.monitor_episode_s = 0.0;
+        cfg.age_limit_s = 14.0 * 86400.0;
+        cfg.max_queue_scan = 256;
+        flight::FlightRecorder fr;
+        if (recorded) cfg.flight = &fr;
+        ClusterSimulator sim(big.est, big.lib, big.db, cfg);
+        const SimResult res = sim.run(big.jobs);
+        out.push_back({"quick700/" + std::to_string(nodes) + "/" +
+                           sched::to_string(policy) + (recorded ? "/flight" : "/plain"),
+                       digestOf(res, recorded ? &fr : nullptr)});
+      }
+    }
+  }
+  return out;
+}
+
+TEST(GoldenDigests, EveryCellMatchesTheCheckedInTable) {
+  const std::vector<Computed> got = computeAll();
+  bool match = got.size() == std::size(kGolden);
+  for (std::size_t i = 0; i < got.size() && i < std::size(kGolden); ++i) {
+    EXPECT_EQ(got[i].cell, kGolden[i].cell);
+    EXPECT_EQ(got[i].digest, kGolden[i].digest) << got[i].cell;
+    match = match && got[i].cell == kGolden[i].cell &&
+            got[i].digest == kGolden[i].digest;
+  }
+  EXPECT_EQ(got.size(), std::size(kGolden));
+  if (!match) {
+    std::string table;
+    char line[160];
+    for (const Computed& c : got) {
+      std::snprintf(line, sizeof line, "{\"%s\", 0x%016llxull},\n", c.cell.c_str(),
+                    static_cast<unsigned long long>(c.digest));
+      table += line;
+    }
+    ADD_FAILURE() << "replacement tests/sim/golden_digests.inc:\n" << table;
+  }
+}
+
+}  // namespace
+}  // namespace sns::sim

@@ -1,20 +1,23 @@
-// Equivalence suite for the simulator's performance paths. Every hot-path
-// switch in SimOptFlags (indexed ledger, memoized contention solves,
-// single-pass queue walk) is an optimization with a correctness *proof*,
-// not a heuristic: the simulated results must be bit-for-bit identical to
-// the legacy implementations. These tests enforce that — exact double
+// Equivalence suite for the simulator's internal paths. The batched
+// fast path (failed-spec memo, deferred end-of-pass rate refresh,
+// futile-pass gate) disengages whenever an observer needs per-dispatch
+// fidelity, and parallel_select shards candidate scans across a pool;
+// each alternative must reproduce the plain run bit-for-bit — exact double
 // comparisons, no tolerances — across policies, seeds, trace-style
 // ce_time_override jobs, and monitored runs (which exercise the dense
-// accumulate path).
+// accumulate path). The values themselves are pinned by
+// test_golden_digests.cpp.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "sns/app/library.hpp"
 #include "sns/flight/flight.hpp"
+#include "sns/obs/sink.hpp"
 #include "sns/profile/profiler.hpp"
 #include "sns/sim/cluster_sim.hpp"
 #include "sns/util/thread_pool.hpp"
+#include "sns/xray/span.hpp"
 
 namespace sns::sim {
 namespace {
@@ -41,7 +44,7 @@ Fixture& fixture() {
 }
 
 // Exact comparison: any difference — a reordered node list, a solver
-// round-off, one-ULP drift in a finish time — is a bug in an optimization.
+// round-off, one-ULP drift in a finish time — is a bug in a path.
 void expectIdentical(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.policy, b.policy);
   EXPECT_EQ(a.makespan, b.makespan);
@@ -79,29 +82,42 @@ SimConfig baseConfig(sched::PolicyKind policy, bool monitored) {
   return cfg;
 }
 
-SimOptFlags allLegacy() {
-  SimOptFlags f;
-  f.indexed_ledger = false;
-  f.memoize_solves = false;
-  f.single_pass_schedule = false;
-  f.incremental_prune = false;
-  f.batched_scoring = false;
-  f.parallel_select = false;
-  f.simd_solver = false;
-  f.lazy_progress = false;
-  f.finish_calendar = false;
-  f.futile_pass_gate = false;
-  f.dedup_node_solves = false;
-  f.slot_rates = false;
-  return f;
-}
-
 SimResult runWith(const Fixture& f, SimConfig cfg,
                   const std::vector<app::JobSpec>& seq) {
   ClusterSimulator sim(f.est, f.lib, f.db, cfg);
   return sim.run(seq);
 }
 
+/// The per-dispatch path: an event sink turns off the failed-spec memo
+/// and the deferred refresh, an xray tracer the futile-pass gate.
+SimResult runPerDispatch(const Fixture& f, SimConfig cfg,
+                         const std::vector<app::JobSpec>& seq) {
+  obs::RingBufferLog log;
+  xray::Tracer tracer;
+  cfg.sink = &log;
+  cfg.xray = &tracer;
+  return runWith(f, cfg, seq);
+}
+
+/// Sharded candidate scans on any host: an injected pool plus
+/// parallel_min_candidates = 1 sends every bucket scan and score fill
+/// through the pool.
+SimResult runSharded(const Fixture& f, SimConfig cfg,
+                     const std::vector<app::JobSpec>& seq) {
+  util::ThreadPool pool(3);
+  cfg.search_pool = &pool;
+  cfg.opt.parallel_min_candidates = 1;
+  return runWith(f, cfg, seq);
+}
+
+/// Serial selection: the reference for the sharded scan.
+SimConfig serial(SimConfig cfg) {
+  cfg.opt.parallel_select = false;
+  return cfg;
+}
+
+// The batched fast path (the optimized arm) against the per-dispatch path
+// every diagnostic run takes (the legacy arm).
 class OptimizedVsLegacy
     : public ::testing::TestWithParam<std::tuple<sched::PolicyKind, std::uint64_t>> {
 };
@@ -112,45 +128,36 @@ TEST_P(OptimizedVsLegacy, RandomSequencesBitIdentical) {
   util::Rng rng(seed);
   const auto seq = app::randomSequence(rng, f.lib, 16, 0.9);
 
-  SimConfig fast = baseConfig(policy, /*monitored=*/true);  // defaults: all on
-  SimConfig legacy = fast;
-  legacy.opt = allLegacy();
-  expectIdentical(runWith(f, fast, seq), runWith(f, legacy, seq));
+  const SimConfig cfg = baseConfig(policy, /*monitored=*/true);
+  expectIdentical(runWith(f, cfg, seq), runPerDispatch(f, cfg, seq));
 }
 
+// Each path switch alone — per-dispatch scoring, tracer-bypassed gate,
+// sharded selection — with and without the flight recorder, which rides
+// the settle points these switches rewire and must stay a pure observer.
 TEST_P(OptimizedVsLegacy, EachFlagAloneBitIdentical) {
   auto& f = fixture();
   const auto [policy, seed] = GetParam();
   util::Rng rng(seed + 17);
   const auto seq = app::randomSequence(rng, f.lib, 12, 0.9);
 
-  SimConfig legacy = baseConfig(policy, /*monitored=*/false);
-  legacy.opt = allLegacy();
-  const SimResult ref = runWith(f, legacy, seq);
+  const SimConfig cfg = baseConfig(policy, /*monitored=*/false);
+  const SimResult ref = runWith(f, serial(cfg), seq);
 
-  for (int flag = 0; flag < 12; ++flag) {
-    SimConfig one = legacy;
-    one.opt.indexed_ledger = flag == 0;
-    one.opt.memoize_solves = flag == 1;
-    one.opt.single_pass_schedule = flag == 2;
-    one.opt.incremental_prune = flag == 3;
-    one.opt.batched_scoring = flag == 4;
-    one.opt.parallel_select = flag == 5;
-    one.opt.simd_solver = flag == 6;
-    one.opt.lazy_progress = flag == 7;
-    one.opt.finish_calendar = flag == 8;
-    one.opt.futile_pass_gate = flag == 9;
-    one.opt.dedup_node_solves = flag == 10;
-    one.opt.slot_rates = flag == 11;
-    if (flag == 5) one.opt.parallel_min_candidates = 1;
-    SCOPED_TRACE("flag " + std::to_string(flag));
-    expectIdentical(runWith(f, one, seq), ref);
-    // Recorder-on row: the interference flight recorder rides the settle
-    // points this flag rewires; it must stay a pure observer under each.
+  for (bool recorded : {false, true}) {
     flight::FlightRecorder fr;
-    SimConfig instrumented = one;
-    instrumented.flight = &fr;
-    expectIdentical(runWith(f, instrumented, seq), ref);
+    SimConfig one = cfg;
+    if (recorded) one.flight = &fr;
+    SCOPED_TRACE(recorded ? "recorder on" : "recorder off");
+    expectIdentical(runWith(f, one, seq), ref);
+    expectIdentical(runPerDispatch(f, one, seq), ref);
+    xray::TracerConfig no_prov;
+    no_prov.provenance = false;
+    xray::Tracer tracer(no_prov);  // gate bypassed, batching kept
+    SimConfig traced = one;
+    traced.xray = &tracer;
+    expectIdentical(runWith(f, traced, seq), ref);
+    expectIdentical(runSharded(f, one, seq), ref);
   }
 }
 
@@ -163,7 +170,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Trace-style jobs: ce_time_override supplies the ground-truth run time
 // (the Fig 20 replay path), tight scan limits force backfilling decisions,
-// and the queue stays deep enough that single-pass vs restart-from-head
+// and the queue stays deep enough that the memoized and per-dispatch walks
 // genuinely diverge in work done (but must not diverge in results).
 TEST(SimEquivalence, TraceStyleOverrideJobsBitIdentical) {
   auto& f = fixture();
@@ -182,13 +189,13 @@ TEST(SimEquivalence, TraceStyleOverrideJobsBitIdentical) {
   }
   for (sched::PolicyKind policy :
        {sched::PolicyKind::kCE, sched::PolicyKind::kCS, sched::PolicyKind::kSNS}) {
-    SimConfig fast = baseConfig(policy, /*monitored=*/true);
-    fast.age_limit_s = 120.0;
-    fast.max_queue_scan = 4;
-    SimConfig legacy = fast;
-    legacy.opt = allLegacy();
+    SimConfig cfg = baseConfig(policy, /*monitored=*/true);
+    cfg.age_limit_s = 120.0;
+    cfg.max_queue_scan = 4;
     SCOPED_TRACE(sched::to_string(policy));
-    expectIdentical(runWith(f, fast, seq), runWith(f, legacy, seq));
+    const SimResult ref = runWith(f, cfg, seq);
+    expectIdentical(runPerDispatch(f, cfg, seq), ref);
+    expectIdentical(runSharded(f, cfg, seq), ref);
   }
 }
 
@@ -196,8 +203,8 @@ TEST(SimEquivalence, TraceStyleOverrideJobsBitIdentical) {
 // jobs sharing a handful of specs pile up on a small contended cluster, so
 // the queue walk repeats identical selection queries and identical
 // tryPlace failures pass after pass, with releases invalidating both
-// caches mid-run. The cached decisions must match a cache-free rerun
-// exactly.
+// caches mid-run. The memoized decisions must match the per-dispatch
+// path exactly.
 TEST(SimEquivalence, ContendedDuplicateSpecsBitIdentical) {
   auto& f = fixture();
   std::vector<app::JobSpec> seq;
@@ -214,41 +221,30 @@ TEST(SimEquivalence, ContendedDuplicateSpecsBitIdentical) {
   }
   for (sched::PolicyKind policy :
        {sched::PolicyKind::kCE, sched::PolicyKind::kCS, sched::PolicyKind::kSNS}) {
-    SimConfig fast = baseConfig(policy, /*monitored=*/true);
-    fast.nodes = 4;  // contended: nothing close to the aggregate demand
-    SimConfig legacy = fast;
-    legacy.opt = allLegacy();
+    SimConfig cfg = baseConfig(policy, /*monitored=*/true);
+    cfg.nodes = 4;  // contended: nothing close to the aggregate demand
     SCOPED_TRACE(sched::to_string(policy));
-    expectIdentical(runWith(f, fast, seq), runWith(f, legacy, seq));
+    expectIdentical(runWith(f, cfg, seq), runPerDispatch(f, cfg, seq));
   }
 }
 
-// Force the sharded candidate scan on any host: an injected 3-worker pool
-// plus parallel_min_candidates = 1 makes every bucket scan and score fill
-// go through the pool, and the ordered merge must reproduce the serial
-// scan bit-for-bit regardless of worker timing.
+// The sharded candidate scan must reproduce the serial scan bit-for-bit
+// regardless of worker timing.
 TEST(SimEquivalence, ParallelSelectPoolBitIdentical) {
   auto& f = fixture();
   util::Rng rng(99);
   const auto seq = app::randomSequence(rng, f.lib, 16, 0.9);
-  util::ThreadPool pool(3);
   for (sched::PolicyKind policy :
        {sched::PolicyKind::kCE, sched::PolicyKind::kCS, sched::PolicyKind::kSNS}) {
-    SimConfig fast = baseConfig(policy, /*monitored=*/true);
-    fast.search_pool = &pool;
-    fast.opt.parallel_min_candidates = 1;
-    SimConfig legacy = fast;
-    legacy.opt = allLegacy();
+    const SimConfig cfg = baseConfig(policy, /*monitored=*/true);
     SCOPED_TRACE(sched::to_string(policy));
-    const SimResult a = runWith(f, fast, seq);
-    const SimResult b = runWith(f, legacy, seq);
-    expectIdentical(a, b);
+    expectIdentical(runSharded(f, cfg, seq), runWith(f, serial(cfg), seq));
   }
 }
 
-// The optimized simulator must also be deterministic run-to-run: identical
-// inputs, identical results, including across back-to-back runs of the
-// same simulator instance (run() must fully reset dense state).
+// The simulator must also be deterministic run-to-run: identical inputs,
+// identical results, including across back-to-back runs of the same
+// simulator instance (run() must fully reset dense state).
 TEST(SimEquivalence, SameSeedSameInstanceDeterminism) {
   auto& f = fixture();
   util::Rng rng(1234);

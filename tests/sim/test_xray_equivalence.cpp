@@ -2,7 +2,7 @@
 // tracer (any sampling mode, provenance on or off, records retained or
 // not) must leave simulation results bit-for-bit identical to a run with
 // no tracer. Exact double comparisons, no tolerances — same contract as
-// the SimOptFlags equivalence suite.
+// the simulator-path equivalence suite.
 #include <gtest/gtest.h>
 
 #include <vector>

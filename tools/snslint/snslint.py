@@ -44,7 +44,7 @@ Rules
                         the interference flight recorder (files matching
                         FLIGHT_ROLLUP_GLOBS — sns/flight, DESIGN.md
                         section 12). The recorder's rollups and renderers
-                        are byte-compared across runs and SimOptFlags
+                        are byte-compared across runs and simulator
                         settings, so hash-order iteration or real time
                         anywhere in the module breaks the equivalence
                         suite; ascending-id vectors and simulated time are

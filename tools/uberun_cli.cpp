@@ -19,9 +19,10 @@
 //   uberun hotpath   [same as metrics] [--sample N] [--folded FILE]
 //   uberun why-slow  [same as metrics] [--job J] [--limit N]
 //
-// All telemetry subcommands take --legacy-decision: run every SimOptFlags
-// hot-path optimization through its legacy implementation, for before/after
-// decision-latency attribution (the results are bit-identical either way).
+// Numeric options are parsed whole: counts (--nodes, --cluster, --procs,
+// --sample, --budget, --candidates, --limit, and --jobs where it is a
+// number) must be integers > 0, --seed and --job integers >= 0; anything
+// else is a usage error naming the option and the value.
 //
 // The telemetry subcommands (metrics / report / top) run the workload with
 // the sns::telemetry stack attached — periodic cluster sampling, SLO
@@ -61,11 +62,16 @@
 // Exit status: 0 on success, 1 on usage errors, 2 on runtime errors,
 // 4 when --enforce-slo is set and an SLO rule fired, 5 when the invariant
 // auditor found a violation.
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -95,6 +101,11 @@ namespace {
 
 using namespace sns;
 
+/// A malformed command line: main() prints it and exits 1.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;
@@ -112,7 +123,7 @@ struct Args {
         } else if (i + 1 < argc) {
           a.options[name] = argv[++i];
         } else {
-          throw util::DataError("option --" + name + " needs a value");
+          throw UsageError("option --" + name + " needs a value");
         }
       } else {
         a.positional.push_back(tok);
@@ -125,9 +136,44 @@ struct Args {
     auto it = options.find(key);
     return it == options.end() ? dflt : it->second;
   }
+  /// A finite real number; the whole value must parse.
   double num(const std::string& key, double dflt) const {
     auto it = options.find(key);
-    return it == options.end() ? dflt : std::stod(it->second);
+    if (it == options.end()) return dflt;
+    const std::string& s = it->second;
+    double v = 0.0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (s.empty() || ec != std::errc() || end != s.data() + s.size() ||
+        !std::isfinite(v)) {
+      throw UsageError("--" + key + ": expected a number, got '" + s + "'");
+    }
+    return v;
+  }
+  /// An integer >= `min`; the whole value must parse.
+  std::int64_t integer(const std::string& key, std::int64_t dflt,
+                       std::int64_t min) const {
+    auto it = options.find(key);
+    if (it == options.end()) return dflt;
+    const std::string& s = it->second;
+    std::int64_t v = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (s.empty() || ec != std::errc() || end != s.data() + s.size() || v < min) {
+      throw UsageError("--" + key + ": expected an integer >= " +
+                       std::to_string(min) + ", got '" + s + "'");
+    }
+    return v;
+  }
+  /// A count: an integer > 0 that fits an int.
+  int count(const std::string& key, int dflt) const {
+    const std::int64_t v = integer(key, dflt, 1);
+    if (v > std::numeric_limits<int>::max()) {
+      throw UsageError("--" + key + ": " + std::to_string(v) + " is too large");
+    }
+    return static_cast<int>(v);
+  }
+  /// A seed or job id: an integer >= 0.
+  std::int64_t index(const std::string& key, std::int64_t dflt) const {
+    return integer(key, dflt, 0);
   }
   bool flag(const std::string& key) const {
     auto it = flags.find(key);
@@ -177,7 +223,7 @@ int cmdPrograms(const World& w) {
 }
 
 int cmdProfile(const World& w, const Args& a) {
-  const int procs = static_cast<int>(a.num("procs", 16));
+  const int procs = a.count("procs", 16);
   profile::ProfilerConfig cfg;
   cfg.pmu_noise = a.num("noise", 0.02);
   profile::Profiler prof(w.est, cfg);
@@ -209,10 +255,9 @@ int cmdProfile(const World& w, const Args& a) {
 int cmdGenerate(const World& w, const Args& a) {
   const std::string out = a.get("out", "");
   if (out.empty()) throw util::DataError("generate needs --out FILE");
-  util::Rng rng(static_cast<std::uint64_t>(a.num("seed", 2019)));
+  util::Rng rng(static_cast<std::uint64_t>(a.index("seed", 2019)));
   const auto seq =
-      app::randomSequence(rng, w.lib, static_cast<int>(a.num("jobs", 20)),
-                          a.num("alpha", 0.9));
+      app::randomSequence(rng, w.lib, a.count("jobs", 20), a.num("alpha", 0.9));
   app::saveJobList(out, seq);
   std::printf("wrote %zu jobs to %s\n", seq.size(), out.c_str());
   return 0;
@@ -225,7 +270,7 @@ int cmdSimulate(const World& w, const Args& a) {
   const auto db = loadOrBuildDb(w, a);
 
   sim::SimConfig cfg;
-  cfg.nodes = static_cast<int>(a.num("nodes", 8));
+  cfg.nodes = a.count("nodes", 8);
   cfg.policy = parsePolicy(a.get("policy", "SNS"));
   cfg.online_profiling = a.flag("online");
   cfg.enforce_bandwidth_caps = a.flag("mba");
@@ -272,7 +317,7 @@ int cmdPlan(const World& w, const Args& a) {
   }
 
   auto db = loadOrBuildDb(w, a);
-  const int nodes = static_cast<int>(a.num("nodes", 8));
+  const int nodes = a.count("nodes", 8);
   actuator::ResourceLedger ledger(nodes, w.est.machine());
 
   sched::Job job;
@@ -319,9 +364,8 @@ int cmdTraceWorkload(const World& w, const Args& a) {
         {"EP", 16, 0.9, 0.0, 1, 0.0},
     };
   } else if (workload == "random") {
-    util::Rng rng(static_cast<std::uint64_t>(a.num("seed", 2019)));
-    jobs = app::randomSequence(rng, w.lib, static_cast<int>(a.num("jobs", 20)),
-                               a.num("alpha", 0.9));
+    util::Rng rng(static_cast<std::uint64_t>(a.index("seed", 2019)));
+    jobs = app::randomSequence(rng, w.lib, a.count("jobs", 20), a.num("alpha", 0.9));
   } else {
     // Anything else is a job-list file written by `uberun generate`.
     jobs = app::loadJobList(workload);
@@ -329,7 +373,7 @@ int cmdTraceWorkload(const World& w, const Args& a) {
 
   const auto db = loadOrBuildDb(w, a);
   sim::SimConfig cfg;
-  cfg.nodes = static_cast<int>(a.num("nodes", 8));
+  cfg.nodes = a.count("nodes", 8);
   cfg.policy = parsePolicy(a.get("policy", "SNS"));
   cfg.online_profiling = a.flag("online");
   cfg.enforce_bandwidth_caps = a.flag("mba");
@@ -388,7 +432,7 @@ int cmdTraceWorkload(const World& w, const Args& a) {
 
 int cmdTrace(const World& w, const Args& a) {
   if (a.options.count("workload") != 0) return cmdTraceWorkload(w, a);
-  const int cluster = static_cast<int>(a.num("cluster", 4096));
+  const int cluster = a.count("cluster", 4096);
   const double ratio = a.num("ratio", 0.9);
   // Either replay a real SWF trace (Parallel Workloads Archive format) or
   // generate the synthetic Trinity-like one.
@@ -401,9 +445,9 @@ int cmdTrace(const World& w, const Args& a) {
     std::printf("loaded %zu parallel jobs from %s\n", raw.size(), swf.c_str());
   } else {
     trace::TraceGenParams params;
-    params.jobs = static_cast<int>(a.num("jobs", 700));
+    params.jobs = a.count("jobs", 700);
     params.horizon_hours = 1900.0 * params.jobs / 7044.0;
-    util::Rng rng(static_cast<std::uint64_t>(a.num("seed", 0x7417177)));
+    util::Rng rng(static_cast<std::uint64_t>(a.index("seed", 0x7417177)));
     raw = trace::generateTrace(rng, params);
   }
 
@@ -450,18 +494,17 @@ TelemetryWorkload buildTelemetryWorkload(const World& w, const Args& a) {
     };
     wl.db = loadOrBuildDb(w, a);
   } else if (wl.name == "random") {
-    util::Rng rng(static_cast<std::uint64_t>(a.num("seed", 2019)));
-    wl.jobs = app::randomSequence(rng, w.lib,
-                                  static_cast<int>(a.num("jobs", 20)),
+    util::Rng rng(static_cast<std::uint64_t>(a.index("seed", 2019)));
+    wl.jobs = app::randomSequence(rng, w.lib, a.count("jobs", 20),
                                   a.num("alpha", 0.9));
     wl.db = loadOrBuildDb(w, a);
   } else if (wl.name == "fig20") {
     // The paper's Fig 20 setup: the synthetic Trinity-like trace mapped
     // onto the measured program set, replayed at cluster scale.
     trace::TraceGenParams params;
-    params.jobs = static_cast<int>(a.num("jobs", 700));
+    params.jobs = a.count("jobs", 700);
     params.horizon_hours = 1900.0 * params.jobs / 7044.0;
-    util::Rng rng(static_cast<std::uint64_t>(a.num("seed", 0x7417177)));
+    util::Rng rng(static_cast<std::uint64_t>(a.index("seed", 0x7417177)));
     const auto raw = trace::generateTrace(rng, params);
     const double ratio = a.num("ratio", 0.9);
     util::Rng map_rng(static_cast<std::uint64_t>(ratio * 1000));
@@ -544,7 +587,7 @@ std::unique_ptr<TelemetryRun> runTelemetry(const World& w, const Args& a,
 
   telemetry::SamplerConfig scfg;
   scfg.period_s = a.num("period", wl.default_period_s);
-  const auto budget = static_cast<std::size_t>(a.num("budget", 512));
+  const auto budget = static_cast<std::size_t>(a.count("budget", 512));
 
   auto run = std::make_unique<TelemetryRun>(std::move(rules), budget, scfg);
   run->workload = wl.name;
@@ -553,22 +596,10 @@ std::unique_ptr<TelemetryRun> runTelemetry(const World& w, const Args& a,
   run->sampler.attachWatchdog(&run->watchdog);
 
   sim::SimConfig cfg;
-  cfg.nodes = static_cast<int>(a.num("nodes", wl.default_nodes));
+  cfg.nodes = a.count("nodes", wl.default_nodes);
   cfg.policy = parsePolicy(a.get("policy", "SNS"));
   cfg.online_profiling = a.flag("online");
   cfg.enforce_bandwidth_caps = a.flag("mba");
-  if (a.flag("legacy-decision")) {
-    // A/B switch for the fast decision path: run every SimOptFlags
-    // optimization through its legacy implementation, so `uberun hotpath`
-    // can attribute the before/after on the same workload.
-    cfg.opt.indexed_ledger = false;
-    cfg.opt.memoize_solves = false;
-    cfg.opt.single_pass_schedule = false;
-    cfg.opt.incremental_prune = false;
-    cfg.opt.batched_scoring = false;
-    cfg.opt.parallel_select = false;
-    cfg.opt.simd_solver = false;
-  }
   if (wl.trace_scale) {
     cfg.monitor_episode_s = 0.0;  // no per-node bw sampling at 4K nodes
     cfg.age_limit_s = 14.0 * 86400.0;
@@ -636,7 +667,7 @@ int cmdReport(const World& w, const Args& a) {
   // a "Decision anatomy" section without measurably perturbing the run
   // (provenance off — the report aggregates, it doesn't explain jobs).
   xray::TracerConfig xcfg;
-  xcfg.sample_period = static_cast<int>(a.num("sample", 32));
+  xcfg.sample_period = a.count("sample", 32);
   xcfg.provenance = false;
   auto run = runTelemetry(w, a, with_audit ? &auditor : nullptr, &xcfg,
                           /*with_flight=*/true);
@@ -742,14 +773,14 @@ int cmdExplain(const World& w, const Args& a) {
   xray::TracerConfig xcfg;
   xcfg.sample_period = 1 << 30;  // provenance is sampling-independent
   xcfg.provenance = true;
-  xcfg.max_candidates = static_cast<std::size_t>(a.num("candidates", 8));
+  xcfg.max_candidates = static_cast<std::size_t>(a.count("candidates", 8));
   auto run = runTelemetry(w, a, nullptr, &xcfg);
   const xray::ProvenanceStore* prov = run->xray->provenance();
   std::printf("%s policy on %d nodes (%s): %zu jobs, makespan %.1f s\n\n",
               run->result.policy.c_str(), run->nodes, run->workload.c_str(),
               run->result.jobs.size(), run->result.makespan);
   if (a.options.count("job") != 0) {
-    const auto job = static_cast<std::int64_t>(a.num("job", 0));
+    const std::int64_t job = a.index("job", 0);
     if (!prov->has(job)) {
       std::fprintf(stderr, "uberun explain: no decision recorded for job %lld\n",
                    static_cast<long long>(job));
@@ -767,7 +798,7 @@ int cmdExplain(const World& w, const Args& a) {
 // cost attribution plus the reconciliation against sim.decision_us.
 int cmdHotpath(const World& w, const Args& a) {
   xray::TracerConfig xcfg;
-  xcfg.sample_period = static_cast<int>(a.num("sample", 1));
+  xcfg.sample_period = a.count("sample", 1);
   xcfg.provenance = false;
   auto run = runTelemetry(w, a, nullptr, &xcfg);
   const obs::Histogram* dh = run->metrics.findHistogram("sim.decision_us");
@@ -797,7 +828,7 @@ int cmdWhySlow(const World& w, const Args& a) {
               run->result.policy.c_str(), run->nodes, run->workload.c_str(),
               run->result.jobs.size(), run->result.makespan);
   if (a.options.count("job") != 0) {
-    const auto job = static_cast<std::int64_t>(a.num("job", 0));
+    const std::int64_t job = a.index("job", 0);
     const flight::JobRollup* jr = run->flight->find(job);
     if (jr == nullptr || jr->start < 0.0) {
       std::fprintf(stderr, "uberun why-slow: no lifetime recorded for job %lld\n",
@@ -806,7 +837,7 @@ int cmdWhySlow(const World& w, const Args& a) {
     }
     std::printf("%s", flight::renderWhySlow(*run->flight, job).c_str());
   } else {
-    const auto limit = static_cast<std::size_t>(a.num("limit", 15));
+    const auto limit = static_cast<std::size_t>(a.count("limit", 15));
     std::printf("%s", flight::renderWhySlowIndex(*run->flight, limit).c_str());
   }
   return 0;
@@ -830,7 +861,7 @@ int main(int argc, char** argv) {
     const Args a = Args::parse(
         argc, argv,
         {"online", "mba", "network", "enforce-slo", "audit", "keep-going",
-         "anatomy", "legacy-decision"});
+         "anatomy"});
     if (cmd == "programs") return cmdPrograms(w);
     if (cmd == "profile") return cmdProfile(w, a);
     if (cmd == "generate") return cmdGenerate(w, a);
@@ -845,6 +876,9 @@ int main(int argc, char** argv) {
     if (cmd == "hotpath") return cmdHotpath(w, a);
     if (cmd == "why-slow") return cmdWhySlow(w, a);
     return usage();
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "uberun: %s\n", e.what());
+    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "uberun: %s\n", e.what());
     return 2;
