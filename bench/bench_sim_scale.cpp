@@ -12,10 +12,12 @@
 //
 // Flags:
 //   --quick       CI-sized trace (700 jobs instead of 7044)
-//   --phases      attach the phase profiler and print the flat profile per
-//                 cell (adds clock-read overhead; attribution runs only).
-//                 Unlike `uberun hotpath` this keeps the batched fast path
-//                 engaged — no event sink is attached.
+//   --phases      attach the xray tracer (every event step timed,
+//                 provenance off) and print its span table per cell (adds
+//                 clock-read overhead and disables the futile-pass gate;
+//                 attribution runs only). Unlike `uberun hotpath` this
+//                 keeps the batched fast path engaged — no event sink is
+//                 attached.
 //   --nodes CSV   cluster sizes to run (default 4096,8192,16384,32768)
 #include <chrono>
 #include <cstdio>
@@ -27,9 +29,9 @@
 
 #include "common.hpp"
 #include "sns/obs/metrics.hpp"
-#include "sns/telemetry/phase_profiler.hpp"
 #include "sns/trace/replay.hpp"
 #include "sns/util/json.hpp"
+#include "sns/xray/span.hpp"
 
 namespace {
 
@@ -105,8 +107,8 @@ int main(int argc, char** argv) {
       cfg.age_limit_s = 14.0 * 86400.0;
       cfg.max_queue_scan = 256;
       cfg.metrics = &metrics;
-      telemetry::PhaseProfiler prof;
-      if (phases) cfg.phases = &prof;
+      xray::Tracer tracer(xray::TracerConfig{.provenance = false});
+      if (phases) cfg.xray = &tracer;
       sim::ClusterSimulator sim(env.est(), env.lib(), db, cfg);
 
       const auto t0 = std::chrono::steady_clock::now();
@@ -115,7 +117,7 @@ int main(int argc, char** argv) {
       const double wall_s = std::chrono::duration<double>(t1 - t0).count();
       if (phases) {
         std::printf("--- phases: %d nodes, %s ---\n%s\n", nodes,
-                    res.policy.c_str(), prof.renderTable().c_str());
+                    res.policy.c_str(), tracer.renderTable().c_str());
       }
 
       // Every queue event the simulator processed: submissions, starts

@@ -31,15 +31,13 @@ On failure the full delta table is printed so the offending cells are
 readable straight from the CI log. Baseline rows missing a field skip
 that signal (older baselines predate decision_us_mean).
 
-With --xray-overhead FILE the script additionally gates the recorded
-sns::xray sampled-mode overhead (BENCH_xray_overhead.json written by
-bench_xray_overhead) against --xray-budget (default 0.10 — the documented
-quiet-machine budget is 3%, widened for shared-runner noise).
-
-With --flight-overhead FILE it likewise gates the interference flight
-recorder's overhead (BENCH_flight_overhead.json written by
-bench_flight_overhead) against --flight-budget (default 0.10 — typical
-quiet-machine overhead is 5-7%, with headroom for shared-runner noise).
+With --observer-overhead FILE the script additionally gates the observer
+overheads recorded by bench_observer_overhead (BENCH_observer_overhead.json):
+each GATED_VARIANTS entry (telemetry sampler, xray sampled, flight recorder)
+must be present and stay within OBSERVER_BUDGET (10% over the shared "all
+off" run, min over reps — quiet-machine overheads are a few percent, widened
+for shared-runner noise). The other variants (obs, xray full) are printed
+but never fail.
 
 Exit status: 0 when every comparable cell is within tolerance, 1 on
 regression, 2 on bad input.
@@ -50,6 +48,8 @@ import json
 import sys
 
 DEFAULT_BASELINE = "bench/baselines/sim_scale.json"
+OBSERVER_BUDGET = 0.10
+GATED_VARIANTS = ("telemetry", "xray_sampled", "flight")
 
 # (json field, direction, human label). Direction "min" fails when the
 # current value collapses below baseline/tolerance (bigger is better);
@@ -149,27 +149,28 @@ def render_delta_table(rows):
     return "\n".join(out)
 
 
-def check_overhead(path, budget, field, label):
+def check_observer_overhead(path):
+    """Returns the names of gated variants over OBSERVER_BUDGET."""
     doc = load_json(path)
-    over = doc.get(field)
-    if over is None:
-        print(f"error: {path} has no {field}", file=sys.stderr)
-        sys.exit(2)
-    ok = over <= budget
-    print(f"\n{label}: {over * 100:.2f}% "
-          f"(budget {budget * 100:.0f}%)"
-          f"{'' if ok else '  << REGRESSION'}")
-    return ok
-
-
-def check_xray(path, budget):
-    return check_overhead(path, budget, "sampled_overhead",
-                          "xray sampled-mode overhead")
-
-
-def check_flight(path, budget):
-    return check_overhead(path, budget, "recorder_overhead",
-                          "flight recorder overhead")
+    overheads = {v.get("name"): v.get("overhead")
+                 for v in doc.get("variants") or []}
+    for name in GATED_VARIANTS:
+        if overheads.get(name) is None:
+            print(f"error: {path} has no overhead for {name}",
+                  file=sys.stderr)
+            sys.exit(2)
+    print(f"\nobserver overhead vs all off (budget "
+          f"{OBSERVER_BUDGET * 100:.0f}% for gated variants):")
+    over_budget = []
+    for name, over in overheads.items():
+        gated = name in GATED_VARIANTS
+        bad = gated and over > OBSERVER_BUDGET
+        if bad:
+            over_budget.append(name)
+        print(f"  {name:<14} {over * 100:7.2f}%  "
+              f"{'gated' if gated else 'not gated'}"
+              f"{'  << REGRESSION' if bad else ''}")
+    return over_budget
 
 
 def main():
@@ -189,21 +190,12 @@ def main():
     ap.add_argument("--latency-tolerance", type=float, default=8.0,
                     help="max allowed decision_us_p99 growth factor "
                          "(default 8)")
-    ap.add_argument("--xray-overhead", metavar="FILE",
-                    help="BENCH_xray_overhead.json to gate")
-    ap.add_argument("--xray-budget", type=float, default=0.10,
-                    help="max sns::xray sampled-mode overhead fraction "
-                         "(default 0.10)")
-    ap.add_argument("--flight-overhead", metavar="FILE",
-                    help="BENCH_flight_overhead.json to gate")
-    ap.add_argument("--flight-budget", type=float, default=0.10,
-                    help="max interference-flight-recorder overhead fraction "
-                         "(default 0.10)")
+    ap.add_argument("--observer-overhead", metavar="FILE",
+                    help="BENCH_observer_overhead.json to gate")
     args = ap.parse_args()
-    if (args.current is None and args.xray_overhead is None
-            and args.flight_overhead is None):
-        ap.error("nothing to check: pass --current, --xray-overhead "
-                 "and/or --flight-overhead")
+    if args.current is None and args.observer_overhead is None:
+        ap.error("nothing to check: pass --current and/or "
+                 "--observer-overhead")
 
     failed = False
     if args.current is not None:
@@ -237,16 +229,12 @@ def main():
                   f"{args.mean_tolerance:.0f}x, p99 "
                   f"{args.latency_tolerance:.0f}x)")
 
-    if args.xray_overhead is not None:
-        if not check_xray(args.xray_overhead, args.xray_budget):
-            print(f"\nFAIL: xray sampled-mode overhead exceeds the "
-                  f"{args.xray_budget * 100:.0f}% budget", file=sys.stderr)
-            failed = True
-
-    if args.flight_overhead is not None:
-        if not check_flight(args.flight_overhead, args.flight_budget):
-            print(f"\nFAIL: flight recorder overhead exceeds the "
-                  f"{args.flight_budget * 100:.0f}% budget", file=sys.stderr)
+    if args.observer_overhead is not None:
+        over_budget = check_observer_overhead(args.observer_overhead)
+        if over_budget:
+            print(f"\nFAIL: observer overhead exceeds the "
+                  f"{OBSERVER_BUDGET * 100:.0f}% budget in: "
+                  f"{', '.join(over_budget)}", file=sys.stderr)
             failed = True
 
     return 1 if failed else 0

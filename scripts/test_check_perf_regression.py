@@ -158,31 +158,48 @@ class CheckPerfRegressionTest(unittest.TestCase):
         self.assertEqual(r.returncode, 1)
         self.assertIn("24.00x!", r.stdout)
 
-    def test_xray_over_budget_fails(self):
-        xray = self.write("xray.json", {"sampled_overhead": 0.5})
-        r = self.run_script("--xray-overhead", xray)
+    def run_observer(self, overheads):
+        """overheads: {variant name: overhead} -> gate run."""
+        doc = {"bench": "observer_overhead", "variants": [
+            {"name": name, "min_ms": 100.0, "overhead": over}
+            for name, over in overheads.items()]}
+        return self.run_script("--observer-overhead",
+                               self.write("observer.json", doc))
+
+    def test_observer_gated_variant_over_budget_fails_and_names_it(self):
+        r = self.run_observer({"obs": 0.01, "telemetry": 0.01,
+                               "xray_sampled": 0.12, "xray_full": 0.01,
+                               "flight": 0.01})
         self.assertEqual(r.returncode, 1)
         self.assertIn("budget", r.stderr)
+        self.assertIn("xray_sampled", r.stderr)
+        self.assertNotIn("flight", r.stderr)
 
-    def test_xray_within_budget_passes(self):
-        xray = self.write("xray.json", {"sampled_overhead": 0.02})
-        r = self.run_script("--xray-overhead", xray)
+    def test_observer_gated_variants_within_budget_pass(self):
+        r = self.run_observer({"obs": 0.03, "telemetry": 0.02,
+                               "xray_sampled": 0.095, "xray_full": 0.05,
+                               "flight": 0.07})
         self.assertEqual(r.returncode, 0, r.stderr)
 
-    def test_flight_over_budget_fails(self):
-        flight = self.write("flight.json", {"recorder_overhead": 0.5})
-        r = self.run_script("--flight-overhead", flight)
-        self.assertEqual(r.returncode, 1)
-        self.assertIn("budget", r.stderr)
-
-    def test_flight_within_budget_passes(self):
-        flight = self.write("flight.json", {"recorder_overhead": 0.01})
-        r = self.run_script("--flight-overhead", flight)
+    def test_observer_ungated_variants_over_budget_pass(self):
+        r = self.run_observer({"obs": 0.4, "telemetry": 0.0,
+                               "xray_sampled": 0.0, "xray_full": 0.5,
+                               "flight": 0.0})
         self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("xray_full", r.stdout)
 
-    def test_flight_missing_field_is_bad_input(self):
-        flight = self.write("flight.json", {"something_else": 1.0})
-        r = self.run_script("--flight-overhead", flight)
+    def test_observer_missing_overhead_field_is_bad_input(self):
+        doc = {"variants": [{"name": "telemetry", "overhead": 0.01},
+                            {"name": "xray_sampled", "overhead": 0.01},
+                            {"name": "flight", "min_ms": 100.0}]}
+        r = self.run_script("--observer-overhead",
+                            self.write("observer.json", doc))
+        self.assertEqual(r.returncode, 2)
+        self.assertIn("flight", r.stderr)
+
+    def test_observer_missing_variants_is_bad_input(self):
+        r = self.run_script("--observer-overhead",
+                            self.write("observer.json", {"reps": 7}))
         self.assertEqual(r.returncode, 2)
 
 

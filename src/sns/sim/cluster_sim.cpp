@@ -326,9 +326,6 @@ void ClusterSimulator::resolveNode(int nd) {
 
   const std::vector<perfmodel::ShareOutcome>* outcomes;
   {
-    telemetry::ScopedPhase sp(cfg_.phases, telemetry::Phase::kContentionSolve);
-    // Solver spans only attribute inside a decision pass; the refreshes a
-    // finishJob triggers are not decision cost and stay untimed.
     xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kSolverCall);
     const std::uint64_t hits_before = solve_cache_.hits();
     outcomes = &solve_cache_.solve(shares_scratch_);
@@ -347,7 +344,6 @@ void ClusterSimulator::resolveNode(int nd) {
 void ClusterSimulator::refreshRates(double now,
                                     const std::vector<int>& dirty_nodes) {
   SNS_HOT_PATH("engine.refresh");
-  telemetry::ScopedPhase sp(cfg_.phases, telemetry::Phase::kRateRefresh);
   // Jobs touching a dirty node need their progress rate re-derived.
   // Deduplicate with epoch stamps (collected in the same pass that
   // re-solves each node) and sort, so the per-job refresh runs in
@@ -814,6 +810,7 @@ void ClusterSimulator::finishJob(sched::JobId id, double now) {
   deactivate(id);
   // The Running slot (and its placement node list) stays valid after
   // deactivation — no copy of the dirty-node list is needed.
+  xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kRateRefresh, id);
   refreshRates(now, r.placement.nodes);
 }
 
@@ -867,11 +864,8 @@ bool ClusterSimulator::tryDispatch(const sched::Job& job, double now) {
   }
   const std::uint64_t hits0 = prov != nullptr ? solve_cache_.hits() : 0;
   const std::uint64_t miss0 = prov != nullptr ? solve_cache_.misses() : 0;
-  std::optional<sched::Placement> p;
-  {
-    telemetry::ScopedPhase sp(cfg_.phases, telemetry::Phase::kLedgerScan);
-    p = policy_->tryPlace(job, ledger_, local_db_);
-  }
+  const std::optional<sched::Placement> p =
+      policy_->tryPlace(job, ledger_, local_db_);
   if (!p.has_value()) {
     if (spec_memo) {
       // First failure of this spec: recording it grows the memo (a node
@@ -890,7 +884,6 @@ bool ClusterSimulator::tryDispatch(const sched::Job& job, double now) {
     return false;
   }
   SNS_HOT_PATH_BOUNDARY();
-  telemetry::ScopedPhase sp(cfg_.phases, telemetry::Phase::kPlacementCommit);
   const sched::Job job_copy = job;
   ++pass_placements_;
   {
@@ -985,7 +978,7 @@ void ClusterSimulator::schedule(double now) {
   using Clock = std::chrono::steady_clock;  // snslint: allow(wall-clock)
   const auto wall_begin = m_decision_us_ ? Clock::now() : Clock::time_point{};
   // The xray pass opens right after the latency stopwatch and closes right
-  // before it reads, so the decision root span and sim.decision_us cover
+  // before it reads, so the decision span and sim.decision_us cover
   // the same region (uberun hotpath reconciles them within 5%).
   if (cfg_.xray != nullptr) cfg_.xray->beginPass(now);
   if (m_sched_passes_) m_sched_passes_->inc();
@@ -999,10 +992,7 @@ void ClusterSimulator::schedule(double now) {
     node_stamp_epoch_ = 1;
   }
 
-  {
-    telemetry::ScopedPhase sp(cfg_.phases, telemetry::Phase::kQueueWalk);
-    scheduleSinglePass(now);
-  }
+  scheduleSinglePass(now);
 
   if (defer_refresh_) {
     defer_refresh_ = false;
@@ -1051,6 +1041,16 @@ void ClusterSimulator::auditTick() {
 #endif
 }
 
+void ClusterSimulator::observeStep(double now) {
+  xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kObserve);
+  auditTick();
+  // Telemetry rides the event clock: one cheap due() check per event, and
+  // only when a period boundary has elapsed is a sample built. Post-
+  // schedule state is what lands in the series — the scheduler's committed
+  // view at this instant.
+  if (cfg_.sampler != nullptr && cfg_.sampler->due(now)) sampleTelemetry(now);
+}
+
 void ClusterSimulator::sampleTelemetry(double now) {
   // Snapshot observable cluster state and hand it to the sampler, which
   // stamps every elapsed period boundary with it. Everything here is O(1)
@@ -1085,7 +1085,7 @@ void ClusterSimulator::sampleTelemetry(double now) {
 
 void ClusterSimulator::accumulate(double t0, double t1) {
   if (t1 <= t0) return;
-  telemetry::ScopedPhase sp(cfg_.phases, telemetry::Phase::kAccounting);
+  xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kAccounting);
   busy_integral_ += ledger_.busyNodeCount() * (t1 - t0);
   if (cfg_.monitor_episode_s <= 0.0) return;
 
@@ -1261,14 +1261,18 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
   double now = 0.0;
   std::size_t next_submit = 0;
 
+  // Every event-loop step, starting with the t = 0 admission step, is one
+  // xray unit under an `event` root span, so the tracer's attributed time
+  // covers the whole loop, not only the decision passes.
+  if (cfg_.xray != nullptr) cfg_.xray->beginStep(now);
   // Admit everything submitted at t = 0 before the first scheduling pass.
   while (next_submit < submits.size() &&
          submits[next_submit].submit_time <= now + 1e-12) {
     admit(std::move(submits[next_submit++]));
   }
   schedule(now);
-  auditTick();
-  if (cfg_.sampler != nullptr && cfg_.sampler->due(now)) sampleTelemetry(now);
+  observeStep(now);
+  if (cfg_.xray != nullptr) cfg_.xray->endStep();
 
   while (!active_.empty() || !queue_.empty() || next_submit < submits.size()) {
     // Next completion: the calendar's top key IS the minimum projected
@@ -1282,6 +1286,7 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
                 "scheduler stuck: queued jobs but nothing running or arriving");
     const double t_next = std::min(t_finish, t_submit);
 
+    if (cfg_.xray != nullptr) cfg_.xray->beginStep(t_next);
     accumulate(now, t_next);
     now = t_next;
     rec_.setTime(now);
@@ -1295,19 +1300,18 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
     // ascending id order. Every such job carries finish_time == now
     // exactly (t_next is the minimum of the keys), so the calendar's
     // (key, id) pop order IS ascending id order.
-    done_scratch_.clear();
-    while (!calendar_.empty() && calendar_.topKey() <= now) {
-      done_scratch_.push_back(calendar_.pop());
+    {
+      xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kFinish);
+      done_scratch_.clear();
+      while (!calendar_.empty() && calendar_.topKey() <= now) {
+        done_scratch_.push_back(calendar_.pop());
+      }
+      for (sched::JobId id : done_scratch_) finishJob(id, now);
     }
-    for (sched::JobId id : done_scratch_) finishJob(id, now);
 
     schedule(now);
-    auditTick();
-    // Telemetry rides the event clock: one cheap due() check per event,
-    // and only when a period boundary has elapsed is a sample built.
-    // Post-schedule state is what lands in the series — the scheduler's
-    // committed view at this instant.
-    if (cfg_.sampler != nullptr && cfg_.sampler->due(now)) sampleTelemetry(now);
+    observeStep(now);
+    if (cfg_.xray != nullptr) cfg_.xray->endStep();
   }
 
   if (cfg_.flight != nullptr) {

@@ -17,7 +17,6 @@
 #include "sns/sched/finish_calendar.hpp"
 #include "sns/sched/policies.hpp"
 #include "sns/sched/queue.hpp"
-#include "sns/telemetry/phase_profiler.hpp"
 #include "sns/telemetry/sampler.hpp"
 #include "sns/xray/span.hpp"
 
@@ -99,21 +98,18 @@ struct SimConfig {
   /// then performs one pointer check per event and nothing else. The
   /// sampler (and its store/watchdog) are caller-owned, must outlive
   /// run(), and measure ONE run each: call Sampler::reset() before
-  /// reusing. Overhead with sampling on is <2% (bench_telemetry_overhead).
+  /// reusing. Overhead with sampling on is <2% (bench_observer_overhead).
   telemetry::Sampler* sampler = nullptr;
-  /// Scheduler phase profiler (scoped RAII timers over the queue walk,
-  /// ledger scan, placement commit, contention solve, rate refresh and
-  /// accounting hot paths). Null disables all clock reads; caller-owned,
-  /// must outlive run().
-  telemetry::PhaseProfiler* phases = nullptr;
-  /// Decision tracer + provenance (sns::xray): every scheduling pass
-  /// becomes a decision span tree (candidate pruning, curve scoring,
-  /// solver calls, commit, rate refresh) with nanosecond attribution, and
-  /// the policy records per-job placement provenance for `uberun explain`.
-  /// Null (the default) is zero-cost — each span site is one predictable
-  /// branch and no clocks are read. Sampling (TracerConfig::sample_period)
-  /// bounds the overhead of attached tracers (<=3% at Fig-20 scale,
-  /// bench_xray_overhead); simulation results are bit-identical with the
+  /// Event-loop tracer + provenance (sns::xray): every event-loop step
+  /// becomes a span tree rooted at `event` (accounting, finish with its
+  /// rate refreshes and solver calls, the decision pass with candidate
+  /// pruning, curve scoring, commit and rate refresh, and the observer
+  /// tail) with nanosecond attribution, and the policy records per-job
+  /// placement provenance for `uberun explain`. Null (the default) is
+  /// zero-cost — each span site is one predictable branch and no clocks
+  /// are read. Sampling (TracerConfig::sample_period) bounds the overhead
+  /// of attached tracers (bench_observer_overhead gates period 32 at
+  /// 10%); simulation results are bit-identical with the
   /// tracer on or off (tests/sim/test_xray_equivalence.cpp). Caller-owned,
   /// must outlive run(); measures ONE run — call Tracer::reset() before
   /// reusing.
@@ -260,6 +256,9 @@ class ClusterSimulator {
   };
 
   void schedule(double now);
+  /// The step's observer tail under an `observe` span: auditTick() plus
+  /// the sampler tick when a period boundary has elapsed.
+  void observeStep(double now);
   void auditTick();  ///< cfg_.auditor checks (no-op unless SNS_AUDIT build)
   void sampleTelemetry(double now);  ///< offer state to cfg_.sampler
   void scheduleSinglePass(double now);

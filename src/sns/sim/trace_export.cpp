@@ -112,8 +112,8 @@ util::Json exportPerfetto(const SimResult& res, std::span<const obs::Event> even
 
   // Decision anatomy: the xray tracer's retained spans as nested duration
   // slices under the scheduler process, one lane per nesting depth so the
-  // span tree reads as a flame. Each pass anchors at its virtual time;
-  // within a pass, real nanoseconds map 1:1 onto the virtual axis (a
+  // span tree reads as a flame. Each event step anchors at its virtual
+  // time; within a step, real nanoseconds map 1:1 onto the virtual axis (a
   // 500 us decision renders as a 500 us flame at its scheduling point).
   if (opts.xray != nullptr && !opts.xray->records().empty()) {
     constexpr int kSpanLaneBase = 100;
@@ -126,7 +126,7 @@ util::Json exportPerfetto(const SimResult& res, std::span<const obs::Event> even
                      "decision anatomy (depth " + std::to_string(s.depth) + ")");
       }
       util::Json::Object args;
-      args["pass"] = util::Json(static_cast<std::int64_t>(s.pass));
+      args["step"] = util::Json(static_cast<std::int64_t>(s.unit));
       if (s.job >= 0) args["job"] = util::Json(s.job);
       b.addSlice(kSchedulerPid, lane,
                  s.sim_time + static_cast<double>(s.t0_ns) / 1e9,

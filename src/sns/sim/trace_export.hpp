@@ -19,9 +19,9 @@ struct TraceExportOptions {
   /// Cap on scheduler instant markers taken from the event log (newest
   /// kept); <= 0 means unlimited.
   std::size_t max_instants = 0;
-  /// Decision tracer whose retained spans (TracerConfig::keep_records)
+  /// Event-loop tracer whose retained spans (TracerConfig::keep_records)
   /// render as nested "decision anatomy" slices under the scheduler
-  /// process, anchored at each pass's virtual time with real nanoseconds
+  /// process, anchored at each step's virtual time with real nanoseconds
   /// mapped 1:1 onto the virtual axis. Null skips the lanes.
   const xray::Tracer* xray = nullptr;
   /// Interference flight recorder whose retained co-residency intervals

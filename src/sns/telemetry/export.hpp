@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "sns/obs/metrics.hpp"
-#include "sns/telemetry/phase_profiler.hpp"
 #include "sns/telemetry/slo.hpp"
 #include "sns/telemetry/timeseries.hpp"
 
@@ -26,7 +25,6 @@ struct ReportContext {
   const TimeSeriesStore* store = nullptr;
   const obs::Registry* metrics = nullptr;
   const SloWatchdog* watchdog = nullptr;
-  const PhaseProfiler* phases = nullptr;
   /// Headline facts ((label, value) pairs) rendered as stat tiles.
   std::vector<std::pair<std::string, std::string>> summary;
   std::uint64_t events_dropped = 0;  ///< ring-buffer drops, flagged if > 0
@@ -59,7 +57,7 @@ struct ReportContext {
 /// Self-contained single-file HTML dashboard: stat tiles, one inline-SVG
 /// sparkline card per series (min/max band + mean line, native <title>
 /// hover tooltips, no external assets or scripts), the SLO watchdog table,
-/// the phase profile and folded stacks, and the raw metrics dump.
+/// the xray hot-path attribution, and the raw metrics dump.
 std::string renderHtmlReport(const ReportContext& ctx);
 
 /// Terminal cluster-state view at time `at` (clamped to the sampled

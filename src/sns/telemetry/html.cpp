@@ -239,13 +239,6 @@ std::string renderHtmlReport(const ReportContext& ctx) {
     }
   }
 
-  if (ctx.phases != nullptr && ctx.phases->totalSelfNs() > 0) {
-    html += "<h2>Scheduler phase profile</h2><pre>" +
-            esc(ctx.phases->renderTable()) + "</pre>";
-    html += "<details><summary>folded stacks (flamegraph input)</summary><pre>" +
-            esc(ctx.phases->foldedStacks()) + "</pre></details>";
-  }
-
   if (!ctx.xray_text.empty()) {
     html += "<h2>Decision anatomy</h2><pre>" + esc(ctx.xray_text) + "</pre>";
   }

@@ -27,7 +27,6 @@ SystemReport UberunSystem::process(const std::vector<app::JobSpec>& jobs) {
   sim_cfg.sink = cfg_.sink;
   sim_cfg.metrics = cfg_.metrics;
   sim_cfg.sampler = cfg_.sampler;
-  sim_cfg.phases = cfg_.phases;
   sim_cfg.on_start = [&](const sim::JobRecord& rec) {
     sched::Job job;
     job.id = rec.id;

@@ -33,7 +33,6 @@ struct UberunConfig {
   /// each batch as the `uberun.batch_wall_s` series, so deployment-side
   /// dashboards see both clocks. Caller-owned, may be null.
   telemetry::Sampler* sampler = nullptr;
-  telemetry::PhaseProfiler* phases = nullptr;
 };
 
 /// Output of one batch: the schedule, the concrete launch plans in start

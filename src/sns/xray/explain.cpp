@@ -117,34 +117,50 @@ std::string renderExplainIndex(const ProvenanceStore& store) {
   return t.render();
 }
 
-std::string renderHotpath(const Tracer& tracer, double decision_us_mean) {
+std::string renderHotpath(const Tracer& tracer, double decision_us_mean,
+                          double run_wall_s) {
   std::string out;
-  out += "decision hot path — " + std::to_string(tracer.sampledPasses()) +
-         " of " + std::to_string(tracer.passes()) +
-         " scheduling passes traced (sample period " +
-         std::to_string(tracer.config().sample_period) + ")\n\n";
+  out += "hot path — " + std::to_string(tracer.sampledPasses()) + " of " +
+         std::to_string(tracer.passes()) + " scheduling passes traced";
+  if (tracer.steps() > 0) {
+    out += " in " + std::to_string(tracer.sampledSteps()) + " of " +
+           std::to_string(tracer.steps()) + " event steps";
+  }
+  out += " (sample period " + std::to_string(tracer.config().sample_period) +
+         ")\n\n";
   out += tracer.renderTable();
   out += "\n";
 
   if (tracer.droppedSpans() > 0) {
-    out += "dropped spans (per-pass budget " +
-           std::to_string(tracer.config().span_budget) + "): " +
-           std::to_string(tracer.droppedSpans()) + "\n";
+    out += "dropped spans (budget " +
+           std::to_string(tracer.config().span_budget) +
+           " per traced unit): " + std::to_string(tracer.droppedSpans()) +
+           "\n";
   }
 
-  const std::uint64_t sampled = tracer.sampledPasses();
-  if (sampled > 0) {
-    const double attributed_us =
-        static_cast<double>(tracer.totalSelfNs()) / 1e3 /
-        static_cast<double>(sampled);
-    out += "attributed mean per pass: " + util::fmt(attributed_us, 1) + " us";
+  // Reconciliation 1: the decision span covers the region sim.decision_us
+  // times, so their means agree.
+  const Tracer::Stat& decision = tracer.stat(SpanKind::kDecision);
+  if (decision.calls > 0) {
+    const double span_us = static_cast<double>(decision.total_ns) / 1e3 /
+                           static_cast<double>(decision.calls);
+    out += "decision span mean per pass: " + util::fmt(span_us, 1) + " us";
     if (decision_us_mean > 0.0) {
-      const double delta =
-          (attributed_us - decision_us_mean) / decision_us_mean;
+      const double delta = (span_us - decision_us_mean) / decision_us_mean;
       out += " vs measured decision_us_mean " +
              util::fmt(decision_us_mean, 1) + " us (" +
              (delta >= 0.0 ? "+" : "") + util::fmtPct(delta) + ")";
     }
+    out += "\n";
+  }
+  // Reconciliation 2: the event steps tile the run, so their attributed
+  // self time accounts for its wall time (all of it at sample period 1).
+  if (tracer.sampledSteps() > 0 && run_wall_s > 0.0) {
+    const double attributed_s = static_cast<double>(tracer.totalSelfNs()) / 1e9;
+    out += "attributed self time: " + util::fmt(attributed_s * 1e3, 1) +
+           " ms of " + util::fmt(run_wall_s * 1e3, 1) + " ms run wall time (" +
+           util::fmtPct(attributed_s / run_wall_s) + ")";
+    if (tracer.sampledSteps() < tracer.steps()) out += ", sampled steps only";
     out += "\n";
   }
 

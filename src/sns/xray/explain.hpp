@@ -19,10 +19,12 @@ std::string renderExplain(const ProvenanceStore& store, std::int64_t job);
 std::string renderExplainIndex(const ProvenanceStore& store);
 
 /// Aggregated hot-path report: flat per-span profile (calls, self time,
-/// p50/p99), folded stacks, the dropped-span ledger, and — when the
-/// simulator's decision-latency mean is supplied (microseconds) — a
-/// reconciliation line checking that the attributed span time accounts
-/// for the measured decision path.
-std::string renderHotpath(const Tracer& tracer, double decision_us_mean = 0.0);
+/// p50/p99), folded stacks, the dropped-span ledger, and two
+/// reconciliations: the decision span mean against the simulator's
+/// measured decision-latency mean (microseconds, when supplied), and the
+/// total attributed self time against the run's wall time (seconds, when
+/// supplied and event steps were traced).
+std::string renderHotpath(const Tracer& tracer, double decision_us_mean = 0.0,
+                          double run_wall_s = 0.0);
 
 }  // namespace sns::xray

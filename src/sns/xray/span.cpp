@@ -16,6 +16,10 @@ const char* to_string(SpanKind k) {
     case SpanKind::kCommit: return "commit";
     case SpanKind::kRateRefresh: return "rate_refresh";
     case SpanKind::kBatchRefresh: return "batch_refresh";
+    case SpanKind::kEvent: return "event";
+    case SpanKind::kAccounting: return "accounting";
+    case SpanKind::kFinish: return "finish";
+    case SpanKind::kObserve: return "observe";
     case SpanKind::kCount_: break;
   }
   return "unknown";
@@ -38,34 +42,70 @@ Tracer::Tracer(TracerConfig cfg) : cfg_(cfg) {
   }
 }
 
+void Tracer::openUnit(double sim_time, SpanKind root) {
+  unit_sim_time_ = sim_time;
+  unit_spans_ = 0;
+  sampled_ = (units_ % static_cast<std::uint64_t>(cfg_.sample_period)) == 0;
+  ++units_;
+  if (!sampled_) return;
+  unit_start_ = Clock::now();
+  enter(root);
+}
+
+void Tracer::closeUnit() {
+  if (sampled_) {
+    exit();  // the unit's root
+    SNS_REQUIRE(stack_.empty(), "unbalanced spans at the end of a unit");
+  }
+  sampled_ = false;
+}
+
+void Tracer::beginStep(double sim_time) {
+  SNS_REQUIRE(!in_step_ && !in_pass_,
+              "beginStep while a step or pass is open");
+  in_step_ = true;
+  ++steps_;
+  openUnit(sim_time, SpanKind::kEvent);
+  if (sampled_) ++sampled_steps_;
+}
+
+void Tracer::endStep() {
+  SNS_REQUIRE(in_step_ && !in_pass_,
+              "endStep without an open step, or inside a pass");
+  closeUnit();
+  in_step_ = false;
+}
+
 void Tracer::beginPass(double sim_time) {
   SNS_REQUIRE(!in_pass_, "beginPass while a pass is open");
   in_pass_ = true;
   pass_sim_time_ = sim_time;
-  pass_spans_ = 0;
-  sampled_ = (passes_ % static_cast<std::uint64_t>(cfg_.sample_period)) == 0;
   ++passes_;
-  if (!sampled_) return;
-  ++sampled_passes_;
-  pass_start_ = Clock::now();
-  enter(SpanKind::kDecision);
+  if (!in_step_) {
+    openUnit(sim_time, SpanKind::kDecision);
+  } else if (sampled_) {
+    enter(SpanKind::kDecision);
+  }
+  if (sampled_) ++sampled_passes_;
 }
 
 void Tracer::endPass() {
   SNS_REQUIRE(in_pass_, "endPass without a pass open");
-  if (sampled_) {
-    exit();  // the kDecision root
-    SNS_REQUIRE(stack_.empty(), "unbalanced spans at endPass");
+  if (!in_step_) {
+    closeUnit();
+  } else if (sampled_) {
+    SNS_REQUIRE(stack_.back().kind == SpanKind::kDecision,
+                "unbalanced spans at endPass");
+    exit();
   }
   in_pass_ = false;
-  sampled_ = false;
 }
 
 void Tracer::enter(SpanKind k, std::int64_t job) {
   Frame f;
   f.kind = k;
   f.job = job;
-  if (pass_spans_ >= cfg_.span_budget) {
+  if (unit_spans_ >= cfg_.span_budget) {
     // Over budget: keep the stack balanced so exit() pairing survives, but
     // read no clock and account nothing for this frame.
     f.dropped = true;
@@ -73,7 +113,7 @@ void Tracer::enter(SpanKind k, std::int64_t job) {
     stack_.push_back(f);
     return;
   }
-  ++pass_spans_;
+  ++unit_spans_;
   const std::uint64_t parent_path = stack_.empty() ? 0 : stack_.back().path;
   f.path = (parent_path << 5) | (static_cast<std::uint64_t>(k) + 1);
   f.start = Clock::now();
@@ -105,14 +145,14 @@ void Tracer::exit() {
   if (cfg_.keep_records) {
     if (records_.size() < cfg_.max_records) {
       SpanRecord r;
-      r.sim_time = pass_sim_time_;
-      r.pass = passes_ - 1;  // beginPass already advanced the ordinal
+      r.sim_time = unit_sim_time_;
+      r.unit = units_ - 1;  // openUnit already advanced the ordinal
       r.kind = f.kind;
       r.depth = static_cast<std::uint8_t>(stack_.size());
       r.job = f.job;
       r.t0_ns = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(f.start -
-                                                               pass_start_)
+                                                               unit_start_)
               .count());
       r.t1_ns = r.t0_ns + ns;
       records_.push_back(r);
@@ -177,9 +217,13 @@ std::string Tracer::renderTable() const {
 }
 
 void Tracer::reset() {
+  in_step_ = false;
   in_pass_ = false;
   sampled_ = false;
-  pass_spans_ = 0;
+  unit_spans_ = 0;
+  units_ = 0;
+  steps_ = 0;
+  sampled_steps_ = 0;
   passes_ = 0;
   sampled_passes_ = 0;
   dropped_spans_ = 0;

@@ -13,17 +13,21 @@
 
 namespace sns::xray {
 
-/// The decision-path spans instrumented by the scheduler and simulator.
+/// The event-loop spans instrumented by the scheduler and simulator.
 /// Values are stable (they index the per-kind stats and encode folded
-/// stacks, like telemetry::Phase).
+/// stacks).
 enum class SpanKind : std::uint8_t {
-  kDecision = 0,    ///< one whole scheduling pass (the decision root)
+  kDecision = 0,    ///< one whole scheduling pass
   kCandidatePrune,  ///< node feasibility scan + selection inside tryPlace
   kCurveScore,      ///< demand estimation from the profile curves
   kSolverCall,      ///< per-node co-run contention solve (or memo hit)
   kCommit,          ///< ledger allocation + solo-model derivation (startJob)
-  kRateRefresh,     ///< progress-rate re-derivation after a placement
+  kRateRefresh,     ///< progress-rate re-derivation after a placement or finish
   kBatchRefresh,    ///< deferred end-of-pass rate refresh (batched scoring)
+  kEvent,           ///< one whole event-loop step (the simulator's root)
+  kAccounting,      ///< busy-node integral + bandwidth episode fill
+  kFinish,          ///< finish-calendar pop + finishJob of the completions
+  kObserve,         ///< auditor tick + telemetry sampler tick
   kCount_,          ///< sentinel
 };
 
@@ -32,17 +36,18 @@ constexpr std::size_t kSpanKindCount = static_cast<std::size_t>(SpanKind::kCount
 /// Stable lowercase name, e.g. "candidate_prune".
 const char* to_string(SpanKind k);
 
-/// Tracer knobs. The defaults trace every pass with provenance on; the
-/// sampled production mode raises sample_period so only every Nth
-/// scheduling pass pays for clock reads (provenance stays complete —
-/// `uberun explain` must answer for *any* job).
+/// Tracer knobs. The defaults trace every unit with provenance on; the
+/// sampled production mode raises sample_period so only every Nth unit
+/// (event-loop step, or standalone scheduling pass) pays for clock reads
+/// (provenance stays complete — `uberun explain` must answer for *any*
+/// job).
 struct TracerConfig {
-  /// Trace timing on every Nth scheduling pass; 1 = every pass. Unsampled
-  /// passes cost one branch per span site and read no clocks.
+  /// Trace timing on every Nth unit; 1 = every unit. Unsampled units cost
+  /// one branch per span site and read no clocks.
   int sample_period = 1;
-  /// Max timed spans per decision pass. Spans beyond the budget are
-  /// dropped (counted in droppedSpans()) instead of growing without bound
-  /// on pathological queue walks.
+  /// Max timed spans per unit. Spans beyond the budget are dropped
+  /// (counted in droppedSpans()) instead of growing without bound on
+  /// pathological queue walks; their time stays in the parent's self time.
   std::size_t span_budget = 4096;
   /// Retain per-span records for the Perfetto export. Off by default:
   /// a Fig-20 replay produces millions of spans.
@@ -59,29 +64,33 @@ struct TracerConfig {
 };
 
 /// One retained span, for the Perfetto export. Times are nanoseconds
-/// relative to the start of the decision pass the span belongs to, so the
-/// export can anchor them at the pass's virtual timestamp.
+/// relative to the start of the unit the span belongs to, so the export
+/// can anchor them at the unit's virtual timestamp.
 struct SpanRecord {
-  double sim_time = 0.0;     ///< virtual time of the enclosing pass
-  std::uint64_t pass = 0;    ///< scheduling-pass ordinal
+  double sim_time = 0.0;     ///< virtual time of the enclosing unit
+  std::uint64_t unit = 0;    ///< unit ordinal (event step or standalone pass)
   SpanKind kind = SpanKind::kDecision;
-  std::uint8_t depth = 0;    ///< nesting depth (0 = the decision root)
-  std::int64_t job = -1;     ///< job id the span worked on, -1 if pass-wide
-  std::uint64_t t0_ns = 0;   ///< start, relative to the pass start
-  std::uint64_t t1_ns = 0;   ///< end, relative to the pass start
+  std::uint8_t depth = 0;    ///< nesting depth (0 = the unit's root)
+  std::int64_t job = -1;     ///< job id the span worked on, -1 if unit-wide
+  std::uint64_t t0_ns = 0;   ///< start, relative to the unit start
+  std::uint64_t t1_ns = 0;   ///< end, relative to the unit start
 };
 
-/// Span-based cost-attribution tracer for the scheduler decision path.
-/// A pass (one schedule() invocation) is opened with beginPass() and
-/// closed with endPass(); in between, ScopedSpan scopes attribute
-/// nanoseconds to SpanKinds with full nesting (self-time subtracts
-/// children, folded stacks accumulate per unique scope path, per-kind
-/// latency histograms feed `uberun hotpath` percentiles).
+/// Span-based cost-attribution tracer for the simulator's event loop.
+/// The sampled unit is one event-loop step, opened with beginStep() and
+/// closed with endStep() under a kEvent root; the scheduling pass inside
+/// it (beginPass()/endPass()) is a kDecision span. A pass opened outside
+/// any step — a policy driven on its own — is itself the unit, rooted at
+/// kDecision. In between, ScopedSpan scopes attribute nanoseconds to
+/// SpanKinds with full nesting (self-time subtracts children, folded
+/// stacks accumulate per unique scope path, per-kind latency histograms
+/// feed `uberun hotpath` percentiles), so the self times of a sampled
+/// step sum to its wall time exactly once.
 ///
 /// Cost model: a null tracer is zero-cost (ScopedSpan over nullptr is one
-/// predictable branch). An attached tracer on an *unsampled* pass reads no
+/// predictable branch). An attached tracer on an *unsampled* unit reads no
 /// clocks — ScopedSpan latches "engaged" once at construction. Sampled
-/// passes pay two steady_clock reads per span. Provenance (attached via
+/// units pay two steady_clock reads per span. Provenance (attached via
 /// provenance()) is independent of sampling and never reads clocks.
 ///
 /// Determinism: the tracer observes the decision path, never feeds it —
@@ -99,15 +108,21 @@ class Tracer {
 
   explicit Tracer(TracerConfig cfg = {});
 
-  // ---- pass lifecycle -------------------------------------------------------
-  /// Open a decision pass at virtual time `sim_time`; decides whether this
-  /// pass is sampled and, if so, opens the kDecision root span.
+  // ---- unit lifecycle -------------------------------------------------------
+  /// Open an event-loop step at virtual time `sim_time`; decides whether
+  /// this step is sampled and, if so, opens the kEvent root span.
+  void beginStep(double sim_time);
+  /// Close the step (pops the root span when sampled).
+  void endStep();
+  /// Open a decision pass at virtual time `sim_time`. Inside a step the
+  /// pass inherits the step's sampling and times a kDecision span;
+  /// outside one it is its own unit with a kDecision root.
   void beginPass(double sim_time);
-  /// Close the pass (pops the root span when sampled).
+  /// Close the pass.
   void endPass();
   bool inPass() const { return in_pass_; }
-  /// True while the current pass is timing spans.
-  bool sampledPass() const { return in_pass_ && sampled_; }
+  /// True while the open unit is timing spans.
+  bool sampling() const { return sampled_; }
   /// Virtual time of the open (or most recent) pass; provenance writers
   /// stamp first_seen / decided with it.
   double passSimTime() const { return pass_sim_time_; }
@@ -124,9 +139,11 @@ class Tracer {
   const obs::Histogram& kindUs(SpanKind k) const {
     return kind_us_[static_cast<std::size_t>(k)];
   }
+  std::uint64_t steps() const { return steps_; }
+  std::uint64_t sampledSteps() const { return sampled_steps_; }
   std::uint64_t passes() const { return passes_; }
   std::uint64_t sampledPasses() const { return sampled_passes_; }
-  /// Spans discarded by the per-pass budget.
+  /// Spans discarded by the per-unit budget.
   std::uint64_t droppedSpans() const { return dropped_spans_; }
   /// Retained records discarded by the max_records cap.
   std::uint64_t droppedRecords() const { return dropped_records_; }
@@ -141,7 +158,7 @@ class Tracer {
   ProvenanceStore* provenance() { return provenance_.get(); }
   const ProvenanceStore* provenance() const { return provenance_.get(); }
 
-  /// Folded-stack lines ("decision;candidate_prune <self_ns>"), sorted —
+  /// Folded-stack lines ("event;decision;commit <self_ns>"), sorted —
   /// flamegraph.pl / speedscope / inferno input.
   std::string foldedStacks() const;
   /// Flat per-kind profile as a util::Table (calls, incl/self ms, %, p50,
@@ -165,15 +182,23 @@ class Tracer {
     bool dropped = false;  ///< over budget: no clock reads, no accounting
   };
 
+  void openUnit(double sim_time, SpanKind root);
+  void closeUnit();
+
   TracerConfig cfg_;
   std::unique_ptr<ProvenanceStore> provenance_;
 
+  bool in_step_ = false;
   bool in_pass_ = false;
   bool sampled_ = false;
+  double unit_sim_time_ = 0.0;
   double pass_sim_time_ = 0.0;
-  Clock::time_point pass_start_{};
-  std::size_t pass_spans_ = 0;
+  Clock::time_point unit_start_{};
+  std::size_t unit_spans_ = 0;
 
+  std::uint64_t units_ = 0;
+  std::uint64_t steps_ = 0;
+  std::uint64_t sampled_steps_ = 0;
   std::uint64_t passes_ = 0;
   std::uint64_t sampled_passes_ = 0;
   std::uint64_t dropped_spans_ = 0;
@@ -188,12 +213,12 @@ class Tracer {
 };
 
 /// RAII span scope, safe on every exit path (early return, exception).
-/// Engagement is latched at construction: null tracer, outside a pass, or
-/// an unsampled pass all cost one branch and zero clock reads.
+/// Engagement is latched at construction: null tracer, outside a unit, or
+/// an unsampled unit all cost one branch and zero clock reads.
 class ScopedSpan {
  public:
   ScopedSpan(Tracer* tracer, SpanKind k, std::int64_t job = -1)
-      : tracer_(tracer != nullptr && tracer->sampledPass() ? tracer : nullptr) {
+      : tracer_(tracer != nullptr && tracer->sampling() ? tracer : nullptr) {
     if (tracer_ != nullptr) tracer_->enter(k, job);
   }
   ~ScopedSpan() {

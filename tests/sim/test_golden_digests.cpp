@@ -33,7 +33,6 @@
 #include "sns/obs/sink.hpp"
 #include "sns/profile/profiler.hpp"
 #include "sns/sim/cluster_sim.hpp"
-#include "sns/telemetry/phase_profiler.hpp"
 #include "sns/telemetry/sampler.hpp"
 #include "sns/trace/replay.hpp"
 #include "sns/xray/span.hpp"
@@ -122,7 +121,6 @@ struct AllObservers {
     cfg.sink = &log;
     cfg.metrics = &metrics;
     cfg.sampler = &sampler;
-    cfg.phases = &phases;
     cfg.xray = &tracer;
     cfg.auditor = &auditor;
     cfg.flight = &flight;
@@ -132,7 +130,6 @@ struct AllObservers {
   obs::Registry metrics;
   telemetry::TimeSeriesStore store{256};
   telemetry::Sampler sampler{store};
-  telemetry::PhaseProfiler phases;
   xray::Tracer tracer{keepRecords()};
   audit::Auditor auditor{failFast()};
   flight::FlightRecorder flight;

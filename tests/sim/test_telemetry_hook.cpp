@@ -1,15 +1,18 @@
-// End-to-end check of the SimConfig telemetry hooks: a sampler and phase
-// profiler attached to ClusterSimulator record ticks on the virtual clock,
-// the headline series reflect the run, and the attached SLO watchdog sees
-// every tick — without changing the simulation's outcome.
+// End-to-end check of the SimConfig telemetry hooks: a sampler attached to
+// ClusterSimulator records ticks on the virtual clock, the headline series
+// reflect the run, the attached SLO watchdog sees every tick, and an xray
+// tracer covers the whole event loop — without changing the simulation's
+// outcome.
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "sns/app/library.hpp"
 #include "sns/obs/metrics.hpp"
 #include "sns/profile/profiler.hpp"
 #include "sns/sim/cluster_sim.hpp"
-#include "sns/telemetry/phase_profiler.hpp"
 #include "sns/telemetry/sampler.hpp"
+#include "sns/xray/span.hpp"
 
 namespace sns::sim {
 namespace {
@@ -83,10 +86,8 @@ TEST_F(TelemetryHookTest, TelemetryDoesNotChangeTheSchedule) {
 
   telemetry::TimeSeriesStore store(256);
   telemetry::Sampler sampler(store);
-  telemetry::PhaseProfiler phases;
   SimConfig instrumented = plain;
   instrumented.sampler = &sampler;
-  instrumented.phases = &phases;
   ClusterSimulator sim(est_, lib_, db_, instrumented);
   const auto res = sim.run(jobs());
 
@@ -98,24 +99,34 @@ TEST_F(TelemetryHookTest, TelemetryDoesNotChangeTheSchedule) {
   }
 }
 
-TEST_F(TelemetryHookTest, PhaseProfilerCoversTheHotPath) {
-  telemetry::PhaseProfiler phases;
+TEST_F(TelemetryHookTest, TracerCoversTheWholeEventLoop) {
+  xray::Tracer tracer;
   SimConfig cfg;
   cfg.nodes = 8;
   cfg.policy = sched::PolicyKind::kSNS;
-  cfg.phases = &phases;
+  cfg.xray = &tracer;
   ClusterSimulator sim(est_, lib_, db_, cfg);
   sim.run(jobs());
 
-  using telemetry::Phase;
-  EXPECT_GT(phases.stat(Phase::kQueueWalk).calls, 0u);
-  EXPECT_GT(phases.stat(Phase::kLedgerScan).calls, 0u);
-  EXPECT_GT(phases.stat(Phase::kPlacementCommit).calls, 0u);
-  EXPECT_GT(phases.stat(Phase::kRateRefresh).calls, 0u);
-  EXPECT_GT(phases.stat(Phase::kAccounting).calls, 0u);
-  // The nesting shows up in the folded stacks.
-  EXPECT_NE(phases.foldedStacks().find("queue_walk;ledger_scan"),
-            std::string::npos);
+  using xray::SpanKind;
+  EXPECT_GT(tracer.stat(SpanKind::kEvent).calls, 0u);
+  EXPECT_GT(tracer.stat(SpanKind::kDecision).calls, 0u);
+  EXPECT_GT(tracer.stat(SpanKind::kCommit).calls, 0u);
+  EXPECT_GT(tracer.stat(SpanKind::kAccounting).calls, 0u);
+  EXPECT_GT(tracer.stat(SpanKind::kFinish).calls, 0u);
+  EXPECT_GT(tracer.stat(SpanKind::kObserve).calls, 0u);
+  // Every step, the t = 0 admission step included, is one event root.
+  EXPECT_EQ(tracer.stat(SpanKind::kEvent).calls, tracer.steps());
+  // The solves a job completion triggers are timed under its finish span:
+  // some folded line reads "event;finish;...;solver_call <ns>".
+  const std::string folded = tracer.foldedStacks();
+  std::istringstream lines(folded);
+  bool finish_solve = false;
+  for (std::string sig, ns; lines >> sig >> ns;) {
+    finish_solve |= sig.starts_with("event;finish;") &&
+                    sig.ends_with(";solver_call");
+  }
+  EXPECT_TRUE(finish_solve) << folded;
 }
 
 TEST_F(TelemetryHookTest, SolverCacheCountersFlowIntoTheRegistry) {

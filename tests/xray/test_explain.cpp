@@ -115,7 +115,7 @@ TEST(Explain, HotpathReportsAttributionAndReconciliation) {
   EXPECT_NE(out.find("3 of 3 scheduling passes traced"), std::string::npos)
       << out;
   EXPECT_NE(out.find("candidate_prune"), std::string::npos);
-  EXPECT_NE(out.find("attributed mean per pass:"), std::string::npos);
+  EXPECT_NE(out.find("decision span mean per pass:"), std::string::npos);
   EXPECT_NE(out.find("vs measured decision_us_mean 125.0 us"),
             std::string::npos);
   EXPECT_NE(out.find("folded stacks"), std::string::npos);
@@ -123,6 +123,26 @@ TEST(Explain, HotpathReportsAttributionAndReconciliation) {
             std::string::npos);
   // Without a measured mean the reconciliation clause is omitted.
   EXPECT_EQ(renderHotpath(t).find("vs measured"), std::string::npos);
+}
+
+TEST(Explain, HotpathReconcilesAttributedTimeWithRunWall) {
+  Tracer t;
+  for (int s = 0; s < 2; ++s) {
+    t.beginStep(static_cast<double>(s));
+    { ScopedSpan acct(&t, SpanKind::kAccounting); }
+    t.beginPass(static_cast<double>(s));
+    t.endPass();
+    t.endStep();
+  }
+  const std::string out = renderHotpath(t, 0.0, 1.0);
+  EXPECT_NE(out.find("2 of 2 scheduling passes traced in 2 of 2 event steps"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("attributed self time:"), std::string::npos);
+  EXPECT_NE(out.find("ms run wall time"), std::string::npos);
+  EXPECT_NE(out.find("event;accounting"), std::string::npos);
+  // Without a measured run wall time the line is omitted.
+  EXPECT_EQ(renderHotpath(t).find("run wall time"), std::string::npos);
 }
 
 TEST(Explain, HotpathSurfacesDroppedSpans) {
@@ -133,7 +153,7 @@ TEST(Explain, HotpathSurfacesDroppedSpans) {
   { ScopedSpan s(&t, SpanKind::kSolverCall); }
   t.endPass();
   const std::string out = renderHotpath(t);
-  EXPECT_NE(out.find("dropped spans (per-pass budget 1): 1"),
+  EXPECT_NE(out.find("dropped spans (budget 1 per traced unit): 1"),
             std::string::npos)
       << out;
 }

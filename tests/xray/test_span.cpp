@@ -1,8 +1,10 @@
 // sns::xray::Tracer unit tests: span nesting and self/inclusive
-// accounting, RAII early-exit safety, the per-pass span budget, pass
-// sampling, folded stacks, and record retention.
+// accounting, RAII early-exit safety, the per-unit span budget, pass and
+// event-step sampling, folded stacks, and record retention.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
 #include <stdexcept>
 
 #include "sns/util/error.hpp"
@@ -25,6 +27,11 @@ TEST(Span, KindNamesAreStable) {
   EXPECT_STREQ(to_string(SpanKind::kSolverCall), "solver_call");
   EXPECT_STREQ(to_string(SpanKind::kCommit), "commit");
   EXPECT_STREQ(to_string(SpanKind::kRateRefresh), "rate_refresh");
+  EXPECT_STREQ(to_string(SpanKind::kBatchRefresh), "batch_refresh");
+  EXPECT_STREQ(to_string(SpanKind::kEvent), "event");
+  EXPECT_STREQ(to_string(SpanKind::kAccounting), "accounting");
+  EXPECT_STREQ(to_string(SpanKind::kFinish), "finish");
+  EXPECT_STREQ(to_string(SpanKind::kObserve), "observe");
 }
 
 TEST(Span, NestedSpansAttributeSelfAndInclusive) {
@@ -85,6 +92,109 @@ TEST(Span, FoldedStacksEncodeTheScopePath) {
             std::string::npos);
 }
 
+TEST(Span, SameSignatureMergesAcrossVisits) {
+  Tracer t;
+  for (int p = 0; p < 5; ++p) {
+    t.beginPass(static_cast<double>(p));
+    {
+      ScopedSpan prune(&t, SpanKind::kCandidatePrune);
+      spin();
+    }
+    t.endPass();
+  }
+  // Two unique signatures ("decision", "decision;candidate_prune"), not ten.
+  const std::string folded = t.foldedStacks();
+  EXPECT_EQ(std::count(folded.begin(), folded.end(), '\n'), 2) << folded;
+}
+
+TEST(Span, FoldedSelfTimesSumToTheTotal) {
+  Tracer t;
+  t.beginStep(1.0);
+  {
+    ScopedSpan finish(&t, SpanKind::kFinish);
+    spin();
+    ScopedSpan refresh(&t, SpanKind::kRateRefresh);
+    spin();
+  }
+  t.beginPass(1.0);
+  {
+    ScopedSpan commit(&t, SpanKind::kCommit);
+    spin();
+  }
+  t.endPass();
+  t.endStep();
+  // Each line is "sig self_ns"; the self values sum to the attributed
+  // total, the flamegraph invariant, and that total is the root's
+  // inclusive time.
+  std::istringstream is(t.foldedStacks());
+  std::string sig;
+  std::uint64_t ns = 0, sum = 0;
+  int lines = 0;
+  while (is >> sig >> ns) {
+    sum += ns;
+    ++lines;
+  }
+  // event, event;finish, event;finish;rate_refresh, event;decision and
+  // event;decision;commit.
+  EXPECT_EQ(lines, 5);
+  EXPECT_EQ(sum, t.totalSelfNs());
+  EXPECT_EQ(t.totalSelfNs(), t.stat(SpanKind::kEvent).total_ns);
+}
+
+TEST(Span, StepsRootPassesUnderEvent) {
+  TracerConfig cfg;
+  cfg.sample_period = 2;
+  Tracer t(cfg);
+  for (int s = 0; s < 4; ++s) {
+    t.beginStep(static_cast<double>(s));
+    EXPECT_EQ(t.sampling(), s % 2 == 0) << "step " << s;
+    { ScopedSpan acct(&t, SpanKind::kAccounting); }
+    t.beginPass(static_cast<double>(s));
+    EXPECT_DOUBLE_EQ(t.passSimTime(), static_cast<double>(s));
+    { ScopedSpan prune(&t, SpanKind::kCandidatePrune); }
+    t.endPass();
+    t.endStep();
+  }
+  // The step is the sampled unit: passes inherit its sampling decision.
+  EXPECT_EQ(t.steps(), 4u);
+  EXPECT_EQ(t.sampledSteps(), 2u);
+  EXPECT_EQ(t.passes(), 4u);
+  EXPECT_EQ(t.sampledPasses(), 2u);
+  EXPECT_EQ(t.stat(SpanKind::kEvent).calls, 2u);
+  EXPECT_EQ(t.stat(SpanKind::kDecision).calls, 2u);
+  EXPECT_EQ(t.stat(SpanKind::kAccounting).calls, 2u);
+  const std::string folded = t.foldedStacks();
+  EXPECT_NE(folded.find("event;accounting "), std::string::npos) << folded;
+  EXPECT_NE(folded.find("event;decision;candidate_prune "), std::string::npos);
+  // Misuse: a step cannot nest in a step, or close inside a pass.
+  t.beginStep(9.0);
+  EXPECT_THROW(t.beginStep(9.0), util::PreconditionError);
+  t.beginPass(9.0);
+  EXPECT_THROW(t.endStep(), util::PreconditionError);
+  t.endPass();
+  t.endStep();
+}
+
+TEST(Span, RenderTableListsActiveKindsOnly) {
+  Tracer t;
+  t.beginPass(0.0);
+  {
+    ScopedSpan s(&t, SpanKind::kRateRefresh);
+    spin();
+  }
+  t.endPass();
+  const std::string table = t.renderTable();
+  EXPECT_NE(table.find("rate_refresh"), std::string::npos);
+  EXPECT_NE(table.find("decision"), std::string::npos);
+  EXPECT_EQ(table.find("accounting"), std::string::npos);
+  EXPECT_EQ(table.find("commit"), std::string::npos);
+}
+
+TEST(Span, ExitWithoutEnterRejected) {
+  Tracer t;
+  EXPECT_THROW(t.exit(), util::PreconditionError);
+}
+
 TEST(Span, RaiiExitsOnEarlyReturnAndException) {
   Tracer t;
   t.beginPass(0.0);
@@ -137,7 +247,7 @@ TEST(Span, SamplePeriodTimesEveryNthPass) {
   for (int p = 0; p < 7; ++p) {
     t.beginPass(static_cast<double>(p));
     const bool expect_sampled = p % 3 == 0;
-    EXPECT_EQ(t.sampledPass(), expect_sampled) << "pass " << p;
+    EXPECT_EQ(t.sampling(), expect_sampled) << "pass " << p;
     { ScopedSpan s(&t, SpanKind::kSolverCall); }
     t.endPass();
   }
@@ -164,7 +274,7 @@ TEST(Span, RecordsRetainPassAndRelativeTimes) {
   EXPECT_EQ(prune.kind, SpanKind::kCandidatePrune);
   EXPECT_EQ(prune.job, 9);
   EXPECT_EQ(prune.depth, 1);
-  EXPECT_EQ(prune.pass, 0u);
+  EXPECT_EQ(prune.unit, 0u);
   EXPECT_DOUBLE_EQ(prune.sim_time, 42.5);
   EXPECT_LE(prune.t0_ns, prune.t1_ns);
   EXPECT_EQ(root.kind, SpanKind::kDecision);
@@ -202,6 +312,71 @@ TEST(Span, ResetClearsEverything) {
   EXPECT_EQ(t.totalSelfNs(), 0u);
   EXPECT_EQ(t.stat(SpanKind::kSolverCall).calls, 0u);
   EXPECT_TRUE(t.records().empty());
+  EXPECT_TRUE(t.foldedStacks().empty());
+}
+
+// The flat per-kind phase profile: the calls / inclusive / self / worst
+// accounting that `uberun hotpath` renders, checked on the tracer's stats.
+
+TEST(PhaseProfiler, FlatStatsAccumulate) {
+  Tracer t;
+  t.beginPass(0.0);
+  for (int i = 0; i < 3; ++i) {
+    ScopedSpan s(&t, SpanKind::kCandidatePrune);
+    spin();
+  }
+  t.endPass();
+  const auto& st = t.stat(SpanKind::kCandidatePrune);
+  EXPECT_EQ(st.calls, 3u);
+  EXPECT_GT(st.total_ns, 0u);
+  EXPECT_EQ(st.self_ns, st.total_ns);  // no children
+  EXPECT_GE(st.max_ns, st.total_ns / 3);
+  EXPECT_EQ(t.stat(SpanKind::kCommit).calls, 0u);
+}
+
+TEST(PhaseProfiler, NestingSplitsSelfFromInclusive) {
+  Tracer t;
+  t.beginPass(0.0);
+  {
+    ScopedSpan outer(&t, SpanKind::kCandidatePrune);
+    spin();
+    {
+      ScopedSpan inner(&t, SpanKind::kSolverCall);
+      spin();
+    }
+    spin();
+  }
+  t.endPass();
+  const auto& dec = t.stat(SpanKind::kDecision);
+  const auto& prune = t.stat(SpanKind::kCandidatePrune);
+  const auto& solve = t.stat(SpanKind::kSolverCall);
+  // The child's time is inside the parent's inclusive total but subtracted
+  // from its self time, so instrumented time is counted exactly once.
+  EXPECT_GE(prune.total_ns, solve.total_ns);
+  EXPECT_EQ(dec.self_ns + prune.self_ns + solve.self_ns, t.totalSelfNs());
+  EXPECT_LE(prune.self_ns, prune.total_ns - solve.total_ns);
+  // Sum of self == inclusive time of the root.
+  EXPECT_EQ(t.totalSelfNs(), dec.total_ns);
+}
+
+TEST(PhaseProfiler, NullProfilerScopeIsANoOp) {
+  // The disabled hot path: no tracer attached, no effect, no crash.
+  ScopedSpan s(nullptr, SpanKind::kSolverCall);
+  SUCCEED();
+}
+
+TEST(PhaseProfiler, ResetClearsEverything) {
+  Tracer t;
+  t.beginStep(0.0);
+  {
+    ScopedSpan s(&t, SpanKind::kAccounting);
+    spin();
+  }
+  t.endStep();
+  ASSERT_EQ(t.stat(SpanKind::kAccounting).calls, 1u);
+  t.reset();
+  EXPECT_EQ(t.stat(SpanKind::kAccounting).calls, 0u);
+  EXPECT_EQ(t.totalSelfNs(), 0u);
   EXPECT_TRUE(t.foldedStacks().empty());
 }
 

@@ -48,6 +48,19 @@ class TypedOptions(unittest.TestCase):
         r = run("metrics", "--workload", "quickstart", "--nodes", "4")
         self.assertEqual(r.returncode, 0, r.stderr)
 
+    def test_plan_job_fields_parse_whole_and_in_range(self):
+        # PROCS must be an integer > 0; ALPHA a number in (0, 1], the range
+        # job-list files enforce.
+        for value in ("WC:abc", "WC:0", "WC:-4", "WC:16abc", "WC:16:1.5",
+                      "WC:16:0", "WC:16:nan"):
+            with self.subTest(value=value):
+                self.expect_usage_error(["plan", "--job", value], "--job",
+                                        value)
+
+    def test_plan_valid_job_still_runs(self):
+        r = run("plan", "--job", "WC:16:0.9")
+        self.assertEqual(r.returncode, 0, r.stderr)
+
 
 if __name__ == "__main__":
     if len(sys.argv) < 2:

@@ -22,11 +22,13 @@
 // Numeric options are parsed whole: counts (--nodes, --cluster, --procs,
 // --sample, --budget, --candidates, --limit, and --jobs where it is a
 // number) must be integers > 0, --seed and --job integers >= 0; anything
-// else is a usage error naming the option and the value.
+// else is a usage error naming the option and the value. In `plan --job
+// PROG[:PROCS[:ALPHA]]`, PROCS must be an integer > 0 and ALPHA a number in
+// (0, 1].
 //
 // The telemetry subcommands (metrics / report / top) run the workload with
-// the sns::telemetry stack attached — periodic cluster sampling, SLO
-// watchdogs and the scheduler phase profiler — then export the series as
+// the sns::telemetry stack attached — periodic cluster sampling and SLO
+// watchdogs — then export the series as
 // Prometheus text, a self-contained HTML dashboard, or a terminal view of
 // the cluster at one instant. SLO thresholds: --slo-decision-us,
 // --slo-starvation-s, --slo-collapse.
@@ -37,11 +39,13 @@
 // Co + Bo + beta x Wo score breakdown, and the solver-cache provenance of
 // the deciding dispatch. Without --job it prints a one-line-per-job index.
 //
-// `uberun hotpath` replays a workload with the sns::xray decision tracer
-// timing every scheduling pass (--sample N times every Nth) and prints the
+// `uberun hotpath` replays a workload with the sns::xray tracer timing
+// every event-loop step (--sample N times every Nth) and prints the
 // aggregated cost attribution: per-span calls / self time / p50 / p99,
-// folded stacks (--folded FILE writes them for flamegraph.pl), and a
-// reconciliation line against the simulator's own decision-latency metric.
+// folded stacks (--folded FILE writes them for flamegraph.pl), and two
+// reconciliation lines: the decision span mean against the simulator's own
+// decision-latency metric, and the attributed self time against the run's
+// wall time.
 //
 // `uberun why-slow` replays a workload with the sns::flight interference
 // flight recorder attached and answers "why did job J finish slower than
@@ -63,6 +67,7 @@
 // 4 when --enforce-slo is set and an SLO rule fired, 5 when the invariant
 // auditor found a violation.
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -308,11 +313,25 @@ int cmdPlan(const World& w, const Args& a) {
   if (auto c1 = job_str.find(':'); c1 != std::string::npos) {
     name = job_str.substr(0, c1);
     const std::string rest = job_str.substr(c1 + 1);
-    if (auto c2 = rest.find(':'); c2 != std::string::npos) {
-      procs = std::stoi(rest.substr(0, c2));
-      alpha = std::stod(rest.substr(c2 + 1));
-    } else {
-      procs = std::stoi(rest);
+    const auto c2 = rest.find(':');
+    const std::string procs_str = rest.substr(0, c2);
+    const auto [pend, pec] = std::from_chars(
+        procs_str.data(), procs_str.data() + procs_str.size(), procs);
+    if (procs_str.empty() || pec != std::errc() ||
+        pend != procs_str.data() + procs_str.size() || procs <= 0) {
+      throw UsageError("--job: PROCS must be an integer > 0, got '" +
+                       job_str + "'");
+    }
+    if (c2 != std::string::npos) {
+      const std::string alpha_str = rest.substr(c2 + 1);
+      const auto [aend, aec] = std::from_chars(
+          alpha_str.data(), alpha_str.data() + alpha_str.size(), alpha);
+      if (alpha_str.empty() || aec != std::errc() ||
+          aend != alpha_str.data() + alpha_str.size() ||
+          !(alpha > 0.0 && alpha <= 1.0)) {
+        throw UsageError("--job: ALPHA must be a number in (0, 1], got '" +
+                         job_str + "'");
+      }
     }
   }
 
@@ -533,7 +552,6 @@ struct TelemetryRun {
   telemetry::TimeSeriesStore store;
   telemetry::SloWatchdog watchdog;
   telemetry::Sampler sampler;
-  telemetry::PhaseProfiler phases;
   obs::Registry metrics;
   obs::RingBufferLog log;
   obs::Recorder slo_rec;  ///< routes watchdog violations into `log`
@@ -546,6 +564,7 @@ struct TelemetryRun {
   /// for the schedule but costs extra solver lookups per settle point.
   std::unique_ptr<flight::FlightRecorder> flight;
   sim::SimResult result;
+  double wall_s = 0.0;  ///< wall time of sim.run(), for hotpath reconciliation
   int nodes = 0;
   std::string workload;
 
@@ -608,7 +627,6 @@ std::unique_ptr<TelemetryRun> runTelemetry(const World& w, const Args& a,
   cfg.sink = &run->log;
   cfg.metrics = &run->metrics;
   cfg.sampler = &run->sampler;
-  cfg.phases = &run->phases;
   cfg.auditor = auditor;
   if (xcfg != nullptr) {
     run->xray = std::make_unique<xray::Tracer>(*xcfg);
@@ -622,7 +640,10 @@ std::unique_ptr<TelemetryRun> runTelemetry(const World& w, const Args& a,
   run->nodes = cfg.nodes;
 
   sim::ClusterSimulator sim(w.est, w.lib, wl.db, cfg);
+  const auto t0 = std::chrono::steady_clock::now();
   run->result = sim.run(wl.jobs);
+  run->wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                    .count();
   return run;
 }
 
@@ -677,13 +698,12 @@ int cmdReport(const World& w, const Args& a) {
   ctx.store = &run->store;
   ctx.metrics = &run->metrics;
   ctx.watchdog = &run->watchdog;
-  ctx.phases = &run->phases;
   ctx.summary = run->summaryTiles();
   ctx.events_dropped = run->log.dropped();
   if (run->xray != nullptr && run->xray->sampledPasses() > 0) {
     const obs::Histogram* dh = run->metrics.findHistogram("sim.decision_us");
-    ctx.xray_text =
-        xray::renderHotpath(*run->xray, dh != nullptr ? dh->mean() : 0.0);
+    ctx.xray_text = xray::renderHotpath(
+        *run->xray, dh != nullptr ? dh->mean() : 0.0, run->wall_s);
   }
   if (run->flight != nullptr && run->flight->runComplete()) {
     ctx.flight_text = flight::renderDegradationReport(*run->flight);
@@ -762,7 +782,6 @@ int cmdTop(const World& w, const Args& a) {
                 lookups,
                 lookups > 0.0 ? 100.0 * sc_hits->value() / lookups : 0.0);
   }
-  std::printf("\n%s", run->phases.renderTable().c_str());
   return finishTelemetry(*run, a);
 }
 
@@ -793,9 +812,10 @@ int cmdExplain(const World& w, const Args& a) {
   return 0;
 }
 
-// `uberun hotpath`: replay the workload with the decision tracer timing
-// every (or every --sample'th) scheduling pass and print the aggregated
-// cost attribution plus the reconciliation against sim.decision_us.
+// `uberun hotpath`: replay the workload with the event-loop tracer timing
+// every (or every --sample'th) event step and print the aggregated cost
+// attribution plus two reconciliations: the decision span against
+// sim.decision_us, and the attributed self time against the run's wall time.
 int cmdHotpath(const World& w, const Args& a) {
   xray::TracerConfig xcfg;
   xcfg.sample_period = a.count("sample", 1);
@@ -806,7 +826,8 @@ int cmdHotpath(const World& w, const Args& a) {
               run->result.policy.c_str(), run->nodes, run->workload.c_str(),
               run->result.jobs.size(), run->result.makespan);
   std::printf("%s", xray::renderHotpath(*run->xray,
-                                        dh != nullptr ? dh->mean() : 0.0)
+                                        dh != nullptr ? dh->mean() : 0.0,
+                                        run->wall_s)
                         .c_str());
   const std::string folded = a.get("folded", "");
   if (!folded.empty()) {
