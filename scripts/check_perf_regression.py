@@ -31,6 +31,14 @@ On failure the full delta table is printed so the offending cells are
 readable straight from the CI log. Baseline rows missing a field skip
 that signal (older baselines predate decision_us_mean).
 
+The deterministic work counters (EXACT_COUNTERS: events, completions, the
+active-job high-water mark, solver calls and memo/cache traffic, selection
+cache traffic, spec and futile-pass skips) are a pure function of the
+simulated schedule, not of the hardware, so they are gated exactly: any
+difference from the baseline fails, and a counter the baseline records but
+the current run lacks fails too. Changing one needs a reasoned re-baseline.
+Baseline rows without a counter skip it.
+
 With --observer-overhead FILE the script additionally gates the observer
 overheads recorded by bench_observer_overhead (BENCH_observer_overhead.json):
 each GATED_VARIANTS entry (telemetry sampler, xray sampled, flight recorder)
@@ -59,6 +67,15 @@ SIGNALS = [
     ("event_us_mean", "max", "event_us_mean"),
     ("decision_us_mean", "max", "decision_us_mean"),
     ("decision_us_p99", "max", "decision_us_p99"),
+]
+
+# Deterministic counters gated for exact equality (see the module docstring).
+EXACT_COUNTERS = [
+    "events", "jobs_completed", "active_jobs_hwm",
+    "solver_calls", "solver_memo_hits",
+    "solver_cache_hits", "solver_cache_misses", "solver_cache_evictions",
+    "select_cache_hits", "select_cache_misses",
+    "spec_skips", "futile_pass_skips",
 ]
 
 
@@ -120,6 +137,25 @@ def compare_cells(base, cur, tolerances):
             compared += 1
         rows.append((key, cells))
     return rows, regressions, compared
+
+
+def compare_counters(base, cur):
+    """(nodes, policy, counter, baseline value, current value) for every
+    exact counter the baseline records that the current run does not
+    reproduce (None when the current row lacks it). Cells missing from the
+    current run are reported by the delta table instead."""
+    mismatches = []
+    for key in sorted(base):
+        if key not in cur:
+            continue
+        for field in EXACT_COUNTERS:
+            if field not in base[key]:
+                continue
+            b = base[key][field]
+            c = cur[key].get(field)
+            if c != b:
+                mismatches.append((key[0], key[1], field, b, c))
+    return mismatches
 
 
 def render_delta_table(rows):
@@ -213,6 +249,15 @@ def main():
             print("error: no comparable cells between baseline and current",
                   file=sys.stderr)
             return 2
+        mismatches = compare_counters(base, cur)
+        if mismatches:
+            print(f"\nFAIL: {len(mismatches)} deterministic counter(s) differ "
+                  f"from the baseline (gated exactly):", file=sys.stderr)
+            for nodes, policy, field, b, c in mismatches:
+                shown = "missing" if c is None else c
+                print(f"  {nodes} nodes/{policy}: {field} baseline {b}, "
+                      f"current {shown}", file=sys.stderr)
+            failed = True
         for field, direction, label in SIGNALS:
             if not regressions[field]:
                 continue
@@ -223,7 +268,8 @@ def main():
                   f"{cells}", file=sys.stderr)
             failed = True
         if not failed:
-            print(f"\nOK: {compared} cell(s) within tolerance "
+            print(f"\nOK: {compared} cell(s) within tolerance, deterministic "
+                  f"counters exact "
                   f"(events/sec {args.tolerance:.0f}x, event "
                   f"{args.event_tolerance:.0f}x, mean "
                   f"{args.mean_tolerance:.0f}x, p99 "

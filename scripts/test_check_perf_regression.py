@@ -16,6 +16,15 @@ import unittest
 
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "check_perf_regression.py")
+BASELINE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "baselines", "sim_scale.json")
+
+COUNTERS = {"events": 2100, "jobs_completed": 700, "active_jobs_hwm": 43,
+            "solver_calls": 5052, "solver_memo_hits": 2899,
+            "solver_cache_hits": 2899, "solver_cache_misses": 2153,
+            "solver_cache_evictions": 0, "select_cache_hits": 579,
+            "select_cache_misses": 2112, "spec_skips": 1966,
+            "futile_pass_skips": 151}
 
 
 def make_doc(cells):
@@ -157,6 +166,68 @@ class CheckPerfRegressionTest(unittest.TestCase):
         r = self.run_pair(base, cur)
         self.assertEqual(r.returncode, 1)
         self.assertIn("24.00x!", r.stdout)
+
+    def run_counters(self, base_counters, cur_counters):
+        """One SNS cell with equal timings and the given counter fields."""
+        base = make_doc([(4096, "SNS", 20000.0, 55.0, 500.0)])
+        cur = make_doc([(4096, "SNS", 20000.0, 55.0, 500.0)])
+        base["results"][0].update(base_counters)
+        cur["results"][0].update(cur_counters)
+        return self.run_script("--baseline", self.write("base.json", base),
+                               "--current", self.write("cur.json", cur))
+
+    def test_equal_counters_pass(self):
+        r = self.run_counters(COUNTERS, COUNTERS)
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("counters exact", r.stdout)
+
+    def test_any_counter_difference_fails_and_names_it(self):
+        for field in COUNTERS:
+            cur = dict(COUNTERS)
+            cur[field] += 1
+            r = self.run_counters(COUNTERS, cur)
+            self.assertEqual(r.returncode, 1, field)
+            self.assertIn(f"{field} baseline {COUNTERS[field]}, "
+                          f"current {COUNTERS[field] + 1}", r.stderr)
+            self.assertIn("4096 nodes/SNS", r.stderr)
+
+    def test_counter_drop_fails_too(self):
+        # Exact means exact: fewer solver calls is a behaviour change that
+        # needs a re-baseline, not a free win.
+        cur = dict(COUNTERS, solver_calls=COUNTERS["solver_calls"] - 100)
+        r = self.run_counters(COUNTERS, cur)
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("solver_calls", r.stderr)
+
+    def test_counter_missing_from_current_fails(self):
+        cur = {k: v for k, v in COUNTERS.items() if k != "spec_skips"}
+        r = self.run_counters(COUNTERS, cur)
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("spec_skips baseline 1966, current missing", r.stderr)
+
+    def test_counter_missing_from_baseline_is_skipped(self):
+        base = {k: v for k, v in COUNTERS.items() if k != "spec_skips"}
+        cur = dict(COUNTERS, spec_skips=12345)
+        r = self.run_counters(base, cur)
+        self.assertEqual(r.returncode, 0, r.stderr)
+
+    def test_non_counter_fields_are_not_gated_exactly(self):
+        # Timings and derived means vary run to run; only the ratio gates
+        # apply to them.
+        r = self.run_counters(dict(COUNTERS, wall_s=0.06, mean_turnaround_s=1.0),
+                              dict(COUNTERS, wall_s=0.09, mean_turnaround_s=2.0))
+        self.assertEqual(r.returncode, 0, r.stderr)
+
+    def test_checked_in_baseline_gates_every_counter_against_itself(self):
+        with open(BASELINE) as f:
+            doc = json.load(f)
+        self.assertEqual(len(doc["results"]), 8)
+        for row in doc["results"]:
+            for field in COUNTERS:
+                self.assertIn(field, row, (row["nodes"], row["policy"]))
+        r = self.run_script("--baseline", BASELINE, "--current", BASELINE)
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("OK: 8 cell(s)", r.stdout)
 
     def run_observer(self, overheads):
         """overheads: {variant name: overhead} -> gate run."""

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <tuple>
+#include <vector>
 
+#include "sns/app/library.hpp"
 #include "sns/obs/recorder.hpp"
+#include "sns/profile/profiler.hpp"
+#include "sns/sim/cluster_sim.hpp"
 #include "sns/util/error.hpp"
 #include "sns/util/json.hpp"
 
@@ -237,6 +242,65 @@ TEST(Recorder, StampsCurrentTimeOnEmit) {
   EXPECT_DOUBLE_EQ(snap[1].time, 25.5);
   EXPECT_EQ(snap[1].type, EventType::kJobStarted);
   EXPECT_DOUBLE_EQ(snap[1].value, 2.0);  // node count
+}
+
+TEST(BandwidthThrottled, MbaCapEventSequenceIsPinned) {
+  // Contended SNS co-location with MBA caps enforced: every transition of
+  // a co-located job into the capped regime emits one bandwidth_throttled
+  // event (job, first placement node, cap). The Fig-20 traces never enable
+  // MBA, so this small run pins the event's exact sequence.
+  auto lib = app::programLibrary();
+  perfmodel::Estimator est;
+  for (auto& p : lib) est.calibrate(p);
+  profile::ProfilerConfig pcfg;
+  pcfg.pmu_noise = 0.0;
+  profile::Profiler prof(est, pcfg);
+  profile::ProfileDatabase db;
+  for (const auto& p : lib) db.put(prof.profileProgram(p, 16));
+  std::vector<app::JobSpec> jobs;
+  const char* progs[] = {"MG", "LU", "CG", "BW"};
+  for (int i = 0; i < 16; ++i) {
+    jobs.push_back({progs[i % 4], i % 3 == 0 ? 28 : 16, 0.9, 200.0 * (i / 4), 1,
+                    0.0});
+  }
+  RingBufferLog log;
+  sim::SimConfig cfg;
+  cfg.nodes = 4;
+  cfg.policy = sched::PolicyKind::kSNS;
+  cfg.enforce_bandwidth_caps = true;
+  // Without way donation a job's achieved bandwidth tracks its profiled
+  // reservation closely enough for the cap to bind.
+  cfg.donate_unused_ways = false;
+  cfg.sink = &log;
+  sim::ClusterSimulator simulator(est, lib, db, cfg);
+  simulator.run(jobs);
+
+  // (time, job, node, cap) of every bandwidth_throttled event, bit-exact.
+  using Throttle = std::tuple<double, std::int64_t, int, double>;
+  const std::vector<Throttle> expected = {
+      {0x0p+0, 1, 1, 0x1.3f44850bac056p+6},
+      {0x0p+0, 2, 1, 0x1.588dbef3d4271p+4},
+      {0x1.9p+7, 4, 0, 0x1.cc00000000001p+6},
+      {0x1.2c3562a39ea82p+8, 5, 0, 0x1.ccp+6},
+      {0x1.376592bfceceep+8, 7, 2, 0x1.cbfffffffffffp+6},
+      {0x1.31f8f028b8255p+9, 8, 1, 0x1.cc00000000001p+6},
+      {0x1.d9bb46bf38458p+9, 11, 0, 0x1.cbfffffffffffp+6},
+      {0x1.34ba7958e91f6p+10, 13, 2, 0x1.ccp+6},
+  };
+  std::vector<Throttle> got;
+  for (const Event& e : log.snapshot()) {
+    if (e.type == EventType::kBandwidthThrottled) {
+      got.emplace_back(e.time, e.job, e.node, e.value);
+    }
+  }
+  EXPECT_EQ(log.dropped(), 0u);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const auto& [t, job, node, cap] = got[i];
+    EXPECT_EQ(got[i], expected[i])
+        << "event " << i << ": " << std::hexfloat << t << " job " << job
+        << " node " << node << " cap " << cap;
+  }
 }
 
 }  // namespace

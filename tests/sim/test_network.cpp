@@ -3,6 +3,9 @@
 // the SNS policy's optional network reservations.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "sns/app/library.hpp"
 #include "sns/profile/demand.hpp"
 #include "sns/profile/profiler.hpp"
@@ -84,6 +87,32 @@ TEST_F(NetworkTest, NicContentionStretchesCommTime) {
   ASSERT_EQ(duo.jobs[1].placement.nodeCount(), 2);
   ASSERT_LT(duo.jobs[1].start, duo.jobs[0].finish);  // genuinely co-ran
   EXPECT_GT(duo.jobs[0].runTime(), solo.jobs[0].runTime() * 1.03);
+}
+
+TEST_F(NetworkTest, NicContentionCoRunIsBitExact) {
+  // The co-run above is the one configuration in the test matrix where a
+  // node's NIC demand exceeds net_bw_gbps, so the rate derivation takes
+  // the oversubscribed branch (net_over > 1) rather than its exact 1.0
+  // shortcut. Pin its start/finish bits: any change to how net_over is
+  // derived moves them.
+  SimConfig cfg;
+  cfg.nodes = 2;
+  cfg.policy = sched::PolicyKind::kCS;
+  ClusterSimulator sim(est_, lib_, db_, cfg);
+  const auto duo = sim.run(
+      {{"NET", 32, 0.9, 0.0, 1, 0.0}, {"NET", 24, 0.9, 0.0, 1, 0.0}});
+  ASSERT_EQ(duo.jobs.size(), 2u);
+  const std::uint64_t expected[2][2] = {{0x0ull, 0x40863f5b55aa5bb5ull},
+                                        {0x0ull, 0x408296c24c3be14eull}};
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto& j = duo.jobs[i];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(j.start), expected[i][0])
+        << "job " << i << " start " << j.start << " bits 0x" << std::hex
+        << std::bit_cast<std::uint64_t>(j.start);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(j.finish), expected[i][1])
+        << "job " << i << " finish " << j.finish << " bits 0x" << std::hex
+        << std::bit_cast<std::uint64_t>(j.finish);
+  }
 }
 
 TEST_F(NetworkTest, ManagedNetworkAvoidsNicOversubscription) {
