@@ -62,6 +62,12 @@ class SchedulingPolicy {
   xray::ProvenanceStore* provenance() const {
     return xray_ != nullptr ? xray_->provenance() : nullptr;
   }
+  /// Record placement `p` as job `job`'s decision in `prov`, with the
+  /// selection-score breakdown (Co + Bo + beta x Wo, pre-allocation) of
+  /// the winning nodes the store retains.
+  void decide(xray::ProvenanceStore& prov, JobId job,
+              const actuator::ResourceLedger& ledger, const Placement& p,
+              int scale, double beta) const;
   obs::Recorder* rec_ = nullptr;
   xray::Tracer* xray_ = nullptr;
 };

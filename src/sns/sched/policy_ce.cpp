@@ -1,5 +1,7 @@
 #include "sns/sched/policies.hpp"
 
+#include <algorithm>
+
 #include "sns/util/error.hpp"
 
 namespace sns::sched {
@@ -11,6 +13,24 @@ std::string to_string(PolicyKind k) {
     case PolicyKind::kSNS: return "SNS";
   }
   return "unknown";
+}
+
+void SchedulingPolicy::decide(xray::ProvenanceStore& prov, JobId job,
+                              const actuator::ResourceLedger& ledger,
+                              const Placement& p, int scale,
+                              double beta) const {
+  // Wide placements would score every node only for the store to drop
+  // all but the first few, so only those are scored.
+  const std::size_t n = std::min(p.nodes.size(), prov.maxCandidates());
+  std::vector<xray::ScoredNode> scored;
+  scored.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& node = ledger.node(p.nodes[i]);
+    scored.push_back({p.nodes[i], node.score(beta), node.coreOccupancy(),
+                      node.wayOccupancy(), node.bwOccupancy()});
+  }
+  prov.decide(job, xray_->passSimTime(), scale, p.ways, p.procs_per_node,
+              p.bw_gbps, p.exclusive, scored, static_cast<int>(p.nodes.size()));
 }
 
 std::unique_ptr<SchedulingPolicy> makePolicy(PolicyKind kind,
@@ -65,17 +85,7 @@ std::optional<Placement> CePolicy::tryPlace(const Job& job,
                      {1, n, c, 0, 0.0,
                       p.has_value() ? xray::RejectReason::kNone
                                     : xray::RejectReason::kInsufficientResources});
-    if (p.has_value()) {
-      std::vector<xray::ScoredNode> scored;
-      scored.reserve(p->nodes.size());
-      for (int nd : p->nodes) {
-        const auto& node = ledger.node(nd);
-        scored.push_back({nd, node.score(0.0), node.coreOccupancy(),
-                          node.wayOccupancy(), node.bwOccupancy()});
-      }
-      prov->decide(job.id, xray_->passSimTime(), 1, 0, p->procs_per_node, 0.0,
-                   /*exclusive=*/true, scored);
-    }
+    if (p.has_value()) decide(*prov, job.id, ledger, *p, 1, 0.0);
   }
   if (tracing()) {
     const int need = est_->minNodes(job.spec.procs);

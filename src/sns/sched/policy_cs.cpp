@@ -48,15 +48,7 @@ std::optional<Placement> CsPolicy::tryPlace(const Job& job,
     p.exclusive = false;
     if (prov != nullptr) {
       prov->addAttempt(job.id, {k, n, c, 0, 0.0, xray::RejectReason::kNone});
-      std::vector<xray::ScoredNode> scored;
-      scored.reserve(p.nodes.size());
-      for (int nd : p.nodes) {
-        const auto& node = ledger.node(nd);
-        scored.push_back({nd, node.score(0.0), node.coreOccupancy(),
-                          node.wayOccupancy(), node.bwOccupancy()});
-      }
-      prov->decide(job.id, xray_->passSimTime(), k, 0, c, 0.0,
-                   /*exclusive=*/false, scored);
+      decide(*prov, job.id, ledger, p, k, 0.0);
     }
     if (tracing()) {
       std::vector<obs::NodeScore> scored;

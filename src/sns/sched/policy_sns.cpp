@@ -9,25 +9,6 @@
 
 namespace sns::sched {
 
-namespace {
-
-/// Winning nodes with the pre-allocation score breakdown behind the
-/// Co + Bo + beta x Wo selection metric, for the provenance record.
-std::vector<xray::ScoredNode> scoreBreakdown(
-    const actuator::ResourceLedger& ledger, const std::vector<int>& nodes,
-    double beta) {
-  std::vector<xray::ScoredNode> scored;
-  scored.reserve(nodes.size());
-  for (int nd : nodes) {
-    const auto& node = ledger.node(nd);
-    scored.push_back({nd, node.score(beta), node.coreOccupancy(),
-                      node.wayOccupancy(), node.bwOccupancy()});
-  }
-  return scored;
-}
-
-}  // namespace
-
 std::size_t SnsPolicy::DemandKeyHash::operator()(const DemandKey& k) const {
   // splitmix64-style mix over the pointer and the alpha bit pattern.
   std::uint64_t x = reinterpret_cast<std::uintptr_t>(k.sp) ^
@@ -66,11 +47,7 @@ std::optional<Placement> SnsPolicy::tryPlace(const Job& job,
     }
     if (prov != nullptr) {
       prov->noteExploration(job.id, trial, p.has_value());
-      if (p.has_value()) {
-        prov->decide(job.id, xray_->passSimTime(), trial, 0, p->procs_per_node,
-                     0.0, /*exclusive=*/true,
-                     scoreBreakdown(ledger, p->nodes, opts_.beta));
-      }
+      if (p.has_value()) decide(*prov, job.id, ledger, *p, trial, opts_.beta);
     }
     if (tracing()) {
       if (p.has_value()) {
@@ -172,9 +149,7 @@ std::optional<Placement> SnsPolicy::tryPlace(const Job& job,
     if (prov != nullptr) {
       prov->addAttempt(job.id, {k, sp->nodes, request.cores, request.ways,
                                 request.bw_gbps, xray::RejectReason::kNone});
-      prov->decide(job.id, xray_->passSimTime(), k, demand.ways,
-                   sp->procs_per_node, demand.bw_gbps, /*exclusive=*/false,
-                   scoreBreakdown(ledger, p.nodes, opts_.beta));
+      decide(*prov, job.id, ledger, p, k, opts_.beta);
     }
     if (tracing()) {
       // Chosen nodes with the Co + Bo + beta x Wo score they were picked by

@@ -57,6 +57,30 @@ void ProvenanceStore::beginAttempt(std::int64_t job, const std::string& program,
   r.walk.clear();  // the latest attempt's walk is the one explain reports
 }
 
+void ProvenanceStore::replayAttempt(std::int64_t job, std::int64_t source,
+                                    const std::string& program, int procs,
+                                    double sim_time) {
+  // Both slots exist before either is referenced: slot() may grow records_.
+  slot(job);
+  const DecisionRecord& src = slot(source);
+  DecisionRecord& r = records_[static_cast<std::size_t>(job)];
+  SNS_REQUIRE(src.attempts_total > 0, "replayed attempt has no source walk");
+  if (r.attempts_total == 0) {
+    r.job = job;
+    r.program = program;
+    r.procs = procs;
+    r.first_seen = sim_time;
+  }
+  r.alpha = src.alpha;
+  r.beta = src.beta;
+  ++r.attempts_total;
+  if (&r != &src) r.walk.assign(src.walk.begin(), src.walk.end());
+  // A failed exploration trial is the only walk with this reason.
+  for (const ScaleAttempt& a : r.walk) {
+    if (a.reason == RejectReason::kNoIdleNodesForTrial) r.exploration = true;
+  }
+}
+
 void ProvenanceStore::addAttempt(std::int64_t job, const ScaleAttempt& attempt) {
   slot(job).walk.push_back(attempt);
 }
@@ -74,7 +98,8 @@ void ProvenanceStore::noteExploration(std::int64_t job, int trial_scale,
 void ProvenanceStore::decide(std::int64_t job, double sim_time, int scale,
                              int ways, int procs_per_node, double bw_gbps,
                              bool exclusive,
-                             const std::vector<ScoredNode>& scored) {
+                             const std::vector<ScoredNode>& scored,
+                             int chosen_total) {
   DecisionRecord& r = slot(job);
   r.placed = true;
   r.decided = sim_time;
@@ -83,7 +108,7 @@ void ProvenanceStore::decide(std::int64_t job, double sim_time, int scale,
   r.procs_per_node = procs_per_node;
   r.bw_gbps = bw_gbps;
   r.exclusive = exclusive;
-  r.chosen_total = static_cast<int>(scored.size());
+  r.chosen_total = chosen_total;
   r.chosen.assign(scored.begin(),
                   scored.size() > max_candidates_
                       ? scored.begin() + static_cast<std::ptrdiff_t>(max_candidates_)

@@ -100,15 +100,25 @@ class ProvenanceStore {
   /// reports — and stamps first_seen on the first call.
   void beginAttempt(std::int64_t job, const std::string& program, int procs,
                     double alpha, double beta, double sim_time);
+  /// Record a tryPlace invocation answered by the simulator's failed-spec
+  /// memo instead of the policy: `source` failed with the same spec since
+  /// the last change that could unblock it, so the policy would walk the
+  /// same scales to the same rejections. Counts as an attempt exactly like
+  /// beginAttempt() and takes `source`'s walk (and its alpha, beta and
+  /// exploration mark) as this attempt's.
+  void replayAttempt(std::int64_t job, std::int64_t source,
+                     const std::string& program, int procs, double sim_time);
   /// Append one scale-walk step to the open record.
   void addAttempt(std::int64_t job, const ScaleAttempt& attempt);
   /// Record an exploration (exclusive profiling trial) outcome.
   void noteExploration(std::int64_t job, int trial_scale, bool placed);
-  /// Record the winning placement. `scored` carries the chosen nodes with
-  /// their selection-score breakdown; only max_candidates are retained.
+  /// Record the winning placement of `chosen_total` nodes. `scored`
+  /// carries the first of them with their selection-score breakdown; only
+  /// maxCandidates() are retained, so callers need score no more.
   void decide(std::int64_t job, double sim_time, int scale, int ways,
               int procs_per_node, double bw_gbps, bool exclusive,
-              const std::vector<ScoredNode>& scored);
+              const std::vector<ScoredNode>& scored, int chosen_total);
+  std::size_t maxCandidates() const { return max_candidates_; }
   /// Attribute solver-cache activity to a job's deciding dispatch.
   void noteSolverDelta(std::int64_t job, std::uint64_t lookups,
                        std::uint64_t hits);

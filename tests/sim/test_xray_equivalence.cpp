@@ -8,6 +8,9 @@
 #include <vector>
 
 #include "sns/app/library.hpp"
+#include "sns/app/workload_gen.hpp"
+#include "sns/obs/metrics.hpp"
+#include "sns/obs/sink.hpp"
 #include "sns/profile/profiler.hpp"
 #include "sns/sim/cluster_sim.hpp"
 #include "sns/xray/span.hpp"
@@ -101,6 +104,54 @@ TEST_P(XrayEquivalence, TracerOnOffBitIdentical) {
     SCOPED_TRACE("mode " + std::to_string(m));
     expectIdentical(runWith(f, policy, seq, &tracer), off);
     EXPECT_EQ(tracer.passes() > 0, true);
+  }
+}
+
+// Provenance under the failed-spec memo: a memo hit replays the walk of
+// the attempt that recorded the entry, so the store is byte-identical to
+// the one the per-dispatch path records (an event sink turns the memo
+// off), exploration trials included, and the schedule is unchanged.
+TEST_P(XrayEquivalence, ProvenanceUnderSpecMemoMatchesPerDispatch) {
+  auto& f = fixture();
+  const auto [policy, seed] = GetParam();
+  util::Rng rng(seed + 40);
+  const auto seq = app::randomSequence(rng, f.lib, 24, 0.9);
+  // Half the programs unprofiled: online profiling then walks exploration
+  // trials, whose failures the memo answers too.
+  profile::ProfileDatabase partial;
+  for (std::size_t i = 0; i < f.lib.size(); i += 2) {
+    if (const auto* prof = f.db.find(f.lib[i].name, 16)) partial.put(*prof);
+  }
+  for (const bool online : {false, true}) {
+    SCOPED_TRACE(online ? "online profiling" : "full profiles");
+    const profile::ProfileDatabase& db = online ? partial : f.db;
+    SimConfig cfg;
+    cfg.nodes = 8;
+    cfg.policy = policy;
+    cfg.online_profiling = online;
+    const auto run = [&](xray::Tracer& tracer, obs::EventSink* sink,
+                         obs::Registry& metrics) {
+      SimConfig c = cfg;
+      c.xray = &tracer;
+      c.sink = sink;
+      c.metrics = &metrics;
+      ClusterSimulator sim(f.est, f.lib, db, c);
+      return sim.run(seq);
+    };
+    xray::Tracer memo_tracer;
+    obs::Registry memo_metrics;
+    const SimResult memo = run(memo_tracer, nullptr, memo_metrics);
+    xray::Tracer ref_tracer;
+    obs::RingBufferLog log;
+    obs::Registry ref_metrics;
+    const SimResult ref = run(ref_tracer, &log, ref_metrics);
+
+    expectIdentical(memo, ref);
+    EXPECT_EQ(memo_tracer.provenance()->toJson().dump(),
+              ref_tracer.provenance()->toJson().dump());
+    // The memo answered attempts in one run and none in the other.
+    EXPECT_GT(memo_metrics.counter("sim.spec_skips").value(), 0.0);
+    EXPECT_EQ(ref_metrics.counter("sim.spec_skips").value(), 0.0);
   }
 }
 

@@ -26,7 +26,7 @@ ProvenanceStore placedStore() {
   a2.bw_gbps = 3.5;
   store.addAttempt(3, a2);
   store.decide(3, 120.0, 2, 5, 8, 3.5, false,
-               {{1, 0.25, 0.1, 0.2, 0.05}, {4, 0.40, 0.2, 0.3, 0.10}});
+               {{1, 0.25, 0.1, 0.2, 0.05}, {4, 0.40, 0.2, 0.3, 0.10}}, 2);
   store.noteSolverDelta(3, 10, 7);
   return store;
 }
@@ -58,7 +58,8 @@ TEST(Explain, CandidateOverflowNoted) {
   store.beginAttempt(0, "MG", 64, 0.9, 1.0, 0.0);
   store.decide(0, 1.0, 4, 0, 16, 0.0, true,
                {{0, 0, 0, 0, 0}, {1, 0, 0, 0, 0}, {2, 0, 0, 0, 0},
-                {3, 0, 0, 0, 0}});
+                {3, 0, 0, 0, 0}},
+               4);
   const std::string out = renderExplain(store, 0);
   EXPECT_NE(out.find("... 2 more node(s) in the placement"), std::string::npos)
       << out;
@@ -82,7 +83,7 @@ TEST(Explain, ExplorationTrialReported) {
   ProvenanceStore store;
   store.beginAttempt(5, "GAN", 16, 0.9, 1.0, 50.0);
   store.noteExploration(5, 2, true);
-  store.decide(5, 50.0, 2, 0, 8, 0.0, true, {{0, 0, 0, 0, 0}});
+  store.decide(5, 50.0, 2, 0, 8, 0.0, true, {{0, 0, 0, 0, 0}}, 1);
   const std::string out = renderExplain(store, 5);
   EXPECT_NE(out.find("exclusive exploration trial at k=2"), std::string::npos)
       << out;

@@ -33,7 +33,7 @@ TEST(Provenance, RecordsAttemptWalkAndDecision) {
   store.addAttempt(3, a2);
   std::vector<ScoredNode> scored = {{1, 0.25, 0.1, 0.2, 0.05},
                                     {4, 0.40, 0.2, 0.3, 0.10}};
-  store.decide(3, 120.0, 2, 5, 8, 3.5, false, scored);
+  store.decide(3, 120.0, 2, 5, 8, 3.5, false, scored, 2);
   store.noteSolverDelta(3, 10, 7);
 
   EXPECT_TRUE(store.has(3));
@@ -81,7 +81,7 @@ TEST(Provenance, ChosenNodesCappedButTotalKept) {
   store.beginAttempt(0, "MG", 64, 0.9, 1.0, 0.0);
   std::vector<ScoredNode> scored;
   for (int n = 0; n < 5; ++n) scored.push_back({n, 0.1 * n, 0, 0, 0});
-  store.decide(0, 1.0, 4, 0, 16, 0.0, true, scored);
+  store.decide(0, 1.0, 4, 0, 16, 0.0, true, scored, 5);
   const DecisionRecord& r = store.record(0);
   EXPECT_EQ(r.chosen.size(), 2u);
   EXPECT_EQ(r.chosen_total, 5);
