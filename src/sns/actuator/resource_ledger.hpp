@@ -147,13 +147,13 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   std::uint64_t selectionCacheHits() const { return cache_hits_; }
   std::uint64_t selectionCacheMisses() const { return cache_misses_; }
 
-  /// A/B switch (SimOptFlags::parallel_select): shard bucket scans and
-  /// candidate scoring across pool workers when a bucket holds at least
-  /// `min_parallel_nodes` nodes. Shard boundaries are fixed bitmap word
-  /// ranges and the merge concatenates shards in order, so the result is
-  /// identical to the serial scan regardless of worker timing. The pool
-  /// is caller-owned and must outlive the ledger (or be cleared with
-  /// nullptr).
+  /// Sharded search (SimConfig::search_pool, or the simulator's own pool
+  /// on large clusters): shard bucket scans and candidate scoring across
+  /// pool workers when a bucket holds at least `min_parallel_nodes`
+  /// nodes. Shard boundaries are fixed bitmap word ranges and the merge
+  /// concatenates shards in order, so the result is identical to the
+  /// serial scan regardless of worker timing. The pool is caller-owned and
+  /// must outlive the ledger (or be cleared with nullptr).
   void setSearchPool(util::ThreadPool* pool, int min_parallel_nodes = 2048);
 
   /// Monotone counter bumped on every release(), regardless of flags.

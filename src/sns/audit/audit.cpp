@@ -13,6 +13,18 @@ namespace {
 bool near(double a, double b, double rel) {
   return std::abs(a - b) <= rel * std::max(1.0, std::abs(b));
 }
+
+/// Relative tolerance for the cluster-wide bandwidth total: it is the one
+/// cached value that legitimately accumulates floating-point drift (at
+/// most one ulp per allocate/release; integers are exact).
+constexpr double kBwTotalRelEps = 1e-9;
+
+/// Relative tolerance for the flight ledger's accumulated sums (closure
+/// residual, work conservation, axis totals): thousands of interval
+/// closes accumulate FP dust proportional to the job's runtime scale. A
+/// dropped or double-counted interval exceeds this by many orders of
+/// magnitude.
+constexpr double kFlightRelEps = 1e-6;
 }  // namespace
 
 void Auditor::check(bool ok_cond, std::string_view check_name, double observed,
@@ -80,7 +92,7 @@ std::size_t Auditor::auditLedger(const actuator::ResourceLedger& ledger) {
           static_cast<double>(ways) / mach.llc_ways,
           tag("cached way occupancy is not the recomputed fraction"));
     check(near(node.bwOccupancy(), bw / mach.peakBandwidth(),
-               cfg_.bw_total_rel_eps),
+               kBwTotalRelEps),
           "ledger.node_bw_occ", node.bwOccupancy(), bw / mach.peakBandwidth(),
           tag("cached bandwidth occupancy drifted beyond ulp tolerance"));
     check(node.hasExclusiveJob() == exclusive, "ledger.node_exclusive",
@@ -129,7 +141,7 @@ std::size_t Auditor::auditLedger(const actuator::ResourceLedger& ledger) {
   // current total, which can legitimately sit near zero on an idle cluster.
   const double bw_capacity = mach.peakBandwidth() * ledger.nodeCount();
   check(std::abs(ledger.cachedTotalBwReserved() - sum_bw) <=
-            cfg_.bw_total_rel_eps * std::max(1.0, bw_capacity),
+            kBwTotalRelEps * std::max(1.0, bw_capacity),
         "ledger.bw_total", ledger.cachedTotalBwReserved(), sum_bw,
         "cached cluster bandwidth total drifted beyond ulp tolerance");
   check(ledger.idleNodeCount() == idle_nodes, "ledger.idle_nodes",
@@ -201,7 +213,6 @@ std::size_t Auditor::auditTimeSeries(const telemetry::TimeSeriesStore& store) {
 std::size_t Auditor::auditFinishCalendar(
     const sched::FinishCalendar& cal,
     const std::vector<std::pair<sched::JobId, double>>& expected) {
-  if (!cfg_.check_calendar) return 0;
   const std::uint64_t before = total_violations_;
 
   // Structural self-check: heap order on every edge, position/key table
@@ -320,7 +331,6 @@ std::size_t Auditor::auditCorunGroups(
 }
 
 std::size_t Auditor::auditFlightLedger(const flight::FlightRecorder& fr) {
-  if (!cfg_.check_flight) return 0;
   const std::uint64_t before = total_violations_;
 
   for (const flight::JobRollup& jr : fr.jobs()) {
@@ -336,7 +346,7 @@ std::size_t Auditor::auditFlightLedger(const flight::FlightRecorder& fr) {
     // accumulators sum one term per interval close, each O(runtime).
     const double scale =
         std::max({1.0, jr.actual, jr.t_solo, std::abs(jr.attributed)});
-    const double tol = cfg_.flight_rel_eps * scale;
+    const double tol = kFlightRelEps * scale;
 
     // Coverage chain, bit-exact: the first interval opens at the start
     // instant and (when any interval closed at all) the last closes at the
@@ -364,7 +374,7 @@ std::size_t Auditor::auditFlightLedger(const flight::FlightRecorder& fr) {
 
     // Work conservation: interval work fractions telescope to exactly the
     // job's one unit of work.
-    check(std::abs(jr.work - 1.0) <= cfg_.flight_rel_eps, "flight.work",
+    check(std::abs(jr.work - 1.0) <= kFlightRelEps, "flight.work",
           jr.work, 1.0, tag("interval work fractions do not sum to 1"));
 
     // Axis decompositions: both the resource split and the co-runner
@@ -403,10 +413,9 @@ std::size_t Auditor::auditSchedulerState(
     const actuator::ResourceLedger& ledger, const sched::JobQueue& queue,
     const perfmodel::SolverCache& cache) {
   ++passes_run_;
-  std::size_t found = 0;
-  if (cfg_.check_ledger) found += auditLedger(ledger);
-  if (cfg_.check_queue) found += auditQueue(queue);
-  if (cfg_.check_solver_cache) found += auditSolverCache(cache);
+  std::size_t found = auditLedger(ledger);
+  found += auditQueue(queue);
+  found += auditSolverCache(cache);
   return found;
 }
 

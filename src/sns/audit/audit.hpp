@@ -48,27 +48,6 @@ struct AuditorConfig {
   /// Throw AuditError on the first violation (after recording and
   /// emitting it) instead of accumulating. `uberun audit` runs fail-fast.
   bool fail_fast = false;
-  bool check_ledger = true;
-  bool check_queue = true;
-  bool check_solver_cache = true;
-  /// Finish-time calendar (simulator event engine): heap structure plus
-  /// key-by-key agreement with an independently recomputed expected set.
-  bool check_calendar = true;
-  /// Flight-recorder reconciliation: every job's attributed
-  /// slowdown-seconds ledger must account for its actual − solo runtime
-  /// (bit-exact replay of the recorder's closure arithmetic, bounded FP
-  /// dust on the accumulated sums). Runs once per simulation, post-run.
-  bool check_flight = true;
-  /// Relative tolerance for the flight ledger's accumulated sums (closure
-  /// residual, work conservation, axis totals): thousands of interval
-  /// closes accumulate FP dust proportional to the job's runtime scale. A
-  /// dropped or double-counted interval exceeds this by many orders of
-  /// magnitude.
-  double flight_rel_eps = 1e-6;
-  /// Relative tolerance for the cluster-wide bandwidth total: it is the
-  /// one cached value that legitimately accumulates floating-point drift
-  /// (at most one ulp per allocate/release; integers are exact).
-  double bw_total_rel_eps = 1e-9;
   /// Retain at most this many violations verbatim (the counter keeps
   /// counting past it, so a corrupt long run cannot exhaust memory).
   std::size_t max_recorded = 256;
@@ -145,7 +124,7 @@ class Auditor {
   std::size_t auditFlightLedger(const flight::FlightRecorder& fr);
 
   /// The per-scheduling-point bundle ClusterSimulator drives: ledger +
-  /// queue + solver cache, honoring the per-family config toggles.
+  /// queue + solver cache.
   std::size_t auditSchedulerState(const actuator::ResourceLedger& ledger,
                                   const sched::JobQueue& queue,
                                   const perfmodel::SolverCache& cache);

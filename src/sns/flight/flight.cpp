@@ -230,7 +230,7 @@ void FlightRecorder::onFinish(JobId id, double now) {
   jr.stretch = jr.t_solo > kMinSoloRuntime ? jr.actual / jr.t_solo : 1.0;
   jr.bound = jr.alpha > 0.0 ? 1.0 / jr.alpha
                             : std::numeric_limits<double>::infinity();
-  jr.bound_violated = jr.stretch > jr.bound + cfg_.bound_eps;
+  jr.bound_violated = jr.stretch > jr.bound + kBoundSlack;
 }
 
 void FlightRecorder::endRun(double makespan) {

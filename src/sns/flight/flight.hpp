@@ -13,6 +13,11 @@ namespace sns::flight {
 
 using JobId = std::int64_t;  ///< dense per-run id, same domain as sched::JobId
 
+/// Slack on the degradation bound: a job violates it when stretch >
+/// 1/alpha + kBoundSlack. Shared by the recorder's census and
+/// sim::thresholdViolations, so the two agree job for job.
+constexpr double kBoundSlack = 1e-12;
+
 /// Recorder knobs.
 struct FlightConfig {
   /// Retained co-residency intervals per job. When a job's interval list
@@ -22,10 +27,6 @@ struct FlightConfig {
   /// >= 4. The per-job rollup ledgers (the reconciliation-invariant
   /// domain) are never compacted — only this visualization store is.
   std::size_t interval_budget = 64;
-  /// Slack on the degradation-bound census: a job violates its bound when
-  /// stretch > 1/alpha + bound_eps (same epsilon as
-  /// sim::thresholdViolations, so the census and the paper metric agree).
-  double bound_eps = 1e-12;
 };
 
 /// One retained co-residency span of one job: the co-run group on the
@@ -104,7 +105,7 @@ struct JobRollup {
 struct Census {
   std::size_t jobs = 0;
   std::size_t finished = 0;
-  std::size_t violations = 0;  ///< stretch > 1/alpha + bound_eps
+  std::size_t violations = 0;  ///< stretch > 1/alpha + kBoundSlack
   double total_attributed = 0.0;
   double total_llc = 0.0;
   double total_membw = 0.0;

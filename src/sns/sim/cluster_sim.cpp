@@ -21,21 +21,10 @@ namespace sns::sim {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Implements the legacy SimConfig::on_start / on_finish hooks on top of
-/// the structured event stream: job_started / job_finished events are
-/// replayed as callbacks carrying the up-to-date JobRecord.
-struct LegacyHookSink final : obs::EventSink {
-  const SimConfig* cfg = nullptr;
-  const std::vector<JobRecord>* records = nullptr;
-
-  void record(const obs::Event& e) override {
-    if (e.type == obs::EventType::kJobStarted) {
-      if (cfg->on_start) cfg->on_start((*records)[static_cast<std::size_t>(e.job)]);
-    } else if (e.type == obs::EventType::kJobFinished) {
-      if (cfg->on_finish) cfg->on_finish((*records)[static_cast<std::size_t>(e.job)]);
-    }
-  }
-};
+/// Cluster size at which the simulator owns a search pool, and the bucket
+/// size at which that pool shards a scan: below it, handing work to the
+/// pool costs more than the scan.
+constexpr int kParallelMinNodes = 2048;
 }  // namespace
 
 ClusterSimulator::ClusterSimulator(const perfmodel::Estimator& est,
@@ -48,8 +37,7 @@ ClusterSimulator::ClusterSimulator(const perfmodel::Estimator& est,
       ledger_(cfg.nodes, est.machine()),
       solve_cache_(est.solver()) {
   SNS_REQUIRE(cfg.nodes >= 1, "simulator needs at least one node");
-  if (cfg_.opt.parallel_select && cfg_.search_pool == nullptr &&
-      cfg_.nodes >= cfg_.opt.parallel_min_candidates &&
+  if (cfg_.search_pool == nullptr && cfg_.nodes >= kParallelMinNodes &&
       std::thread::hardware_concurrency() > 1) {
     // Cap the pool: candidate scans are memory-bound, workers past a few
     // stop helping while the ordered merge cost keeps growing with shard
@@ -114,10 +102,10 @@ ClusterSimulator::ClusterSimulator(const perfmodel::Estimator& est,
 ClusterSimulator::~ClusterSimulator() = default;
 
 void ClusterSimulator::attachSearchPool() {
-  if (cfg_.opt.parallel_select) {
-    util::ThreadPool* pool =
-        cfg_.search_pool != nullptr ? cfg_.search_pool : owned_pool_.get();
-    ledger_.setSearchPool(pool, cfg_.opt.parallel_min_candidates);
+  if (cfg_.search_pool != nullptr) {
+    ledger_.setSearchPool(cfg_.search_pool, 1);
+  } else {
+    ledger_.setSearchPool(owned_pool_.get(), kParallelMinNodes);
   }
 }
 
@@ -714,8 +702,6 @@ void ClusterSimulator::startJob(const sched::Job& job, const sched::Placement& p
                          r.comp_time_solo, r.comm_data_time, r.wait_time,
                          r.solo_rate, job.spec.alpha);
   }
-  // job_started drives the legacy on_start hook through the adapter sink,
-  // so the record must be complete before emission.
   rec_.jobStarted(job.id, job.spec.program,
                   p.nodes.empty() ? -1 : p.nodes.front(), p.nodeCount(),
                   p.ways, p.scale_factor, p.exclusive);
@@ -1119,35 +1105,19 @@ void ClusterSimulator::accumulate(double t0, double t1) {
 
 SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
   SNS_REQUIRE(!jobs.empty(), "run() needs at least one job");
-  // Wire the event stream for this run: the configured sink, plus — when
-  // the legacy callbacks are set — an adapter sink that replays
-  // job_started / job_finished back into them. All three live on the
-  // stack; the recorder is detached again below.
-  LegacyHookSink legacy;
-  obs::TeeSink tee;
-  obs::EventSink* effective = cfg_.sink;
-  if (cfg_.on_start || cfg_.on_finish) {
-    legacy.cfg = &cfg_;
-    legacy.records = &records_;
-    if (effective != nullptr) {
-      tee.add(effective);
-      tee.add(&legacy);
-      effective = &tee;
-    } else {
-      effective = &legacy;
-    }
-  }
-  rec_.setSink(effective);
+  // Wire the event stream for this run; the recorder is detached again
+  // below.
+  rec_.setSink(cfg_.sink);
   rec_.setTime(0.0);
 #if SNS_AUDIT_ENABLED
   // Audit violations ride the same per-run event stream as every other
   // decision event, so they land in traces, reports and the ring buffer.
   if (cfg_.auditor != nullptr) cfg_.auditor->setRecorder(&rec_);
 #endif
-  // Detach the per-run sink chain (tee / legacy adapter live on this
-  // frame) on every exit path: a fail-fast auditor leaves run() by
-  // throwing AuditError, and neither the recorder nor the auditor may
-  // keep pointing into this frame afterwards.
+  // Detach the recorder from the sink and the auditor from the recorder on
+  // every exit path: a fail-fast auditor leaves run() by throwing
+  // AuditError, and neither may keep pointing at this run's observers
+  // afterwards.
   struct SinkGuard {
     ClusterSimulator* sim;
     ~SinkGuard() {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -31,27 +30,13 @@ class FlightRecorder;
 
 namespace sns::sim {
 
-struct JobRecord;
-
-/// Threading knobs of the simulator. Every hot-path optimization is the
-/// simulator's one implementation, not a switch: golden SimResult digests
+/// Simulator knobs. Every hot-path optimization is the simulator's one
+/// implementation, not a switch: golden SimResult digests
 /// (tests/sim/test_golden_digests.cpp) and the sns::audit invariants pin
 /// its behaviour. See DESIGN.md "Simulator performance architecture".
-struct SimOptFlags {
-  /// Parallel placement search: shard large bucket scans and candidate
-  /// scoring across util::ThreadPool workers with fixed shard boundaries
-  /// and an ordered merge — results are bit-identical to the serial scan
-  /// regardless of worker timing. Engages only when the cluster has at
-  /// least `parallel_min_candidates` nodes and the host has >1 hardware
-  /// thread (or SimConfig::search_pool is injected).
-  bool parallel_select = true;
-  /// Minimum bucket/candidate size before parallel_select shards a scan
-  /// (below it, handing work to the pool costs more than the scan).
-  /// Tests set 1 to force the parallel path on small clusters.
-  int parallel_min_candidates = 2048;
-};
-
-/// Simulator knobs.
+///
+/// The six observer pointers (sink, metrics, sampler, xray, auditor,
+/// flight) are the only way an observer attaches to a run.
 struct SimConfig {
   int nodes = 8;                    ///< cluster size
   sched::PolicyKind policy = sched::PolicyKind::kSNS;
@@ -74,14 +59,15 @@ struct SimConfig {
   /// PMU/episode knobs of the online monitor.
   profile::ProfilerConfig monitor;
   sched::SnsPolicy::Options sns;    ///< SNS-specific options
-  /// Threading knobs (results identical for every setting).
-  SimOptFlags opt;
-  /// Worker pool for opt.parallel_select. Null (the default) lets the
-  /// simulator create its own pool when the cluster is large enough and
-  /// the host is multi-core; tests inject a pool here (with
-  /// opt.parallel_min_candidates = 1) to force the sharded path on any
-  /// host. Caller-owned, must outlive run(); ignored when
-  /// opt.parallel_select is off.
+  /// Worker pool for the sharded placement search: large bucket scans and
+  /// candidate scoring split across util::ThreadPool workers with fixed
+  /// shard boundaries and an ordered merge, so results are bit-identical
+  /// to the serial scan regardless of worker timing. Null (the default)
+  /// lets the simulator own a pool when the cluster has at least 2048
+  /// nodes and the host has more than one hardware thread; it then shards
+  /// buckets of 2048+ nodes. An injected pool shards every scan — tests
+  /// use it to force the sharded path on small clusters. Caller-owned,
+  /// must outlive run().
   util::ThreadPool* search_pool = nullptr;
   /// Structured decision trace (sns::obs): every scheduling attempt,
   /// placement, way donation, backfill skip and job start/finish is
@@ -137,15 +123,6 @@ struct SimConfig {
   /// run(); run() calls beginRun() itself, so reuse needs no manual
   /// reset.
   flight::FlightRecorder* flight = nullptr;
-  /// Legacy observation hooks for orchestration layers (launch planning,
-  /// drift monitors). They are implemented *on top of* the event stream:
-  /// an internal adapter sink turns job_started / job_finished events back
-  /// into callbacks, so on_start fires right after resources are
-  /// allocated and on_finish right after the record is finalized and
-  /// before resources are released. Both receive the up-to-date
-  /// JobRecord. New code should prefer `sink`.
-  std::function<void(const JobRecord&)> on_start;
-  std::function<void(const JobRecord&)> on_finish;
 };
 
 /// Everything recorded about one job.
@@ -515,16 +492,15 @@ class ClusterSimulator {
   std::vector<std::uint32_t> node_stamp_;
   std::uint32_t node_stamp_epoch_ = 0;
   bool defer_refresh_ = false;
-  /// Pool owned by the simulator when cfg_.search_pool is null but
-  /// opt.parallel_select applies (large cluster, multi-core host).
+  /// Pool owned by the simulator when cfg_.search_pool is null on a large
+  /// cluster and a multi-core host.
   std::unique_ptr<util::ThreadPool> owned_pool_;
   /// Ledger selection-cache counter values already published to metrics.
   std::uint64_t select_hits_seen_ = 0;
   std::uint64_t select_misses_seen_ = 0;
 
   /// Decision tracing + metrics (sns::obs). The recorder's sink is wired
-  /// per run(): the configured sink plus, when legacy callbacks are set,
-  /// an adapter that replays job events into them.
+  /// per run() to the configured sink.
   obs::Recorder rec_;
   std::vector<double> node_donated_;  ///< last observed donated ways per node
   telemetry::ClusterSample sample_scratch_;  ///< hoisted sampler snapshot

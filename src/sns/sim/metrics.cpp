@@ -1,5 +1,6 @@
 #include "sns/sim/metrics.hpp"
 
+#include "sns/flight/flight.hpp"
 #include "sns/util/error.hpp"
 #include "sns/util/stats.hpp"
 
@@ -61,7 +62,7 @@ int thresholdViolations(const SimResult& test, const SimResult& base, double alp
   const auto ratios = runTimeRatios(test, base);
   int n = 0;
   for (double r : ratios) {
-    if (r > 1.0 / alpha + 1e-12) ++n;
+    if (r > 1.0 / alpha + flight::kBoundSlack) ++n;
   }
   return n;
 }

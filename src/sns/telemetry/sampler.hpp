@@ -16,15 +16,13 @@ struct SamplerConfig {
   /// Sample cadence in (producer) seconds. Samples land exactly on
   /// multiples of the period, so series from different runs align.
   double period_s = 1.0;
-  /// Retained points per series (the TimeSeriesStore budget is set by the
-  /// store owner; this is only used by standalone constructors).
-  std::size_t series_budget = 512;
-  /// Record one series per node (node.core_occ{node=i}) only when the
-  /// cluster has at most this many nodes; beyond it, the cross-node
-  /// min/mean/max aggregate series stand in. 32K per-node series would
-  /// dwarf the simulation itself.
-  int per_node_limit = 64;
 };
+
+/// Record one series per node (node.core_occ{node=i}) only when the
+/// cluster has at most this many nodes; beyond it, the cross-node
+/// min/mean/max aggregate series stand in. 32K per-node series would
+/// dwarf the simulation itself.
+constexpr int kPerNodeLimit = 64;
 
 /// Periodic cluster-state sampler: the producer (the simulator's event
 /// loop, or UberunSystem on the wall clock) offers its current state via
@@ -54,7 +52,7 @@ class SNS_THREAD_COMPATIBLE Sampler {
   bool due(double now) const { return now + 1e-12 >= next_; }
 
   /// Should the producer fill ClusterSample::node_core_occ?
-  bool wantsPerNode(int nodes) const { return nodes <= cfg_.per_node_limit; }
+  bool wantsPerNode(int nodes) const { return nodes <= kPerNodeLimit; }
 
   /// Record `s` at every period boundary in (last sampled, now]. The
   /// sample's own `time` field is ignored; each tick is stamped with its

@@ -1,14 +1,32 @@
 #include "sns/uberun/system.hpp"
 
 #include <chrono>
+#include <cstdint>
 #include <map>
+#include <utility>
 
 #include "sns/app/comm.hpp"
+#include "sns/obs/sink.hpp"
 #include "sns/perfmodel/pmu.hpp"
 #include "sns/util/error.hpp"
 #include "sns/util/table.hpp"
 
 namespace sns::uberun {
+
+namespace {
+/// Records the run's (job_started | job_finished, job) sequence, so
+/// process() can replay it against the final job records after run().
+class JobEventLog final : public obs::EventSink {
+ public:
+  void record(const obs::Event& e) override {
+    if (e.type == obs::EventType::kJobStarted ||
+        e.type == obs::EventType::kJobFinished) {
+      events.emplace_back(e.type, e.job);
+    }
+  }
+  std::vector<std::pair<obs::EventType, std::int64_t>> events;
+};
+}  // namespace
 
 UberunSystem::UberunSystem(const perfmodel::Estimator& est,
                            const std::vector<app::ProgramModel>& library,
@@ -23,11 +41,7 @@ SystemReport UberunSystem::process(const std::vector<app::JobSpec>& jobs) {
 
   auto logf = [&](std::string line) { report.events.push_back(std::move(line)); };
 
-  sim::SimConfig sim_cfg = cfg_.sim;
-  sim_cfg.sink = cfg_.sink;
-  sim_cfg.metrics = cfg_.metrics;
-  sim_cfg.sampler = cfg_.sampler;
-  sim_cfg.on_start = [&](const sim::JobRecord& rec) {
+  auto start_job = [&](const sim::JobRecord& rec) {
     sched::Job job;
     job.id = rec.id;
     job.spec = rec.spec;
@@ -40,7 +54,7 @@ SystemReport UberunSystem::process(const std::vector<app::JobSpec>& jobs) {
          std::to_string(rec.placement.ways) + " ways" +
          (rec.placement.exclusive ? ", exclusive" : ""));
   };
-  sim_cfg.on_finish = [&](const sim::JobRecord& rec) {
+  auto finish_job = [&](const sim::JobRecord& rec) {
     planner.release(rec.id, rec.placement);
     logf("t=" + util::fmt(rec.finish, 1) + " finish job " +
          std::to_string(rec.id) + " (" + rec.spec.program + ") after " +
@@ -75,20 +89,41 @@ SystemReport UberunSystem::process(const std::vector<app::JobSpec>& jobs) {
     }
   };
 
+  // The launch actuators and the drift monitor consume the run's job
+  // starts and finishes in event order. Each reads only record fields
+  // that are final by the time its event fires (placement and start at
+  // job_started, finish at job_finished), so replaying the recorded
+  // sequence against the finished schedule makes the same calls, in the
+  // same order, on the same values.
+  JobEventLog job_events;
+  obs::TeeSink tee;
+  tee.add(cfg_.sim.sink);
+  tee.add(&job_events);
+  sim::SimConfig sim_cfg = cfg_.sim;
+  sim_cfg.sink = &tee;
+
   sim_ = std::make_unique<sim::ClusterSimulator>(*est_, *library_, *db_, sim_cfg);
   // Real elapsed time of the batch, reported as telemetry alongside the
   // virtual clock; scheduling itself runs on simulated time only.
   const auto wall_begin = std::chrono::steady_clock::now();  // snslint: allow(wall-clock)
   report.schedule = sim_->run(jobs);
-  if (cfg_.sampler != nullptr) {
+  for (const auto& [type, id] : job_events.events) {
+    const sim::JobRecord& rec = report.schedule.jobs[static_cast<std::size_t>(id)];
+    if (type == obs::EventType::kJobStarted) {
+      start_job(rec);
+    } else {
+      finish_job(rec);
+    }
+  }
+  if (cfg_.sim.sampler != nullptr) {
     // Wall clock alongside the virtual clock: one point per batch, stamped
     // with the batch's virtual makespan so it aligns with the other series.
     const double wall_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() -  // snslint: allow(wall-clock)
                               wall_begin)
                               .count();
-    cfg_.sampler->recordScalar("uberun.batch_wall_s", report.schedule.makespan,
-                               wall_s);
+    cfg_.sim.sampler->recordScalar("uberun.batch_wall_s",
+                                   report.schedule.makespan, wall_s);
   }
 
   for (const auto& [key, det] : monitors) {

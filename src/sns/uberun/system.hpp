@@ -11,7 +11,14 @@ namespace sns::uberun {
 
 /// Knobs of the whole Uberun stack.
 struct UberunConfig {
-  sim::SimConfig sim;                ///< cluster + policy + monitor knobs
+  /// Cluster + policy + monitor knobs. Observers attach here, exactly as
+  /// on a bare simulator: a `sim.sink` sees the full decision event
+  /// stream (a superset of SystemReport::events), `sim.metrics` the
+  /// "sim.*" metrics. A `sim.sampler` ticks on the simulator's virtual
+  /// clock during process() and additionally receives the wall-clock
+  /// duration of each batch as the `uberun.batch_wall_s` series, so
+  /// deployment-side dashboards see both clocks.
+  sim::SimConfig sim;
   profile::DriftConfig drift;        ///< §5.2 re-profiling trigger
   std::string hostname_prefix = "node";
   /// Per finished run, how many drift episodes the sustained monitor feeds
@@ -19,20 +26,6 @@ struct UberunConfig {
   int drift_episodes_per_run = 6;
   /// PMU noise of the sustained production monitor.
   double monitor_noise = 0.02;
-  /// Structured observability (sns::obs), forwarded to the embedded
-  /// simulator: the full decision event stream and the "sim.*" metrics.
-  /// The human-readable SystemReport::events log is itself derived from
-  /// this stream (via the simulator's legacy-hook adapter), so a sink
-  /// attached here sees a superset of what the report prints. Both are
-  /// caller-owned and may be null.
-  obs::EventSink* sink = nullptr;
-  obs::Registry* metrics = nullptr;
-  /// Time-series telemetry (sns::telemetry), forwarded to the embedded
-  /// simulator. The sampler ticks on the simulator's virtual clock during
-  /// process(); in addition the system records the wall-clock duration of
-  /// each batch as the `uberun.batch_wall_s` series, so deployment-side
-  /// dashboards see both clocks. Caller-owned, may be null.
-  telemetry::Sampler* sampler = nullptr;
 };
 
 /// Output of one batch: the schedule, the concrete launch plans in start

@@ -1,5 +1,5 @@
 // Unit tests for the ledger's incremental candidate pruning (the selection
-// cache) and the sharded parallel scan (parallel_select). Both are
+// cache) and the sharded parallel scan (setSearchPool). Both are
 // bit-identity optimizations: every cached or sharded answer must equal
 // the one a fresh serial scan returns.
 #include <gtest/gtest.h>

@@ -216,13 +216,6 @@ TEST_F(AuditorTest, CalendarDisagreementsAreCaught) {
     if (v.check == "calendar.size") spurious = true;
   }
   EXPECT_TRUE(spurious) << a3.report();
-
-  // check_calendar = false disables the whole family.
-  AuditorConfig cfg;
-  cfg.check_calendar = false;
-  Auditor off(cfg);
-  EXPECT_EQ(off.auditFinishCalendar(cal, {{1, 0.0}}), 0u);
-  EXPECT_TRUE(off.ok());
 }
 
 TEST_F(AuditorTest, CorunGroupTableAuditsCleanAndCatchesDrift) {

@@ -1,7 +1,7 @@
 // Equivalence suite for the simulator's internal paths. The batched
 // fast path (failed-spec memo, deferred end-of-pass rate refresh,
 // futile-pass gate) disengages whenever an observer needs per-dispatch
-// fidelity, and parallel_select shards candidate scans across a pool;
+// fidelity, and an injected search pool shards candidate scans;
 // each alternative must reproduce the plain run bit-for-bit — exact double
 // comparisons, no tolerances — across policies, seeds, trace-style
 // ce_time_override jobs, and monitored runs (which exercise the dense
@@ -99,21 +99,15 @@ SimResult runPerDispatch(const Fixture& f, SimConfig cfg,
   return runWith(f, cfg, seq);
 }
 
-/// Sharded candidate scans on any host: an injected pool plus
-/// parallel_min_candidates = 1 sends every bucket scan and score fill
-/// through the pool.
+/// Sharded candidate scans on any host: an injected pool sends every
+/// bucket scan and score fill through the pool. Without one, these
+/// 4-8 node clusters are far below the size at which the simulator owns
+/// a pool, so the plain run is the serial reference.
 SimResult runSharded(const Fixture& f, SimConfig cfg,
                      const std::vector<app::JobSpec>& seq) {
   util::ThreadPool pool(3);
   cfg.search_pool = &pool;
-  cfg.opt.parallel_min_candidates = 1;
   return runWith(f, cfg, seq);
-}
-
-/// Serial selection: the reference for the sharded scan.
-SimConfig serial(SimConfig cfg) {
-  cfg.opt.parallel_select = false;
-  return cfg;
 }
 
 // The batched fast path (the optimized arm) against the per-dispatch path
@@ -142,7 +136,7 @@ TEST_P(OptimizedVsLegacy, EachFlagAloneBitIdentical) {
   const auto seq = app::randomSequence(rng, f.lib, 12, 0.9);
 
   const SimConfig cfg = baseConfig(policy, /*monitored=*/false);
-  const SimResult ref = runWith(f, serial(cfg), seq);
+  const SimResult ref = runWith(f, cfg, seq);
 
   for (bool recorded : {false, true}) {
     flight::FlightRecorder fr;
@@ -238,7 +232,7 @@ TEST(SimEquivalence, ParallelSelectPoolBitIdentical) {
        {sched::PolicyKind::kCE, sched::PolicyKind::kCS, sched::PolicyKind::kSNS}) {
     const SimConfig cfg = baseConfig(policy, /*monitored=*/true);
     SCOPED_TRACE(sched::to_string(policy));
-    expectIdentical(runSharded(f, cfg, seq), runWith(f, serial(cfg), seq));
+    expectIdentical(runSharded(f, cfg, seq), runWith(f, cfg, seq));
   }
 }
 

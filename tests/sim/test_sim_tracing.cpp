@@ -68,29 +68,6 @@ TEST_F(SimTracingTest, EventStreamCoversEveryJobInOrder) {
   for (const auto& [job, s] : stage) EXPECT_EQ(s, 3) << "job " << job;
 }
 
-TEST_F(SimTracingTest, LegacyHooksStillFireAlongsideSink) {
-  obs::NullSink sink;
-  int started = 0, finished = 0;
-  SimConfig cfg;
-  cfg.nodes = 4;
-  cfg.policy = sched::PolicyKind::kCS;
-  cfg.sink = &sink;
-  cfg.on_start = [&](const JobRecord& r) {
-    ++started;
-    EXPECT_GE(r.start, 0.0);
-  };
-  cfg.on_finish = [&](const JobRecord& r) {
-    ++finished;
-    EXPECT_TRUE(r.completed());
-  };
-  ClusterSimulator sim(est_, lib_, db_, cfg);
-  const auto res = sim.run(smallWorkload());
-  EXPECT_EQ(started, static_cast<int>(res.jobs.size()));
-  EXPECT_EQ(finished, static_cast<int>(res.jobs.size()));
-  // The adapter feeds the hooks from the same stream the sink sees.
-  EXPECT_GT(sink.count(), 0u);
-}
-
 TEST_F(SimTracingTest, RegistryCountsMatchResult) {
   obs::Registry reg;
   SimConfig cfg;

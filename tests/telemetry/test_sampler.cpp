@@ -103,7 +103,6 @@ TEST(Sampler, PerNodeSeriesAndAggregates) {
 TEST(Sampler, WantsPerNodeHonorsLimit) {
   TimeSeriesStore store(64);
   SamplerConfig cfg;
-  cfg.per_node_limit = 64;
   Sampler sampler(store, cfg);
   EXPECT_TRUE(sampler.wantsPerNode(8));
   EXPECT_TRUE(sampler.wantsPerNode(64));
