@@ -24,39 +24,73 @@ struct NodeAllocation {
   double net_gbps = 0.0;
 };
 
-/// Per-node resource accounting + CAT semantics: way partitioning with the
-/// hardware's constraints (minimum 2 ways per partition for associativity,
-/// at most 16 partitions, §5.1) and the SNS policy of donating unallocated
-/// ways to residents in equal shares, reclaimed when a new job arrives
-/// (§4.4).
+/// What every node of one co-run group holds alike. SNS places a job with
+/// one allocation on every node it spreads to (§4.4), so a node's resident
+/// list — and with it every integer total, the exclusive flag and the
+/// core/way occupancy fractions — is a function of its group. The ledger
+/// keeps one GroupState per distinct ordered resident list
+/// (ResourceLedger::Group); only the two bandwidth sums stay per node.
+struct GroupState {
+  /// (job, allocation) in arrival order on the node.
+  std::vector<std::pair<JobId, NodeAllocation>> residents;
+  int cores_used = 0;
+  int ways_reserved = 0;
+  /// Residents holding a CAT partition (ways > 0, not exclusive).
+  int partitioned = 0;
+  bool exclusive = false;
+  double occ_cores = 0.0;  ///< cores_used / cores
+  double occ_ways = 0.0;   ///< ways_reserved / llc_ways
+};
+
+/// The node-independent half of NodeLedger::fits(): exclusivity, cores,
+/// the CAT partition count and ways. Only the bandwidth and NIC checks
+/// read per-node state.
+inline bool groupAdmits(const GroupState& g, const hw::MachineConfig& mach,
+                        const NodeAllocation& r) {
+  if (g.exclusive) return false;  // resident exclusive job blocks all
+  if (r.exclusive && !g.residents.empty()) return false;
+  if (r.cores > mach.cores - g.cores_used) return false;
+  if (r.ways > 0 && static_cast<int>(g.residents.size()) >= mach.max_llc_partitions) {
+    return false;
+  }
+  if (r.ways > mach.llc_ways - g.ways_reserved) return false;
+  return true;
+}
+
+/// Read-only view of one node's resource accounting, returned by value
+/// from ResourceLedger::node(): the node's co-run group state plus its
+/// own bandwidth and NIC reservation sums. CAT semantics: way partitioning
+/// with the hardware's constraints (minimum 2 ways per partition for
+/// associativity, at most 16 partitions, §5.1) and the SNS policy of
+/// donating unallocated ways to residents in equal shares, reclaimed when
+/// a new job arrives (§4.4). A view (and any reference it hands out) is
+/// valid until the ledger's next allocate/release.
 class NodeLedger {
  public:
-  explicit NodeLedger(const hw::MachineConfig& mach)
-      : mach_(&mach), peak_bw_(mach.peakBandwidth()) {}
+  NodeLedger(const GroupState& group, double bw_reserved, double net_reserved,
+             const hw::MachineConfig& mach, double peak_bw)
+      : g_(&group), mach_(&mach), peak_bw_(peak_bw), bw_(bw_reserved),
+        net_(net_reserved) {}
 
   // ---- capacity queries -----------------------------------------------------
-  int idleCores() const { return mach_->cores - cores_used_; }
-  int freeWays() const { return mach_->llc_ways - ways_reserved_; }
-  double freeBandwidth() const { return peak_bw_ - bw_reserved_; }
-  double freeNetwork() const { return mach_->net_bw_gbps - net_reserved_; }
-  int jobCount() const { return static_cast<int>(allocs_.size()); }
-  bool idle() const { return allocs_.empty(); }
-  bool hasExclusiveJob() const { return exclusive_; }
+  int idleCores() const { return mach_->cores - g_->cores_used; }
+  int freeWays() const { return mach_->llc_ways - g_->ways_reserved; }
+  double freeBandwidth() const { return peak_bw_ - bw_; }
+  double freeNetwork() const { return mach_->net_bw_gbps - net_; }
+  int jobCount() const { return static_cast<int>(g_->residents.size()); }
+  bool idle() const { return g_->residents.empty(); }
+  bool hasExclusiveJob() const { return g_->exclusive; }
   /// Residents holding a CAT partition (ways > 0, not exclusive) — the
-  /// only jobs way donation applies to. Maintained by allocate()/release()
-  /// so donation observers can skip the per-resident recompute on the
-  /// (dominant) nodes where it provably totals zero.
-  int partitionedResidents() const { return partitioned_residents_; }
+  /// only jobs way donation applies to, so donation observers can skip the
+  /// per-resident recompute on the (dominant) nodes where it provably
+  /// totals zero.
+  int partitionedResidents() const { return g_->partitioned; }
 
   /// True if the requested allocation fits; exclusive requests need an
   /// idle node; nothing fits next to an exclusive resident. Inline: the
   /// candidate scans evaluate this for every node they touch.
   bool fits(const NodeAllocation& r) const {
-    if (exclusive_) return false;  // resident exclusive job blocks all
-    if (r.exclusive && !allocs_.empty()) return false;
-    if (r.cores > idleCores()) return false;
-    if (r.ways > 0 && jobCount() >= mach_->max_llc_partitions) return false;
-    if (r.ways > freeWays()) return false;
+    if (!groupAdmits(*g_, *mach_, r)) return false;
     if (r.bw_gbps > freeBandwidth() + 1e-9) return false;
     if (r.net_gbps > freeNetwork() + 1e-9) return false;
     return true;
@@ -68,47 +102,33 @@ class NodeLedger {
   }
 
   // ---- occupancy fractions for the SNS node score (§4.4) --------------------
-  // Maintained by allocate()/release() — recomputed from the reserved sums
-  // with the same divisions the on-the-fly versions performed, so the
-  // cached values are bit-identical; node selection scores thousands of
-  // candidates per placement and reads these in a tight loop.
-  double coreOccupancy() const { return occ_cores_; }
-  double wayOccupancy() const { return occ_ways_; }
-  double bwOccupancy() const { return occ_bw_; }
+  // Core and way fractions are the group's, computed once when the group
+  // is created; the bandwidth fraction divides this node's own sum.
+  double coreOccupancy() const { return g_->occ_cores; }
+  double wayOccupancy() const { return g_->occ_ways; }
+  double bwOccupancy() const { return bw_ / peak_bw_; }
 
   /// The paper's node-selection metric Co + Bo + beta x Wo.
   double score(double beta) const {
     return coreOccupancy() + bwOccupancy() + beta * wayOccupancy();
   }
 
-  // ---- allocation lifecycle -------------------------------------------------
-  /// Reserve resources for a job; throws PreconditionError if it does not
-  /// fit or violates CAT constraints.
-  void allocate(JobId job, const NodeAllocation& alloc);
-  /// Release a job's resources; throws if the job holds nothing here.
-  void release(JobId job);
   bool holds(JobId job) const { return find(job) != nullptr; }
   const NodeAllocation& allocation(JobId job) const {
     const NodeAllocation* alloc = find(job);
     SNS_REQUIRE(alloc != nullptr, "job holds nothing on this node");
     return *alloc;
   }
-  /// Resident allocations in ascending JobId order. Backed by a sorted
-  /// vector: a node hosts at most max_llc_partitions jobs, so linear
-  /// operations beat a tree, and the vector's capacity is reused across
-  /// the node's whole lifetime — steady-state allocate/release touch the
-  /// heap not at all (a std::map paid one tree-node malloc/free per job
-  /// per node, which dominated large multi-node placements).
+  /// Resident allocations in arrival order.
   const std::vector<std::pair<JobId, NodeAllocation>>& allocations() const {
-    return allocs_;
+    return g_->residents;
   }
 
   /// Ways actually backing a job's data right now: its partition plus an
   /// equal share of all unallocated ways (CAT partitions can overlap, so
   /// leftover capacity is donated and reclaimed dynamically).
   double effectiveWays(JobId job) const { return effectiveWays(allocation(job)); }
-  /// Same, for a caller that already looked the allocation up (the hot
-  /// per-node solve path does, and the lookup would otherwise repeat).
+  /// Same, for a caller that already holds the allocation.
   double effectiveWays(const NodeAllocation& alloc) const {
     if (alloc.exclusive || alloc.ways == 0) {
       // Exclusive jobs own the whole cache; unpartitioned jobs compete for
@@ -124,25 +144,17 @@ class NodeLedger {
 
  private:
   const NodeAllocation* find(JobId job) const {
-    for (const auto& [id, alloc] : allocs_) {
+    for (const auto& [id, alloc] : g_->residents) {
       if (id == job) return &alloc;
     }
     return nullptr;
   }
-  void refreshOccupancy();
 
+  const GroupState* g_;
   const hw::MachineConfig* mach_;
-  double peak_bw_;  ///< mach_->peakBandwidth(), hoisted out of fits()
-  std::vector<std::pair<JobId, NodeAllocation>> allocs_;  ///< sorted by JobId
-  int cores_used_ = 0;
-  int ways_reserved_ = 0;
-  double bw_reserved_ = 0.0;
-  double net_reserved_ = 0.0;
-  double occ_cores_ = 0.0;
-  double occ_ways_ = 0.0;
-  double occ_bw_ = 0.0;
-  bool exclusive_ = false;
-  int partitioned_residents_ = 0;  ///< see partitionedResidents()
+  double peak_bw_;  ///< mach_->peakBandwidth(), hoisted by the ledger
+  double bw_;
+  double net_;
 };
 
 }  // namespace sns::actuator

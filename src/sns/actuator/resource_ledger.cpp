@@ -57,9 +57,13 @@ void fillScores(util::ThreadPool* pool, std::size_t min_parallel,
 }  // namespace
 
 ResourceLedger::ResourceLedger(int nodes, const hw::MachineConfig& mach)
-    : mach_(&mach) {
+    : mach_(&mach), peak_bw_(mach.peakBandwidth()) {
   SNS_REQUIRE(nodes >= 1, "ResourceLedger needs at least one node");
-  nodes_.assign(static_cast<std::size_t>(nodes), NodeLedger(mach));
+  slots_.assign(static_cast<std::size_t>(nodes), NodeSlot{});
+  groups_.emplace_back();
+  groups_[kIdleGroup].members = static_cast<std::uint32_t>(nodes);
+  groups_[kIdleGroup].live = true;
+  index_.assign(64, kIdleGroup);
   buckets_.assign(static_cast<std::size_t>(mach.cores) + 1, NodeBitset(nodes));
   auto& idle_bucket = buckets_[static_cast<std::size_t>(mach.cores)];
   for (int i = 0; i < nodes; ++i) idle_bucket.insert(i);
@@ -69,50 +73,291 @@ ResourceLedger::ResourceLedger(int nodes, const hw::MachineConfig& mach)
   gridCell(mach.cores, mach.llc_ways) = nodes;
 }
 
-void ResourceLedger::reindex(int id, int old_idle) {
-  const int new_idle = node(id).idleCores();
-  if (new_idle == old_idle) return;
-  SNS_REQUIRE(buckets_[static_cast<std::size_t>(old_idle)].erase(id),
-              "ledger group index corrupt");
-  SNS_REQUIRE(buckets_[static_cast<std::size_t>(new_idle)].insert(id),
-              "ledger group index corrupt");
+namespace {
+
+/// FNV-1a over every field bit of an ordered resident list, finished with
+/// mix64.
+class ResidentHash {
+ public:
+  void add(JobId job, const NodeAllocation& a) {
+    mixIn(static_cast<std::uint64_t>(job));
+    mixIn((static_cast<std::uint64_t>(static_cast<std::uint32_t>(a.cores)) << 32) ^
+          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a.ways)) << 1) ^
+          static_cast<std::uint64_t>(a.exclusive));
+    mixIn(std::bit_cast<std::uint64_t>(a.bw_gbps));
+    mixIn(std::bit_cast<std::uint64_t>(a.net_gbps));
+  }
+  std::uint64_t value() const { return mix64(h_); }
+
+ private:
+  void mixIn(std::uint64_t v) {
+    h_ ^= v;
+    h_ *= 1099511628211ull;
+  }
+  std::uint64_t h_ = 1469598103934665603ull;
+};
+
+}  // namespace
+
+void ResourceLedger::fail(const char* error) {
+  throw util::PreconditionError(std::string("ResourceLedger: ") + error);
 }
 
-void ResourceLedger::allocate(int nd, JobId job, const NodeAllocation& alloc) {
-  const int old_idle = node(nd).idleCores();
-  const int old_fw = node(nd).freeWays();
-  mutableNode(nd).allocate(job, alloc);
-  total_cores_used_ += alloc.cores;
-  total_ways_reserved_ += alloc.ways;
-  total_bw_reserved_ += alloc.bw_gbps;
-  reindex(nd, old_idle);
-  --gridCell(old_idle, old_fw);
-  ++gridCell(node(nd).idleCores(), node(nd).freeWays());
-  noteMutation(old_idle, node(nd).idleCores(), false);
+std::span<const ResourceLedger::Transition> ResourceLedger::commit(
+    std::span<const int> nodes, JobId job, const NodeAllocation* join) {
+  openEvent(job, join);
+  for (const int nd : nodes) {
+    if (const char* error = step(nd)) {
+      closeEvent();
+      fail(error);
+    }
+  }
+  closeEvent();
+  return transitions_;
 }
 
-void ResourceLedger::release(int nd, JobId job) {
-  const int old_idle = node(nd).idleCores();
-  const int old_fw = node(nd).freeWays();
-  const NodeAllocation alloc = node(nd).allocation(job);
-  mutableNode(nd).release(job);
-  total_cores_used_ -= alloc.cores;
-  total_ways_reserved_ -= alloc.ways;
-  total_bw_reserved_ -= alloc.bw_gbps;
+void ResourceLedger::openEvent(JobId job, const NodeAllocation* join) {
+  settlePending();
+  if (join != nullptr) {
+    SNS_REQUIRE(join->cores >= 1, "allocation needs at least one core");
+    SNS_REQUIRE(join->ways == 0 || join->ways >= mach_->min_ways_per_job,
+                "CAT partitions need at least min_ways_per_job ways");
+    open_alloc_ = *join;
+  }
+  ++epoch_;
+  moves_.clear();
+  open_ = true;
+  open_join_ = join != nullptr;
+  open_job_ = job;
+}
+
+const char* ResourceLedger::step(int nd) {
+  if (nd < 0 || nd >= nodeCount()) return "node id out of range";
+  NodeSlot& s = slots_[static_cast<std::size_t>(nd)];
+  const GroupId from = s.group;
+  // A moved node never names a source group of its event again (its
+  // target holds the job on a join and lacks it on a leave), so a routed
+  // source always moves its nodes to the same target.
+  if (groups_[from].ev_epoch != epoch_) {
+    if (const char* error = route(from)) return error;
+  }
+  Record& src = groups_[from];
+  const double bw = src.ev_bw;
+  const double net = src.ev_net;
+  if (open_join_) {
+    if (bw > (peak_bw_ - s.bw) + 1e-9 || net > (mach_->net_bw_gbps - s.net) + 1e-9) {
+      return "allocation does not fit on node";
+    }
+    s.bw += bw;
+    s.net += net;
+    total_bw_reserved_ += bw;
+  } else if (src.ev_dst == kIdleGroup) {
+    // Summed double reservations can hold a +-1-ULP residue after the
+    // last resident leaves ((a+b)-a-b != 0 in floating point), which
+    // would make an empty node's fits()/score() depend on its allocation
+    // history. Pin the sums to exact zeros: all fully idle nodes are then
+    // bit-identical, the invariant the uniform-idle selection fast path
+    // rests on.
+    s.bw = 0.0;
+    s.net = 0.0;
+    total_bw_reserved_ -= bw;
+  } else {
+    s.bw -= bw;
+    s.net -= net;
+    total_bw_reserved_ -= bw;
+  }
+  SNS_REQUIRE(buckets_[static_cast<std::size_t>(src.ev_src_idle)].transfer(
+                  buckets_[static_cast<std::size_t>(src.ev_dst_idle)], nd),
+              "ledger group index corrupt");
+  s.group = src.ev_dst;
+  ++src.moved;
+  return nullptr;
+}
+
+const char* ResourceLedger::route(GroupId from) {
+  const Record& src = groups_[from];
+  const std::size_t n = src.residents.size();
+  std::size_t at = 0;
+  while (at < n && src.residents[at].first != open_job_) ++at;
+  double bw;
+  double net;
+  if (open_join_) {
+    if (at != n) return "job already holds resources on this node";
+    if (!groupAdmits(src, *mach_, open_alloc_)) return "allocation does not fit on node";
+    bw = open_alloc_.bw_gbps;
+    net = open_alloc_.net_gbps;
+  } else {
+    if (at == n) return "job holds nothing on this node";
+    bw = src.residents[at].second.bw_gbps;
+    net = src.residents[at].second.net_gbps;
+  }
+  const GroupId to = intern(from, at);  // may grow groups_
+  Record& s = groups_[from];
+  s.ev_epoch = epoch_;
+  s.ev_dst = to;
+  s.moved = 0;
+  s.ev_src_idle = mach_->cores - s.cores_used;
+  s.ev_dst_idle = mach_->cores - groups_[to].cores_used;
+  s.ev_bw = bw;
+  s.ev_net = net;
+  moves_.push_back(from);
+  return nullptr;
+}
+
+void ResourceLedger::closeEvent() {
+  open_ = false;
+  transitions_.clear();
+  const int ways = mach_->llc_ways;
+  for (const GroupId from : moves_) {
+    Record& src = groups_[from];
+    const std::uint32_t n = src.moved;
+    if (n == 0) continue;  // routed, then the move failed
+    src.moved = 0;
+    const GroupId to = src.ev_dst;
+    Record& dst = groups_[to];
+    src.members -= n;
+    dst.members += n;
+    buckets_[static_cast<std::size_t>(src.ev_src_idle)].adjust(-static_cast<int>(n));
+    buckets_[static_cast<std::size_t>(src.ev_dst_idle)].adjust(static_cast<int>(n));
+    gridCell(src.ev_src_idle, ways - src.ways_reserved) -= static_cast<std::int32_t>(n);
+    gridCell(src.ev_dst_idle, ways - dst.ways_reserved) += static_cast<std::int32_t>(n);
+    total_cores_used_ += static_cast<std::int64_t>(n) * (dst.cores_used - src.cores_used);
+    total_ways_reserved_ +=
+        static_cast<std::int64_t>(n) * (dst.ways_reserved - src.ways_reserved);
+    noteMutation(src.ev_src_idle, src.ev_dst_idle, !open_join_, n);
+    if (!open_join_) {
+      release_epoch_ += n;
+      release_idle_watermark_ = std::max(release_idle_watermark_, src.ev_dst_idle);
+    }
+    transitions_.push_back({from, to, n});
+  }
+  // Pool the sources the event emptied, and targets interned for a move
+  // that then failed. Deferred to here so that an emptied source's list
+  // stays readable, and its id unused, while the event can still route.
+  for (const GroupId from : moves_) {
+    if (from != kIdleGroup && groups_[from].live && groups_[from].members == 0) pool(from);
+    const GroupId to = groups_[from].ev_dst;
+    if (to != kIdleGroup && groups_[to].live && groups_[to].members == 0) pool(to);
+  }
   // The bandwidth total is the one float among the cached totals, and a
   // +=/-= pair need not cancel exactly, so an idle cluster can be left with
   // a ~1-ulp residue (the invariant auditor flagged exactly this). An empty
   // cluster is an unambiguous resync point: snap back to exact zero.
-  if (total_cores_used_ == 0) total_bw_reserved_ = 0.0;
-  reindex(nd, old_idle);
-  --gridCell(old_idle, old_fw);
-  ++gridCell(node(nd).idleCores(), node(nd).freeWays());
-  ++release_epoch_;
-  release_idle_watermark_ = std::max(release_idle_watermark_, node(nd).idleCores());
-  noteMutation(old_idle, node(nd).idleCores(), true);
+  if (!open_join_ && total_cores_used_ == 0) total_bw_reserved_ = 0.0;
+}
+
+ResourceLedger::GroupId ResourceLedger::intern(GroupId from, std::size_t skip) {
+  // The target list: `from`'s residents without position `skip` (none
+  // when skip is past the end), plus the joining job on a join.
+  const auto& base = groups_[from].residents;
+  const std::size_t n =
+      base.size() - (skip < base.size() ? 1 : 0) + (open_join_ ? 1 : 0);
+  if (n == 0) return kIdleGroup;
+  ResidentHash hasher;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    if (i != skip) hasher.add(base[i].first, base[i].second);
+  }
+  if (open_join_) hasher.add(open_job_, open_alloc_);
+  const std::uint64_t h = hasher.value();
+  const auto same = [&](const GroupState& g) {
+    if (g.residents.size() != n) return false;
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      if (i == skip) continue;
+      if (g.residents[k].first != base[i].first ||
+          !sameAllocation(g.residents[k].second, base[i].second)) {
+        return false;
+      }
+      ++k;
+    }
+    return !open_join_ || (g.residents[k].first == open_job_ &&
+                           sameAllocation(g.residents[k].second, open_alloc_));
+  };
+  // At most one live group carries a given list.
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = h & mask; index_[i] != kIdleGroup; i = (i + 1) & mask) {
+    const Record& g = groups_[index_[i]];
+    if (g.hash == h && same(g)) return index_[i];
+  }
+  GroupId g;
+  if (!free_.empty()) {
+    g = free_.back();
+    free_.pop_back();
+  } else {
+    g = static_cast<GroupId>(groups_.size());
+    groups_.emplace_back();  // invalidates `base`
+  }
+  Record& grp = groups_[g];
+  const auto& src = groups_[from].residents;
+  grp.residents.clear();
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    if (i != skip) grp.residents.push_back(src[i]);
+  }
+  if (open_join_) grp.residents.emplace_back(open_job_, open_alloc_);
+  grp.cores_used = 0;
+  grp.ways_reserved = 0;
+  grp.partitioned = 0;
+  grp.exclusive = false;
+  for (const auto& [job, a] : grp.residents) {
+    grp.cores_used += a.cores;
+    grp.ways_reserved += a.ways;
+    if (a.exclusive) grp.exclusive = true;
+    if (!a.exclusive && a.ways > 0) ++grp.partitioned;
+  }
+  grp.occ_cores = static_cast<double>(grp.cores_used) / mach_->cores;
+  grp.occ_ways = static_cast<double>(grp.ways_reserved) / mach_->llc_ways;
+  grp.members = 0;
+  grp.live = true;
+  grp.serial = ++serial_;
+  grp.hash = h;
+  grp.ev_epoch = 0;
+  grp.moved = 0;
+  indexInsert(g);
+  return g;
+}
+
+void ResourceLedger::indexInsert(GroupId g) {
+  if (2 * (indexed_ + 1) > index_.size()) {
+    // Keep the load at most one half: rebuild at twice the size.
+    std::vector<GroupId> old(index_.size() * 2, kIdleGroup);
+    old.swap(index_);
+    for (const GroupId k : old) {
+      if (k != kIdleGroup) indexPlace(k);
+    }
+  }
+  indexPlace(g);
+  ++indexed_;
+}
+
+void ResourceLedger::indexPlace(GroupId g) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = groups_[g].hash & mask;
+  while (index_[i] != kIdleGroup) i = (i + 1) & mask;
+  index_[i] = g;
+}
+
+void ResourceLedger::pool(GroupId g) {
+  // Linear-probing deletion by backward shift: later entries of the probe
+  // run move up into the hole unless their home slot lies cyclically in
+  // (hole, entry], so every remaining entry stays reachable from its home.
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = groups_[g].hash & mask;
+  while (index_[hole] != g) hole = (hole + 1) & mask;
+  for (std::size_t j = (hole + 1) & mask; index_[j] != kIdleGroup; j = (j + 1) & mask) {
+    const std::size_t home = groups_[index_[j]].hash & mask;
+    const bool stays = hole <= j ? (hole < home && home <= j) : (hole < home || home <= j);
+    if (stays) continue;
+    index_[hole] = index_[j];
+    hole = j;
+  }
+  index_[hole] = kIdleGroup;
+  --indexed_;
+  groups_[g].live = false;
+  free_.push_back(g);
 }
 
 std::vector<int> ResourceLedger::feasibleNodes(const NodeAllocation& request) const {
+  settlePending();
   query_core_floor_ = std::min(query_core_floor_, request.cores);
   std::vector<int> out;
   for (int c = mach_->cores; c >= std::max(0, request.cores); --c) {
@@ -136,7 +381,7 @@ void ResourceLedger::scanBucket(const NodeBitset& bucket,
       static_cast<std::size_t>(bucket.size()) < min_parallel_ ||
       pool_->threadCount() <= 1) {
     bucket.scan([&](int id) {
-      if (nodes_[static_cast<std::size_t>(id)].fits(request)) dest.push_back(id);
+      if (view(id).fits(request)) dest.push_back(id);
       return dest.size() - begin < cap;
     });
     return;
@@ -163,7 +408,7 @@ void ResourceLedger::scanBucket(const NodeBitset& bucket,
         pool_->submit([this, &bucket, &request, &out, wb, we, cap] {
           out.clear();
           bucket.scanWords(wb, we, [&](int id) {
-            if (nodes_[static_cast<std::size_t>(id)].fits(request)) {
+            if (view(id).fits(request)) {
               out.push_back(id);
             }
             return out.size() < cap;
@@ -173,7 +418,7 @@ void ResourceLedger::scanBucket(const NodeBitset& bucket,
   auto& own = shard_scratch_[0];
   own.clear();
   bucket.scanWords(0, std::min(words, chunk), [&](int id) {
-    if (nodes_[static_cast<std::size_t>(id)].fits(request)) own.push_back(id);
+    if (view(id).fits(request)) own.push_back(id);
     return own.size() < cap;
   });
   for (auto& f : pending) f.get();
@@ -194,7 +439,7 @@ void ResourceLedger::scanIdleBucket(const NodeBitset& bucket,
     rep = id;
     return false;
   });
-  if (rep < 0 || !nodes_[static_cast<std::size_t>(rep)].fits(request)) return;
+  if (rep < 0 || !view(rep).fits(request)) return;
   const std::size_t begin = dest.size();
   bucket.scan([&](int id) {
     dest.push_back(id);
@@ -229,6 +474,7 @@ void ResourceLedger::collectCandidates(const NodeAllocation& request,
 std::vector<int> ResourceLedger::selectNodes(int count, const NodeAllocation& request,
                                              double beta) const {
   SNS_REQUIRE(count >= 1, "selectNodes() needs count >= 1");
+  settlePending();
   query_core_floor_ = std::min(query_core_floor_, request.cores);
 
   // Exclusive requests are a provable special case: they only fit on
@@ -285,7 +531,7 @@ std::vector<int> ResourceLedger::selectNodesRanked(int count,
   // ids, no sort needed.
   auto best = [&](const int* ids, std::size_t n, bool ids_ascending) {
     fillScores(pool_, min_parallel_, ids, n, rank_scratch_, [&](int id) {
-      return nodes_[static_cast<std::size_t>(id)].score(beta);
+      return view(id).score(beta);
     });
     bool uniform = true;
     for (std::size_t i = 1; i < n && uniform; ++i) {
@@ -364,6 +610,7 @@ std::vector<int> ResourceLedger::selectNodesRanked(int count,
 std::vector<int> ResourceLedger::selectNodesByAlignment(
     int count, const NodeAllocation& request) const {
   SNS_REQUIRE(count >= 1, "selectNodesByAlignment() needs count >= 1");
+  settlePending();
   query_core_floor_ = std::min(query_core_floor_, request.cores);
   if (request.exclusive) return selectNodesAligned(count, request);
   const SelectQuery q = makeQuery(/*kind=*/1, count, request, /*beta=*/0.0);
@@ -390,7 +637,7 @@ std::vector<int> ResourceLedger::selectNodesAligned(
       request.net_gbps / mach_->net_bw_gbps,
   };
   auto alignment = [&](int id) {
-    const NodeLedger& n = node(id);
+    const NodeLedger n = view(id);
     const double free[4] = {
         static_cast<double>(n.idleCores()) / mach_->cores,
         static_cast<double>(n.freeWays()) / mach_->llc_ways,
@@ -457,8 +704,11 @@ std::size_t ResourceLedger::SelectQueryHash::operator()(
   return static_cast<std::size_t>(h);
 }
 
-void ResourceLedger::noteMutation(int old_idle, int new_idle, bool released) {
-  ++change_version_;
+void ResourceLedger::noteMutation(int old_idle, int new_idle, bool released,
+                                  std::uint32_t n) {
+  // n node mutations with one max_idle: the stack keeps only the newest of
+  // equal values, so one push at the last of the n versions is exact.
+  change_version_ += n;
   if (released) last_release_version_ = change_version_;
   const std::int32_t max_idle =
       static_cast<std::int32_t>(std::max(old_idle, new_idle));
@@ -542,6 +792,7 @@ void ResourceLedger::cacheStore(const SelectQuery& q,
 }
 
 int ResourceLedger::feasibleUpperBound(int from, int ways, int enough) const {
+  settlePending();
   // #{nodes : idleCores >= from AND freeWays >= ways} — counted exactly
   // from the (idle-cores x free-ways) population grid, so it bounds the
   // feasible set from above (fits() additionally checks bandwidth,
@@ -563,6 +814,7 @@ int ResourceLedger::feasibleUpperBound(int from, int ways, int enough) const {
 }
 
 std::vector<std::string> ResourceLedger::auditSelectionCache() const {
+  settlePending();
   std::vector<std::string> out;
   // Violations are sorted below, so map order never reaches output.
   for (const auto& [q, e] : sel_cache_) {  // snslint: allow(unordered-iteration)

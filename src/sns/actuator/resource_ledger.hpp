@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -49,6 +50,22 @@ class NodeBitset {
     --count_;
     return true;
   }
+
+  /// Move `id` from this set into `to` without touching either count —
+  /// the owner settles both with adjust() once per batch of moves.
+  /// Returns false (and changes nothing) unless `id` was here and not in
+  /// `to`. Both sets must share one universe.
+  bool transfer(NodeBitset& to, int id) {
+    const std::size_t w = static_cast<std::size_t>(id) >> 6;
+    const std::uint64_t m = std::uint64_t{1} << (id & 63);
+    std::uint64_t& src = words_[w];
+    std::uint64_t& dst = to.words_[w];
+    if (!(src & m) || (dst & m)) return false;
+    src &= ~m;
+    dst |= m;
+    return true;
+  }
+  void adjust(int delta) { count_ += delta; }
 
   bool contains(int id) const {
     return (words_[static_cast<std::size_t>(id) >> 6] >>
@@ -98,12 +115,33 @@ class NodeBitset {
   int count_ = 0;
 };
 
-/// Cluster-wide resource bookkeeping: one NodeLedger per node plus the node
-/// selection machinery the SNS scheduler uses (§4.4): nodes are clustered
-/// into groups by idle-core count; a job is first placed within a single
-/// group (to keep per-group consumption even and reduce fragmentation),
-/// falling back to the whole cluster; among candidates the least-loaded
-/// nodes win, by the score Co + Bo + beta x Wo.
+/// Cluster-wide resource bookkeeping plus the node selection machinery the
+/// SNS scheduler uses (§4.4): nodes are clustered into groups by idle-core
+/// count; a job is first placed within a single group (to keep per-group
+/// consumption even and reduce fragmentation), falling back to the whole
+/// cluster; among candidates the least-loaded nodes win, by the score
+/// Co + Bo + beta x Wo.
+///
+/// One node state (DESIGN.md section 11, "Co-run groups"). SNS spreads a
+/// job with the same allocation on every node it occupies, so nodes with
+/// the same *ordered* resident list hold the same ledger state. The ledger
+/// names, for every node, the co-run group of its (job, allocation) list
+/// in arrival order — exactly one group per distinct list, group 0
+/// (kIdleGroup) being the empty list — and each live group carries the
+/// resident allocations, the integer totals, the exclusive flag, the
+/// partitioned-resident count and the core/way occupancy fractions once.
+/// Per node it keeps only the group id, the bandwidth and NIC reservation
+/// sums (running +=/-= per node, pinned to zero when the node goes idle:
+/// the one state that depends on a node's history) and its idle-core
+/// bucket bit.
+///
+/// allocate()/release() are group transitions: an event over one job's
+/// nodes moves each node from its group G to G+[job] (or G-[job], the
+/// other residents keeping their order), memoized per source group and
+/// keyed by group serials, so a pooled id never returns a stale target.
+/// Member counts, the bucket-population grid, the selection-cache history
+/// and the release epoch change once per transition; per node there is
+/// one id store, two bandwidth sums and one bucket-bit move.
 ///
 /// Selection is index-driven so it stays fast on 32K-node clusters (the
 /// paper's Fig 20 simulations): a dense bucket array keyed by idle-core
@@ -123,22 +161,55 @@ class NodeBitset {
 /// same element and no scratch outlives the query that owns it.
 class SNS_THREAD_HOSTILE ResourceLedger {
  public:
+  using GroupId = std::uint32_t;
+  static constexpr GroupId kIdleGroup = 0;
+
+  /// One co-run group record. Records are pooled: a group that loses its
+  /// last node goes back to a free list when the event ends (its resident
+  /// list stays readable until the next allocate/release, so an owner can
+  /// still apply the event's transitions), and the id is reused by the
+  /// next new list.
+  struct Group : GroupState {
+    std::uint32_t members = 0;  ///< nodes naming this group
+    bool live = false;          ///< false while the record sits on the free list
+    /// Unique per incarnation (never 0 for a non-idle group): owners
+    /// caching per-group results key them on this, since ids are reused.
+    std::uint64_t serial = 0;
+  };
+
+  /// `count` nodes of one event moved from group `src` to group `dst`.
+  struct Transition {
+    GroupId src = kIdleGroup;
+    GroupId dst = kIdleGroup;
+    std::uint32_t count = 0;
+  };
+
   ResourceLedger(int nodes, const hw::MachineConfig& mach);
 
-  int nodeCount() const { return static_cast<int>(nodes_.size()); }
-  // Inline: this is the single hottest call in the simulator (every
-  // selection scan, commit and rate refresh reads node state through it).
-  const NodeLedger& node(int id) const {
+  int nodeCount() const { return static_cast<int>(slots_.size()); }
+  /// Node `id`'s accounting as a by-value view. Inline: this is the single
+  /// hottest call in the simulator (every selection scan, commit and rate
+  /// refresh reads node state through it).
+  NodeLedger node(int id) const {
     SNS_REQUIRE(id >= 0 && id < nodeCount(), "node id out of range");
-    return nodes_[static_cast<std::size_t>(id)];
+    return view(id);
   }
+
+  // ---- co-run groups ---------------------------------------------------------
+  GroupId groupOf(int nd) const { return slots_[static_cast<std::size_t>(nd)].group; }
+  const Group& group(GroupId g) const {
+    settlePending();
+    return groups_[g];
+  }
+  /// Upper bound on group ids (live or pooled).
+  std::size_t groupSlots() const { return groups_.size(); }
 
   /// Selection cache: non-exclusive selection queries are memoized and
   /// the previous decision's result is reused while the ledger state it
-  /// read is provably unchanged. Invalidation is node-level: every
-  /// allocate/release records the maximum of the touched node's idle-core
-  /// count before and after the mutation (as a suffix-max stack, see
-  /// mut_suffix_); a cached query is reusable iff no mutation since its
+  /// read is provably unchanged. Invalidation is node-level: every group
+  /// transition records the maximum of its nodes' idle-core count before
+  /// and after the move (as a suffix-max stack, see mut_suffix_); a
+  /// cached query is reusable iff no mutation since its
   /// fill reaches into the idle-core range [request.cores, cores] the
   /// query scanned. Cached empty results additionally survive any run of
   /// pure allocations (failure is monotone: capacity only shrinks until a
@@ -160,7 +231,10 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   /// Scheduler layers key "this request cannot currently be satisfied"
   /// memos on it: allocations only shrink capacity, so only a release can
   /// turn a placement failure into a success.
-  std::uint64_t releaseEpoch() const { return release_epoch_; }
+  std::uint64_t releaseEpoch() const {
+    settlePending();
+    return release_epoch_;
+  }
 
   /// Highest post-release idle-core count among releases since the last
   /// take, then resets the accumulator. Pairs with releaseEpoch(): a
@@ -168,14 +242,20 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   /// survives a batch of releases whenever none of the freed nodes came
   /// out with c or more idle cores — no freed node can newly enter any
   /// query the failed attempt made, so the attempt still fails.
-  int takeReleaseIdleWatermark() { return std::exchange(release_idle_watermark_, -1); }
+  int takeReleaseIdleWatermark() {
+    settlePending();
+    return std::exchange(release_idle_watermark_, -1);
+  }
 
   /// Non-consuming read of what takeReleaseIdleWatermark() would return.
   /// The simulator's futile-pass gate peeks to prove a batch of releases
   /// cannot purge any failed-spec memo entry (watermark below every
   /// recorded query floor) without resetting the accumulator — the next
   /// pass that actually runs still consumes the full batch.
-  int peekReleaseIdleWatermark() const { return release_idle_watermark_; }
+  int peekReleaseIdleWatermark() const {
+    settlePending();
+    return release_idle_watermark_;
+  }
 
   /// Minimum request.cores across every selection/feasibility query since
   /// the last reset. The scheduler brackets a placement attempt with
@@ -185,10 +265,32 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   void resetQueryCoreFloor() const { query_core_floor_ = std::numeric_limits<int>::max(); }
   int queryCoreFloor() const { return query_core_floor_; }
 
-  /// All mutations go through the ledger so the idle-core index stays
-  /// consistent.
-  void allocate(int node, JobId job, const NodeAllocation& alloc);
-  void release(int node, JobId job);
+  /// All mutations go through the ledger so the group table and the
+  /// idle-core index stay consistent. An event is one job joining
+  /// (allocate) or leaving (release) a set of nodes. The span forms are
+  /// one whole event — one job's whole placement, distinct nodes, in
+  /// order — and return its transitions, one per source group in order of
+  /// first appearance; the span stays valid until the next
+  /// allocate/release. The per-node forms move one node through the same
+  /// path: consecutive per-node calls for the same job, direction and
+  /// allocation extend one open event, which settles at the first call
+  /// that does not continue it or at the first read of what it defers
+  /// (member counts, totals, the grid, the selection-cache history, the
+  /// release epoch). Node views are exact at every point. A request that
+  /// does not fit (or names a node twice, or a job not resident) throws
+  /// PreconditionError and leaves that node unchanged; the nodes of the
+  /// event before it stay committed.
+  std::span<const Transition> allocate(std::span<const int> nodes, JobId job,
+                                       const NodeAllocation& alloc) {
+    return commit(nodes, job, &alloc);
+  }
+  std::span<const Transition> release(std::span<const int> nodes, JobId job) {
+    return commit(nodes, job, nullptr);
+  }
+  void allocate(int node, JobId job, const NodeAllocation& alloc) {
+    commitNode(node, job, &alloc);
+  }
+  void release(int node, JobId job) { commitNode(node, job, nullptr); }
 
   /// Nodes where the request fits, most-idle group first, ascending id
   /// within a group.
@@ -219,6 +321,7 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   /// Count of completely idle nodes (for CE feasibility checks). O(1):
   /// the fully-idle bucket is the free list.
   int idleNodeCount() const {
+    settlePending();
     return buckets_[static_cast<std::size_t>(mach_->cores)].size();
   }
 
@@ -232,29 +335,49 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   // sampler reads these on every tick; recomputing them from 32K node
   // ledgers would cost more than the simulation step being sampled.
   double meanCoreOccupancy() const {
+    settlePending();
     return static_cast<double>(total_cores_used_) /
            (static_cast<double>(mach_->cores) * nodeCount());
   }
   double meanWayOccupancy() const {
+    settlePending();
     return static_cast<double>(total_ways_reserved_) /
            (static_cast<double>(mach_->llc_ways) * nodeCount());
   }
   double meanBwOccupancy() const {
+    settlePending();
     return total_bw_reserved_ / (mach_->peakBandwidth() * nodeCount());
   }
 
   const hw::MachineConfig& machine() const { return *mach_; }
 
+  /// Upper bound on feasible nodes for a request needing `from` idle
+  /// cores and `ways` free cache ways: a suffix sum over the
+  /// (idle-cores x free-ways) population grid, exact on that membership
+  /// (ignores bw/net), so `bound < count` proves the selection empty.
+  /// Stops summing once the bound reaches `enough`.
+  int feasibleUpperBound(int from, int ways, int enough) const;
+
   // ---- audit introspection (sns::audit) -------------------------------------
   // Raw cached state backing the O(1) paths, exposed read-only so the
   // invariant auditor can cross-validate it against a full recomputation
-  // from the per-node ledgers. Not for scheduling code: policies read the
+  // from the group records. Not for scheduling code: policies read the
   // occupancy means and selection APIs above.
-  std::int64_t cachedTotalCoresUsed() const { return total_cores_used_; }
-  std::int64_t cachedTotalWaysReserved() const { return total_ways_reserved_; }
-  double cachedTotalBwReserved() const { return total_bw_reserved_; }
+  std::int64_t cachedTotalCoresUsed() const {
+    settlePending();
+    return total_cores_used_;
+  }
+  std::int64_t cachedTotalWaysReserved() const {
+    settlePending();
+    return total_ways_reserved_;
+  }
+  double cachedTotalBwReserved() const {
+    settlePending();
+    return total_bw_reserved_;
+  }
   int bucketCount() const { return static_cast<int>(buckets_.size()); }
   const NodeBitset& bucket(int idle_cores) const {
+    settlePending();
     return buckets_[static_cast<std::size_t>(idle_cores)];
   }
 
@@ -265,22 +388,114 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   std::vector<std::string> auditSelectionCache() const;
 
   // ---- test hooks (tests/audit) ---------------------------------------------
-  /// Deliberately desynchronize the cached core total / the idle-core index
-  /// from the per-node truth. Exist ONLY so the audit tests can prove a
-  /// corrupted ledger is caught; never called by production code.
-  void debugCorruptCoreTotal(std::int64_t delta) { total_cores_used_ += delta; }
+  /// Deliberately desynchronize cached state from the truth it summarizes:
+  /// the cluster core total, the idle-core index, a group's member count,
+  /// a group's cached totals (returned for the test to edit), a node's
+  /// group id. Exist ONLY so the audit tests can prove a corrupted ledger
+  /// is caught; never called by production code.
+  void debugCorruptCoreTotal(std::int64_t delta) {
+    settlePending();
+    total_cores_used_ += delta;
+  }
   void debugCorruptBucket(int node) {
+    settlePending();
     for (auto& b : buckets_) {
       if (b.erase(node)) return;
     }
   }
+  void debugCorruptMembers(GroupId g, int delta) {
+    settlePending();
+    groups_[g].members = static_cast<std::uint32_t>(
+        static_cast<std::int64_t>(groups_[g].members) + delta);
+  }
+  GroupState& debugCorruptGroup(GroupId g) {
+    settlePending();
+    return groups_[g];
+  }
+  void debugSetNodeGroup(int nd, GroupId g) {
+    settlePending();
+    slots_[static_cast<std::size_t>(nd)].group = g;
+  }
 
  private:
-  NodeLedger& mutableNode(int id) {
-    SNS_REQUIRE(id >= 0 && id < nodeCount(), "node id out of range");
-    return nodes_[static_cast<std::size_t>(id)];
+  /// Per-node state, besides the node's idle-core bucket bit.
+  struct NodeSlot {
+    double bw = 0.0;   ///< bandwidth reservation sum
+    double net = 0.0;  ///< NIC reservation sum
+    GroupId group = kIdleGroup;
+  };
+  static_assert(sizeof(NodeSlot) <= 24, "per-node ledger state stays within 24 bytes");
+  /// A group record with the table's internals.
+  struct Record : Group {
+    std::uint64_t hash = 0;  ///< index key: hash of `residents`
+    // The open event's transition out of this group — the per-event memo,
+    // valid while ev_epoch == epoch_: its target, the idle-core buckets a
+    // moving node leaves and enters, and the moving job's per-node
+    // reservations. Ids are pooled only when an event closes, so no
+    // routed target can be recycled under it.
+    std::uint64_t ev_epoch = 0;
+    GroupId ev_dst = kIdleGroup;
+    std::uint32_t moved = 0;  ///< nodes moved by the open event
+    int ev_src_idle = 0;
+    int ev_dst_idle = 0;
+    double ev_bw = 0.0;
+    double ev_net = 0.0;
+  };
+
+  NodeLedger view(int id) const {
+    const NodeSlot& s = slots_[static_cast<std::size_t>(id)];
+    return NodeLedger(groups_[s.group], s.bw, s.net, *mach_, peak_bw_);
   }
-  void reindex(int id, int old_idle);
+  /// One whole event over `nodes`: `job` joins (`join` non-null) or leaves.
+  std::span<const Transition> commit(std::span<const int> nodes, JobId job,
+                                     const NodeAllocation* join);
+  /// One node, extending the open event when it is the same job,
+  /// direction and allocation.
+  void commitNode(int nd, JobId job, const NodeAllocation* join) {
+    if (!open_ || open_job_ != job || open_join_ != (join != nullptr) ||
+        (join != nullptr && !sameAllocation(open_alloc_, *join))) {
+      openEvent(job, join);
+    }
+    if (const char* error = step(nd)) fail(error);
+  }
+  /// Settle any open event, then open one for `job`.
+  void openEvent(JobId job, const NodeAllocation* join);
+  /// Move node `nd` within the open event. Returns nullptr, or why the
+  /// move is not allowed (the node is then unchanged).
+  const char* step(int nd);
+  /// Route `from` under the open event (the first of its nodes the event
+  /// moves): validate the move and intern the target. Returns nullptr or
+  /// why the move is not allowed.
+  const char* route(GroupId from);
+  /// Settle the open event: member counts, the grid, totals, the
+  /// selection-cache history and the release epoch change once per
+  /// transition; emptied groups go back to the pool. Fills transitions_.
+  void closeEvent();
+  /// Settle an open per-node event before a read of what it defers.
+  /// Logically const: a ledger defined const never has an open event
+  /// (opening one takes a non-const call), so the write-through below
+  /// only ever reaches an object that was created non-const.
+  void settlePending() const {
+    if (open_) const_cast<ResourceLedger*>(this)->closeEvent();
+  }
+  [[noreturn]] static void fail(const char* error);
+  /// Field-for-field equality, doubles on their exact bit patterns.
+  static bool sameAllocation(const NodeAllocation& a, const NodeAllocation& b) {
+    return a.cores == b.cores && a.ways == b.ways &&
+           std::bit_cast<std::uint64_t>(a.bw_gbps) ==
+               std::bit_cast<std::uint64_t>(b.bw_gbps) &&
+           a.exclusive == b.exclusive &&
+           std::bit_cast<std::uint64_t>(a.net_gbps) ==
+               std::bit_cast<std::uint64_t>(b.net_gbps);
+  }
+  /// The group of `from`'s list without position `skip` (none when past
+  /// the end), plus the open event's job when it joins; created on first
+  /// use.
+  GroupId intern(GroupId from, std::size_t skip);
+  void indexInsert(GroupId g);
+  void indexPlace(GroupId g);
+  /// Drop `g` from the index and return its id to the free list.
+  void pool(GroupId g);
   /// Collect feasible candidates grouped by idle-core count into the
   /// cand_ / group_end_ scratch: ascending from request.cores (best-fit
   /// first), ascending id within a group; each group's scan stops at
@@ -343,16 +558,30 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   void cacheStore(const SelectQuery& q, const std::vector<int>& result,
                   int count, const NodeAllocation& request, double beta,
                   int kind) const;
-  void noteMutation(int old_idle, int new_idle, bool released);
-  /// Upper bound on feasible nodes for a request needing `from` idle
-  /// cores and `ways` free cache ways: a suffix sum over the
-  /// (idle-cores x free-ways) population grid, exact on that membership
-  /// (ignores bw/net), so `bound < count` proves the selection empty.
-  /// Stops summing once the bound reaches `enough`.
-  int feasibleUpperBound(int from, int ways, int enough) const;
+  /// Record `n` node mutations from idle-core count `old_idle` to
+  /// `new_idle` (one transition).
+  void noteMutation(int old_idle, int new_idle, bool released, std::uint32_t n);
 
   const hw::MachineConfig* mach_;
-  std::vector<NodeLedger> nodes_;
+  double peak_bw_;  ///< mach_->peakBandwidth(), hoisted out of fits()
+  std::vector<NodeSlot> slots_;
+  // ---- group table -----------------------------------------------------------
+  std::vector<Record> groups_;
+  std::vector<GroupId> free_;
+  /// Live non-idle groups by hash: open addressing with linear probing
+  /// (kIdleGroup marks an empty slot), at most half full. Only ever
+  /// probed, so nothing observable depends on hash order.
+  std::vector<GroupId> index_;
+  std::size_t indexed_ = 0;
+  std::vector<GroupId> moves_;            ///< source groups of the open event
+  std::vector<Transition> transitions_;   ///< the last event's transitions
+  std::uint64_t epoch_ = 0;               ///< events so far
+  // The open event (see allocate()).
+  bool open_ = false;
+  bool open_join_ = false;
+  JobId open_job_ = -1;
+  NodeAllocation open_alloc_;
+  std::uint64_t serial_ = 0;              ///< last Group::serial issued
   /// Scratch for collectCandidates/selectNodes (selection is logically
   /// const; a ledger is owned by one simulator and not shared across
   /// threads).

@@ -259,53 +259,68 @@ std::size_t Auditor::auditFinishCalendar(
 }
 
 std::size_t Auditor::auditCorunGroups(
-    const sched::CorunGroups& groups, const actuator::ResourceLedger& ledger,
+    const actuator::ResourceLedger& ledger, const sched::CorunGroups& groups,
     const std::vector<std::pair<sched::JobId, int>>& widths) {
   const std::uint64_t before = total_violations_;
-  using GroupId = sched::CorunGroups::GroupId;
-  check(groups.nodeCount() == ledger.nodeCount(), "groups.node_count",
-        groups.nodeCount(), ledger.nodeCount(),
-        "co-run group table and ledger disagree on the cluster size");
-  if (groups.nodeCount() != ledger.nodeCount()) {
-    return static_cast<std::size_t>(total_violations_ - before);
-  }
+  using GroupId = actuator::ResourceLedger::GroupId;
+  const hw::MachineConfig& mach = ledger.machine();
+  const auto slots = static_cast<GroupId>(ledger.groupSlots());
 
-  std::vector<std::uint32_t> recount(groups.slots(), 0u);
+  std::vector<std::uint32_t> recount(slots, 0u);
   for (int nd = 0; nd < ledger.nodeCount(); ++nd) {
-    const GroupId g = groups.groupOf(nd);
-    if (g >= groups.slots() || !groups.group(g).live) {
+    const GroupId g = ledger.groupOf(nd);
+    if (g >= slots || !ledger.group(g).live) {
       check(false, "groups.dangling", static_cast<double>(g), 0.0,
             "node " + std::to_string(nd) + " names a pooled or unknown group");
       continue;
     }
     ++recount[g];
-    const auto& node = ledger.node(nd);
-    const bool idle_group = g == sched::CorunGroups::kIdle;
-    check(node.idle() == idle_group, "groups.idle", idle_group ? 1.0 : 0.0,
-          node.idle() ? 1.0 : 0.0,
+    const int idle = mach.cores - ledger.group(g).cores_used;
+    check(idle >= 0 && idle < ledger.bucketCount() && ledger.bucket(idle).contains(nd),
+          "groups.bucket", 0.0, idle,
           "node " + std::to_string(nd) +
-              ": idle in the ledger but not in group 0, or vice versa");
-    if (idle_group || node.idle()) continue;
-    // Permutation: same size, every resident distinct and held here.
-    const auto& residents = groups.group(g).residents;
-    bool perm = residents.size() == node.allocations().size();
-    for (std::size_t i = 0; perm && i < residents.size(); ++i) {
-      perm = node.holds(residents[i]) &&
-             std::find(residents.begin(), residents.begin() + static_cast<std::ptrdiff_t>(i),
-                       residents[i]) == residents.begin() + static_cast<std::ptrdiff_t>(i);
-    }
-    check(perm, "groups.residents", static_cast<double>(residents.size()),
-          static_cast<double>(node.allocations().size()),
-          "node " + std::to_string(nd) +
-              ": group resident list is not a permutation of the ledger's "
-              "allocations");
+              ": not in the idle-core bucket of its group's idle cores");
   }
-  for (GroupId g = 0; g < groups.slots(); ++g) {
-    const auto& grp = groups.group(g);
+  for (GroupId g = 0; g < slots; ++g) {
+    const auto& grp = ledger.group(g);
     const std::uint32_t expected = grp.live ? recount[g] : 0u;
+    const auto tag = [g](const char* what) {
+      return "group " + std::to_string(g) + ": " + what;
+    };
     check(grp.members == expected, "groups.members", grp.members, expected,
-          "group " + std::to_string(g) + ": member count disagrees with the "
-          "number of nodes naming it");
+          tag("member count disagrees with the number of nodes naming it"));
+    if (!grp.live) continue;
+    int cores = 0;
+    int ways = 0;
+    int partitioned = 0;
+    bool exclusive = false;
+    bool distinct = true;
+    for (std::size_t i = 0; i < grp.residents.size(); ++i) {
+      const auto& [job, a] = grp.residents[i];
+      cores += a.cores;
+      ways += a.ways;
+      exclusive = exclusive || a.exclusive;
+      if (!a.exclusive && a.ways > 0) ++partitioned;
+      for (std::size_t j = 0; j < i; ++j) {
+        distinct = distinct && grp.residents[j].first != job;
+      }
+    }
+    check(distinct, "groups.residents", distinct ? 1.0 : 0.0, 1.0,
+          tag("a job appears twice in the resident list"));
+    check(grp.cores_used == cores && grp.ways_reserved == ways, "groups.totals",
+          grp.cores_used, cores,
+          tag("cached core/way totals disagree with the allocation list"));
+    check(grp.exclusive == exclusive, "groups.exclusive", grp.exclusive ? 1.0 : 0.0,
+          exclusive ? 1.0 : 0.0,
+          tag("cached exclusive flag disagrees with the allocation list"));
+    check(grp.partitioned == partitioned, "groups.partitioned", grp.partitioned,
+          partitioned,
+          tag("cached partitioned-resident count disagrees with the allocation list"));
+    const double occ_cores = static_cast<double>(cores) / mach.cores;
+    const double occ_ways = static_cast<double>(ways) / mach.llc_ways;
+    check(grp.occ_cores == occ_cores && grp.occ_ways == occ_ways, "groups.occupancy",
+          grp.occ_cores, occ_cores,
+          tag("cached occupancy is not the recomputed fraction"));
   }
 
   for (const auto& [id, width] : widths) {
@@ -313,11 +328,10 @@ std::size_t Auditor::auditCorunGroups(
     bool entries_ok = true;
     for (const auto& e : groups.histogram(id)) {
       sum += e.count;
-      entries_ok = entries_ok && e.group < groups.slots() &&
-                   groups.group(e.group).live &&
-                   e.index < groups.group(e.group).residents.size() &&
-                   groups.group(e.group).residents[e.index] == id &&
-                   groups.group(e.group).members == e.count;
+      entries_ok = entries_ok && e.group < slots && ledger.group(e.group).live &&
+                   e.index < ledger.group(e.group).residents.size() &&
+                   ledger.group(e.group).residents[e.index].first == id &&
+                   ledger.group(e.group).members == e.count;
     }
     check(entries_ok, "groups.histogram_entry", entries_ok ? 1.0 : 0.0, 1.0,
           "job " + std::to_string(id) +

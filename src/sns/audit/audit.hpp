@@ -66,8 +66,9 @@ struct AuditorConfig {
 ///     recount of the slot store, plus priority ordering.
 ///   - SolverCache: signature <-> outcome-list consistency and the
 ///     last-signature fast path.
-///   - CorunGroups: node groups vs ledger allocations, member counts vs a
-///     recount, job histograms vs placement widths.
+///   - Co-run groups: member counts vs a recount, group totals vs their
+///     allocation lists, bucket membership vs group idle cores, job
+///     histograms vs placement widths.
 ///   - TimeSeriesStore: per-series time monotonicity and aggregation
 ///     conservation (sum of point counts == raw samples appended).
 ///
@@ -100,18 +101,20 @@ class Auditor {
   std::size_t auditFinishCalendar(
       const sched::FinishCalendar& cal,
       const std::vector<std::pair<sched::JobId, double>>& expected);
-  /// Cross-validate the simulator's co-run group table against the
-  /// ledger and `widths` (every running job with its placement width):
-  ///   - a node is idle in the ledger exactly when it names group 0;
-  ///   - a busy node's group resident list is a permutation of that
-  ///     ledger node's allocations;
-  ///   - every group's member count equals the number of nodes naming it
-  ///     (pooled records: zero);
+  /// Self-check of the ledger's co-run group table (the one node state)
+  /// and the simulator's job histograms over it, given `widths` (every
+  /// running job with its placement width):
+  ///   - every node names a live group, and every group's member count
+  ///     equals the number of nodes naming it (pooled records: zero);
+  ///   - every live group's cached totals, exclusive flag,
+  ///     partitioned-resident count and occupancy fractions reproduce
+  ///     bit-for-bit from its allocation list, which names no job twice;
+  ///   - every node sits in the idle-core bucket of its group's idle cores;
   ///   - every histogram entry points at a group that lists the job at
   ///     the recorded index, with the group's member count, and a running
   ///     job's counts sum to its placement width.
   std::size_t auditCorunGroups(
-      const sched::CorunGroups& groups, const actuator::ResourceLedger& ledger,
+      const actuator::ResourceLedger& ledger, const sched::CorunGroups& groups,
       const std::vector<std::pair<sched::JobId, int>>& widths);
   /// Reconcile the interference flight recorder's per-job slowdown
   /// ledgers (sns::flight, DESIGN.md section 12). Bit-exact checks —

@@ -218,12 +218,12 @@ void ClusterSimulator::updateBusyNodes(const std::vector<int>& nodes,
   // A node turned busy on a join exactly when it now hosts only the
   // joiner; it turned idle on a leave exactly when it is back in group 0.
   for (int nd : nodes) {
-    const auto g = groups_.groupOf(nd);
-    if (joined && groups_.group(g).residents.size() == 1) {
+    const auto g = ledger_.groupOf(nd);
+    if (joined && ledger_.group(g).residents.size() == 1) {
       busy_pos_[static_cast<std::size_t>(nd)] =
           static_cast<std::int32_t>(busy_nodes_.size());
       busy_nodes_.push_back(nd);
-    } else if (!joined && g == sched::CorunGroups::kIdle) {
+    } else if (!joined && g == actuator::ResourceLedger::kIdleGroup) {
       auto& pos = busy_pos_[static_cast<std::size_t>(nd)];
       const int last = busy_nodes_.back();
       busy_nodes_[static_cast<std::size_t>(pos)] = last;
@@ -248,7 +248,7 @@ bool ClusterSimulator::donationsObserved() const {
 }
 
 void ClusterSimulator::noteDonations(int nd) {
-  const auto& node = ledger_.node(nd);
+  const actuator::NodeLedger node = ledger_.node(nd);
   double& prev_donated = node_donated_[static_cast<std::size_t>(nd)];
   // O(1) fast-out: only partitioned, non-exclusive residents receive
   // donated ways. With none on the node and nothing previously observed,
@@ -288,14 +288,14 @@ void ClusterSimulator::admit(sched::Job job) {
 }
 
 void ClusterSimulator::solveGroup(sched::CorunGroups::GroupId g, int nd) {
-  auto& grp = groups_.group(g);
+  const auto& residents = ledger_.group(g).residents;
+  auto& grp = groups_.slot(g);
   if (m_solver_calls_) m_solver_calls_->inc();
-  const auto& node = ledger_.node(nd);
-  for (std::size_t i = 0; i < grp.residents.size(); ++i) {
-    const sched::JobId id = grp.residents[i];
+  const actuator::NodeLedger node = ledger_.node(nd);
+  for (std::size_t i = 0; i < residents.size(); ++i) {
+    const auto& [id, alloc] = residents[i];
     const Running& r = running(id);
     const double rf = r.remote_frac;  // placement-fixed, hoisted to startJob
-    const auto& alloc = node.allocation(id);
     const double ways = cfg_.donate_unused_ways
                             ? node.effectiveWays(alloc)
                             : static_cast<double>(alloc.ways);
@@ -320,10 +320,11 @@ void ClusterSimulator::solveGroup(sched::CorunGroups::GroupId g, int nd) {
 double ClusterSimulator::placementBandwidth(sched::JobId id) const {
   double sum = 0.0;
   for (int nd : record(id).placement.nodes) {
-    const auto& grp = groups_.group(groups_.groupOf(nd));
+    const sched::CorunGroups::GroupId g = ledger_.groupOf(nd);
+    const auto& residents = ledger_.group(g).residents;
     std::size_t i = 0;
-    while (grp.residents[i] != id) ++i;
-    sum += grp.out[i].bw_gbps;
+    while (residents[i].first != id) ++i;
+    sum += groups_.slot(g).out[i].bw_gbps;
   }
   return sum;
 }
@@ -353,15 +354,15 @@ void ClusterSimulator::refreshRates(double now,
   for (int nd : dirty_nodes) {
     // Runs of one group are the norm (a spread placement's nodes), so
     // the previous node's group short-circuits the stamp check.
-    const sched::CorunGroups::GroupId g = groups_.groupOf(nd);
+    const sched::CorunGroups::GroupId g = ledger_.groupOf(nd);
     if (g == prev) continue;
     prev = g;
     if (g == sched::CorunGroups::kIdle) continue;
-    auto& grp = groups_.group(g);
+    auto& grp = groups_.slot(g);
     if (grp.stamp == group_epoch_) continue;
     grp.stamp = group_epoch_;
     solveGroup(g, nd);
-    for (sched::JobId id : grp.residents) {
+    for (const auto& [id, alloc] : ledger_.group(g).residents) {
       auto& stamp = job_stamp_[static_cast<std::size_t>(id)];
       if (stamp != stamp_epoch_) {
         stamp = stamp_epoch_;
@@ -393,7 +394,7 @@ void ClusterSimulator::refreshRates(double now,
     double corun_rate = kInf;
     for (const auto& e : hist) {
       corun_rate = std::min(corun_rate,
-                            groups_.group(e.group).out[e.index].rate_per_proc);
+                            groups_.slot(e.group).out[e.index].rate_per_proc);
     }
     // NIC oversubscription on any node stretches everyone's comm. While no
     // node's demand exceeds the link rate, every demand / nic_cap rounds
@@ -484,8 +485,8 @@ int ClusterSimulator::firstMinRateNode(sched::JobId id, double corun_rate,
   std::size_t first = nodes.size();
   for (std::size_t k = 0; k < hist.size(); ++k) {
     const auto& e = hist[k];
-    if (groups_.group(e.group).out[e.index].rate_per_proc != corun_rate) continue;
-    first = std::min(first, groups_.firstOf(id, k, nodes));
+    if (groups_.slot(e.group).out[e.index].rate_per_proc != corun_rate) continue;
+    first = std::min(first, groups_.firstOf(id, k, nodes, ledger_));
   }
   return first < nodes.size() ? nodes[first] : -1;
 }
@@ -508,27 +509,27 @@ void ClusterSimulator::flightReopen(sched::JobId id, const Running& r,
   // Replay the bottleneck node's co-run signature: its group's solve
   // gives the job's rate and bandwidth-unconstrained rate, the group's
   // leave-one-out rows the per-co-runner deltas.
-  const sched::CorunGroups::GroupId g = groups_.groupOf(bottleneck);
-  const auto& grp = groups_.group(g);
-  const auto& resident = grp.residents;
+  const sched::CorunGroups::GroupId g = ledger_.groupOf(bottleneck);
+  const auto& grp = groups_.slot(g);
+  const auto& resident = ledger_.group(g).residents;
   const std::size_t nres = resident.size();
   std::size_t self_idx = 0;
   for (std::size_t i = 0; i < nres; ++i)
-    if (resident[i] == id) self_idx = i;
-  if (flight_group_memo_.size() < groups_.slots()) {
+    if (resident[i].first == id) self_idx = i;
+  if (flight_group_memo_.size() < ledger_.groupSlots()) {
     // Grows with the group pool's high-water mark only.
     util::hotpath::markInnermostBoundary();
-    flight_group_memo_.resize(groups_.slots());
+    flight_group_memo_.resize(ledger_.groupSlots());
   }
   FlightGroupMemo& memo = flight_group_memo_[g];
-  if (memo.serial != grp.serial) flightLeaveOneOut(g);
+  if (memo.serial != ledger_.group(g).serial) flightLeaveOneOut(g);
   ctx.rate_pp = grp.out[self_idx].rate_per_proc;
   ctx.raw_rate_pp = grp.out[self_idx].raw_rate_per_proc;
   flight_comp_deltas_.clear();
   if (nres > 1) {
     for (std::size_t k = 0; k < nres; ++k) {
       if (k == self_idx) continue;
-      flight_comp_deltas_.emplace_back(resident[k],
+      flight_comp_deltas_.emplace_back(resident[k].first,
                                        memo.loo[k * nres + self_idx] - ctx.rate_pp);
     }
   }
@@ -536,7 +537,8 @@ void ClusterSimulator::flightReopen(sched::JobId id, const Running& r,
   // oversubscribed node are weighted by their ground-truth NIC demand.
   flight_net_shares_.clear();
   if (net_over > 1.0 && net_node >= 0) {
-    for (sched::JobId other : groups_.group(groups_.groupOf(net_node)).residents) {
+    for (const auto& [other, alloc] :
+         ledger_.group(ledger_.groupOf(net_node)).residents) {
       if (other != id)
         flight_net_shares_.emplace_back(other, running(other).nic_demand);
     }
@@ -547,15 +549,15 @@ void ClusterSimulator::flightReopen(sched::JobId id, const Running& r,
 }
 
 void ClusterSimulator::flightLeaveOneOut(sched::CorunGroups::GroupId g) {
-  const auto& grp = groups_.group(g);
-  const std::size_t nres = grp.residents.size();
+  const auto& grp = groups_.slot(g);
+  const std::size_t nres = grp.in.size();
   FlightGroupMemo& memo = flight_group_memo_[g];
   if (memo.loo.capacity() < nres * nres) {
     // Grows with the largest group a pooled id has carried only.
     util::hotpath::markInnermostBoundary();
   }
   memo.loo.assign(nres * nres, 0.0);
-  memo.serial = grp.serial;
+  memo.serial = ledger_.group(g).serial;
   if (nres < 2) return;
 
   const auto& shares = grp.in;
@@ -683,8 +685,7 @@ void ClusterSimulator::startJob(const sched::Job& job, const sched::Placement& p
 
   activate(job.id);
   const actuator::NodeAllocation alloc = p.nodeAllocation();
-  for (int nd : p.nodes) ledger_.allocate(nd, job.id, alloc);
-  groups_.join(job.id, p.nodes);
+  groups_.join(job.id, ledger_, ledger_.allocate(p.nodes, job.id, alloc));
   updateBusyNodes(p.nodes, true);
   if (r.nic_demand != 0.0) {
     for (int nd : p.nodes) addNetDemand(nd, r.nic_demand);
@@ -755,8 +756,7 @@ void ClusterSimulator::finishJob(sched::JobId id, double now) {
       local_db_.put(std::move(pp));
     }
   }
-  for (int nd : placement.nodes) ledger_.release(nd, id);
-  groups_.leave(id, placement.nodes);
+  groups_.leave(id, ledger_, ledger_.release(placement.nodes, id));
   updateBusyNodes(placement.nodes, false);
   if (r.nic_demand != 0.0) {
     for (int nd : placement.nodes) addNetDemand(nd, -r.nic_demand);
@@ -1007,7 +1007,7 @@ void ClusterSimulator::auditTick() {
     for (sched::JobId id : active_) {
       widths.emplace_back(id, record(id).placement.nodeCount());
     }
-    cfg_.auditor->auditCorunGroups(groups_, ledger_, widths);
+    cfg_.auditor->auditCorunGroups(ledger_, groups_, widths);
   }
 #endif
 }
@@ -1067,10 +1067,12 @@ void ClusterSimulator::accumulate(double t0, double t1) {
   // member, so steady-state events allocate nothing.
   bw_scratch_.clear();
   for (int nd : busy_nodes_) {
-    const auto& grp = groups_.group(groups_.groupOf(nd));
+    const sched::CorunGroups::GroupId g = ledger_.groupOf(nd);
+    const auto& residents = ledger_.group(g).residents;
+    const auto& grp = groups_.slot(g);
     double bw = 0.0;
-    for (std::size_t i = 0; i < grp.residents.size(); ++i) {
-      const Running& r = running(grp.residents[i]);
+    for (std::size_t i = 0; i < residents.size(); ++i) {
+      const Running& r = running(residents[i].first);
       const double t_inst = 1.0 / r.rate;
       const double comp_part =
           t_inst - r.comm_data_time * r.net_stretch - r.wait_time;
@@ -1172,7 +1174,7 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
   }
   job_stamp_.assign(n, 0u);
   stamp_epoch_ = 0;
-  groups_.reset(cfg_.nodes, n);
+  groups_.reset(n);
   group_epoch_ = 0;
   busy_nodes_.clear();
   std::fill(busy_pos_.begin(), busy_pos_.end(), -1);

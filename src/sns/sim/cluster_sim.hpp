@@ -173,10 +173,10 @@ struct SimResult {
 /// Hot-path state is dense: job ids are contiguous (assigned 0..n-1 per
 /// run), so per-job state lives in vectors indexed by JobId with a compact
 /// active-id list; nodes with equal ordered resident lists share one
-/// co-run group (sched::CorunGroups) that carries their solved rates; and
-/// per-event scratch buffers are hoisted into members. This is what lets
-/// the paper's Fig 20 replay (7,044 jobs on up to 32K nodes) run in
-/// seconds; see DESIGN.md "Simulator performance architecture".
+/// co-run group (the ledger's, with sched::CorunGroups carrying its solved
+/// rates); and per-event scratch buffers are hoisted into members. This is
+/// what lets the paper's Fig 20 replay (7,044 jobs on up to 32K nodes) run
+/// in seconds; see DESIGN.md "Simulator performance architecture".
 class ClusterSimulator {
  public:
   ClusterSimulator(const perfmodel::Estimator& est,
@@ -270,7 +270,7 @@ class ClusterSimulator {
   void updateBusyNodes(const std::vector<int>& nodes, bool joined);
   /// Serial of node `nd`'s co-run group incarnation.
   std::uint64_t nodeSerial(int nd) const {
-    return groups_.group(groups_.groupOf(nd)).serial;
+    return ledger_.group(ledger_.groupOf(nd)).serial;
   }
   /// Add `delta` to node `nd`'s NIC demand, tracking how many nodes are
   /// oversubscribed (demand above the link rate). Adding a zero demand is
@@ -336,10 +336,10 @@ class ClusterSimulator {
   std::vector<sched::JobId> active_;       ///< ids of in-flight jobs
   std::vector<std::int32_t> active_pos_;   ///< id -> index in active_, -1 if idle
 
-  /// Every node's co-run group (its ordered resident list, with the
-  /// group's solved rates) and every running job's group histogram.
+  /// Every co-run group's solved rates and every running job's group
+  /// histogram, over the ledger's groups.
   sched::CorunGroups groups_;
-  /// Refresh stamp for CorunGroups::Group::stamp (solve each group once).
+  /// Refresh stamp for CorunGroups::Slot::stamp (solve each group once).
   std::uint64_t group_epoch_ = 0;
   /// total NIC bandwidth demand per node (ground-truth network contention)
   std::vector<double> node_net_demand_;

@@ -1,0 +1,300 @@
+// Differential check of the group-level ResourceLedger against per-node
+// reference ledgers (tests/support/reference_ledger.hpp): a seeded stream
+// of per-node and whole-placement calls, with jobs arriving on their nodes
+// in interleaved orders so that co-run groups split on arrival and merge
+// on release. After every call each node's view must equal its reference
+// bit for bit, and the ledger's indexes (idle-core buckets, the bucket
+// population bound, selection) must answer as a regroup-from-scratch over
+// the references does.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <vector>
+
+#include "sns/actuator/resource_ledger.hpp"
+#include "sns/audit/audit.hpp"
+#include "sns/util/error.hpp"
+#include "sns/util/rng.hpp"
+#include "tests/support/reference_ledger.hpp"
+
+namespace sns::actuator {
+namespace {
+
+using testsupport::ReferenceNodeLedger;
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+class Cluster {
+ public:
+  Cluster(int nodes, const hw::MachineConfig& mach)
+      : mach_(mach), ledger_(nodes, mach_), ref_(nodes, ReferenceNodeLedger(mach_)) {}
+
+  ResourceLedger& ledger() { return ledger_; }
+  const ReferenceNodeLedger& ref(int nd) const { return ref_[static_cast<std::size_t>(nd)]; }
+  int nodes() const { return static_cast<int>(ref_.size()); }
+
+  /// Mirror of a ledger allocate over `nodes`: every node up to the first
+  /// that does not fit, as the ledger commits them.
+  void refAllocate(const std::vector<int>& nodes, JobId job, const NodeAllocation& a) {
+    for (int nd : nodes) {
+      auto& r = ref_[static_cast<std::size_t>(nd)];
+      if (r.holds(job) || !r.fits(a)) return;
+      r.allocate(job, a);
+      total_bw_ += a.bw_gbps;
+      total_cores_ += a.cores;
+    }
+  }
+  void refRelease(const std::vector<int>& nodes, JobId job) {
+    for (int nd : nodes) {
+      auto& r = ref_[static_cast<std::size_t>(nd)];
+      const NodeAllocation a = r.allocation(job);
+      r.release(job);
+      total_bw_ -= a.bw_gbps;
+      total_cores_ -= a.cores;
+      if (total_cores_ == 0) total_bw_ = 0.0;
+    }
+  }
+
+  /// Every node view against its reference, and every index against a
+  /// recount over the references.
+  void compare(const std::string& where) {
+    const NodeAllocation probes[] = {
+        {1, 0, 0.0, false, 0.0},  {4, 2, 3.5, false, 0.0},
+        {8, 4, 20.0, false, 0.5}, {28, 0, 0.0, true, 0.0},
+        {3, 6, 0.0, false, 0.0},  {2, 2, 40.0, false, 1.0},
+    };
+    std::int64_t cores = 0;
+    int idle_nodes = 0;
+    for (int nd = 0; nd < nodes(); ++nd) {
+      const NodeLedger v = ledger_.node(nd);
+      const ReferenceNodeLedger& r = ref(nd);
+      const std::string at = where + " node " + std::to_string(nd);
+      ASSERT_EQ(v.idleCores(), r.idleCores()) << at;
+      ASSERT_EQ(v.freeWays(), r.freeWays()) << at;
+      ASSERT_EQ(bits(v.freeBandwidth()), bits(r.freeBandwidth())) << at;
+      ASSERT_EQ(bits(v.freeNetwork()), bits(r.freeNetwork())) << at;
+      ASSERT_EQ(v.jobCount(), r.jobCount()) << at;
+      ASSERT_EQ(v.idle(), r.idle()) << at;
+      ASSERT_EQ(v.hasExclusiveJob(), r.hasExclusiveJob()) << at;
+      ASSERT_EQ(v.partitionedResidents(), r.partitionedResidents()) << at;
+      ASSERT_EQ(bits(v.coreOccupancy()), bits(r.coreOccupancy())) << at;
+      ASSERT_EQ(bits(v.wayOccupancy()), bits(r.wayOccupancy())) << at;
+      ASSERT_EQ(bits(v.bwOccupancy()), bits(r.bwOccupancy())) << at;
+      for (double beta : {0.0, 1.0, 2.0}) {
+        ASSERT_EQ(bits(v.score(beta)), bits(r.score(beta))) << at;
+      }
+      for (const NodeAllocation& p : probes) ASSERT_EQ(v.fits(p), r.fits(p)) << at;
+      // Same resident set (the ledger lists arrival order, the reference
+      // ascending ids), same allocations, same effective ways.
+      auto got = v.allocations();
+      std::sort(got.begin(), got.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      ASSERT_EQ(got.size(), r.allocations().size()) << at;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        const auto& [job, a] = got[i];
+        const NodeAllocation& want = r.allocations()[i].second;
+        ASSERT_EQ(job, r.allocations()[i].first) << at;
+        ASSERT_EQ(a.cores, want.cores) << at;
+        ASSERT_EQ(a.ways, want.ways) << at;
+        ASSERT_EQ(bits(a.bw_gbps), bits(want.bw_gbps)) << at;
+        ASSERT_EQ(bits(a.net_gbps), bits(want.net_gbps)) << at;
+        ASSERT_EQ(a.exclusive, want.exclusive) << at;
+        ASSERT_EQ(bits(v.effectiveWays(job)), bits(r.effectiveWays(job))) << at;
+      }
+      for (int c = 0; c < ledger_.bucketCount(); ++c) {
+        ASSERT_EQ(ledger_.bucket(c).contains(nd), c == r.idleCores()) << at << " bucket " << c;
+      }
+      cores += mach_.cores - r.idleCores();
+      if (r.idle()) ++idle_nodes;
+    }
+    ASSERT_EQ(ledger_.cachedTotalCoresUsed(), cores) << where;
+    ASSERT_EQ(cores, total_cores_) << where;
+    ASSERT_EQ(bits(ledger_.cachedTotalBwReserved()), bits(total_bw_)) << where;
+    ASSERT_EQ(ledger_.idleNodeCount(), idle_nodes) << where;
+
+    // The bucket population bound, summed row by row from the most idle
+    // down, stopping once it reaches `enough`.
+    for (int from : {1, 4, 12, 27}) {
+      for (int ways : {0, 2, 8}) {
+        for (int enough : {1, 3, 100}) {
+          int n = 0;
+          for (int c = mach_.cores; c >= from; --c) {
+            for (int nd = 0; nd < nodes(); ++nd) {
+              if (ref(nd).idleCores() == c && ref(nd).freeWays() >= ways) ++n;
+            }
+            if (n >= enough) break;
+          }
+          ASSERT_EQ(ledger_.feasibleUpperBound(from, ways, enough), n)
+              << where << " from " << from << " ways " << ways;
+        }
+      }
+    }
+    for (const NodeAllocation& p : probes) {
+      if (p.exclusive) continue;
+      for (int count : {1, 2, 5}) {
+        const auto want = testsupport::referenceRanked(
+            nodes(), [&](int id) { return ref(id); }, count, p, 2.0);
+        ASSERT_EQ(ledger_.selectNodes(count, p, 2.0), want)
+            << where << " count " << count << " cores " << p.cores;
+      }
+    }
+  }
+
+ private:
+  hw::MachineConfig mach_;
+  ResourceLedger ledger_;
+  std::vector<ReferenceNodeLedger> ref_;
+  double total_bw_ = 0.0;
+  std::int64_t total_cores_ = 0;
+};
+
+struct Job {
+  NodeAllocation alloc;
+  std::vector<int> plan;    ///< nodes still to join, per-node jobs only
+  std::vector<int> placed;  ///< nodes holding the job
+};
+
+TEST(LedgerOracle, MixedPerNodeAndSpanCallsMatchPerNodeReferences) {
+  constexpr int kNodes = 10;
+  Cluster cl(kNodes, hw::MachineConfig::xeonE5_2680v4());
+  util::Rng rng(20260417);
+  std::map<JobId, Job> jobs;  // ordered: draws below never depend on hashing
+  JobId next = 1;
+  int span_calls = 0;
+  int node_calls = 0;
+  int failed_spans = 0;
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+  };
+  for (int step = 0; step < 700; ++step) {
+    const std::string where = "step " + std::to_string(step);
+    const double u = rng.uniform();
+    if (u < 0.3 || jobs.empty()) {
+      // A new job. Fractional bandwidths make the per-node +=/-= sums
+      // carry history-dependent rounding residue.
+      Job j;
+      const bool exclusive = rng.uniform() < 0.08;
+      j.alloc.exclusive = exclusive;
+      j.alloc.cores = exclusive ? static_cast<int>(rng.uniformInt(8, 28))
+                                : static_cast<int>(rng.uniformInt(1, 7));
+      j.alloc.ways = rng.uniform() < 0.4 ? 0 : static_cast<int>(rng.uniformInt(2, 5));
+      j.alloc.bw_gbps = rng.uniform() < 0.3 ? 0.0 : 0.1 * rng.uniformInt(1, 150) + 0.013;
+      j.alloc.net_gbps = rng.uniform() < 0.5 ? 0.0 : 0.07 * rng.uniformInt(1, 20);
+      std::vector<int> nodes;
+      for (int nd = 0; nd < kNodes; ++nd) {
+        if (cl.ref(nd).fits(j.alloc) && rng.uniform() < 0.5) nodes.push_back(nd);
+      }
+      if (nodes.empty()) continue;
+      std::shuffle(nodes.begin(), nodes.end(), rng);
+      const JobId id = next++;
+      if (rng.uniform() < 0.5) {
+        // Whole placement at once; sometimes with a trailing node that
+        // cannot hold the job, which must throw after committing the rest.
+        std::vector<int> span = nodes;
+        int blocked = -1;
+        for (int nd = 0; nd < kNodes && rng.uniform() < 0.3; ++nd) {
+          if (!cl.ref(nd).fits(j.alloc)) blocked = nd;
+        }
+        if (blocked >= 0) span.push_back(blocked);
+        if (blocked >= 0) {
+          EXPECT_THROW(cl.ledger().allocate(span, id, j.alloc), util::PreconditionError)
+              << where;
+          ++failed_spans;
+        } else {
+          const auto moves = cl.ledger().allocate(span, id, j.alloc);
+          std::uint32_t moved = 0;
+          for (const auto& t : moves) moved += t.count;
+          ASSERT_EQ(moved, span.size()) << where;
+        }
+        cl.refAllocate(span, id, j.alloc);
+        j.placed = nodes;
+        ++span_calls;
+      } else {
+        j.plan = nodes;  // joined one node per step, interleaved with others
+      }
+      jobs.emplace(id, std::move(j));
+    } else if (u < 0.6) {
+      // One per-node join of a job still arriving.
+      std::vector<JobId> arriving;
+      for (const auto& [id, j] : jobs) {
+        if (!j.plan.empty()) arriving.push_back(id);
+      }
+      if (arriving.empty()) continue;
+      const JobId id = arriving[pick(arriving.size())];
+      Job& j = jobs[id];
+      const int nd = j.plan.back();
+      j.plan.pop_back();
+      if (!cl.ref(nd).fits(j.alloc)) {
+        EXPECT_THROW(cl.ledger().allocate(nd, id, j.alloc), util::PreconditionError)
+            << where;
+      } else {
+        cl.ledger().allocate(nd, id, j.alloc);
+        cl.refAllocate({nd}, id, j.alloc);
+        j.placed.push_back(nd);
+      }
+      ++node_calls;
+    } else {
+      // A departure: the whole placement in one call, or one node.
+      std::vector<JobId> ids;
+      for (const auto& [id, j] : jobs) {
+        if (!j.placed.empty()) ids.push_back(id);
+      }
+      if (ids.empty()) continue;
+      const JobId id = ids[pick(ids.size())];
+      Job& j = jobs[id];
+      if (rng.uniform() < 0.5) {
+        std::shuffle(j.placed.begin(), j.placed.end(), rng);
+        cl.ledger().release(j.placed, id);
+        cl.refRelease(j.placed, id);
+        j.placed.clear();
+        j.plan.clear();
+        ++span_calls;
+      } else {
+        const std::size_t k = pick(j.placed.size());
+        const int nd = j.placed[k];
+        j.placed.erase(j.placed.begin() + static_cast<std::ptrdiff_t>(k));
+        cl.ledger().release(nd, id);
+        cl.refRelease({nd}, id);
+        ++node_calls;
+      }
+      if (j.placed.empty() && j.plan.empty()) jobs.erase(id);
+    }
+    cl.compare(where);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(span_calls, 50);
+  EXPECT_GT(node_calls, 50);
+  EXPECT_GT(failed_spans, 0);
+  audit::Auditor auditor;
+  EXPECT_EQ(auditor.auditLedger(cl.ledger()), 0u) << auditor.report();
+}
+
+// Groups merge on release: two nodes reach {A, B} in opposite arrival
+// orders (two groups); once B leaves both hold {A} again, one group.
+TEST(LedgerOracle, OppositeArrivalOrdersMergeOnRelease) {
+  const auto mach = hw::MachineConfig::xeonE5_2680v4();
+  ResourceLedger ledger(2, mach);
+  const NodeAllocation a{4, 2, 1.5, false, 0.0};
+  const NodeAllocation b{2, 0, 0.7, false, 0.0};
+  ledger.allocate(0, 1, a);
+  ledger.allocate(1, 2, b);
+  ledger.allocate(0, 2, b);
+  ledger.allocate(1, 1, a);
+  EXPECT_NE(ledger.groupOf(0), ledger.groupOf(1));
+  EXPECT_EQ(ledger.node(0).allocations().front().first, 1);
+  EXPECT_EQ(ledger.node(1).allocations().front().first, 2);
+  const std::vector<int> both = {0, 1};
+  const auto moves = ledger.release(both, 2);
+  ASSERT_EQ(moves.size(), 2u);
+  EXPECT_EQ(moves[0].dst, moves[1].dst);
+  EXPECT_EQ(ledger.groupOf(0), ledger.groupOf(1));
+  EXPECT_EQ(ledger.group(ledger.groupOf(0)).members, 2u);
+  audit::Auditor auditor;
+  EXPECT_EQ(auditor.auditLedger(ledger), 0u) << auditor.report();
+}
+
+}  // namespace
+}  // namespace sns::actuator

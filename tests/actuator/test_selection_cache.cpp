@@ -6,11 +6,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 
 #include "sns/actuator/resource_ledger.hpp"
 #include "sns/util/rng.hpp"
 #include "sns/util/thread_pool.hpp"
+#include "tests/support/reference_ledger.hpp"
 
 namespace sns::actuator {
 namespace {
@@ -155,41 +155,13 @@ TEST_F(SelectionCacheTest, AuditAcceptsFreshCacheRejectsNothing) {
   EXPECT_TRUE(ledger_.auditSelectionCache().empty());
 }
 
-// Reference selection over public NodeLedger state: regroup every node by
-// idle-core count on each query, with no index and no cache.
-//
-// Ranked (selectNodes): walk the groups best-fit first (fewest idle cores
-// that still hold the request), each scan capped at max(64, 2*count+8)
-// fitting nodes in ascending id order; the first group with `count`
-// candidates wins, else every candidate competes; rank by (score, id).
+// Ranked (selectNodes) reference: testsupport::referenceRanked, which
+// regroups every node by idle-core count on each query, with no index and
+// no cache, over the ledger's public node views.
 std::vector<int> referenceRanked(const ResourceLedger& ledger, int count,
                                  const NodeAllocation& req, double beta) {
-  std::map<int, std::vector<int>> groups;
-  for (int id = 0; id < ledger.nodeCount(); ++id) {
-    const int idle = ledger.node(id).idleCores();
-    if (idle >= std::max(0, req.cores)) groups[idle].push_back(id);
-  }
-  const std::size_t n = static_cast<std::size_t>(count);
-  const std::size_t cap = std::max<std::size_t>(64, 2 * n + 8);
-  const auto rank = [&](const std::vector<int>& ids) {
-    std::vector<std::pair<double, int>> scored;
-    for (int id : ids) scored.emplace_back(ledger.node(id).score(beta), id);
-    std::sort(scored.begin(), scored.end());
-    std::vector<int> out;
-    for (std::size_t i = 0; i < n; ++i) out.push_back(scored[i].second);
-    return out;
-  };
-  std::vector<int> all;
-  for (const auto& [idle, ids] : groups) {
-    std::vector<int> fit;
-    for (int id : ids) {
-      if (fit.size() >= cap) break;
-      if (ledger.node(id).fits(req)) fit.push_back(id);
-    }
-    if (fit.size() >= n) return rank(fit);
-    all.insert(all.end(), fit.begin(), fit.end());
-  }
-  return all.size() < n ? std::vector<int>{} : rank(all);
+  return testsupport::referenceRanked(
+      ledger.nodeCount(), [&](int id) { return ledger.node(id); }, count, req, beta);
 }
 
 // Aligned (selectNodesByAlignment): every fitting node, ranked by the dot
@@ -206,7 +178,7 @@ std::vector<int> referenceAligned(const ResourceLedger& ledger, int count,
   };
   std::vector<std::pair<double, int>> scored;
   for (int id = 0; id < ledger.nodeCount(); ++id) {
-    const NodeLedger& nl = ledger.node(id);
+    const NodeLedger nl = ledger.node(id);
     if (!nl.fits(req)) continue;
     const double free[4] = {
         static_cast<double>(nl.idleCores()) / m.cores,

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <span>
 
 #include "sns/app/library.hpp"
@@ -225,23 +226,21 @@ TEST_F(AuditorTest, CorunGroupTableAuditsCleanAndCatchesDrift) {
   const actuator::NodeAllocation a2{8, 4, 10.0, false};
   actuator::ResourceLedger ledger(4, mach_);
   sched::CorunGroups groups;
-  groups.reset(4, 3);
+  groups.reset(3);
   const std::vector<int> p1 = {0, 1, 2};
   const std::vector<int> p2 = {1, 2};
-  for (int nd : p1) ledger.allocate(nd, 1, a1);
-  groups.join(1, p1);
-  for (int nd : p2) ledger.allocate(nd, 2, a2);
-  groups.join(2, p2);
+  groups.join(1, ledger, ledger.allocate(p1, 1, a1));
+  groups.join(2, ledger, ledger.allocate(p2, 2, a2));
   const std::vector<std::pair<sched::JobId, int>> widths = {{1, 3}, {2, 2}};
 
   Auditor clean;
-  EXPECT_EQ(clean.auditCorunGroups(groups, ledger, widths), 0u)
+  EXPECT_EQ(clean.auditCorunGroups(ledger, groups, widths), 0u)
       << clean.report();
   EXPECT_GT(clean.checksRun(), 0u);
 
   const auto caught = [&](const char* name, const std::vector<std::pair<sched::JobId, int>>& w) {
     Auditor a;
-    EXPECT_GT(a.auditCorunGroups(groups, ledger, w), 0u) << name;
+    EXPECT_GT(a.auditCorunGroups(ledger, groups, w), 0u) << name;
     bool found = false;
     for (const Violation& v : a.violations()) found = found || v.check == name;
     EXPECT_TRUE(found) << name << "\n" << a.report();
@@ -251,29 +250,54 @@ TEST_F(AuditorTest, CorunGroupTableAuditsCleanAndCatchesDrift) {
   caught("groups.histogram", {{1, 3}, {2, 3}});
 
   // Member count drift on the shared group.
-  const auto shared = groups.groupOf(1);
-  groups.debugCorruptMembers(shared, +1);
+  const auto shared = ledger.groupOf(1);
+  ledger.debugCorruptMembers(shared, +1);
   caught("groups.members", widths);
-  groups.debugCorruptMembers(shared, -1);
+  ledger.debugCorruptMembers(shared, -1);
 
   // A histogram entry whose count disagrees with its group.
   groups.debugCorruptHistogram(2, +1);
   caught("groups.histogram_entry", widths);
   groups.debugCorruptHistogram(2, -1);
 
-  // A busy node pointing at the wrong group: its list is no longer the
-  // ledger's allocation set.
-  const auto solo = groups.groupOf(0);
-  groups.debugSetNodeGroup(1, solo);
+  // Cached group state that no longer matches its allocation list.
+  actuator::GroupState& st = ledger.debugCorruptGroup(shared);
+  st.cores_used += 1;
+  caught("groups.totals", widths);
+  st.cores_used -= 1;
+  st.exclusive = true;
+  caught("groups.exclusive", widths);
+  st.exclusive = false;
+  st.partitioned += 1;
+  caught("groups.partitioned", widths);
+  st.partitioned -= 1;
+  const double occ = st.occ_ways;
+  st.occ_ways = std::nextafter(occ, 1.0);
+  caught("groups.occupancy", widths);
+  st.occ_ways = occ;
+  st.residents.push_back(st.residents.front());
   caught("groups.residents", widths);
-  // A busy node claiming to be idle.
-  groups.debugSetNodeGroup(1, sched::CorunGroups::kIdle);
-  caught("groups.idle", widths);
-  groups.debugSetNodeGroup(1, shared);
+  st.residents.pop_back();
+
+  // A busy node pointing at the wrong group: its member counts and its
+  // idle-core bucket no longer agree with the table.
+  const auto solo = ledger.groupOf(0);
+  ledger.debugSetNodeGroup(1, solo);
+  caught("groups.bucket", widths);
+  caught("groups.members", widths);
+  // A node naming a group id the table never issued.
+  ledger.debugSetNodeGroup(1, static_cast<actuator::ResourceLedger::GroupId>(
+                                  ledger.groupSlots()));
+  caught("groups.dangling", widths);
+  ledger.debugSetNodeGroup(1, shared);
 
   Auditor restored;
-  EXPECT_EQ(restored.auditCorunGroups(groups, ledger, widths), 0u)
+  EXPECT_EQ(restored.auditCorunGroups(ledger, groups, widths), 0u)
       << restored.report();
+
+  // A node missing from its group's idle-core bucket.
+  ledger.debugCorruptBucket(0);
+  caught("groups.bucket", widths);
 }
 
 #if SNS_AUDIT_ENABLED

@@ -1,16 +1,19 @@
-// CorunGroups is the simulator's resident bookkeeping: every node names the
-// group of its ordered resident list, and every running job keeps a
-// histogram of the groups its placement touches. Rate derivation reads
-// only the histograms, so a group that diverges from the per-node truth,
-// or a histogram count that drifts, silently changes a job's co-run rate.
-// The randomized test replays join/leave events against a naive per-node
-// model and checks the full table after every event.
+// The co-run group table is the simulator's resident bookkeeping: the
+// ledger names, for every node, the group of its ordered resident list,
+// and CorunGroups keeps every group's solve slot and every running job's
+// histogram of the groups its placement touches, fed from the ledger's
+// transitions. Rate derivation reads only the histograms, so a group that
+// diverges from the per-node truth, or a histogram count that drifts,
+// silently changes a job's co-run rate. The randomized test replays
+// join/leave events against a naive per-node model and checks the full
+// table after every event.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <vector>
 
+#include "sns/actuator/resource_ledger.hpp"
 #include "sns/sched/corun_groups.hpp"
 #include "sns/util/error.hpp"
 #include "sns/util/rng.hpp"
@@ -20,15 +23,38 @@ namespace {
 
 using GroupId = CorunGroups::GroupId;
 
-void join(CorunGroups& t, JobId job, const std::vector<int>& nodes) {
-  t.join(job, nodes);
+/// The ledger and the table over it, as the simulator drives them: every
+/// job holds one core per node.
+struct Table {
+  Table(int nodes, std::size_t jobs) : ledger(nodes, mach) { t.reset(jobs); }
+
+  GroupId groupOf(int nd) const { return ledger.groupOf(nd); }
+  const actuator::ResourceLedger::Group& group(GroupId g) const {
+    return ledger.group(g);
+  }
+  std::vector<JobId> residents(GroupId g) const {
+    std::vector<JobId> ids;
+    for (const auto& r : ledger.group(g).residents) ids.push_back(r.first);
+    return ids;
+  }
+  const std::vector<CorunGroups::HistEntry>& histogram(JobId job) const {
+    return t.histogram(job);
+  }
+
+  hw::MachineConfig mach = hw::MachineConfig::xeonE5_2680v4();
+  actuator::ResourceLedger ledger;
+  CorunGroups t;
+};
+
+void join(Table& t, JobId job, const std::vector<int>& nodes) {
+  t.t.join(job, t.ledger, t.ledger.allocate(nodes, job, {1, 0, 0.0, false}));
 }
 
-void leave(CorunGroups& t, JobId job, const std::vector<int>& nodes) {
-  t.leave(job, nodes);
+void leave(Table& t, JobId job, const std::vector<int>& nodes) {
+  t.t.leave(job, t.ledger, t.ledger.release(nodes, job));
 }
 
-std::uint32_t countIn(const CorunGroups& t, JobId job, GroupId g) {
+std::uint32_t countIn(const Table& t, JobId job, GroupId g) {
   for (const auto& e : t.histogram(job)) {
     if (e.group == g) return e.count;
   }
@@ -36,24 +62,22 @@ std::uint32_t countIn(const CorunGroups& t, JobId job, GroupId g) {
 }
 
 TEST(CorunGroups, StartsAllIdle) {
-  CorunGroups t;
-  t.reset(4, 2);
+  Table t(4, 2);
   for (int nd = 0; nd < 4; ++nd) EXPECT_EQ(t.groupOf(nd), CorunGroups::kIdle);
   EXPECT_EQ(t.group(CorunGroups::kIdle).members, 4u);
-  EXPECT_TRUE(t.group(CorunGroups::kIdle).residents.empty());
+  EXPECT_TRUE(t.residents(CorunGroups::kIdle).empty());
   EXPECT_TRUE(t.histogram(0).empty());
 }
 
 TEST(CorunGroups, SpreadJobSharesOneGroup) {
-  CorunGroups t;
-  t.reset(8, 2);
+  Table t(8, 2);
   join(t, 0, {5, 1, 2});
   const GroupId g = t.groupOf(5);
   EXPECT_NE(g, CorunGroups::kIdle);
   EXPECT_EQ(t.groupOf(1), g);
   EXPECT_EQ(t.groupOf(2), g);
   EXPECT_EQ(t.groupOf(0), CorunGroups::kIdle);
-  EXPECT_EQ(t.group(g).residents, std::vector<JobId>{0});
+  EXPECT_EQ(t.residents(g), std::vector<JobId>{0});
   EXPECT_EQ(t.group(g).members, 3u);
   EXPECT_EQ(t.group(CorunGroups::kIdle).members, 5u);
   ASSERT_EQ(t.histogram(0).size(), 1u);
@@ -61,12 +85,11 @@ TEST(CorunGroups, SpreadJobSharesOneGroup) {
   EXPECT_EQ(t.histogram(0)[0].count, 3u);
   EXPECT_EQ(t.histogram(0)[0].index, 0u);
   // Outcome storage is sized with the resident list.
-  EXPECT_EQ(t.group(g).out.size(), 1u);
+  EXPECT_EQ(t.t.slot(g).out.size(), 1u);
 }
 
 TEST(CorunGroups, PartialOverlapSplitsAndLeaveMergesBack) {
-  CorunGroups t;
-  t.reset(4, 2);
+  Table t(4, 2);
   join(t, 0, {0, 1, 2, 3});
   const GroupId solo = t.groupOf(0);
   join(t, 1, {1, 2});
@@ -74,7 +97,7 @@ TEST(CorunGroups, PartialOverlapSplitsAndLeaveMergesBack) {
   EXPECT_NE(pair, solo);
   EXPECT_EQ(t.groupOf(2), pair);
   EXPECT_EQ(t.groupOf(3), solo);
-  EXPECT_EQ(t.group(pair).residents, (std::vector<JobId>{0, 1}));
+  EXPECT_EQ(t.residents(pair), (std::vector<JobId>{0, 1}));
   EXPECT_EQ(t.group(solo).members, 2u);
   EXPECT_EQ(t.group(pair).members, 2u);
   EXPECT_EQ(countIn(t, 0, solo), 2u);
@@ -97,20 +120,19 @@ TEST(CorunGroups, PartialOverlapSplitsAndLeaveMergesBack) {
   // The pooled record is reused for the next new list.
   join(t, 1, {3});
   EXPECT_EQ(t.groupOf(3), pair);
-  EXPECT_EQ(t.group(pair).residents, (std::vector<JobId>{0, 1}));
+  EXPECT_EQ(t.residents(pair), (std::vector<JobId>{0, 1}));
 }
 
 TEST(CorunGroups, LeavingKeepsTheOthersOrder) {
-  CorunGroups t;
-  t.reset(2, 3);
+  Table t(2, 3);
   join(t, 0, {0, 1});
   join(t, 1, {0, 1});
   join(t, 2, {0, 1});
-  EXPECT_EQ(t.group(t.groupOf(0)).residents, (std::vector<JobId>{0, 1, 2}));
+  EXPECT_EQ(t.residents(t.groupOf(0)), (std::vector<JobId>{0, 1, 2}));
   leave(t, 1, {0, 1});
   const GroupId g = t.groupOf(0);
   EXPECT_EQ(t.groupOf(1), g);
-  EXPECT_EQ(t.group(g).residents, (std::vector<JobId>{0, 2}));
+  EXPECT_EQ(t.residents(g), (std::vector<JobId>{0, 2}));
   ASSERT_EQ(t.histogram(2).size(), 1u);
   EXPECT_EQ(t.histogram(2)[0].index, 1u);
   EXPECT_EQ(t.histogram(2)[0].count, 2u);
@@ -123,8 +145,7 @@ TEST(CorunGroups, LeavingKeepsTheOthersOrder) {
 TEST(CorunGroups, EqualListsAreOneGroupAcrossEvents) {
   // Nodes that reach the same ordered list by different event sequences
   // still name one group.
-  CorunGroups t;
-  t.reset(3, 3);
+  Table t(3, 3);
   join(t, 0, {0, 1, 2});
   join(t, 1, {0});
   join(t, 2, {1});
@@ -137,13 +158,11 @@ TEST(CorunGroups, EqualListsAreOneGroupAcrossEvents) {
 }
 
 TEST(CorunGroups, MisuseIsRejected) {
-  CorunGroups t;
-  t.reset(3, 2);
+  Table t(3, 2);
   join(t, 0, {0, 1});
   EXPECT_THROW(join(t, 0, {2}), util::PreconditionError);  // already placed
   EXPECT_THROW(join(t, 1, {2, 2}), util::PreconditionError);  // node twice
-  CorunGroups u;
-  u.reset(3, 2);
+  Table u(3, 2);
   join(u, 0, {0, 1});
   EXPECT_THROW(leave(u, 0, {0, 2}), util::PreconditionError);  // not resident
   EXPECT_THROW(join(u, 7, {2}), util::PreconditionError);  // id out of range
@@ -152,8 +171,7 @@ TEST(CorunGroups, MisuseIsRejected) {
 TEST(CorunGroups, RandomEventsMatchPerNodeModel) {
   constexpr int kNodes = 12;
   constexpr int kJobs = 60;
-  CorunGroups t;
-  t.reset(kNodes, kJobs);
+  Table t(kNodes, kJobs);
   std::vector<std::vector<JobId>> model(kNodes);  // per-node resident lists
   std::vector<std::vector<int>> placed(kJobs);
   std::vector<JobId> running;
@@ -192,7 +210,7 @@ TEST(CorunGroups, RandomEventsMatchPerNodeModel) {
     for (int nd = 0; nd < kNodes; ++nd) {
       const GroupId g = t.groupOf(nd);
       const auto& want = model[static_cast<std::size_t>(nd)];
-      ASSERT_EQ(t.group(g).residents, want) << "node " << nd << " step " << step;
+      ASSERT_EQ(t.residents(g), want) << "node " << nd << " step " << step;
       ASSERT_EQ(g == CorunGroups::kIdle, want.empty());
       const auto [it, fresh] = seen.emplace(want, g);
       ASSERT_EQ(it->second, g) << "two groups for one list";
@@ -210,13 +228,13 @@ TEST(CorunGroups, RandomEventsMatchPerNodeModel) {
       for (std::size_t pos = 0; pos < h.size(); ++pos) {
         const auto& e = h[pos];
         ASSERT_EQ(e.count, want[e.group]);
-        ASSERT_EQ(t.group(e.group).residents[e.index], id);
-        ASSERT_EQ(t.group(e.group).hist_pos[e.index], pos);
+        ASSERT_EQ(t.residents(e.group)[e.index], id);
+        ASSERT_EQ(t.t.slot(e.group).hist_pos[e.index], pos);
         // firstOf (cached or scanned) is the first placement node in the
         // group; querying every step also exercises cache invalidation.
         std::size_t first = 0;
         while (t.groupOf(nodes[first]) != e.group) ++first;
-        ASSERT_EQ(t.firstOf(id, pos, nodes), first) << "job " << id;
+        ASSERT_EQ(t.t.firstOf(id, pos, nodes, t.ledger), first) << "job " << id;
       }
     }
   }

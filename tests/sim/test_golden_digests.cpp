@@ -18,6 +18,13 @@
 // On a mismatch the test prints the complete replacement table. Replace
 // golden_digests.inc with it only when the behaviour change is intended
 // and explained.
+//
+// The deterministic work counters of the eight quick-trace cells (CE and
+// SNS at 4,096 to 32,768 nodes) are pinned next to the digests, with the
+// values bench/baselines/sim_scale.json records for `bench_sim_scale
+// --quick`: events, completions, the active-job high-water mark, solver
+// calls and memo/cache traffic, selection-cache traffic, spec and
+// futile-pass skips.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -321,6 +328,82 @@ TEST(GoldenDigests, EveryCellMatchesTheCheckedInTable) {
       table += line;
     }
     ADD_FAILURE() << "replacement tests/sim/golden_digests.inc:\n" << table;
+  }
+}
+
+// ---- deterministic work counters --------------------------------------------
+
+struct CounterCell {
+  int nodes;
+  sched::PolicyKind policy;
+  double events;
+  double jobs_completed;
+  double active_jobs_hwm;
+  double solver_calls;
+  double solver_memo_hits;
+  double solver_cache_hits;
+  double solver_cache_misses;
+  double solver_cache_evictions;
+  double select_cache_hits;
+  double select_cache_misses;
+  double spec_skips;
+  double futile_pass_skips;
+};
+
+constexpr sched::PolicyKind kCE = sched::PolicyKind::kCE;
+constexpr sched::PolicyKind kSNS = sched::PolicyKind::kSNS;
+
+// bench/baselines/sim_scale.json, field for field.
+constexpr CounterCell kCounterCells[] = {
+    {4096, kCE, 2100, 700, 58, 700, 639, 639, 61, 0, 0, 0, 995, 149},
+    {4096, kSNS, 2100, 700, 43, 5052, 2899, 2899, 2153, 0, 579, 2112, 1966, 151},
+    {8192, kCE, 2100, 700, 59, 700, 639, 639, 61, 0, 0, 0, 4, 693},
+    {8192, kSNS, 2100, 700, 42, 3146, 1731, 1731, 1415, 0, 67, 893, 92, 606},
+    {16384, kCE, 2100, 700, 60, 700, 639, 639, 61, 0, 0, 0, 0, 701},
+    {16384, kSNS, 2100, 700, 42, 3638, 2264, 2264, 1374, 0, 0, 706, 0, 701},
+    {32768, kCE, 2100, 700, 60, 700, 639, 639, 61, 0, 0, 0, 0, 701},
+    {32768, kSNS, 2100, 700, 42, 3771, 2313, 2313, 1458, 0, 0, 701, 0, 701},
+};
+
+double counterValue(const obs::Registry& m, const char* name) {
+  const obs::Counter* c = m.findCounter(name);
+  return c != nullptr ? c->value() : 0.0;
+}
+
+TEST(GoldenDigests, WorkCountersMatchTheBaseline) {
+  const TraceEnv big;
+  for (const CounterCell& want : kCounterCells) {
+    // The bench_sim_scale configuration.
+    obs::Registry m;
+    SimConfig cfg;
+    cfg.nodes = want.nodes;
+    cfg.policy = want.policy;
+    cfg.monitor_episode_s = 0.0;
+    cfg.age_limit_s = 14.0 * 86400.0;
+    cfg.max_queue_scan = 256;
+    cfg.metrics = &m;
+    ClusterSimulator sim(big.est, big.lib, big.db, cfg);
+    (void)sim.run(big.jobs);
+    const std::string cell =
+        std::to_string(want.nodes) + "/" + sched::to_string(want.policy);
+    const obs::Gauge* hwm = m.findGauge("sim.active_jobs_hwm");
+    EXPECT_EQ(counterValue(m, "sim.jobs_submitted") + counterValue(m, "sim.jobs_started") +
+                  counterValue(m, "sim.jobs_finished"),
+              want.events)
+        << cell;
+    EXPECT_EQ(counterValue(m, "sim.jobs_finished"), want.jobs_completed) << cell;
+    EXPECT_EQ(hwm != nullptr ? hwm->value() : 0.0, want.active_jobs_hwm) << cell;
+    EXPECT_EQ(counterValue(m, "sim.solver_calls"), want.solver_calls) << cell;
+    EXPECT_EQ(counterValue(m, "sim.solver_memo_hits"), want.solver_memo_hits) << cell;
+    EXPECT_EQ(counterValue(m, "solver.cache.hits"), want.solver_cache_hits) << cell;
+    EXPECT_EQ(counterValue(m, "solver.cache.misses"), want.solver_cache_misses) << cell;
+    EXPECT_EQ(counterValue(m, "solver.cache.evictions"), want.solver_cache_evictions)
+        << cell;
+    EXPECT_EQ(counterValue(m, "sim.select_cache_hits"), want.select_cache_hits) << cell;
+    EXPECT_EQ(counterValue(m, "sim.select_cache_misses"), want.select_cache_misses)
+        << cell;
+    EXPECT_EQ(counterValue(m, "sim.spec_skips"), want.spec_skips) << cell;
+    EXPECT_EQ(counterValue(m, "sim.futile_pass_skips"), want.futile_pass_skips) << cell;
   }
 }
 

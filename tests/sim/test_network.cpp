@@ -46,13 +46,13 @@ class NetworkTest : public ::testing::Test {
 };
 
 TEST_F(NetworkTest, LedgerTracksNicReservations) {
-  actuator::NodeLedger nl(est_.machine());
-  nl.allocate(1, {8, 0, 0.0, false, 4.0});
-  EXPECT_NEAR(nl.freeNetwork(), est_.machine().net_bw_gbps - 4.0, 1e-12);
-  EXPECT_FALSE(nl.fits({8, 0, 0.0, false, 3.5}));
-  EXPECT_TRUE(nl.fits({8, 0, 0.0, false, 2.5}));
-  nl.release(1);
-  EXPECT_NEAR(nl.freeNetwork(), est_.machine().net_bw_gbps, 1e-12);
+  actuator::ResourceLedger ledger(1, est_.machine());
+  ledger.allocate(0, 1, {8, 0, 0.0, false, 4.0});
+  EXPECT_NEAR(ledger.node(0).freeNetwork(), est_.machine().net_bw_gbps - 4.0, 1e-12);
+  EXPECT_FALSE(ledger.node(0).fits({8, 0, 0.0, false, 3.5}));
+  EXPECT_TRUE(ledger.node(0).fits({8, 0, 0.0, false, 2.5}));
+  ledger.release(0, 1);
+  EXPECT_NEAR(ledger.node(0).freeNetwork(), est_.machine().net_bw_gbps, 1e-12);
 }
 
 TEST_F(NetworkTest, ProfilerMeasuresNicDemand) {
