@@ -1,82 +1,63 @@
 #!/usr/bin/env python3
-"""Guard against simulator-throughput collapse and decision-latency blowups.
+"""Guard the Fig-20 replay against correctness loss and throughput collapse.
 
-Compares a fresh BENCH_sim_scale.json (typically from `bench_sim_scale
---quick` on a CI runner) against the checked-in baseline
-(bench/baselines/sim_scale.json), cell by cell (nodes, policy). CI
-hardware is unrelated to the machine that produced the baseline and the
-quick trace is smaller than the full one, so absolute numbers are not
-comparable — the guard only fails when a cell moves by more than a
-tolerance factor, which catches algorithmic regressions (an accidental
-O(N) scan in the hot loop, a disabled memo cache, a fast-path flag wired
-to the slow path) while shrugging off runner noise. Three signals are
-checked per cell:
+With --base DIR --head DIR the script compares Fig-20 replay benchmark
+(perfbench/) results taken on one machine at the base commit and at HEAD.
+Each directory holds, for every workload BENCHMARK.json lists, the stdout of
 
-  * events_per_sec must not collapse by more than --tolerance (default 8x);
-  * event_us_mean must not grow by more than --event-tolerance (default
-    8x) — wall microseconds per simulated event, the event engine's
-    headline number (DESIGN.md section 11); it moves when a per-event
-    O(active) loop sneaks back in even if decision latency stays flat;
-  * decision_us_mean must not grow by more than --mean-tolerance
-    (default 8x) — the headline number of the fast decision path
-    (DESIGN.md section 10); losing one of its mechanisms (selection
-    cache, failed-spec memo, deferred refresh) moves it far more than
-    runner noise does;
-  * decision_us_p99 must not grow by more than --latency-tolerance
-    (default 8x) — the per-decision tail is what sns::xray attributes,
-    and a span site accidentally left on the unsampled path shows up
-    here first.
+    python3 perfbench/run.py --workload W --seed 1 --seconds 10 --trace T
 
-On failure the full delta table is printed so the offending cells are
-readable straight from the CI log. Baseline rows missing a field skip
-that signal (older baselines predate decision_us_mean).
+for T = 0 and T = 1, in files named W.trace0.txt and W.trace1.txt. The last
+line of each is the run's result JSON. Two checks follow:
 
-The deterministic work counters (EXACT_COUNTERS: events, completions, the
-active-job high-water mark, solver calls and memo/cache traffic, selection
-cache traffic, spec and futile-pass skips) are a pure function of the
-simulated schedule, not of the hardware, so they are gated exactly: any
-difference from the baseline fails, and a counter the baseline records but
-the current run lacks fails too. Changing one needs a reasoned re-baseline.
-Baseline rows without a counter skip it.
+  * correctness: every HEAD run must report correct: true and failed: 0,
+    and every --trace 1 run policy.replay_match_ratio = 1.0;
+  * collapse: no HEAD value may be more than FACTOR (8x) worse than its
+    base value on events_per_s, replay_s (--trace 0 runs) or
+    policy.place_us_p50 / policy.place_us_p99 (--trace 1 runs).
 
-With --observer-overhead FILE the script additionally gates the observer
-overheads recorded by bench_observer_overhead (BENCH_observer_overhead.json):
-each GATED_VARIANTS entry (telemetry sampler, xray sampled, flight recorder)
-must be present and stay within OBSERVER_BUDGET (10% over the shared "all
-off" run, min over reps — quiet-machine overheads are a few percent, widened
-for shared-runner noise). The other variants (obs, xray full) are printed
-but never fail.
+Both sides run on the same machine, so the ratio cancels the hardware, and
+8x shrugs off shared-runner noise while catching an algorithmic regression
+(an accidental O(N) scan in the hot loop, a memo wired off). The tighter
+BENCHMARK.json bounds are judged on medians by the benchmark itself. On
+failure the per-workload table names the offending workload and metric.
 
-Exit status: 0 when every comparable cell is within tolerance, 1 on
-regression, 2 on bad input.
+With --observer-overhead FILE the script also gates the observer overheads
+recorded by bench_observer_overhead (BENCH_observer_overhead.json): each
+GATED_VARIANTS entry (telemetry sampler, xray sampled, flight recorder) must
+be present and stay within OBSERVER_BUDGET (10% over the shared "all off"
+run, min over reps). The other variants (obs, xray full) are printed but
+never fail.
+
+Exit status: 0 clean, 1 regression, 2 bad input (an unreadable result, a
+workload or metric missing on either side).
 """
 
 import argparse
 import json
+import os
 import sys
 
-DEFAULT_BASELINE = "bench/baselines/sim_scale.json"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FACTOR = 8.0
 OBSERVER_BUDGET = 0.10
 GATED_VARIANTS = ("telemetry", "xray_sampled", "flight")
+TRACE_MODES = (0, 1)
 
-# (json field, direction, human label). Direction "min" fails when the
-# current value collapses below baseline/tolerance (bigger is better);
-# "max" fails when it grows past baseline*tolerance (smaller is better).
-SIGNALS = [
-    ("events_per_sec", "min", "events/sec"),
-    ("event_us_mean", "max", "event_us_mean"),
-    ("decision_us_mean", "max", "decision_us_mean"),
-    ("decision_us_p99", "max", "decision_us_p99"),
+# (metric, trace mode that reports it, better). A "higher" metric fails
+# when HEAD falls below base / FACTOR, a "lower" one when HEAD grows past
+# base * FACTOR.
+GATED_METRICS = [
+    ("events_per_s", 0, "higher"),
+    ("replay_s", 0, "lower"),
+    ("policy.place_us_p50", 1, "lower"),
+    ("policy.place_us_p99", 1, "lower"),
 ]
 
-# Deterministic counters gated for exact equality (see the module docstring).
-EXACT_COUNTERS = [
-    "events", "jobs_completed", "active_jobs_hwm",
-    "solver_calls", "solver_memo_hits",
-    "solver_cache_hits", "solver_cache_misses", "solver_cache_evictions",
-    "select_cache_hits", "select_cache_misses",
-    "spec_skips", "futile_pass_skips",
-]
+
+def bad_input(msg):
+    print(f"error: {msg}", file=sys.stderr)
+    sys.exit(2)
 
 
 def load_json(path):
@@ -84,105 +65,66 @@ def load_json(path):
         with open(path) as f:
             return json.load(f)
     except (OSError, ValueError) as e:
-        print(f"error: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
+        bad_input(f"cannot read {path}: {e}")
 
 
-def load_cells(path):
-    doc = load_json(path)
-    cells = {}
-    for row in doc.get("results", []):
-        try:
-            cells[(row["nodes"], row["policy"])] = row
-        except (KeyError, TypeError):
-            print(f"error: malformed result row in {path}", file=sys.stderr)
-            sys.exit(2)
-    if not cells:
-        print(f"error: {path} has no results", file=sys.stderr)
-        sys.exit(2)
-    return cells
+def workloads():
+    return [w["name"] for w in load_json(os.path.join(ROOT, "BENCHMARK.json"))["workloads"]]
 
 
-def compare_cells(base, cur, tolerances):
-    """Per-cell, per-signal comparison.
+def load_result(path):
+    """The result JSON on the last non-empty line of one run's stdout."""
+    try:
+        with open(path) as f:
+            lines = [ln for ln in f.read().splitlines() if ln.strip()]
+        result = json.loads(lines[-1])
+        metrics = {name: float(m["value"]) for name, m in result["metrics"].items()}
+        return result["correct"], result["failed"], metrics
+    except (OSError, ValueError, IndexError, KeyError, TypeError, AttributeError) as e:
+        bad_input(f"cannot read a perfbench result from {path}: {e!r}")
 
-    Returns (rows, regressions, compared): rows feed the delta table
-    (cell values keyed by signal field, None where not comparable),
-    regressions maps signal field -> offending (nodes, policy) keys, and
-    compared counts cells with at least one comparable signal.
-    """
-    rows = []
-    regressions = {field: [] for field, _, _ in SIGNALS}
-    compared = 0
-    for key in sorted(base):
-        if key not in cur:
-            rows.append((key, None))
-            continue
-        cells = {}
-        any_signal = False
-        for field, direction, _ in SIGNALS:
-            b = base[key].get(field, 0) or 0
-            c = cur[key].get(field, 0) or 0
-            if b <= 0 or c <= 0:
-                cells[field] = None  # signal absent/zero in one side
-                continue
-            any_signal = True
-            ratio = c / b
-            tol = tolerances[field]
-            bad = (ratio * tol < 1.0) if direction == "min" else (ratio > tol)
+
+def load_side(directory):
+    """{workload: {trace mode: (correct, failed, metrics)}}."""
+    return {w: {t: load_result(os.path.join(directory, f"{w}.trace{t}.txt"))
+                for t in TRACE_MODES}
+            for w in workloads()}
+
+
+def correctness_failures(head):
+    out = []
+    for w, runs in head.items():
+        for t, (correct, failed, _) in runs.items():
+            if correct is not True or failed != 0:
+                out.append(f"{w} --trace {t}: correct {json.dumps(correct)}, failed {failed}")
+        ratio = runs[1][2].get("policy.replay_match_ratio")
+        if ratio != 1.0:
+            out.append(f"{w} --trace 1: policy.replay_match_ratio {ratio}")
+    return out
+
+
+def compare(base, head):
+    """Prints the per-workload table; returns the (workload, metric) pairs
+    more than FACTOR worse at HEAD."""
+    print(f"{'workload':<16} {'metric':<22} {'base':>12} {'head':>12} {'worse':>8}")
+    regressions = []
+    for w in head:
+        for metric, trace, better in GATED_METRICS:
+            values = []
+            for side, runs in (("base", base[w]), ("head", head[w])):
+                value = runs[trace][2].get(metric, 0.0)
+                if not value > 0.0:
+                    bad_input(f"{side} {w} --trace {trace} has no positive {metric}")
+                values.append(value)
+            b, h = values
+            worse = b / h if better == "higher" else h / b
+            bad = worse > FACTOR
             if bad:
-                regressions[field].append(key)
-            cells[field] = (b, c, ratio, bad)
-        if any_signal:
-            compared += 1
-        rows.append((key, cells))
-    return rows, regressions, compared
-
-
-def compare_counters(base, cur):
-    """(nodes, policy, counter, baseline value, current value) for every
-    exact counter the baseline records that the current run does not
-    reproduce (None when the current row lacks it). Cells missing from the
-    current run are reported by the delta table instead."""
-    mismatches = []
-    for key in sorted(base):
-        if key not in cur:
-            continue
-        for field in EXACT_COUNTERS:
-            if field not in base[key]:
-                continue
-            b = base[key][field]
-            c = cur[key].get(field)
-            if c != b:
-                mismatches.append((key[0], key[1], field, b, c))
-    return mismatches
-
-
-def render_delta_table(rows):
-    out = [f"{'nodes':>6} {'policy':<6} "
-           f"{'ev/s base':>10} {'ev/s cur':>10} {'ratio':>8}  "
-           f"{'evus base':>10} {'evus cur':>10} {'ratio':>8}  "
-           f"{'mean base':>10} {'mean cur':>10} {'ratio':>8}  "
-           f"{'p99 base':>10} {'p99 cur':>10} {'ratio':>8}"]
-
-    def fmt(cell):
-        if cell is None:
-            return f"{'-':>10} {'-':>10} {'-':>8}"
-        b, c, ratio, bad = cell
-        mark = "!" if bad else " "
-        return f"{b:>10.1f} {c:>10.1f} {ratio:>6.2f}x{mark}"
-
-    for key, cells in rows:
-        if cells is None:
-            out.append(f"{key[0]:>6} {key[1]:<6} (missing from current run)")
-            continue
-        out.append(f"{key[0]:>6} {key[1]:<6} "
-                   f"{fmt(cells['events_per_sec'])}  "
-                   f"{fmt(cells['event_us_mean'])}  "
-                   f"{fmt(cells['decision_us_mean'])}  "
-                   f"{fmt(cells['decision_us_p99'])}")
-    out.append("('!' marks a ratio outside its tolerance)")
-    return "\n".join(out)
+                regressions.append((w, metric))
+            print(f"{w:<16} {metric:<22} {b:>12.6g} {h:>12.6g} {worse:>7.2f}x"
+                  f"{'!' if bad else ''}")
+    print(f"('worse' is HEAD over base in the bad direction; '!' marks more than {FACTOR:.0f}x)")
+    return regressions
 
 
 def check_observer_overhead(path):
@@ -192,9 +134,7 @@ def check_observer_overhead(path):
                  for v in doc.get("variants") or []}
     for name in GATED_VARIANTS:
         if overheads.get(name) is None:
-            print(f"error: {path} has no overhead for {name}",
-                  file=sys.stderr)
-            sys.exit(2)
+            bad_input(f"{path} has no overhead for {name}")
     print(f"\nobserver overhead vs all off (budget "
           f"{OBSERVER_BUDGET * 100:.0f}% for gated variants):")
     over_budget = []
@@ -210,70 +150,35 @@ def check_observer_overhead(path):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--baseline", default=DEFAULT_BASELINE,
-                    help="checked-in reference results "
-                         f"(default {DEFAULT_BASELINE})")
-    ap.add_argument("--current",
-                    help="fresh results to validate")
-    ap.add_argument("--tolerance", type=float, default=8.0,
-                    help="max allowed events/sec collapse factor (default 8)")
-    ap.add_argument("--event-tolerance", type=float, default=8.0,
-                    help="max allowed event_us_mean growth factor (default 8)")
-    ap.add_argument("--mean-tolerance", type=float, default=8.0,
-                    help="max allowed decision_us_mean growth factor "
-                         "(default 8)")
-    ap.add_argument("--latency-tolerance", type=float, default=8.0,
-                    help="max allowed decision_us_p99 growth factor "
-                         "(default 8)")
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", metavar="DIR",
+                    help="perfbench results at the base commit")
+    ap.add_argument("--head", metavar="DIR",
+                    help="perfbench results at HEAD, same machine")
     ap.add_argument("--observer-overhead", metavar="FILE",
                     help="BENCH_observer_overhead.json to gate")
     args = ap.parse_args()
-    if args.current is None and args.observer_overhead is None:
-        ap.error("nothing to check: pass --current and/or "
+    if (args.base is None) != (args.head is None):
+        ap.error("--base and --head go together")
+    if args.head is None and args.observer_overhead is None:
+        ap.error("nothing to check: pass --base/--head and/or "
                  "--observer-overhead")
 
     failed = False
-    if args.current is not None:
-        base = load_cells(args.baseline)
-        cur = load_cells(args.current)
-        tolerances = {
-            "events_per_sec": args.tolerance,
-            "event_us_mean": args.event_tolerance,
-            "decision_us_mean": args.mean_tolerance,
-            "decision_us_p99": args.latency_tolerance,
-        }
-        rows, regressions, compared = compare_cells(base, cur, tolerances)
-        print(render_delta_table(rows))
-        if compared == 0:
-            print("error: no comparable cells between baseline and current",
-                  file=sys.stderr)
-            return 2
-        mismatches = compare_counters(base, cur)
-        if mismatches:
-            print(f"\nFAIL: {len(mismatches)} deterministic counter(s) differ "
-                  f"from the baseline (gated exactly):", file=sys.stderr)
-            for nodes, policy, field, b, c in mismatches:
-                shown = "missing" if c is None else c
-                print(f"  {nodes} nodes/{policy}: {field} baseline {b}, "
-                      f"current {shown}", file=sys.stderr)
-            failed = True
-        for field, direction, label in SIGNALS:
-            if not regressions[field]:
-                continue
-            cells = ", ".join(f"{n} nodes/{p}" for n, p in regressions[field])
-            verb = ("collapsed by more than"
-                    if direction == "min" else "grew by more than")
-            print(f"\nFAIL: {label} {verb} {tolerances[field]:.0f}x in: "
-                  f"{cells}", file=sys.stderr)
-            failed = True
+    if args.head is not None:
+        base = load_side(args.base)
+        head = load_side(args.head)
+        wrong = correctness_failures(head)
+        regressions = compare(base, head)
+        for line in wrong:
+            print(f"FAIL: HEAD result not correct: {line}", file=sys.stderr)
+        for w, metric in regressions:
+            print(f"FAIL: {w}: {metric} is more than {FACTOR:.0f}x worse "
+                  f"than at the base commit", file=sys.stderr)
+        failed = bool(wrong or regressions)
         if not failed:
-            print(f"\nOK: {compared} cell(s) within tolerance, deterministic "
-                  f"counters exact "
-                  f"(events/sec {args.tolerance:.0f}x, event "
-                  f"{args.event_tolerance:.0f}x, mean "
-                  f"{args.mean_tolerance:.0f}x, p99 "
-                  f"{args.latency_tolerance:.0f}x)")
+            print(f"\nOK: {len(head)} workload(s) correct at HEAD and within "
+                  f"{FACTOR:.0f}x of the base commit")
 
     if args.observer_overhead is not None:
         over_budget = check_observer_overhead(args.observer_overhead)

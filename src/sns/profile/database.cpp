@@ -1,5 +1,6 @@
 #include "sns/profile/database.hpp"
 
+#include <atomic>
 #include <fstream>
 #include <sstream>
 
@@ -11,10 +12,27 @@ std::string ProfileDatabase::key(const std::string& program, int procs) {
   return program + ":" + std::to_string(procs);
 }
 
+std::uint64_t ProfileDatabase::nextGeneration() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+ProfileDatabase& ProfileDatabase::operator=(const ProfileDatabase& other) {
+  profiles_ = other.profiles_;
+  generation_ = nextGeneration();
+  return *this;
+}
+
+ProfileDatabase& ProfileDatabase::operator=(ProfileDatabase&& other) noexcept {
+  profiles_ = std::move(other.profiles_);
+  generation_ = nextGeneration();
+  return *this;
+}
+
 void ProfileDatabase::put(ProgramProfile profile) {
   const std::string k = key(profile.program, profile.procs);
   profiles_[k] = std::move(profile);
-  ++generation_;
+  generation_ = nextGeneration();
 }
 
 const ProgramProfile* ProfileDatabase::find(const std::string& program,
@@ -25,7 +43,7 @@ const ProgramProfile* ProfileDatabase::find(const std::string& program,
 
 bool ProfileDatabase::erase(const std::string& program, int procs) {
   const bool erased = profiles_.erase(key(program, procs)) > 0;
-  if (erased) ++generation_;
+  if (erased) generation_ = nextGeneration();
   return erased;
 }
 

@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "sns/profile/profile_data.hpp"
 
@@ -14,6 +15,15 @@ namespace sns::profile {
 /// file exactly like Uberun's prototype (§5.1).
 class ProfileDatabase {
  public:
+  ProfileDatabase() = default;
+  /// Copies and moves hold the source's profiles under a fresh generation
+  /// (see generation()).
+  ProfileDatabase(const ProfileDatabase& other) : profiles_(other.profiles_) {}
+  ProfileDatabase(ProfileDatabase&& other) noexcept
+      : profiles_(std::move(other.profiles_)) {}
+  ProfileDatabase& operator=(const ProfileDatabase& other);
+  ProfileDatabase& operator=(ProfileDatabase&& other) noexcept;
+
   /// Insert or replace a profile.
   void put(ProgramProfile profile);
 
@@ -39,20 +49,21 @@ class ProfileDatabase {
   void saveFile(const std::string& path) const;
   static ProfileDatabase loadFile(const std::string& path);
 
-  /// Monotone content-version counter, bumped by every put()/successful
-  /// erase(). Memos keyed on profile pointers (SnsPolicy's demand memo)
-  /// compare it to detect that a profile was replaced in place — find()
-  /// returns stable addresses across rehash-free std::map updates, so the
-  /// pointer alone cannot reveal a content change. Copying a database
-  /// copies the counter: the copy's profiles live at new addresses, so
-  /// holders of pointers into the source must also drop memos on copy
-  /// (ClusterSimulator::run() does, via SchedulingPolicy::beginRun()).
+  /// Content version, unique across the process: one atomic counter hands
+  /// out a fresh value on construction, copy, move, every put() and every
+  /// successful erase(). Memos keyed on profile pointers (SnsPolicy's
+  /// demand memo) compare it to detect that the pointer may now mean
+  /// different contents — a profile replaced in place (find() returns
+  /// stable addresses across std::map updates), a copy, or a different
+  /// database built at a recycled address. Two databases never share a
+  /// generation, so no caller has to drop such memos by hand.
   std::uint64_t generation() const { return generation_; }
 
  private:
   static std::string key(const std::string& program, int procs);
+  static std::uint64_t nextGeneration();
   std::map<std::string, ProgramProfile> profiles_;
-  std::uint64_t generation_ = 0;
+  std::uint64_t generation_ = nextGeneration();
 };
 
 }  // namespace sns::profile

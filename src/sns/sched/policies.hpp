@@ -72,17 +72,15 @@ class SnsPolicy final : public SchedulingPolicy {
                                     const profile::ProfileDatabase& db) const override;
   const Options& options() const { return opts_; }
 
-  void beginRun() override;
-  void setBatchScoring(bool on) override { batch_scoring_ = on; }
-
  private:
   /// estimateDemand() is a pure function of (scale profile, alpha,
-  /// machine); the machine is fixed per policy lifetime, so under
-  /// batched scoring its results are memoized keyed on the profile's
-  /// identity and the exact alpha bits. The database generation guards
-  /// against a profile being replaced in place at a stable address (the
-  /// monitor re-profiles programs mid-run); beginRun() guards against the
-  /// whole database being copied to new addresses between runs.
+  /// machine); the machine is fixed per policy lifetime, so its results
+  /// are memoized keyed on the profile's identity and the exact alpha
+  /// bits. The database generation, unique across the process, guards
+  /// against every way a profile address can come to mean different
+  /// contents: a profile replaced in place (the monitor re-profiles
+  /// programs mid-run), a copied database, or another database built at
+  /// a recycled address.
   struct DemandKey {
     const profile::ScaleProfile* sp = nullptr;
     std::uint64_t alpha_bits = 0;
@@ -94,7 +92,6 @@ class SnsPolicy final : public SchedulingPolicy {
 
   const perfmodel::Estimator* est_;
   Options opts_;
-  bool batch_scoring_ = false;
   // Memo state is logically observational (results are bit-identical with
   // or without it), so it is mutable behind the const tryPlace() path.
   mutable std::unordered_map<DemandKey, profile::ResourceDemand, DemandKeyHash>

@@ -43,18 +43,6 @@ class SchedulingPolicy {
   /// the const tryPlace() path.
   void attachXray(xray::Tracer* tracer) { xray_ = tracer; }
 
-  /// Simulator hook: a new run is starting. Policies drop any cross-call
-  /// memo state here — pointers into the previous run's profile database
-  /// die at this boundary (ClusterSimulator::run() copies the database).
-  virtual void beginRun() {}
-
-  /// Batched scoring: when on, a policy may memoize pure per-profile
-  /// computations (demand-curve evaluations) inside tryPlace(),
-  /// invalidated by ProfileDatabase::generation() and beginRun(). Results
-  /// must stay bit-identical either way. The simulator always turns it
-  /// on; default off, so standalone policy users keep the memo-free path.
-  virtual void setBatchScoring(bool) {}
-
  protected:
   bool tracing() const { return rec_ != nullptr && rec_->enabled(); }
   /// Provenance store to write, or nullptr when xray is detached or

@@ -18,11 +18,6 @@ std::size_t SnsPolicy::DemandKeyHash::operator()(const DemandKey& k) const {
   return static_cast<std::size_t>(x ^ (x >> 31));
 }
 
-void SnsPolicy::beginRun() {
-  demand_memo_.clear();
-  memo_generation_ = ~std::uint64_t{0};
-}
-
 std::optional<Placement> SnsPolicy::tryPlace(const Job& job,
                                              const actuator::ResourceLedger& ledger,
                                              const profile::ProfileDatabase& db) const {
@@ -90,21 +85,17 @@ std::optional<Placement> SnsPolicy::tryPlace(const Job& job,
     profile::ResourceDemand demand;
     {
       // Demand estimation walks the IPC-LLC / BW-LLC profile curves — a
-      // pure function of (sp, alpha, mach), so under batched scoring the
-      // result is memoized across the many queued jobs sharing a spec.
+      // pure function of (sp, alpha, mach), so the result is memoized
+      // across the many queued jobs sharing a spec.
       xray::ScopedSpan xs(xray_, xray::SpanKind::kCurveScore, job.id);
-      if (batch_scoring_) {
-        if (memo_generation_ != db.generation()) {
-          demand_memo_.clear();
-          memo_generation_ = db.generation();
-        }
-        const DemandKey key{sp, std::bit_cast<std::uint64_t>(alpha)};
-        auto [it, fresh] = demand_memo_.try_emplace(key);
-        if (fresh) it->second = profile::estimateDemand(*sp, alpha, mach);
-        demand = it->second;
-      } else {
-        demand = profile::estimateDemand(*sp, alpha, mach);
+      if (memo_generation_ != db.generation()) {
+        demand_memo_.clear();
+        memo_generation_ = db.generation();
       }
+      const DemandKey key{sp, std::bit_cast<std::uint64_t>(alpha)};
+      auto [it, fresh] = demand_memo_.try_emplace(key);
+      if (fresh) it->second = profile::estimateDemand(*sp, alpha, mach);
+      demand = it->second;
     }
     actuator::NodeAllocation request;
     request.cores = sp->procs_per_node;

@@ -51,7 +51,6 @@ ClusterSimulator::ClusterSimulator(const perfmodel::Estimator& est,
   } else {
     policy_ = sched::makePolicy(cfg_.policy, est);
   }
-  policy_->setBatchScoring(true);
   node_stamp_.assign(static_cast<std::size_t>(cfg.nodes), 0u);
   node_net_demand_.assign(static_cast<std::size_t>(cfg.nodes), 0.0);
   busy_pos_.assign(static_cast<std::size_t>(cfg.nodes), -1);
@@ -1139,10 +1138,9 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
   attachSearchPool();
   queue_ = sched::JobQueue{};
   solve_cache_.clear();
-  // Batched-scoring memos: the spec memo is epoch-guarded but the ledger
-  // (and its epochs) was just rebuilt; the policy's demand memo keys
-  // profiles by address, and local_db_ was just re-copied — drop both.
-  policy_->beginRun();
+  // The spec memo is epoch-guarded but the ledger (and its epochs) was
+  // just rebuilt; drop it. The policy's demand memo needs nothing: the
+  // copy above took a fresh database generation.
   failed_specs_.clear();
   failed_specs_valid_ = false;
   failed_specs_min_floor_ = std::numeric_limits<int>::max();

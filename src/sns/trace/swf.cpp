@@ -1,6 +1,7 @@
 #include "sns/trace/swf.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -19,24 +20,26 @@ std::vector<TraceJob> parseSwf(std::istream& in, const SwfOptions& opts) {
     if (const auto semi = line.find(';'); semi != std::string::npos) {
       line.erase(semi);
     }
+    if (line.find_first_not_of(" \t\r\v\f") == std::string::npos) continue;
     std::istringstream fields(line);
     double job_id = 0.0, submit = 0.0, wait = 0.0, runtime = 0.0, procs = 0.0;
-    if (!(fields >> job_id)) continue;  // blank / pure-comment line
-    if (!(fields >> submit >> wait >> runtime >> procs)) {
+    if (!(fields >> job_id >> submit >> wait >> runtime >> procs)) {
       throw util::DataError("SWF line " + std::to_string(lineno) +
-                            ": fewer than 5 fields");
+                            ": fewer than 5 numeric fields");
     }
     if (runtime < opts.min_duration_s) continue;
     if (procs < 1.0) continue;  // unknown allocation (-1)
     if (opts.parallel_only && procs < 2.0) continue;
 
+    // The paper's size filter runs in double: a processor count past
+    // INT_MAX must be dropped, not wrapped by the int conversion.
+    const double nodes = std::trunc((procs + opts.cores_per_node - 1) /
+                                    opts.cores_per_node);
+    if (nodes > opts.max_nodes) continue;
     TraceJob j;
     j.submit_s = submit;
     j.duration_s = runtime;
-    j.nodes = static_cast<int>((procs + opts.cores_per_node - 1) /
-                               opts.cores_per_node);
-    j.nodes = std::max(1, j.nodes);
-    if (j.nodes > opts.max_nodes) continue;  // the paper's size filter
+    j.nodes = std::max(1, static_cast<int>(nodes));
     jobs.push_back(j);
   }
   std::sort(jobs.begin(), jobs.end(),

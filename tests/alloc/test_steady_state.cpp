@@ -53,7 +53,7 @@ SteadyStateRun runQuickTrace() {
   profile::ProfileDatabase base_db;
   for (const auto& p : lib) base_db.put(prof.profileProgram(p, 16));
 
-  // CI-sized slice of the Fig 20 synthetic trace (bench_sim_scale --quick
+  // CI-sized slice of the Fig 20 synthetic trace (the quick trace's
   // discipline, scaled to unit-test wall time): congested enough that the
   // queue stays populated, so schedule passes replay failed specs — the
   // exact steady state the contract is about.

@@ -1,9 +1,9 @@
 // The solver cache's capacity safety valve wipes the whole cache on a miss
 // that finds it full, counting every discarded entry as an eviction. The
 // production bound (1 << 20 signatures) is never reached by real traces —
-// which is why BENCH_sim_scale.json reported solver_cache_evictions = 0 in
-// every cell — so these tests shrink the capacity to actually drive the
-// eviction path and pin down its accounting.
+// which is why GoldenDigests.WorkCountersMatchTheBaseline pins
+// solver_cache_evictions = 0 in every cell — so these tests shrink the
+// capacity to actually drive the eviction path and pin down its accounting.
 #include <gtest/gtest.h>
 
 #include <span>

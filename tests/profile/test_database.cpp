@@ -37,10 +37,10 @@ ProgramProfile sampleProfile(const std::string& name, int procs) {
 }
 
 TEST(Database, GenerationTracksMutations) {
-  // The generation counter backs memo invalidation in the scheduler's
-  // batched-scoring path: every successful put/erase must bump it, a
-  // no-op erase must not, and copies must carry the counter along (so a
-  // fresh copy never aliases a stale memo).
+  // The generation backs memo invalidation in SnsPolicy's demand memo:
+  // every successful put/erase must move it on, a no-op erase must not,
+  // and a copy (whose profiles live at new addresses) or another database
+  // must never share it (so a fresh copy never aliases a stale memo).
   ProfileDatabase db;
   const std::uint64_t g0 = db.generation();
   db.put(sampleProfile("A", 16));
@@ -54,7 +54,12 @@ TEST(Database, GenerationTracksMutations) {
   EXPECT_TRUE(db.erase("A", 16));
   EXPECT_GT(db.generation(), g2);
   ProfileDatabase copy = db;
-  EXPECT_EQ(copy.generation(), db.generation());
+  EXPECT_NE(copy.generation(), db.generation());
+  ProfileDatabase assigned;
+  assigned = db;
+  EXPECT_NE(assigned.generation(), db.generation());
+  EXPECT_NE(assigned.generation(), copy.generation());
+  EXPECT_NE(ProfileDatabase().generation(), ProfileDatabase().generation());
 }
 
 TEST(Database, PutAndFind) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sns/app/library.hpp"
 #include "sns/profile/profiler.hpp"
 #include "sns/util/error.hpp"
@@ -196,6 +198,38 @@ TEST_F(PolicyTest, SnsCoLocatesComplementaryJobs) {
   const auto nw = sns.tryPlace(makeJob("NW", 16, 2), ledger_, db_);
   ASSERT_TRUE(nw.has_value());
   EXPECT_FALSE(nw->nodes.empty());
+}
+
+TEST_F(PolicyTest, SnsDemandMemoFollowsTheDatabaseNotItsAddress) {
+  // The demand memo keys profiles by address. Two databases built one
+  // after the other at the same address, with the same number of puts,
+  // recycle the freed profile storage too; only the process-unique
+  // generation tells them apart. The second holds MG's profile with its
+  // bandwidth curves halved (same scale order, so the same profile slot),
+  // and a stale memo hit would place it with the first one's demand.
+  SnsPolicy sns(est_);
+  const Job job = makeJob("MG", 16);
+  std::vector<Placement> placed;
+  for (double bw_factor : {1.0, 0.5}) {
+    profile::ProgramProfile prof = *db_.find("MG", 16);
+    for (auto& sp : prof.scales) {
+      sp.bw_llc = sp.bw_llc.mapY([bw_factor](double y) { return y * bw_factor; });
+    }
+    profile::ProfileDatabase db;
+    db.put(prof);
+    const auto got = sns.tryPlace(job, ledger_, db);
+    const auto want = SnsPolicy(est_).tryPlace(job, ledger_, db);
+    ASSERT_TRUE(got.has_value() && want.has_value()) << bw_factor;
+    EXPECT_EQ(got->nodes, want->nodes) << bw_factor;
+    EXPECT_EQ(got->scale_factor, want->scale_factor) << bw_factor;
+    EXPECT_EQ(got->procs_per_node, want->procs_per_node) << bw_factor;
+    EXPECT_EQ(got->ways, want->ways) << bw_factor;
+    EXPECT_EQ(got->bw_gbps, want->bw_gbps) << bw_factor;
+    placed.push_back(*got);
+  }
+  // Same scale, different demand: the check has teeth.
+  EXPECT_EQ(placed[0].scale_factor, placed[1].scale_factor);
+  EXPECT_NE(placed[0].bw_gbps, placed[1].bw_gbps);
 }
 
 TEST_F(PolicyTest, SingleNodeProgramsNeverSpread) {

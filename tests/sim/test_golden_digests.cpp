@@ -20,11 +20,11 @@
 // and explained.
 //
 // The deterministic work counters of the eight quick-trace cells (CE and
-// SNS at 4,096 to 32,768 nodes) are pinned next to the digests, with the
-// values bench/baselines/sim_scale.json records for `bench_sim_scale
-// --quick`: events, completions, the active-job high-water mark, solver
-// calls and memo/cache traffic, selection-cache traffic, spec and
-// futile-pass skips.
+// SNS at 4,096 to 32,768 nodes) are pinned next to the digests, and this
+// pin is their record: events, completions, the active-job high-water
+// mark, solver calls and memo/cache traffic, selection-cache traffic, spec
+// and futile-pass skips. They are a pure function of the simulated
+// schedule, so they are held exactly, in every build mode.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -223,8 +223,8 @@ constexpr Variant kVariants[] = {
 
 // ---- Fig-20 quick-trace cells -----------------------------------------------
 
-/// The `bench_sim_scale --quick` environment: the figure benches' profile
-/// database and the 700-job trace mapped at scaling ratio 0.9.
+/// The figure benches' profile database and the 700-job quick trace
+/// (`bench_fig20_trace_sim --quick`) mapped at scaling ratio 0.9.
 struct TraceEnv {
   TraceEnv() : lib(app::programLibrary()) {
     for (auto& p : lib) est.calibrate(p);
@@ -353,7 +353,8 @@ struct CounterCell {
 constexpr sched::PolicyKind kCE = sched::PolicyKind::kCE;
 constexpr sched::PolicyKind kSNS = sched::PolicyKind::kSNS;
 
-// bench/baselines/sim_scale.json, field for field.
+// The record of the quick cells' work counters, captured when the engine's
+// fast decision path landed; a change needs a reasoned re-capture.
 constexpr CounterCell kCounterCells[] = {
     {4096, kCE, 2100, 700, 58, 700, 639, 639, 61, 0, 0, 0, 995, 149},
     {4096, kSNS, 2100, 700, 43, 5052, 2899, 2899, 2153, 0, 579, 2112, 1966, 151},
@@ -373,7 +374,7 @@ double counterValue(const obs::Registry& m, const char* name) {
 TEST(GoldenDigests, WorkCountersMatchTheBaseline) {
   const TraceEnv big;
   for (const CounterCell& want : kCounterCells) {
-    // The bench_sim_scale configuration.
+    // The quick-trace replay: a metrics registry, no other observer.
     obs::Registry m;
     SimConfig cfg;
     cfg.nodes = want.nodes;

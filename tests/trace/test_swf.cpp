@@ -19,12 +19,14 @@ constexpr const char* kSample =
     "3 200 0 100 1 -1 -1 1 100 -1 1 3 1 -1 1 -1 -1 -1\n"       // sequential
     "4 300 0 0 56 -1 -1 56 0 -1 0 4 1 -1 1 -1 -1 -1\n"         // zero runtime
     "5 400 0 500 229376 -1 -1 229376 500 -1 1 5 1 -1 1 -1 -1 -1\n"  // 8192 nodes
-    "6 50 0 1800 112 -1 -1 112 1800 -1 1 6 1 -1 1 -1 -1 -1\n";
+    "6 50 0 1800 112 -1 -1 112 1800 -1 1 6 1 -1 1 -1 -1 -1\n"
+    "7 500 0 600 1e12 -1 -1 1e12 600 -1 1 7 1 -1 1 -1 -1 -1\n";  // > INT_MAX nodes
 
 TEST(Swf, ParsesAndFiltersLikeThePaper) {
   std::istringstream in(kSample);
   const auto jobs = parseSwf(in);
-  // Jobs 3 (sequential), 4 (zero runtime) and 5 (> 4096 nodes) are dropped.
+  // Jobs 3 (sequential), 4 (zero runtime), 5 (> 4096 nodes) and 7 (a
+  // processor count past int range) are dropped.
   ASSERT_EQ(jobs.size(), 3u);
   // Sorted by submit time: job 6 (t=50) comes before job 2 (t=100).
   EXPECT_DOUBLE_EQ(jobs[0].submit_s, 0.0);
@@ -52,12 +54,16 @@ TEST(Swf, SequentialJobsKeptWhenRequested) {
 }
 
 TEST(Swf, MalformedLineReportsLineNumber) {
-  std::istringstream in("; header\n1 0 5\n");
-  try {
-    parseSwf(in);
-    FAIL() << "should have thrown";
-  } catch (const util::DataError& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  // Too few fields, and a first field that is not a number: neither may be
+  // skipped as if the line were blank.
+  for (const char* text : {"; header\n1 0 5\n", "; header\nabc 1 2 3 4\n"}) {
+    std::istringstream in(text);
+    try {
+      parseSwf(in);
+      ADD_FAILURE() << "should have thrown: " << text;
+    } catch (const util::DataError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << text;
+    }
   }
 }
 
