@@ -1,0 +1,145 @@
+// Google-benchmark microbenchmarks of actuator::ResourceLedger, the
+// engine layer behind every placement: ranked selection that succeeds,
+// ranked selection that passes the bucket-population bound and is then
+// proven empty, and a whole-placement allocate/release pair. Each runs on
+// a 4,096- and a 32,768-node ledger loaded with a congested mix of spread
+// jobs (fractional bandwidths, CAT partitions, interleaved departures), so
+// co-run groups split into several exact node-state classes as they do in
+// the Fig 20 replay.
+//
+//   ./build/bench/bench_ledger_gbench --benchmark_min_time=0.5
+//
+// Exits 1 when a selection answers wrongly (an empty success, a failure
+// that succeeds).
+#include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "sns/actuator/resource_ledger.hpp"
+#include "sns/util/rng.hpp"
+
+namespace {
+
+using sns::actuator::NodeAllocation;
+using sns::actuator::ResourceLedger;
+
+/// Set by any benchmark whose ledger answered wrongly; the exit status.
+bool g_failed = false;
+
+void fail(benchmark::State& state, const char* why) {
+  g_failed = true;
+  state.SkipWithError(why);
+}
+
+/// A ledger loaded to a congested mix: spans of 16-512 nodes placed over
+/// shifting windows until about four in five cores are held, with every
+/// fifth job leaving again. Few nodes stay fully idle.
+struct LoadedLedger {
+  explicit LoadedLedger(int nodes) : mach(sns::hw::MachineConfig::xeonE5_2680v4()) {
+    ledger = std::make_unique<ResourceLedger>(nodes, mach);
+    sns::util::Rng rng(0x1ed9e7);
+    const double bws[] = {0.1, 0.2, 0.7, 1.3, 2.9, 0.0};
+    std::vector<std::pair<sns::actuator::JobId, std::vector<int>>> live;
+    sns::actuator::JobId next = 1;
+    while (ledger->meanCoreOccupancy() < 0.8) {
+      NodeAllocation a;
+      a.cores = static_cast<int>(rng.uniformInt(1, 7));
+      a.ways = rng.uniform() < 0.5 ? 0 : static_cast<int>(rng.uniformInt(2, 3));
+      a.bw_gbps = bws[rng.uniformInt(0, 5)];
+      const int lo = static_cast<int>(rng.uniformInt(0, nodes - 1));
+      const int width = static_cast<int>(rng.uniformInt(16, 512));
+      std::vector<int> span;
+      for (int i = 0; i < width; ++i) {
+        const int nd = (lo + i) % nodes;
+        if (ledger->node(nd).fits(a)) span.push_back(nd);
+      }
+      if (span.empty()) continue;
+      ledger->allocate(span, next, a);
+      live.emplace_back(next++, std::move(span));
+      if (next % 5 == 0) {
+        const std::size_t k = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
+        ledger->release(live[k].second, live[k].first);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+      }
+    }
+  }
+  sns::hw::MachineConfig mach;
+  std::unique_ptr<ResourceLedger> ledger;
+};
+
+/// One loaded ledger per size, shared by the benchmarks (loading a
+/// 32K-node ledger takes longer than timing it).
+LoadedLedger& loaded(int nodes) {
+  static LoadedLedger small(4096);
+  static LoadedLedger large(32768);
+  return nodes == 4096 ? small : large;
+}
+
+/// Every call asks with a beta never asked before in this process (the
+/// low bits differ, across repetitions too), so each one misses the
+/// selection cache and runs the full selection.
+double nextBeta() {
+  static std::uint64_t calls = 0;
+  return 2.0 + 1e-12 * static_cast<double>(calls++);
+}
+
+void BM_SelectSuccess(benchmark::State& state) {
+  ResourceLedger& ledger = *loaded(static_cast<int>(state.range(0))).ledger;
+  const NodeAllocation req{4, 2, 0.7, false, 0.0};
+  const int count = static_cast<int>(state.range(0)) / 64;
+  for (auto _ : state) {
+    const auto nodes = ledger.selectNodes(count, req, nextBeta());
+    if (nodes.empty()) fail(state, "selection came back empty");
+    benchmark::DoNotOptimize(nodes.data());
+  }
+}
+BENCHMARK(BM_SelectSuccess)->Arg(4096)->Arg(32768)->Unit(benchmark::kMicrosecond);
+
+void BM_SelectProvenFailure(benchmark::State& state) {
+  LoadedLedger& l = loaded(static_cast<int>(state.range(0)));
+  ResourceLedger& ledger = *l.ledger;
+  // Plenty of nodes have a free core, so the population bound passes;
+  // only nodes without a bandwidth reservation fit, one too few.
+  const NodeAllocation req{1, 0, l.mach.peakBandwidth() - 0.05, false, 0.0};
+  const int count = static_cast<int>(ledger.feasibleNodes(req).size()) + 1;
+  if (ledger.feasibleUpperBound(req.cores, req.ways, count) < count) {
+    fail(state, "the population bound already rejects the query");
+  }
+  for (auto _ : state) {
+    const auto nodes = ledger.selectNodes(count, req, nextBeta());
+    if (!nodes.empty()) fail(state, "selection should have failed");
+    benchmark::DoNotOptimize(nodes.data());
+  }
+}
+BENCHMARK(BM_SelectProvenFailure)->Arg(4096)->Arg(32768)->Unit(benchmark::kMicrosecond);
+
+void BM_SpanAllocateRelease(benchmark::State& state) {
+  ResourceLedger& ledger = *loaded(static_cast<int>(state.range(0))).ledger;
+  const NodeAllocation a{1, 0, 0.1, false, 0.0};
+  // A placement the size of the replay's mean event footprint.
+  std::vector<int> span;
+  for (int nd = 0; nd < ledger.nodeCount() && span.size() < 384; nd += 3) {
+    if (ledger.node(nd).fits(a)) span.push_back(nd);
+  }
+  const sns::actuator::JobId job = 1 << 30;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ledger.allocate(span, job, a).data());
+    benchmark::DoNotOptimize(ledger.release(span, job).data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * static_cast<std::int64_t>(span.size()));
+}
+BENCHMARK(BM_SpanAllocateRelease)->Arg(4096)->Arg(32768)->Unit(benchmark::kMicrosecond);
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return g_failed ? 1 : 0;
+}

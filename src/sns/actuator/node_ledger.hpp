@@ -29,7 +29,9 @@ struct NodeAllocation {
 /// list — and with it every integer total, the exclusive flag and the
 /// core/way occupancy fractions — is a function of its group. The ledger
 /// keeps one GroupState per distinct ordered resident list
-/// (ResourceLedger::Group); only the two bandwidth sums stay per node.
+/// (ResourceLedger::Group); the two bandwidth sums, which depend on a
+/// node's history, live in its exact node-state class
+/// (ResourceLedger::NodeClass).
 struct GroupState {
   /// (job, allocation) in arrival order on the node.
   std::vector<std::pair<JobId, NodeAllocation>> residents;
@@ -59,7 +61,7 @@ inline bool groupAdmits(const GroupState& g, const hw::MachineConfig& mach,
 
 /// Read-only view of one node's resource accounting, returned by value
 /// from ResourceLedger::node(): the node's co-run group state plus its
-/// own bandwidth and NIC reservation sums. CAT semantics: way partitioning
+/// class's bandwidth and NIC reservation sums. CAT semantics: way partitioning
 /// with the hardware's constraints (minimum 2 ways per partition for
 /// associativity, at most 16 partitions, §5.1) and the SNS policy of
 /// donating unallocated ways to residents in equal shares, reclaimed when

@@ -1,11 +1,9 @@
 #include "sns/actuator/resource_ledger.hpp"
 
 #include <algorithm>
-#include <future>
 #include <limits>
 
 #include "sns/util/error.hpp"
-#include "sns/util/thread_pool.hpp"
 
 namespace sns::actuator {
 
@@ -23,37 +21,6 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Score `ids` into `out` as (score, id) pairs — sharded across pool
-/// workers when the candidate set is large enough, serial otherwise.
-/// Shards are fixed index ranges and every score lands at its candidate's
-/// index, so the filled array is independent of worker timing.
-template <typename ScoreFn>
-void fillScores(util::ThreadPool* pool, std::size_t min_parallel,
-                const int* ids, std::size_t n,
-                std::vector<std::pair<double, int>>& out, const ScoreFn& fn) {
-  out.resize(n);
-  if (pool != nullptr && n >= min_parallel && pool->threadCount() > 1) {
-    const std::size_t shards = pool->threadCount();
-    const std::size_t chunk = (n + shards - 1) / shards;
-    std::vector<std::future<void>> pending;
-    pending.reserve(shards - 1);
-    for (std::size_t t = 1; t < shards; ++t) {
-      const std::size_t b = chunk * t;
-      if (b >= n) break;
-      const std::size_t e = std::min(n, b + chunk);
-      pending.push_back(pool->submit([&out, &fn, ids, b, e] {
-        for (std::size_t i = b; i < e; ++i) out[i] = {fn(ids[i]), ids[i]};
-      }));
-    }
-    for (std::size_t i = 0; i < std::min(n, chunk); ++i) {
-      out[i] = {fn(ids[i]), ids[i]};
-    }
-    for (auto& f : pending) f.get();
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) out[i] = {fn(ids[i]), ids[i]};
-}
-
 }  // namespace
 
 ResourceLedger::ResourceLedger(int nodes, const hw::MachineConfig& mach)
@@ -63,14 +30,22 @@ ResourceLedger::ResourceLedger(int nodes, const hw::MachineConfig& mach)
   groups_.emplace_back();
   groups_[kIdleGroup].members = static_cast<std::uint32_t>(nodes);
   groups_[kIdleGroup].live = true;
+  groups_[kIdleGroup].first_class = kIdleClass;
+  classes_.emplace_back();
+  classes_[kIdleClass].members = static_cast<std::uint32_t>(nodes);
+  classes_[kIdleClass].live = true;
+  verdicts_.resize(1);
   index_.assign(64, kIdleGroup);
-  buckets_.assign(static_cast<std::size_t>(mach.cores) + 1, NodeBitset(nodes));
+  const auto rows = static_cast<std::size_t>(mach.cores) + 1;
+  buckets_.assign(rows, NodeBitset(nodes));
+  order_ = NodeBitset(nodes);
   auto& idle_bucket = buckets_[static_cast<std::size_t>(mach.cores)];
   for (int i = 0; i < nodes; ++i) idle_bucket.insert(i);
-  cw_grid_.assign(static_cast<std::size_t>(mach.cores + 1) *
-                      static_cast<std::size_t>(mach.llc_ways + 1),
-                  0);
-  gridCell(mach.cores, mach.llc_ways) = nodes;
+  bucket_classes_.assign(rows, kNoClass);
+  bucket_classes_[static_cast<std::size_t>(mach.cores)] = kIdleClass;
+  bucket_fit_.assign(rows, 0);
+  way_rows_.assign(rows * static_cast<std::size_t>(mach.llc_ways + 1), 0);
+  addToRows(mach.cores, mach.llc_ways, nodes);
 }
 
 namespace {
@@ -126,6 +101,7 @@ void ResourceLedger::openEvent(JobId job, const NodeAllocation* join) {
   }
   ++epoch_;
   moves_.clear();
+  class_moves_.clear();
   open_ = true;
   open_join_ = join != nullptr;
   open_job_ = job;
@@ -134,43 +110,70 @@ void ResourceLedger::openEvent(JobId job, const NodeAllocation* join) {
 const char* ResourceLedger::step(int nd) {
   if (nd < 0 || nd >= nodeCount()) return "node id out of range";
   NodeSlot& s = slots_[static_cast<std::size_t>(nd)];
-  const GroupId from = s.group;
-  // A moved node never names a source group of its event again (its
-  // target holds the job on a join and lacks it on a leave), so a routed
-  // source always moves its nodes to the same target.
-  if (groups_[from].ev_epoch != epoch_) {
-    if (const char* error = route(from)) return error;
+  const ClassId from = s.cls;
+  // A moved node never names a source class of its event again (its
+  // target group holds the job on a join and lacks it on a leave), so a
+  // routed source always moves its nodes to the same target.
+  if (classes_[from].ev_epoch != epoch_) {
+    if (const char* error = routeClass(from)) return error;
   }
-  Record& src = groups_[from];
-  const double bw = src.ev_bw;
-  const double net = src.ev_net;
+  ClassRecord& src = classes_[from];
+  // Per-node order of the bandwidth total is kept: meanBwOccupancy()
+  // reads it between events.
   if (open_join_) {
-    if (bw > (peak_bw_ - s.bw) + 1e-9 || net > (mach_->net_bw_gbps - s.net) + 1e-9) {
-      return "allocation does not fit on node";
-    }
-    s.bw += bw;
-    s.net += net;
-    total_bw_reserved_ += bw;
-  } else if (src.ev_dst == kIdleGroup) {
-    // Summed double reservations can hold a +-1-ULP residue after the
-    // last resident leaves ((a+b)-a-b != 0 in floating point), which
-    // would make an empty node's fits()/score() depend on its allocation
-    // history. Pin the sums to exact zeros: all fully idle nodes are then
-    // bit-identical, the invariant the uniform-idle selection fast path
-    // rests on.
-    s.bw = 0.0;
-    s.net = 0.0;
-    total_bw_reserved_ -= bw;
+    total_bw_reserved_ += src.ev_bw;
   } else {
-    s.bw -= bw;
-    s.net -= net;
-    total_bw_reserved_ -= bw;
+    total_bw_reserved_ -= src.ev_bw;
   }
   SNS_REQUIRE(buckets_[static_cast<std::size_t>(src.ev_src_idle)].transfer(
                   buckets_[static_cast<std::size_t>(src.ev_dst_idle)], nd),
               "ledger group index corrupt");
-  s.group = src.ev_dst;
+  s.cls = src.ev_dst;
   ++src.moved;
+  return nullptr;
+}
+
+const char* ResourceLedger::routeClass(ClassId from) {
+  const GroupId g = classes_[from].group;
+  if (groups_[g].ev_epoch != epoch_) {
+    if (const char* error = route(g)) return error;
+  }
+  const Record& grp = groups_[g];
+  const ClassRecord& c = classes_[from];
+  double bw;
+  double net;
+  if (open_join_) {
+    if (grp.ev_bw > (peak_bw_ - c.bw) + 1e-9 ||
+        grp.ev_net > (mach_->net_bw_gbps - c.net) + 1e-9) {
+      return "allocation does not fit on node";
+    }
+    bw = c.bw + grp.ev_bw;
+    net = c.net + grp.ev_net;
+  } else if (grp.ev_dst == kIdleGroup) {
+    // Summed double reservations can hold a +-1-ULP residue after the
+    // last resident leaves ((a+b)-a-b != 0 in floating point), which
+    // would make an empty node's fits()/score() depend on its allocation
+    // history. Pin the sums to exact zeros: all fully idle nodes are then
+    // one class, kIdleClass.
+    bw = 0.0;
+    net = 0.0;
+  } else {
+    bw = c.bw - grp.ev_bw;
+    net = c.net - grp.ev_net;
+  }
+  const GroupId to_group = grp.ev_dst;
+  const int src_idle = grp.ev_src_idle;
+  const int dst_idle = grp.ev_dst_idle;
+  const double ev_bw = grp.ev_bw;
+  const ClassId to = internClass(to_group, bw, net);  // may grow classes_
+  ClassRecord& k = classes_[from];
+  k.ev_epoch = epoch_;
+  k.ev_dst = to;
+  k.moved = 0;
+  k.ev_src_idle = src_idle;
+  k.ev_dst_idle = dst_idle;
+  k.ev_bw = ev_bw;
+  class_moves_.push_back(from);
   return nullptr;
 }
 
@@ -207,6 +210,14 @@ const char* ResourceLedger::route(GroupId from) {
 void ResourceLedger::closeEvent() {
   open_ = false;
   transitions_.clear();
+  for (const ClassId from : class_moves_) {
+    ClassRecord& src = classes_[from];
+    const std::uint32_t n = src.moved;
+    src.moved = 0;
+    src.members -= n;
+    classes_[src.ev_dst].members += n;
+    groups_[src.group].moved += n;
+  }
   const int ways = mach_->llc_ways;
   for (const GroupId from : moves_) {
     Record& src = groups_[from];
@@ -219,8 +230,8 @@ void ResourceLedger::closeEvent() {
     dst.members += n;
     buckets_[static_cast<std::size_t>(src.ev_src_idle)].adjust(-static_cast<int>(n));
     buckets_[static_cast<std::size_t>(src.ev_dst_idle)].adjust(static_cast<int>(n));
-    gridCell(src.ev_src_idle, ways - src.ways_reserved) -= static_cast<std::int32_t>(n);
-    gridCell(src.ev_dst_idle, ways - dst.ways_reserved) += static_cast<std::int32_t>(n);
+    addToRows(src.ev_src_idle, ways - src.ways_reserved, -static_cast<std::int32_t>(n));
+    addToRows(src.ev_dst_idle, ways - dst.ways_reserved, static_cast<std::int32_t>(n));
     total_cores_used_ += static_cast<std::int64_t>(n) * (dst.cores_used - src.cores_used);
     total_ways_reserved_ +=
         static_cast<std::int64_t>(n) * (dst.ways_reserved - src.ways_reserved);
@@ -234,6 +245,14 @@ void ResourceLedger::closeEvent() {
   // Pool the sources the event emptied, and targets interned for a move
   // that then failed. Deferred to here so that an emptied source's list
   // stays readable, and its id unused, while the event can still route.
+  // Classes first: an emptied group has no live class left after this.
+  for (const ClassId from : class_moves_) {
+    if (from != kIdleClass && classes_[from].live && classes_[from].members == 0) {
+      poolClass(from);
+    }
+    const ClassId to = classes_[from].ev_dst;
+    if (to != kIdleClass && classes_[to].live && classes_[to].members == 0) poolClass(to);
+  }
   for (const GroupId from : moves_) {
     if (from != kIdleGroup && groups_[from].live && groups_[from].members == 0) pool(from);
     const GroupId to = groups_[from].ev_dst;
@@ -310,6 +329,7 @@ ResourceLedger::GroupId ResourceLedger::intern(GroupId from, std::size_t skip) {
   grp.live = true;
   grp.serial = ++serial_;
   grp.hash = h;
+  grp.first_class = kNoClass;
   grp.ev_epoch = 0;
   grp.moved = 0;
   indexInsert(g);
@@ -356,119 +376,169 @@ void ResourceLedger::pool(GroupId g) {
   free_.push_back(g);
 }
 
-std::vector<int> ResourceLedger::feasibleNodes(const NodeAllocation& request) const {
-  settlePending();
-  query_core_floor_ = std::min(query_core_floor_, request.cores);
-  std::vector<int> out;
-  for (int c = mach_->cores; c >= std::max(0, request.cores); --c) {
-    const auto& bucket = buckets_[static_cast<std::size_t>(c)];
-    if (bucket.empty()) continue;
-    if (c == mach_->cores) {
-      scanIdleBucket(bucket, request, std::numeric_limits<std::size_t>::max(),
-                     out);
-      continue;
+ResourceLedger::ClassId ResourceLedger::internClass(GroupId g, double bw, double net) {
+  if (g == kIdleGroup) return kIdleClass;  // going idle pins the sums to zero
+  const auto bw_bits = std::bit_cast<std::uint64_t>(bw);
+  const auto net_bits = std::bit_cast<std::uint64_t>(net);
+  // A group holds few classes (sums differ only in last-bit residues), so
+  // its list is the index.
+  for (ClassId k = groups_[g].first_class; k != kNoClass; k = classes_[k].next_in_group) {
+    const ClassRecord& c = classes_[k];
+    if (std::bit_cast<std::uint64_t>(c.bw) == bw_bits &&
+        std::bit_cast<std::uint64_t>(c.net) == net_bits) {
+      return k;
     }
-    scanBucket(bucket, request, std::numeric_limits<std::size_t>::max(), out);
+  }
+  ClassId k;
+  if (!free_classes_.empty()) {
+    k = free_classes_.back();
+    free_classes_.pop_back();
+  } else {
+    k = static_cast<ClassId>(classes_.size());
+    classes_.emplace_back();
+    verdicts_.resize(classes_.size());
+  }
+  ClassRecord& c = classes_[k];
+  c.group = g;
+  c.members = 0;
+  c.bw = bw;
+  c.net = net;
+  c.live = true;
+  c.ev_epoch = 0;
+  c.moved = 0;
+  c.next_in_group = groups_[g].first_class;
+  groups_[g].first_class = k;
+  const auto idle = static_cast<std::size_t>(mach_->cores - groups_[g].cores_used);
+  c.bucket_prev = kNoClass;
+  c.bucket_next = bucket_classes_[idle];
+  if (c.bucket_next != kNoClass) classes_[c.bucket_next].bucket_prev = k;
+  bucket_classes_[idle] = k;
+  return k;
+}
+
+void ResourceLedger::poolClass(ClassId k) {
+  ClassRecord& c = classes_[k];
+  Record& g = groups_[c.group];
+  if (g.first_class == k) {
+    g.first_class = c.next_in_group;
+  } else {
+    ClassId p = g.first_class;
+    while (classes_[p].next_in_group != k) p = classes_[p].next_in_group;
+    classes_[p].next_in_group = c.next_in_group;
+  }
+  if (c.bucket_prev != kNoClass) {
+    classes_[c.bucket_prev].bucket_next = c.bucket_next;
+  } else {
+    bucket_classes_[static_cast<std::size_t>(mach_->cores - g.cores_used)] = c.bucket_next;
+  }
+  if (c.bucket_next != kNoClass) classes_[c.bucket_next].bucket_prev = c.bucket_prev;
+  c.live = false;
+  free_classes_.push_back(k);
+}
+
+template <typename KeyFn>
+std::uint32_t ResourceLedger::judgeBucket(int c, const NodeAllocation& request,
+                                          const KeyFn& key, bool& uniform) const {
+  std::uint32_t fit = 0;
+  bool seen = false;
+  double first = 0.0;
+  for (ClassId k = bucket_classes_[static_cast<std::size_t>(c)]; k != kNoClass;
+       k = classes_[k].bucket_next) {
+    Verdict& v = verdicts_[k];
+    const NodeLedger n = classView(k);
+    v.fits = n.fits(request);
+    v.hits = 0;
+    if (!v.fits || classes_[k].members == 0) continue;
+    v.key = key(n);
+    fit += classes_[k].members;
+    if (!seen) {
+      first = v.key;
+      seen = true;
+    } else if (v.key != first) {
+      uniform = false;
+    }
+  }
+  return fit;
+}
+
+void ResourceLedger::walkBucket(int c, std::size_t limit, bool all_fit) const {
+  if (limit == 0) return;
+  const std::size_t begin = cand_.size();
+  buckets_[static_cast<std::size_t>(c)].scan([&](int id) {
+    const ClassId k = classOf(id);
+    if (!all_fit && !verdicts_[k].fits) return true;
+    cand_.push_back(id);
+    cand_class_.push_back(k);
+    return cand_.size() - begin < limit;
+  });
+}
+
+void ResourceLedger::sortCandidates() const {
+  for (const int id : cand_) order_.insert(id);
+  cand_.clear();
+  cand_class_.clear();
+  order_.scan([&](int id) {
+    cand_.push_back(id);
+    cand_class_.push_back(classOf(id));
+    return true;
+  });
+  for (const int id : cand_) order_.erase(id);
+}
+
+std::vector<int> ResourceLedger::rankCandidates(int count, bool descending) const {
+  hit_classes_.clear();
+  for (const ClassId k : cand_class_) {
+    if (verdicts_[k].hits++ == 0) hit_classes_.push_back(k);
+  }
+  std::sort(hit_classes_.begin(), hit_classes_.end(), [&](ClassId a, ClassId b) {
+    const double ka = verdicts_[a].key;
+    const double kb = verdicts_[b].key;
+    return descending ? ka > kb : ka < kb;
+  });
+  // One rank per distinct key (classes with equal keys share a rank, their
+  // nodes then ordered by id alone); rank_start_[r] = where its slice of
+  // the ranked order begins.
+  rank_start_.clear();
+  std::size_t pos = 0;
+  for (std::size_t i = 0; i < hit_classes_.size(); ++i) {
+    Verdict& v = verdicts_[hit_classes_[i]];
+    if (i == 0 || v.key != verdicts_[hit_classes_[i - 1]].key) rank_start_.push_back(pos);
+    v.rank = static_cast<std::uint32_t>(rank_start_.size() - 1);
+    pos += v.hits;
+  }
+  // Candidates arrive in ascending id order, so each slice fills in
+  // (key, id) order and only the first `count` positions are kept.
+  const auto n = static_cast<std::size_t>(count);
+  std::vector<int> out(n);
+  std::size_t placed = 0;
+  for (std::size_t i = 0; i < cand_.size() && placed < n; ++i) {
+    std::size_t& at = rank_start_[verdicts_[cand_class_[i]].rank];
+    if (at < n) {
+      out[at] = cand_[i];
+      ++placed;
+    }
+    ++at;
   }
   return out;
 }
 
-void ResourceLedger::scanBucket(const NodeBitset& bucket,
-                                const NodeAllocation& request, std::size_t cap,
-                                std::vector<int>& dest) const {
-  const std::size_t begin = dest.size();
-  if (pool_ == nullptr ||
-      static_cast<std::size_t>(bucket.size()) < min_parallel_ ||
-      pool_->threadCount() <= 1) {
-    bucket.scan([&](int id) {
-      if (view(id).fits(request)) dest.push_back(id);
-      return dest.size() - begin < cap;
-    });
-    return;
-  }
-  // Sharded scan with ordered merge: shard boundaries are fixed bitmap word
-  // ranges (a function of node id only), each shard is capped at `cap` (no
-  // shard can contribute more than the whole scan keeps), and the merge
-  // concatenates shards in order — bit-for-bit the serial scan's capped
-  // prefix, regardless of worker timing. Workers read immutable node state
-  // and write only their own scratch vector; f.get() sequences every write
-  // before the merge.
-  const std::size_t shards = pool_->threadCount();
-  if (shard_scratch_.size() < shards) shard_scratch_.resize(shards);
-  const std::size_t words = bucket.wordCount();
-  const std::size_t chunk = (words + shards - 1) / shards;
-  const std::size_t used = (words + chunk - 1) / chunk;
-  std::vector<std::future<void>> pending;
-  pending.reserve(used - 1);
-  for (std::size_t t = 1; t < used; ++t) {
-    const std::size_t wb = chunk * t;
-    const std::size_t we = std::min(words, wb + chunk);
-    auto& out = shard_scratch_[t];
-    pending.push_back(
-        pool_->submit([this, &bucket, &request, &out, wb, we, cap] {
-          out.clear();
-          bucket.scanWords(wb, we, [&](int id) {
-            if (view(id).fits(request)) {
-              out.push_back(id);
-            }
-            return out.size() < cap;
-          });
-        }));
-  }
-  auto& own = shard_scratch_[0];
-  own.clear();
-  bucket.scanWords(0, std::min(words, chunk), [&](int id) {
-    if (view(id).fits(request)) own.push_back(id);
-    return own.size() < cap;
-  });
-  for (auto& f : pending) f.get();
-  for (std::size_t t = 0; t < used; ++t) {
-    for (int id : shard_scratch_[t]) {
-      if (dest.size() - begin >= cap) return;
-      dest.push_back(id);
-    }
-  }
-}
-
-void ResourceLedger::scanIdleBucket(const NodeBitset& bucket,
-                                    const NodeAllocation& request,
-                                    std::size_t cap,
-                                    std::vector<int>& dest) const {
-  int rep = -1;
-  bucket.scan([&](int id) {
-    rep = id;
-    return false;
-  });
-  if (rep < 0 || !view(rep).fits(request)) return;
-  const std::size_t begin = dest.size();
-  bucket.scan([&](int id) {
-    dest.push_back(id);
-    return dest.size() - begin < cap;
-  });
-}
-
-void ResourceLedger::collectCandidates(const NodeAllocation& request,
-                                       std::size_t per_group_cap) const {
+template <typename KeyFn>
+void ResourceLedger::collectFeasible(const NodeAllocation& request, const KeyFn& key) const {
   cand_.clear();
-  group_end_.clear();
-  const int from = std::max(0, request.cores);
-  for (int c = from; c <= mach_->cores; ++c) {
-    const auto& bucket = buckets_[static_cast<std::size_t>(c)];
-    if (bucket.empty()) continue;
-    if (request.exclusive && c < mach_->cores) {
-      // idleCores < cores proves a resident holds >= 1 core, so an
-      // exclusive request cannot fit anywhere in this bucket: an empty
-      // group.
-      group_end_.push_back(cand_.size());
-      continue;
-    }
-    if (c == mach_->cores) {
-      scanIdleBucket(bucket, request, per_group_cap, cand_);
-    } else {
-      scanBucket(bucket, request, per_group_cap, cand_);
-    }
-    group_end_.push_back(cand_.size());
+  cand_class_.clear();
+  for (int c = mach_->cores; c >= std::max(0, request.cores); --c) {
+    if (buckets_[static_cast<std::size_t>(c)].empty()) continue;
+    bool uniform = true;
+    const std::uint32_t fit = judgeBucket(c, request, key, uniform);
+    walkBucket(c, fit, static_cast<int>(fit) == buckets_[static_cast<std::size_t>(c)].size());
   }
+}
+
+std::vector<int> ResourceLedger::feasibleNodes(const NodeAllocation& request) const {
+  settlePending();
+  query_core_floor_ = std::min(query_core_floor_, request.cores);
+  collectFeasible(request, [](const NodeLedger&) { return 0.0; });
+  return cand_;
 }
 
 std::vector<int> ResourceLedger::selectNodes(int count, const NodeAllocation& request,
@@ -479,29 +549,20 @@ std::vector<int> ResourceLedger::selectNodes(int count, const NodeAllocation& re
 
   // Exclusive requests are a provable special case: they only fit on
   // completely idle nodes (every resident allocation holds >= 1 core), so
-  // all candidates live in one group and score exactly 0.0 — the ranked
-  // prefix is the first `count` candidates, making any scan window
-  // >= count equivalent and the scoring pass unnecessary. CE and the
-  // E-mode arm of SNS place this request for every multi-node job, with
-  // `count` in the thousands on Fig 20 clusters. Already O(1) on failure,
-  // so the selection cache skips them.
+  // all candidates are the one idle class and score exactly 0.0 — the
+  // ranked prefix is the first `count` idle nodes. CE and the E-mode arm
+  // of SNS place this request for every multi-node job, with `count` in
+  // the thousands on Fig 20 clusters. Already O(1) on failure, so the
+  // selection cache skips them.
   if (request.exclusive) {
-    // Candidates can only be fully idle nodes, so when the free list is
-    // already too small the scan cannot succeed — failed placement
-    // attempts (a deep queue probing an overcommitted cluster every
-    // scheduling point) cost O(1) instead of a walk over every idle node.
-    if (idleNodeCount() < count) return {};
-    collectCandidates(request, static_cast<std::size_t>(count));
-    if (cand_.size() < static_cast<std::size_t>(count)) return {};
-    std::size_t begin = 0;
-    for (std::size_t end : group_end_) {
-      if (end - begin >= static_cast<std::size_t>(count)) {
-        return {cand_.begin() + static_cast<std::ptrdiff_t>(begin),
-                cand_.begin() + static_cast<std::ptrdiff_t>(begin + count)};
-      }
-      begin = end;
-    }
-    return {};
+    if (idleNodeCount() < count || !classView(kIdleClass).fits(request)) return {};
+    std::vector<int> out;
+    out.reserve(static_cast<std::size_t>(count));
+    buckets_[static_cast<std::size_t>(mach_->cores)].scan([&](int id) {
+      out.push_back(id);
+      return out.size() < static_cast<std::size_t>(count);
+    });
+    return out;
   }
 
   const SelectQuery q = makeQuery(/*kind=*/0, count, request, beta);
@@ -520,91 +581,55 @@ std::vector<int> ResourceLedger::selectNodes(int count, const NodeAllocation& re
 std::vector<int> ResourceLedger::selectNodesRanked(int count,
                                                    const NodeAllocation& request,
                                                    double beta) const {
-  // Rank `ids` by the node score Co + Bo + beta x Wo (hoisted: one score
-  // evaluation per candidate, not per comparison), id as the deterministic
-  // tie-break, and return the best `count`. Only the winning prefix is
-  // needed, so partial_sort suffices: the comparator is a strict total
-  // order, making the prefix identical to a full sort's.
-  // `ids_ascending` marks callers whose candidate list is already in
-  // ascending id order (a single group's scan); when additionally every
-  // candidate scores the same, the ranked prefix is just the first `count`
-  // ids, no sort needed.
-  auto best = [&](const int* ids, std::size_t n, bool ids_ascending) {
-    fillScores(pool_, min_parallel_, ids, n, rank_scratch_, [&](int id) {
-      return view(id).score(beta);
-    });
-    bool uniform = true;
-    for (std::size_t i = 1; i < n && uniform; ++i) {
-      uniform = rank_scratch_[i].first == rank_scratch_.front().first;
-    }
-    if (!(uniform && ids_ascending)) {
-      // Identical prefix any way it is produced (strict total order, so
-      // the sorted prefix is unique). Heap-based partial_sort pays off
-      // when the prefix is a small slice; otherwise partition the winners
-      // to the front in O(n) and sort only them — a full sort paid
-      // n log n for a prefix the callers never read past.
-      const auto mid =
-          rank_scratch_.begin() + static_cast<std::ptrdiff_t>(count);
-      if (static_cast<std::size_t>(count) * 4 >= n) {
-        if (static_cast<std::size_t>(count) < n) {
-          std::nth_element(rank_scratch_.begin(), mid, rank_scratch_.end());
-        }
-        std::sort(rank_scratch_.begin(), mid);
-      } else {
-        std::partial_sort(rank_scratch_.begin(), mid, rank_scratch_.end());
-      }
-    }
-    std::vector<int> out(static_cast<std::size_t>(count));
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = rank_scratch_[i].second;
-    return out;
-  };
-
-  // Walk feasible groups best-fit first (least idle cores that still hold
-  // the request): the first group that can satisfy the whole request on
-  // its own wins, which keeps per-group consumption even and preserves
-  // fully idle nodes for large jobs (the paper's fragmentation-reduction
-  // rule, §4.4). Within a group, the least-loaded nodes win by the score
-  // Co + Bo + beta x Wo. If no single group suffices, fall back to the
-  // idlest feasible nodes cluster-wide. Bucket scans are capped so a
-  // single placement stays sub-linear on 32K-node clusters.
-  const std::size_t scan_cap =
-      std::max<std::size_t>(64, 2 * static_cast<std::size_t>(count) + 8);
-  // Walk buckets lazily, best-fit first, and stop at the first group that
-  // satisfies the whole request on its own — identical to collecting every
-  // group up front and then walking (the winning group's candidates don't
-  // depend on groups after it), but a typical placement ends after one
-  // bucket instead of scanning all of them.
+  // Walk buckets best-fit first (least idle cores that still hold the
+  // request): the first bucket that can satisfy the whole request on its
+  // own wins, which keeps per-group consumption even and preserves fully
+  // idle nodes for large jobs (the paper's fragmentation-reduction rule,
+  // §4.4). Within a bucket, the least-loaded nodes win by the score
+  // Co + Bo + beta x Wo, id breaking ties. If no single bucket suffices,
+  // fall back to the idlest feasible nodes cluster-wide. Each bucket
+  // contributes its first max(64, 2*count+8) fitting nodes in ascending
+  // id, so a single placement stays sub-linear on 32K-node clusters.
+  // Fit and score are per class, so a bucket's fitting population is
+  // known before any of its nodes is read: a bucket is walked only once it
+  // is known to contribute.
+  const auto n = static_cast<std::size_t>(count);
+  const std::size_t cap = std::max<std::size_t>(64, 2 * n + 8);
+  const auto score = [beta](const NodeLedger& v) { return v.score(beta); };
+  const int from = std::max(0, request.cores);
   cand_.clear();
-  group_end_.clear();
-  for (int c = std::max(0, request.cores); c <= mach_->cores; ++c) {
-    const auto& bucket = buckets_[static_cast<std::size_t>(c)];
+  cand_class_.clear();
+  std::size_t total = 0;
+  for (int c = from; c <= mach_->cores; ++c) {
+    const NodeBitset& bucket = buckets_[static_cast<std::size_t>(c)];
+    std::uint32_t& fit = bucket_fit_[static_cast<std::size_t>(c)];
+    fit = 0;
     if (bucket.empty()) continue;
-    const std::size_t begin = cand_.size();
-    if (c == mach_->cores) {
-      scanIdleBucket(bucket, request, scan_cap, cand_);
-    } else {
-      scanBucket(bucket, request, scan_cap, cand_);
-    }
-    group_end_.push_back(cand_.size());
-    if (cand_.size() - begin >= static_cast<std::size_t>(count)) {
-      if (c == mach_->cores) {
-        // Every fully idle node scores exactly 0.0 (pinned zero
-        // reservations), so the uniform + ids_ascending shortcut in
-        // best() applies analytically: the answer is the first `count`
-        // ids, no score fill needed.
-        return {cand_.begin() + static_cast<std::ptrdiff_t>(begin),
-                cand_.begin() + static_cast<std::ptrdiff_t>(
-                                    begin + static_cast<std::size_t>(count))};
+    bool uniform = true;
+    fit = judgeBucket(c, request, score, uniform);
+    if (fit >= n) {
+      const bool all_fit = static_cast<int>(fit) == bucket.size();
+      if (uniform) {
+        // Every candidate scores the same: the ranked prefix is the first
+        // `count` fitting ids.
+        walkBucket(c, n, all_fit);
+        return cand_;
       }
-      return best(cand_.data() + begin, cand_.size() - begin,
-                  /*ids_ascending=*/true);
+      walkBucket(c, std::min<std::size_t>(cap, fit), all_fit);
+      return rankCandidates(count, /*descending=*/false);
     }
+    total += std::min<std::size_t>(cap, fit);
   }
-  // No single group sufficed; every bucket has been scanned above, so the
-  // flattened concatenation is complete (ascending only within each
-  // group, so the uniform-score shortcut does not apply).
-  if (cand_.size() < static_cast<std::size_t>(count)) return {};
-  return best(cand_.data(), cand_.size(), /*ids_ascending=*/false);
+  if (total < n) return {};
+  for (int c = from; c <= mach_->cores; ++c) {
+    const std::uint32_t fit = bucket_fit_[static_cast<std::size_t>(c)];
+    walkBucket(c, std::min<std::size_t>(cap, fit),
+               static_cast<int>(fit) == buckets_[static_cast<std::size_t>(c)].size());
+  }
+  // Buckets were read in idle-core order; equal scores across buckets
+  // rank by id.
+  sortCandidates();
+  return rankCandidates(count, /*descending=*/false);
 }
 
 std::vector<int> ResourceLedger::selectNodesByAlignment(
@@ -625,9 +650,7 @@ std::vector<int> ResourceLedger::selectNodesByAlignment(
 
 std::vector<int> ResourceLedger::selectNodesAligned(
     int count, const NodeAllocation& request) const {
-  auto candidates = feasibleNodes(request);
-  if (static_cast<int>(candidates.size()) < count) return {};
-
+  query_core_floor_ = std::min(query_core_floor_, request.cores);
   // Normalize each dimension by its node capacity so cores, ways, memory
   // bandwidth and NIC bandwidth weigh equally.
   const double req[4] = {
@@ -636,47 +659,25 @@ std::vector<int> ResourceLedger::selectNodesAligned(
       request.bw_gbps / mach_->peakBandwidth(),
       request.net_gbps / mach_->net_bw_gbps,
   };
-  auto alignment = [&](int id) {
-    const NodeLedger n = view(id);
+  const auto alignment = [&](const NodeLedger& v) {
     const double free[4] = {
-        static_cast<double>(n.idleCores()) / mach_->cores,
-        static_cast<double>(n.freeWays()) / mach_->llc_ways,
-        n.freeBandwidth() / mach_->peakBandwidth(),
-        n.freeNetwork() / mach_->net_bw_gbps,
+        static_cast<double>(v.idleCores()) / mach_->cores,
+        static_cast<double>(v.freeWays()) / mach_->llc_ways,
+        v.freeBandwidth() / mach_->peakBandwidth(),
+        v.freeNetwork() / mach_->net_bw_gbps,
     };
     double dot = 0.0;
     for (int d = 0; d < 4; ++d) dot += req[d] * free[d];
     return dot;
   };
-
-  // Only the top `count` are needed: precompute each candidate's alignment
-  // once and partial-sort, instead of the old full O(N log N) sort with
-  // the dot product re-derived inside the comparator. The comparator is a
-  // strict total order (id tie-break), so the selected prefix is identical
-  // to what a full sort would produce.
-  std::vector<std::pair<double, int>> scored;
-  fillScores(pool_, min_parallel_, candidates.data(), candidates.size(),
-             scored, alignment);
-  std::partial_sort(scored.begin(), scored.begin() + count, scored.end(),
-                    [](const std::pair<double, int>& a,
-                       const std::pair<double, int>& b) {
-                      if (a.first != b.first) return a.first > b.first;
-                      return a.second < b.second;
-                    });
-  candidates.resize(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    candidates[static_cast<std::size_t>(i)] = scored[static_cast<std::size_t>(i)].second;
-  }
-  return candidates;
+  // Every feasible node competes: best alignment first, id breaking ties.
+  collectFeasible(request, alignment);
+  if (cand_.size() < static_cast<std::size_t>(count)) return {};
+  sortCandidates();
+  return rankCandidates(count, /*descending=*/true);
 }
 
 // ---- selection cache --------------------------------------------------------
-
-void ResourceLedger::setSearchPool(util::ThreadPool* pool,
-                                   int min_parallel_nodes) {
-  pool_ = pool;
-  min_parallel_ = static_cast<std::size_t>(std::max(1, min_parallel_nodes));
-}
 
 ResourceLedger::SelectQuery ResourceLedger::makeQuery(
     int kind, int count, const NodeAllocation& request, double beta) {
@@ -794,20 +795,19 @@ void ResourceLedger::cacheStore(const SelectQuery& q,
 int ResourceLedger::feasibleUpperBound(int from, int ways, int enough) const {
   settlePending();
   // #{nodes : idleCores >= from AND freeWays >= ways} — counted exactly
-  // from the (idle-cores x free-ways) population grid, so it bounds the
+  // from the per-row way-suffix population counts, so it bounds the
   // feasible set from above (fits() additionally checks bandwidth,
   // network and exclusivity, which only shrink it further). Callers pass
   // the candidate count they need in `enough`: the suffix sum stops as
   // soon as the bound proves the scan could succeed, so the common
-  // feasible case costs a handful of adds and the provably-empty case at
-  // most one pass over the grid.
+  // feasible case costs a handful of adds and the provably-empty case one
+  // read per idle-core row.
   int n = 0;
   const int w0 = std::max(0, ways);
+  if (w0 > mach_->llc_ways) return 0;
+  const auto stride = static_cast<std::size_t>(mach_->llc_ways + 1);
   for (int c = mach_->cores; c >= std::max(0, from); --c) {
-    const std::int32_t* row = cw_grid_.data() +
-                              static_cast<std::size_t>(c) *
-                                  static_cast<std::size_t>(mach_->llc_ways + 1);
-    for (int w = w0; w <= mach_->llc_ways; ++w) n += row[w];
+    n += way_rows_[static_cast<std::size_t>(c) * stride + static_cast<std::size_t>(w0)];
     if (n >= enough) return n;
   }
   return n;

@@ -14,10 +14,6 @@
 #include "sns/util/error.hpp"
 #include "sns/util/thread_annotations.hpp"
 
-namespace sns::util {
-class ThreadPool;
-}
-
 namespace sns::actuator {
 
 /// Fixed-universe set of node ids backed by a bitmap with a member count.
@@ -91,25 +87,6 @@ class NodeBitset {
     }
   }
 
-  std::size_t wordCount() const { return words_.size(); }
-
-  /// Visit members whose ids fall in word range [w_begin, w_end), ascending;
-  /// the visitor returns false to stop early. Shardable form of scan() for
-  /// the parallel candidate search: word boundaries are fixed by id, so a
-  /// sharded scan concatenated in shard order reproduces scan()'s sequence.
-  template <typename Fn>
-  void scanWords(std::size_t w_begin, std::size_t w_end, Fn&& fn) const {
-    const std::size_t end = std::min(w_end, words_.size());
-    for (std::size_t w = w_begin; w < end; ++w) {
-      std::uint64_t bits = words_[w];
-      while (bits != 0) {
-        const int id = static_cast<int>(w << 6) + std::countr_zero(bits);
-        if (!fn(id)) return;
-        bits &= bits - 1;
-      }
-    }
-  }
-
  private:
   std::vector<std::uint64_t> words_;
   int count_ = 0;
@@ -130,39 +107,47 @@ class NodeBitset {
 /// (kIdleGroup) being the empty list — and each live group carries the
 /// resident allocations, the integer totals, the exclusive flag, the
 /// partitioned-resident count and the core/way occupancy fractions once.
-/// Per node it keeps only the group id, the bandwidth and NIC reservation
-/// sums (running +=/-= per node, pinned to zero when the node goes idle:
-/// the one state that depends on a node's history) and its idle-core
-/// bucket bit.
+/// The bandwidth and NIC reservation sums are running +=/-= sums per node,
+/// pinned to zero when the node goes idle — the one state that depends on
+/// a node's history, so two nodes of one group can differ in their last
+/// bits. The ledger therefore names, for every node, its exact node-state
+/// class: one class per distinct (group, bw_reserved bits, net_reserved
+/// bits), class 0 (kIdleClass) being the idle group with zero sums. Per
+/// node it keeps only the class id and its idle-core bucket bit.
 ///
-/// allocate()/release() are group transitions: an event over one job's
+/// allocate()/release() are class transitions: an event over one job's
 /// nodes moves each node from its group G to G+[job] (or G-[job], the
 /// other residents keeping their order), memoized per source group and
 /// keyed by group serials, so a pooled id never returns a stale target.
-/// Member counts, the bucket-population grid, the selection-cache history
-/// and the release epoch change once per transition; per node there is
-/// one id store, two bandwidth sums and one bucket-bit move.
+/// Every member of a class moves to the same target class (x + b on a
+/// join, x - b on a leave, exact zeros on going idle), so the fit check
+/// and the routing run once per source class. Member counts, the
+/// bucket-population rows, the selection-cache history and the release
+/// epoch change once per transition; per node there is one id store, one
+/// bucket-bit move and one add to the cluster bandwidth total.
 ///
 /// Selection is index-driven so it stays fast on 32K-node clusters (the
 /// paper's Fig 20 simulations): a dense bucket array keyed by idle-core
-/// count is updated incrementally on every allocate/release, groups are
+/// count is updated incrementally on every allocate/release, buckets are
 /// walked best-fit first, bucket scans are capped, and the fully-idle
 /// bucket doubles as the free list CE-style exclusive placements draw
-/// from. tests/actuator/test_selection_cache.cpp checks every selection
-/// against a reference that regroups all nodes per query.
+/// from. A query tests fit and computes its ranking key once per class of
+/// each bucket it reads, so a bucket without enough fitting nodes is
+/// decided without reading one node; the walk over a chosen bucket reads
+/// per node only its class id. tests/actuator/test_selection_cache.cpp
+/// and test_ledger_oracle.cpp check every selection against a reference
+/// that regroups all nodes per query.
 ///
 /// Thread contract: SNS_THREAD_HOSTILE — even const selection queries
 /// mutate the mutable scratch buffers and the selection cache below, so
 /// two threads may not query one ledger concurrently under any
-/// qualification. The sharded parallel search (setSearchPool) is the one
-/// sanctioned multi-thread entry: fillScores() hands pool workers fixed
-/// disjoint index ranges of one scratch array and joins every future
-/// before any shard result is read, so no two threads ever touch the
-/// same element and no scratch outlives the query that owns it.
+/// qualification.
 class SNS_THREAD_HOSTILE ResourceLedger {
  public:
   using GroupId = std::uint32_t;
   static constexpr GroupId kIdleGroup = 0;
+  using ClassId = std::uint32_t;
+  static constexpr ClassId kIdleClass = 0;
 
   /// One co-run group record. Records are pooled: a group that loses its
   /// last node goes back to a free list when the event ends (its resident
@@ -175,6 +160,16 @@ class SNS_THREAD_HOSTILE ResourceLedger {
     /// Unique per incarnation (never 0 for a non-idle group): owners
     /// caching per-group results key them on this, since ids are reused.
     std::uint64_t serial = 0;
+  };
+
+  /// One exact node-state class record, pooled like groups: a class that
+  /// loses its last node goes back to a free list when the event ends.
+  struct NodeClass {
+    GroupId group = kIdleGroup;
+    std::uint32_t members = 0;  ///< nodes naming this class
+    double bw = 0.0;            ///< bandwidth reservation sum
+    double net = 0.0;           ///< NIC reservation sum
+    bool live = false;          ///< false while the record sits on the free list
   };
 
   /// `count` nodes of one event moved from group `src` to group `dst`.
@@ -195,14 +190,22 @@ class SNS_THREAD_HOSTILE ResourceLedger {
     return view(id);
   }
 
-  // ---- co-run groups ---------------------------------------------------------
-  GroupId groupOf(int nd) const { return slots_[static_cast<std::size_t>(nd)].group; }
+  // ---- co-run groups and node-state classes ---------------------------------
+  GroupId groupOf(int nd) const { return groupOfClass(classOf(nd)); }
   const Group& group(GroupId g) const {
     settlePending();
     return groups_[g];
   }
   /// Upper bound on group ids (live or pooled).
   std::size_t groupSlots() const { return groups_.size(); }
+  ClassId classOf(int nd) const { return slots_[static_cast<std::size_t>(nd)].cls; }
+  GroupId groupOfClass(ClassId k) const { return classes_[k].group; }
+  const NodeClass& nodeClass(ClassId k) const {
+    settlePending();
+    return classes_[k];
+  }
+  /// Upper bound on class ids (live or pooled).
+  std::size_t classSlots() const { return classes_.size(); }
 
   /// Selection cache: non-exclusive selection queries are memoized and
   /// the previous decision's result is reused while the ledger state it
@@ -217,15 +220,6 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   /// auditSelectionCache() and the selection-cache tests enforce it.
   std::uint64_t selectionCacheHits() const { return cache_hits_; }
   std::uint64_t selectionCacheMisses() const { return cache_misses_; }
-
-  /// Sharded search (SimConfig::search_pool, or the simulator's own pool
-  /// on large clusters): shard bucket scans and candidate scoring across
-  /// pool workers when a bucket holds at least `min_parallel_nodes`
-  /// nodes. Shard boundaries are fixed bitmap word ranges and the merge
-  /// concatenates shards in order, so the result is identical to the
-  /// serial scan regardless of worker timing. The pool is caller-owned and
-  /// must outlive the ledger (or be cleared with nullptr).
-  void setSearchPool(util::ThreadPool* pool, int min_parallel_nodes = 2048);
 
   /// Monotone counter bumped on every release(), regardless of flags.
   /// Scheduler layers key "this request cannot currently be satisfied"
@@ -275,11 +269,11 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   /// path: consecutive per-node calls for the same job, direction and
   /// allocation extend one open event, which settles at the first call
   /// that does not continue it or at the first read of what it defers
-  /// (member counts, totals, the grid, the selection-cache history, the
-  /// release epoch). Node views are exact at every point. A request that
-  /// does not fit (or names a node twice, or a job not resident) throws
-  /// PreconditionError and leaves that node unchanged; the nodes of the
-  /// event before it stay committed.
+  /// (member counts, totals, the population rows, the selection-cache
+  /// history, the release epoch). Node views are exact at every point. A
+  /// request that does not fit (or names a node twice, or a job not
+  /// resident) throws PreconditionError and leaves that node unchanged;
+  /// the nodes of the event before it stay committed.
   std::span<const Transition> allocate(std::span<const int> nodes, JobId job,
                                        const NodeAllocation& alloc) {
     return commit(nodes, job, &alloc);
@@ -352,9 +346,9 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   const hw::MachineConfig& machine() const { return *mach_; }
 
   /// Upper bound on feasible nodes for a request needing `from` idle
-  /// cores and `ways` free cache ways: a suffix sum over the
-  /// (idle-cores x free-ways) population grid, exact on that membership
-  /// (ignores bw/net), so `bound < count` proves the selection empty.
+  /// cores and `ways` free cache ways: a sum over the per-idle-core rows
+  /// of way-suffix population counts, exact on that membership (ignores
+  /// bw/net), so `bound < count` proves the selection empty. O(cores).
   /// Stops summing once the bound reaches `enough`.
   int feasibleUpperBound(int from, int ways, int enough) const;
 
@@ -390,9 +384,10 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   // ---- test hooks (tests/audit) ---------------------------------------------
   /// Deliberately desynchronize cached state from the truth it summarizes:
   /// the cluster core total, the idle-core index, a group's member count,
-  /// a group's cached totals (returned for the test to edit), a node's
-  /// group id. Exist ONLY so the audit tests can prove a corrupted ledger
-  /// is caught; never called by production code.
+  /// a group's cached totals (returned for the test to edit), a class's
+  /// member count or group, a node's class id. Exist ONLY so the audit
+  /// tests can prove a corrupted ledger is caught; never called by
+  /// production code.
   void debugCorruptCoreTotal(std::int64_t delta) {
     settlePending();
     total_cores_used_ += delta;
@@ -412,22 +407,32 @@ class SNS_THREAD_HOSTILE ResourceLedger {
     settlePending();
     return groups_[g];
   }
-  void debugSetNodeGroup(int nd, GroupId g) {
+  void debugCorruptClassMembers(ClassId k, int delta) {
     settlePending();
-    slots_[static_cast<std::size_t>(nd)].group = g;
+    classes_[k].members = static_cast<std::uint32_t>(
+        static_cast<std::int64_t>(classes_[k].members) + delta);
+  }
+  void debugSetClassGroup(ClassId k, GroupId g) {
+    settlePending();
+    classes_[k].group = g;
+  }
+  void debugSetNodeClass(int nd, ClassId k) {
+    settlePending();
+    slots_[static_cast<std::size_t>(nd)].cls = k;
   }
 
  private:
   /// Per-node state, besides the node's idle-core bucket bit.
   struct NodeSlot {
-    double bw = 0.0;   ///< bandwidth reservation sum
-    double net = 0.0;  ///< NIC reservation sum
-    GroupId group = kIdleGroup;
+    ClassId cls = kIdleClass;
   };
-  static_assert(sizeof(NodeSlot) <= 24, "per-node ledger state stays within 24 bytes");
+  static_assert(sizeof(NodeSlot) == sizeof(ClassId), "per-node ledger state is a class id");
+  /// Terminates the intrusive class lists below.
+  static constexpr ClassId kNoClass = std::numeric_limits<ClassId>::max();
   /// A group record with the table's internals.
   struct Record : Group {
     std::uint64_t hash = 0;  ///< index key: hash of `residents`
+    ClassId first_class = kNoClass;  ///< head of this group's class list
     // The open event's transition out of this group — the per-event memo,
     // valid while ev_epoch == epoch_: its target, the idle-core buckets a
     // moving node leaves and enters, and the moving job's per-node
@@ -441,11 +446,34 @@ class SNS_THREAD_HOSTILE ResourceLedger {
     double ev_bw = 0.0;
     double ev_net = 0.0;
   };
+  /// A class record with the table's internals: its links in its group's
+  /// class list and in its idle-core bucket's class list, and the open
+  /// event's transition out of it (valid while ev_epoch == epoch_).
+  struct ClassRecord : NodeClass {
+    ClassId next_in_group = kNoClass;
+    ClassId bucket_prev = kNoClass;
+    ClassId bucket_next = kNoClass;
+    std::uint64_t ev_epoch = 0;
+    ClassId ev_dst = kIdleClass;
+    std::uint32_t moved = 0;  ///< nodes moved by the open event
+    int ev_src_idle = 0;
+    int ev_dst_idle = 0;
+    double ev_bw = 0.0;  ///< the moving job's bandwidth, for the cluster total
+  };
+  /// One selection query's verdict on one class, refreshed for every class
+  /// of a bucket before the query reads that bucket's nodes.
+  struct Verdict {
+    bool fits = false;
+    double key = 0.0;           ///< ranking key: score or alignment
+    std::uint32_t hits = 0;     ///< candidates of this class being ranked
+    std::uint32_t rank = 0;     ///< index of `key` among the distinct keys
+  };
 
-  NodeLedger view(int id) const {
-    const NodeSlot& s = slots_[static_cast<std::size_t>(id)];
-    return NodeLedger(groups_[s.group], s.bw, s.net, *mach_, peak_bw_);
+  NodeLedger classView(ClassId k) const {
+    const ClassRecord& c = classes_[k];
+    return NodeLedger(groups_[c.group], c.bw, c.net, *mach_, peak_bw_);
   }
+  NodeLedger view(int id) const { return classView(classOf(id)); }
   /// One whole event over `nodes`: `job` joins (`join` non-null) or leaves.
   std::span<const Transition> commit(std::span<const int> nodes, JobId job,
                                      const NodeAllocation* join);
@@ -463,13 +491,19 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   /// Move node `nd` within the open event. Returns nullptr, or why the
   /// move is not allowed (the node is then unchanged).
   const char* step(int nd);
-  /// Route `from` under the open event (the first of its nodes the event
-  /// moves): validate the move and intern the target. Returns nullptr or
-  /// why the move is not allowed.
+  /// Route class `from` under the open event (the first of its nodes the
+  /// event moves): route its group if this is the group's first node, then
+  /// check the reservation sums and intern the target class. Returns
+  /// nullptr or why the move is not allowed.
+  const char* routeClass(ClassId from);
+  /// Route group `from` under the open event: validate the move and
+  /// intern the target group. Returns nullptr or why the move is not
+  /// allowed.
   const char* route(GroupId from);
-  /// Settle the open event: member counts, the grid, totals, the
+  /// Settle the open event: member counts, the population rows, totals, the
   /// selection-cache history and the release epoch change once per
-  /// transition; emptied groups go back to the pool. Fills transitions_.
+  /// transition; emptied classes and groups go back to the pool. Fills
+  /// transitions_.
   void closeEvent();
   /// Settle an open per-node event before a read of what it defers.
   /// Logically const: a ledger defined const never has an open event
@@ -496,27 +530,36 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   void indexPlace(GroupId g);
   /// Drop `g` from the index and return its id to the free list.
   void pool(GroupId g);
-  /// Collect feasible candidates grouped by idle-core count into the
-  /// cand_ / group_end_ scratch: ascending from request.cores (best-fit
-  /// first), ascending id within a group; each group's scan stops at
-  /// `per_group_cap` candidates. Flattened into reusable buffers so a
-  /// placement query allocates nothing at steady state.
-  void collectCandidates(const NodeAllocation& request,
-                         std::size_t per_group_cap) const;
-  /// Scan one bucket for nodes fitting `request`, appending up to `cap`
-  /// ids to `dest` in ascending order — sharded across pool workers when
-  /// the bucket is large enough, serial otherwise; identical output
-  /// either way.
-  void scanBucket(const NodeBitset& bucket, const NodeAllocation& request,
-                  std::size_t cap, std::vector<int>& dest) const;
-  /// The fully-idle bucket (idleCores == mach_->cores) special case of
-  /// scanBucket: allocate() requires >= 1 core and release() pins the
-  /// double reservation sums to exact zeros on the last departure, so
-  /// every member node is bit-identical — one representative fits()
-  /// answers for the whole bucket, and accepted ids come straight off the
-  /// bitset without touching a node ledger. Same output as scanBucket.
-  void scanIdleBucket(const NodeBitset& bucket, const NodeAllocation& request,
-                      std::size_t cap, std::vector<int>& dest) const;
+  /// The class of group `g` with exactly these reservation sums; created
+  /// on first use.
+  ClassId internClass(GroupId g, double bw, double net);
+  /// Unlink `k` from its group and bucket and return its id to the free
+  /// list.
+  void poolClass(ClassId k);
+  /// Verdicts for every class of idle-core bucket `c`: fits `request`,
+  /// and for a fitting class the ranking key `key(view)`. Returns the
+  /// number of fitting nodes in the bucket; `uniform` is cleared when two
+  /// fitting classes hold different keys.
+  template <typename KeyFn>
+  std::uint32_t judgeBucket(int c, const NodeAllocation& request, const KeyFn& key,
+                            bool& uniform) const;
+  /// Append the first `limit` nodes of bucket `c` whose class fits (per
+  /// the bucket's verdicts) to cand_ / cand_class_, in ascending id order;
+  /// every node qualifies when `all_fit`.
+  void walkBucket(int c, std::size_t limit, bool all_fit) const;
+  /// Put the candidates (one ascending run per bucket read) in ascending
+  /// id order: mark them in a scratch bitset and read it back.
+  void sortCandidates() const;
+  /// The best `count` candidates by (key, id), the key ascending or
+  /// (`descending`) descending; the candidates must be in ascending id
+  /// order. Classes are ranked once by key and the candidates distributed
+  /// into their rank's slice in input order, so no comparison sort
+  /// touches nodes.
+  std::vector<int> rankCandidates(int count, bool descending) const;
+  /// Every node fitting `request` into cand_ / cand_class_, most idle
+  /// bucket first, ascending id within a bucket; verdicts keyed by `key`.
+  template <typename KeyFn>
+  void collectFeasible(const NodeAllocation& request, const KeyFn& key) const;
   /// The ranked (score / group-preference) selection — the former
   /// selectNodes() body; selectNodes() wraps it with the exclusive
   /// shortcut and the selection cache.
@@ -582,25 +625,37 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   JobId open_job_ = -1;
   NodeAllocation open_alloc_;
   std::uint64_t serial_ = 0;              ///< last Group::serial issued
-  /// Scratch for collectCandidates/selectNodes (selection is logically
-  /// const; a ledger is owned by one simulator and not shared across
-  /// threads).
-  mutable std::vector<int> cand_;            ///< flattened candidate ids
-  mutable std::vector<std::size_t> group_end_;  ///< prefix end per group
-  mutable std::vector<std::pair<double, int>> rank_scratch_;
+  // ---- class table -----------------------------------------------------------
+  std::vector<ClassRecord> classes_;
+  std::vector<ClassId> free_classes_;
+  std::vector<ClassId> class_moves_;      ///< source classes of the open event
+  /// bucket_classes_[c] = head of the list of live classes whose group has
+  /// exactly c idle cores.
+  std::vector<ClassId> bucket_classes_;
+  /// Scratch for selection (logically const; a ledger is owned by one
+  /// simulator and not shared across threads). verdicts_ grows with the
+  /// class table, so a query allocates nothing at steady state.
+  mutable std::vector<Verdict> verdicts_;
+  mutable std::vector<std::uint32_t> bucket_fit_;  ///< fitting nodes per bucket
+  mutable std::vector<int> cand_;                  ///< candidate ids
+  mutable std::vector<ClassId> cand_class_;        ///< their classes
+  mutable std::vector<ClassId> hit_classes_;       ///< classes among cand_
+  mutable std::vector<std::size_t> rank_start_;    ///< slice start per rank
+  mutable NodeBitset order_;                       ///< see sortCandidates()
   /// buckets_[c] = ids of nodes with exactly c idle cores (the paper's node
   /// groups), maintained on every allocate/release. buckets_[cores] is the
   /// idle-node free list.
   std::vector<NodeBitset> buckets_;
-  /// cw_grid_[idle * (llc_ways+1) + free_ways] = #nodes with exactly that
-  /// (idle-core, free-way) pair, maintained on every allocate/release —
+  /// way_rows_[idle * (llc_ways+1) + w] = #nodes with exactly `idle` idle
+  /// cores and at least `w` free ways, maintained on every transition —
   /// the population behind feasibleUpperBound()'s two-dimensional
-  /// fast-fail.
-  std::vector<std::int32_t> cw_grid_;
-  std::int32_t& gridCell(int idle, int free_ways) {
-    return cw_grid_[static_cast<std::size_t>(idle) *
-                        static_cast<std::size_t>(mach_->llc_ways + 1) +
-                    static_cast<std::size_t>(free_ways)];
+  /// fast-fail, one read per idle-core row.
+  std::vector<std::int32_t> way_rows_;
+  /// Add `n` nodes with `idle` idle cores and `free_ways` free ways.
+  void addToRows(int idle, int free_ways, std::int32_t n) {
+    std::int32_t* row = way_rows_.data() + static_cast<std::size_t>(idle) *
+                                               static_cast<std::size_t>(mach_->llc_ways + 1);
+    for (int w = 0; w <= free_ways; ++w) row[w] += n;
   }
   // ---- selection-cache state (see selectionCacheHits) -----------------------
   // Mutable: lookups run on the logically-const selection path; a ledger
@@ -629,10 +684,6 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   mutable int query_core_floor_ = std::numeric_limits<int>::max();
   mutable std::uint64_t cache_hits_ = 0;
   mutable std::uint64_t cache_misses_ = 0;
-  // ---- parallel search (see setSearchPool) ----------------------------------
-  util::ThreadPool* pool_ = nullptr;
-  std::size_t min_parallel_ = 2048;
-  mutable std::vector<std::vector<int>> shard_scratch_;
   /// Reserved-resource totals across all nodes (see meanCoreOccupancy()).
   /// Cores and ways are integers, so their totals are drift-free; the
   /// bandwidth total accumulates at most one ulp per allocate/release.

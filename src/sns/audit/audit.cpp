@@ -148,6 +148,41 @@ std::size_t Auditor::auditLedger(const actuator::ResourceLedger& ledger) {
         ledger.idleNodeCount(), idle_nodes,
         "idle-node count (free-list bucket) disagrees with a full recount");
 
+  // Class table: every node names a live class, each class's member count
+  // is the number of nodes naming it, each live class names a live group,
+  // and its nodes sit in the idle-core bucket of that group.
+  using ClassId = actuator::ResourceLedger::ClassId;
+  const auto class_slots = static_cast<ClassId>(ledger.classSlots());
+  const auto group_slots = ledger.groupSlots();
+  std::vector<std::uint32_t> class_recount(class_slots, 0u);
+  for (int id = 0; id < n; ++id) {
+    const ClassId k = ledger.classOf(id);
+    if (k >= class_slots || !ledger.nodeClass(k).live) {
+      check(false, "ledger.class_dangling", static_cast<double>(k), 0.0,
+            "node " + std::to_string(id) + " names a pooled or unknown class");
+      continue;
+    }
+    ++class_recount[k];
+    const actuator::ResourceLedger::GroupId g = ledger.nodeClass(k).group;
+    if (g >= group_slots || !ledger.group(g).live) continue;  // reported below
+    const int idle = mach.cores - ledger.group(g).cores_used;
+    check(idle >= 0 && idle < buckets && ledger.bucket(idle).contains(id),
+          "ledger.class_bucket", 0.0, idle,
+          "node " + std::to_string(id) +
+              ": not in the idle-core bucket of its class's group");
+  }
+  for (ClassId k = 0; k < class_slots; ++k) {
+    const auto& cls = ledger.nodeClass(k);
+    const std::uint32_t expected = cls.live ? class_recount[k] : 0u;
+    check(cls.members == expected, "ledger.class_members", cls.members, expected,
+          "class " + std::to_string(k) +
+              ": member count disagrees with the number of nodes naming it");
+    if (!cls.live) continue;
+    const bool linked = cls.group < group_slots && ledger.group(cls.group).live;
+    check(linked, "ledger.class_group", static_cast<double>(cls.group), 0.0,
+          "class " + std::to_string(k) + ": names a pooled or unknown group");
+  }
+
   // Selection cache (incremental candidate pruning): every entry the
   // validity rules would serve must reproduce the node list a fresh scan
   // returns right now.

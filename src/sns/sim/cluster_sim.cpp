@@ -7,7 +7,6 @@
 #include <iterator>
 #include <limits>
 #include <optional>
-#include <thread>
 
 #include "sns/app/comm.hpp"
 #include "sns/audit/audit.hpp"
@@ -15,16 +14,10 @@
 #include "sns/profile/exploration.hpp"
 #include "sns/util/error.hpp"
 #include "sns/util/hot_path.hpp"
-#include "sns/util/thread_pool.hpp"
 
 namespace sns::sim {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Cluster size at which the simulator owns a search pool, and the bucket
-/// size at which that pool shards a scan: below it, handing work to the
-/// pool costs more than the scan.
-constexpr int kParallelMinNodes = 2048;
 }  // namespace
 
 ClusterSimulator::ClusterSimulator(const perfmodel::Estimator& est,
@@ -37,15 +30,6 @@ ClusterSimulator::ClusterSimulator(const perfmodel::Estimator& est,
       ledger_(cfg.nodes, est.machine()),
       solve_cache_(est.solver()) {
   SNS_REQUIRE(cfg.nodes >= 1, "simulator needs at least one node");
-  if (cfg_.search_pool == nullptr && cfg_.nodes >= kParallelMinNodes &&
-      std::thread::hardware_concurrency() > 1) {
-    // Cap the pool: candidate scans are memory-bound, workers past a few
-    // stop helping while the ordered merge cost keeps growing with shard
-    // count.
-    owned_pool_ = std::make_unique<util::ThreadPool>(
-        std::min(4u, std::thread::hardware_concurrency()));
-  }
-  attachSearchPool();
   if (cfg_.policy == sched::PolicyKind::kSNS) {
     policy_ = std::make_unique<sched::SnsPolicy>(est, cfg_.sns);
   } else {
@@ -95,16 +79,6 @@ ClusterSimulator::ClusterSimulator(const perfmodel::Estimator& est,
         {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000});
     m_stretch_ = &m.histogram(
         "sim.stretch", {1.0, 1.02, 1.05, 1.1, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0});
-  }
-}
-
-ClusterSimulator::~ClusterSimulator() = default;
-
-void ClusterSimulator::attachSearchPool() {
-  if (cfg_.search_pool != nullptr) {
-    ledger_.setSearchPool(cfg_.search_pool, 1);
-  } else {
-    ledger_.setSearchPool(owned_pool_.get(), kParallelMinNodes);
   }
 }
 
@@ -350,10 +324,15 @@ void ClusterSimulator::refreshRates(double now,
   // values the group carries.
   ++group_epoch_;
   sched::CorunGroups::GroupId prev = sched::CorunGroups::kIdle;
+  actuator::ResourceLedger::ClassId prev_class = actuator::ResourceLedger::kIdleClass;
   for (int nd : dirty_nodes) {
     // Runs of one group are the norm (a spread placement's nodes), so
-    // the previous node's group short-circuits the stamp check.
-    const sched::CorunGroups::GroupId g = ledger_.groupOf(nd);
+    // the previous node's group short-circuits the stamp check — and a
+    // run of one node-state class, within it, the group lookup.
+    const auto k = ledger_.classOf(nd);
+    if (k == prev_class) continue;
+    prev_class = k;
+    const sched::CorunGroups::GroupId g = ledger_.groupOfClass(k);
     if (g == prev) continue;
     prev = g;
     if (g == sched::CorunGroups::kIdle) continue;
@@ -1135,7 +1114,6 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
   const std::size_t n = jobs.size();
   local_db_ = *db_;
   ledger_ = actuator::ResourceLedger(cfg_.nodes, est_->machine());
-  attachSearchPool();
   queue_ = sched::JobQueue{};
   solve_cache_.clear();
   // The spec memo is epoch-guarded but the ledger (and its epochs) was

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -59,16 +60,6 @@ struct SimConfig {
   /// PMU/episode knobs of the online monitor.
   profile::ProfilerConfig monitor;
   sched::SnsPolicy::Options sns;    ///< SNS-specific options
-  /// Worker pool for the sharded placement search: large bucket scans and
-  /// candidate scoring split across util::ThreadPool workers with fixed
-  /// shard boundaries and an ordered merge, so results are bit-identical
-  /// to the serial scan regardless of worker timing. Null (the default)
-  /// lets the simulator own a pool when the cluster has at least 2048
-  /// nodes and the host has more than one hardware thread; it then shards
-  /// buckets of 2048+ nodes. An injected pool shards every scan — tests
-  /// use it to force the sharded path on small clusters. Caller-owned,
-  /// must outlive run().
-  util::ThreadPool* search_pool = nullptr;
   /// Structured decision trace (sns::obs): every scheduling attempt,
   /// placement, way donation, backfill skip and job start/finish is
   /// recorded into this sink. Null (the default) disables tracing
@@ -182,9 +173,6 @@ class ClusterSimulator {
   ClusterSimulator(const perfmodel::Estimator& est,
                    const std::vector<app::ProgramModel>& library,
                    const profile::ProfileDatabase& db, SimConfig cfg);
-  /// Out-of-line so the header only needs util::ThreadPool's forward
-  /// declaration (owned_pool_).
-  ~ClusterSimulator();
 
   /// Simulate a job sequence (submit times taken from the specs).
   SimResult run(const std::vector<app::JobSpec>& jobs);
@@ -227,9 +215,6 @@ class ClusterSimulator {
   void sampleTelemetry(double now);  ///< offer state to cfg_.sampler
   void scheduleSinglePass(double now);
   bool tryDispatch(const sched::Job& job, double now);  ///< tryPlace + start
-  /// (Re)wire the parallel-select pool into the ledger — run() rebuilds
-  /// the ledger, so the ctor and the per-run reset share this.
-  void attachSearchPool();
   /// True while the failed-spec memo may answer tryPlace(): no event sink
   /// recording, so a tracing run sees every job's full walk. A provenance
   /// store does not turn the memo off: a memo hit replays the recorded
@@ -492,9 +477,6 @@ class ClusterSimulator {
   std::vector<std::uint32_t> node_stamp_;
   std::uint32_t node_stamp_epoch_ = 0;
   bool defer_refresh_ = false;
-  /// Pool owned by the simulator when cfg_.search_pool is null on a large
-  /// cluster and a multi-core host.
-  std::unique_ptr<util::ThreadPool> owned_pool_;
   /// Ledger selection-cache counter values already published to metrics.
   std::uint64_t select_hits_seen_ = 0;
   std::uint64_t select_misses_seen_ = 0;

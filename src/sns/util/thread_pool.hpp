@@ -16,10 +16,7 @@ namespace sns::util {
 /// Fixed-size worker pool for embarrassingly parallel harness work — e.g.
 /// replaying the (cluster-size x ratio x policy) grid of bench_fig20, where
 /// every ClusterSimulator instance is self-contained and only shares
-/// immutable inputs (estimator, program library, profile database) — and
-/// for the simulator's sharded placement search (SimConfig::search_pool),
-/// where workers write disjoint index ranges of a caller-owned scratch
-/// array and the caller joins on the futures before reading any of it.
+/// immutable inputs (estimator, program library, profile database).
 ///
 /// Tasks run in submission order when workers are free; submit() returns a
 /// future for the task's result. Exceptions propagate through the future.

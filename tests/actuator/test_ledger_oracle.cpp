@@ -5,12 +5,17 @@
 // on release. After every call each node's view must equal its reference
 // bit for bit, and the ledger's indexes (idle-core buckets, the bucket
 // population bound, selection) must answer as a regroup-from-scratch over
-// the references does.
+// the references does. A second stream at 512 nodes drives multi-node
+// placements whose nodes reach one resident list through different
+// join/leave histories, so one co-run group splits into several exact
+// node-state classes, and checks every selection query at every step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <vector>
 
@@ -294,6 +299,233 @@ TEST(LedgerOracle, OppositeArrivalOrdersMergeOnRelease) {
   EXPECT_EQ(ledger.group(ledger.groupOf(0)).members, 2u);
   audit::Auditor auditor;
   EXPECT_EQ(auditor.auditLedger(ledger), 0u) << auditor.report();
+}
+
+/// Selection queries of one large-cluster step against the references:
+/// selectNodes, selectNodesByAlignment, feasibleNodes and
+/// feasibleUpperBound, plus each node's exact bandwidth sum.
+void compareSelection(ResourceLedger& ledger, const std::vector<ReferenceNodeLedger>& ref,
+                      const hw::MachineConfig& mach, const std::string& where) {
+  const int nodes = static_cast<int>(ref.size());
+  const auto at = [&](int id) -> const ReferenceNodeLedger& {
+    return ref[static_cast<std::size_t>(id)];
+  };
+  std::vector<std::vector<int>> rows(
+      static_cast<std::size_t>(mach.cores + 1),
+      std::vector<int>(static_cast<std::size_t>(mach.llc_ways + 1), 0));
+  for (int nd = 0; nd < nodes; ++nd) {
+    const auto& cls = ledger.nodeClass(ledger.classOf(nd));
+    ASSERT_EQ(bits(cls.bw), bits(at(nd).bwReserved())) << where << " node " << nd;
+    ASSERT_EQ(bits(cls.net), bits(at(nd).netReserved())) << where << " node " << nd;
+    ++rows[static_cast<std::size_t>(at(nd).idleCores())]
+          [static_cast<std::size_t>(at(nd).freeWays())];
+  }
+  for (int from : {0, 1, 5, 14, 27, 28, 29}) {
+    for (int ways : {0, 2, 9, 20, 21}) {
+      for (int enough : {1, 40, 600}) {
+        int n = 0;
+        for (int c = mach.cores; c >= from; --c) {
+          for (int w = ways; w <= mach.llc_ways; ++w) {
+            n += rows[static_cast<std::size_t>(c)][static_cast<std::size_t>(w)];
+          }
+          if (n >= enough) break;
+        }
+        ASSERT_EQ(ledger.feasibleUpperBound(from, ways, enough), n)
+            << where << " from " << from << " ways " << ways << " enough " << enough;
+      }
+    }
+  }
+  const NodeAllocation probes[] = {
+      {1, 0, 0.0, false, 0.0},  {2, 2, 0.2, false, 0.0},  {6, 3, 0.7, false, 0.1},
+      {12, 0, 0.1, false, 0.0}, {0, 2, 0.0, false, 0.0},  {28, 0, 0.0, true, 0.0},
+      {3, 0, 30.0, false, 0.0}, {4, 2, 0.3, false, 6.5},
+  };
+  for (const NodeAllocation& p : probes) {
+    const std::string q = where + " probe cores " + std::to_string(p.cores) + " ways " +
+                          std::to_string(p.ways) + " bw " + std::to_string(p.bw_gbps);
+    ASSERT_EQ(ledger.feasibleNodes(p), testsupport::referenceFeasible(nodes, at, p)) << q;
+    for (int count : {1, 3, 37, 130, 400}) {
+      for (double beta : {0.0, 2.0}) {
+        ASSERT_EQ(ledger.selectNodes(count, p, beta),
+                  testsupport::referenceRanked(nodes, at, count, p, beta))
+            << q << " count " << count << " beta " << beta;
+      }
+      ASSERT_EQ(ledger.selectNodesByAlignment(count, p),
+                testsupport::referenceAligned(nodes, at, mach, count, p))
+          << q << " count " << count;
+    }
+  }
+}
+
+// Multi-node jobs placed and released as whole spans on 512 nodes, with
+// bandwidths such as 0.1, 0.2 and 0.7 GB/s joining and leaving in
+// different orders: nodes that end up with one resident list carry
+// different reservation-sum bits, so one group holds several classes.
+// Every selection must still equal the per-node reference.
+TEST(LedgerOracle, ClassesOnLargeClusterMatchPerNodeReferences) {
+  constexpr int kNodes = 512;
+  const auto mach = hw::MachineConfig::xeonE5_2680v4();
+  ResourceLedger ledger(kNodes, mach);
+  std::vector<ReferenceNodeLedger> ref(kNodes, ReferenceNodeLedger(mach));
+  util::Rng rng(20261018);
+  const double bws[] = {0.1, 0.2, 0.7, 0.3, 1.1, 0.0};
+  const double nets[] = {0.0, 0.1, 0.2};
+  std::map<JobId, std::pair<NodeAllocation, std::vector<int>>> jobs;
+  JobId next = 1;
+  int split_steps = 0;
+  int releases = 0;
+  for (int step = 0; step < 160; ++step) {
+    const std::string where = "step " + std::to_string(step);
+    if (jobs.size() < 6 || rng.uniform() < 0.55) {
+      NodeAllocation a;
+      a.cores = static_cast<int>(rng.uniformInt(1, 6));
+      a.ways = rng.uniform() < 0.5 ? 0 : static_cast<int>(rng.uniformInt(2, 3));
+      a.bw_gbps = bws[rng.uniformInt(0, 5)];
+      a.net_gbps = nets[rng.uniformInt(0, 2)];
+      // A window of the cluster, so placements overlap in shifting ways.
+      const int lo = static_cast<int>(rng.uniformInt(0, kNodes - 1));
+      const int width = static_cast<int>(rng.uniformInt(8, 160));
+      std::vector<int> span;
+      for (int i = 0; i < width; ++i) {
+        const int nd = (lo + i) % kNodes;
+        if (ref[static_cast<std::size_t>(nd)].fits(a) && rng.uniform() < 0.8) span.push_back(nd);
+      }
+      if (span.empty()) continue;
+      std::shuffle(span.begin(), span.end(), rng);
+      const JobId id = next++;
+      const auto moves = ledger.allocate(span, id, a);
+      std::uint32_t moved = 0;
+      for (const auto& t : moves) moved += t.count;
+      ASSERT_EQ(moved, span.size()) << where;
+      for (int nd : span) ref[static_cast<std::size_t>(nd)].allocate(id, a);
+      jobs.emplace(id, std::make_pair(a, std::move(span)));
+    } else {
+      auto it = jobs.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.uniformInt(
+                           0, static_cast<std::int64_t>(jobs.size()) - 1)));
+      auto& [alloc, span] = it->second;
+      std::shuffle(span.begin(), span.end(), rng);
+      ledger.release(span, it->first);
+      for (int nd : span) ref[static_cast<std::size_t>(nd)].release(it->first);
+      jobs.erase(it);
+      ++releases;
+    }
+    // Nodes of one group share a class exactly when their sums share bits.
+    std::map<ResourceLedger::GroupId, int> first;
+    bool split = false;
+    for (int nd = 0; nd < kNodes; ++nd) {
+      const auto [pos, fresh] = first.emplace(ledger.groupOf(nd), nd);
+      if (fresh) continue;
+      const auto& u = ref[static_cast<std::size_t>(pos->second)];
+      const auto& v = ref[static_cast<std::size_t>(nd)];
+      const bool same = bits(u.bwReserved()) == bits(v.bwReserved()) &&
+                        bits(u.netReserved()) == bits(v.netReserved());
+      ASSERT_EQ(ledger.classOf(nd) == ledger.classOf(pos->second), same) << where;
+      split = split || !same;
+    }
+    if (split) ++split_steps;
+    compareSelection(ledger, ref, mach, where);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(releases, 30);
+  EXPECT_GT(split_steps, 20);
+  audit::Auditor auditor;
+  EXPECT_EQ(auditor.auditLedger(ledger), 0u) << auditor.report();
+}
+
+// Two nodes with one resident list but different bandwidth-sum bits are
+// two classes, and selection ranks them by exact score, then id. Node 0
+// sees x + y + z - y, nodes 1 and 2 see x + z; depending on the values the
+// residue survives into the score or rounds away (a tie, ordered by id).
+TEST(LedgerOracle, EqualResidentsDifferentSumsRankByExactScore) {
+  const auto mach = hw::MachineConfig::xeonE5_2680v4();
+  // A large middle term leaves a residue of its own magnitude's ulp.
+  const double peak = mach.peakBandwidth();
+  const double sums[][3] = {{0.1, 0.2, 0.7},         {0.1, 0.7, 0.2},
+                            {0.1, 0.83 * peak, 0.7}, {0.3, 0.61 * peak, 0.2},
+                            {0.7, 0.77 * peak, 0.1}, {0.2, 0.9 * peak, 0.3}};
+  const NodeAllocation req{1, 0, 0.0, false, 0.0};
+  int split = 0;
+  int distinct = 0;
+  int tied = 0;
+  for (const auto& xyz : sums) {
+    ResourceLedger ledger(3, mach);
+    ledger.allocate(std::vector<int>{0, 1, 2}, 1, {1, 0, xyz[0], false, 0.0});
+    ledger.allocate(std::vector<int>{0}, 2, {1, 0, xyz[1], false, 0.0});
+    ledger.allocate(std::vector<int>{2, 0, 1}, 3, {1, 0, xyz[2], false, 0.0});
+    ledger.release(std::vector<int>{0}, 2);
+    ASSERT_EQ(ledger.groupOf(0), ledger.groupOf(1));
+    ASSERT_EQ(ledger.groupOf(1), ledger.groupOf(2));
+    EXPECT_EQ(ledger.classOf(1), ledger.classOf(2));
+    const bool same_bits = bits(ledger.nodeClass(ledger.classOf(0)).bw) ==
+                           bits(ledger.nodeClass(ledger.classOf(1)).bw);
+    EXPECT_EQ(ledger.classOf(0) == ledger.classOf(1), same_bits);
+    if (same_bits) continue;
+    ++split;
+    EXPECT_EQ(ledger.nodeClass(ledger.classOf(1)).members, 2u);
+    for (double beta : {0.0, 2.0}) {
+      std::vector<std::pair<double, int>> scored;
+      for (int nd = 0; nd < 3; ++nd) scored.emplace_back(ledger.node(nd).score(beta), nd);
+      std::sort(scored.begin(), scored.end());
+      const std::vector<int> want = {scored[0].second, scored[1].second, scored[2].second};
+      EXPECT_EQ(ledger.selectNodes(3, req, beta), want);
+      EXPECT_EQ(ledger.selectNodes(2, req, beta), std::vector<int>(want.begin(), want.begin() + 2));
+      if (scored[0].first == scored[2].first) {
+        ++tied;
+      } else {
+        ++distinct;
+      }
+    }
+    audit::Auditor auditor;
+    EXPECT_EQ(auditor.auditLedger(ledger), 0u) << auditor.report();
+  }
+  EXPECT_GT(split, 0);
+  EXPECT_GT(distinct, 0);
+  EXPECT_GT(tied, 0);
+}
+
+// Equal keys across idle-core buckets (the all-buckets fallback and the
+// alignment ranking read several buckets) are ordered by id, although the
+// buckets are read in idle-core order.
+TEST(LedgerOracle, TiesAcrossBucketsBreakById) {
+  const auto mach = hw::MachineConfig::xeonE5_2680v4();
+  ResourceLedger ledger(4, mach);
+  // Nodes 0 and 1 hold 8 cores, nodes 2 and 3 hold 4: two buckets, the
+  // higher ids in the idler one; every node keeps 18 free ways.
+  ledger.allocate(std::vector<int>{0, 1}, 1, {8, 2, 0.0, false, 0.0});
+  ledger.allocate(std::vector<int>{2, 3}, 2, {4, 2, 0.0, false, 0.0});
+  // Alignment with a ways-only request reads only the free ways: a tie.
+  const NodeAllocation ways_only{0, 2, 0.0, false, 0.0};
+  EXPECT_EQ(ledger.selectNodesByAlignment(3, ways_only), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(ledger.feasibleNodes(ways_only), (std::vector<int>{2, 3, 0, 1}));
+  // Ranked fallback: with beta 0 and no bandwidth the score is the core
+  // occupancy, so the 4-core nodes lead; asking for more nodes than one
+  // bucket holds ranks both buckets together.
+  const NodeAllocation small{1, 0, 0.0, false, 0.0};
+  EXPECT_EQ(ledger.selectNodes(3, small, 0.0), (std::vector<int>{2, 3, 0}));
+
+  // A 4-core node whose bandwidth lifts its score to exactly an 8-core
+  // node's: the ranked fallback must order the tie by id across buckets.
+  const double target = ResourceLedger(1, mach).node(0).score(0.0) + 8.0 / mach.cores;
+  double bw = 4.0 / mach.cores * mach.peakBandwidth();
+  bool found = false;
+  for (int i = 0; i < 64 && !found; ++i) {
+    ResourceLedger probe(1, mach);
+    probe.allocate(0, 1, {4, 0, bw, false, 0.0});
+    if (probe.node(0).score(0.0) == target) {
+      found = true;
+    } else {
+      bw = std::nextafter(bw, probe.node(0).score(0.0) < target ? 1e9 : 0.0);
+    }
+  }
+  ASSERT_TRUE(found);
+  ResourceLedger tie(4, mach);
+  tie.allocate(std::vector<int>{0, 2}, 1, {8, 0, 0.0, false, 0.0});
+  tie.allocate(std::vector<int>{1, 3}, 2, {4, 0, bw, false, 0.0});
+  ASSERT_EQ(tie.node(0).score(0.0), tie.node(1).score(0.0));
+  EXPECT_EQ(tie.selectNodes(3, small, 0.0), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(tie.selectNodes(3, small, 0.0),
+            testsupport::referenceRanked(4, [&](int id) { return tie.node(id); }, 3, small, 0.0));
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Unit tests for the ledger's incremental candidate pruning (the selection
-// cache) and the sharded parallel scan (setSearchPool). Both are
-// bit-identity optimizations: every cached or sharded answer must equal
-// the one a fresh serial scan returns.
+// cache), a bit-identity optimization: every cached answer must equal the
+// one a fresh scan returns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +8,6 @@
 
 #include "sns/actuator/resource_ledger.hpp"
 #include "sns/util/rng.hpp"
-#include "sns/util/thread_pool.hpp"
 #include "tests/support/reference_ledger.hpp"
 
 namespace sns::actuator {
@@ -164,39 +162,12 @@ std::vector<int> referenceRanked(const ResourceLedger& ledger, int count,
       ledger.nodeCount(), [&](int id) { return ledger.node(id); }, count, req, beta);
 }
 
-// Aligned (selectNodesByAlignment): every fitting node, ranked by the dot
-// product of the normalized request and free-capacity vectors, highest
-// first, id as the tie-break.
+// Aligned (selectNodesByAlignment) reference: testsupport::referenceAligned.
 std::vector<int> referenceAligned(const ResourceLedger& ledger, int count,
                                   const NodeAllocation& req) {
-  const hw::MachineConfig& m = ledger.machine();
-  const double want[4] = {
-      static_cast<double>(req.cores) / m.cores,
-      static_cast<double>(req.ways) / m.llc_ways,
-      req.bw_gbps / m.peakBandwidth(),
-      req.net_gbps / m.net_bw_gbps,
-  };
-  std::vector<std::pair<double, int>> scored;
-  for (int id = 0; id < ledger.nodeCount(); ++id) {
-    const NodeLedger nl = ledger.node(id);
-    if (!nl.fits(req)) continue;
-    const double free[4] = {
-        static_cast<double>(nl.idleCores()) / m.cores,
-        static_cast<double>(nl.freeWays()) / m.llc_ways,
-        nl.freeBandwidth() / m.peakBandwidth(),
-        nl.freeNetwork() / m.net_bw_gbps,
-    };
-    double dot = 0.0;
-    for (int d = 0; d < 4; ++d) dot += want[d] * free[d];
-    scored.emplace_back(dot, id);
-  }
-  if (scored.size() < static_cast<std::size_t>(count)) return {};
-  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second < b.second;
-  });
-  std::vector<int> out;
-  for (int i = 0; i < count; ++i) out.push_back(scored[static_cast<std::size_t>(i)].second);
-  return out;
+  return testsupport::referenceAligned(
+      ledger.nodeCount(), [&](int id) { return ledger.node(id); }, ledger.machine(), count,
+      req);
 }
 
 // Randomized cross-check: the ledger (bucket index + selection cache)
@@ -249,41 +220,6 @@ TEST(SelectionCacheRandomized, MatchesUncachedLedgerExactly) {
     }
   }
   EXPECT_GT(cached.selectionCacheHits(), 0u);
-}
-
-// The sharded parallel scan must reproduce the serial scan bit-for-bit:
-// fixed shard boundaries and an ordered merge make the result independent
-// of worker timing.
-TEST(ParallelSelect, ShardedScanMatchesSerial) {
-  const auto mach = hw::MachineConfig::xeonE5_2680v4();
-  util::ThreadPool pool(3);
-  ResourceLedger parallel(512, mach);
-  parallel.setSearchPool(&pool, /*min_parallel_nodes=*/1);
-  ResourceLedger serial(512, mach);
-  util::Rng rng(7);
-  // Random partial load so buckets are populated unevenly.
-  for (int nd = 0; nd < 512; ++nd) {
-    if (rng.uniformInt(0, 2) == 0) continue;
-    const NodeAllocation alloc{static_cast<int>(rng.uniformInt(1, 27)),
-                               2 * static_cast<int>(rng.uniformInt(0, 5)),
-                               static_cast<double>(rng.uniformInt(0, 60)),
-                               false, 0.0};
-    parallel.allocate(nd, nd + 1, alloc);
-    serial.allocate(nd, nd + 1, alloc);
-  }
-  for (int cores = 1; cores <= 28; cores += 3) {
-    const NodeAllocation req{cores, 2, 5.0, false, 0.0};
-    EXPECT_EQ(parallel.feasibleNodes(req), serial.feasibleNodes(req))
-        << "cores " << cores;
-    for (int count : {1, 7, 64, 300}) {
-      EXPECT_EQ(parallel.selectNodes(count, req, 1.0),
-                serial.selectNodes(count, req, 1.0))
-          << "cores " << cores << " count " << count;
-      EXPECT_EQ(parallel.selectNodesByAlignment(count, req),
-                serial.selectNodesByAlignment(count, req))
-          << "cores " << cores << " count " << count;
-    }
-  }
 }
 
 }  // namespace

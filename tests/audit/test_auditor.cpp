@@ -95,6 +95,51 @@ TEST_F(AuditorTest, CorruptedIdleBucketIsCaught) {
   EXPECT_TRUE(found) << auditor.report();
 }
 
+// The class table: node -> class links, class member counts and class ->
+// group links are cross-checked against a recount.
+TEST_F(AuditorTest, CorruptedClassTableIsCaught) {
+  actuator::ResourceLedger ledger(4, mach_);
+  const std::vector<int> all = {0, 1, 2, 3};
+  ledger.allocate(all, 1, {4, 2, 0.1, false});
+  ledger.allocate(std::vector<int>{0, 1}, 2, {4, 2, 0.2, false});
+  const auto caught = [&ledger](const char* name) {
+    Auditor a;
+    EXPECT_GT(a.auditLedger(ledger), 0u) << name;
+    bool found = false;
+    for (const Violation& v : a.violations()) found = found || v.check == name;
+    EXPECT_TRUE(found) << name << "\n" << a.report();
+  };
+  Auditor clean;
+  EXPECT_EQ(clean.auditLedger(ledger), 0u) << clean.report();
+
+  const auto pair = ledger.classOf(0);
+  const auto solo = ledger.classOf(2);
+  ASSERT_NE(pair, solo);
+  ledger.debugCorruptClassMembers(solo, +1);
+  caught("ledger.class_members");
+  ledger.debugCorruptClassMembers(solo, -1);
+
+  // Node 2 named by the two-job class: the counts and its bucket disagree.
+  ledger.debugSetNodeClass(2, pair);
+  caught("ledger.class_members");
+  caught("ledger.class_bucket");
+  ledger.debugSetNodeClass(2, solo);
+
+  // A class naming a pooled group: job 3 visits node 3 and leaves, so
+  // its group goes back to the free list.
+  ledger.allocate(3, 3, {4, 2, 0.3, false});
+  const auto pooled = static_cast<actuator::ResourceLedger::GroupId>(ledger.groupSlots() - 1);
+  ledger.release(3, 3);
+  ASSERT_FALSE(ledger.group(pooled).live);
+  const auto grp = ledger.nodeClass(solo).group;
+  ledger.debugSetClassGroup(solo, pooled);
+  caught("ledger.class_group");
+  ledger.debugSetClassGroup(solo, grp);
+
+  Auditor restored;
+  EXPECT_EQ(restored.auditLedger(ledger), 0u) << restored.report();
+}
+
 TEST_F(AuditorTest, CorruptedQueueAccountingIsCaught) {
   sched::JobQueue queue;
   queue.push(job(1));
@@ -279,17 +324,19 @@ TEST_F(AuditorTest, CorunGroupTableAuditsCleanAndCatchesDrift) {
   caught("groups.residents", widths);
   st.residents.pop_back();
 
-  // A busy node pointing at the wrong group: its member counts and its
-  // idle-core bucket no longer agree with the table.
-  const auto solo = ledger.groupOf(0);
-  ledger.debugSetNodeGroup(1, solo);
+  // A busy node pointing at the wrong group (through the class of a node
+  // of another group): its member counts and its idle-core bucket no
+  // longer agree with the table.
+  const auto shared_class = ledger.classOf(1);
+  ledger.debugSetNodeClass(1, ledger.classOf(0));
   caught("groups.bucket", widths);
   caught("groups.members", widths);
-  // A node naming a group id the table never issued.
-  ledger.debugSetNodeGroup(1, static_cast<actuator::ResourceLedger::GroupId>(
-                                  ledger.groupSlots()));
+  ledger.debugSetNodeClass(1, shared_class);
+  // A class naming a group id the table never issued.
+  ledger.debugSetClassGroup(shared_class, static_cast<actuator::ResourceLedger::GroupId>(
+                                              ledger.groupSlots()));
   caught("groups.dangling", widths);
-  ledger.debugSetNodeGroup(1, shared);
+  ledger.debugSetClassGroup(shared_class, shared);
 
   Auditor restored;
   EXPECT_EQ(restored.auditCorunGroups(ledger, groups, widths), 0u)

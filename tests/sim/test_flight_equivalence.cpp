@@ -3,8 +3,7 @@
 // identical to a run without it (exact double comparisons, no tolerances —
 // same contract as the xray and simulator-path equivalence suites). The
 // recorder's own output must in turn be deterministic: byte-identical
-// dumps across repeated runs, SimConfig::opt settings and the batched vs
-// per-dispatch paths, and the reconciliation invariant must hold on every
+// dumps across repeated runs and the batched vs per-dispatch paths, and the reconciliation invariant must hold on every
 // run the auditor replays.
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 #include "sns/obs/sink.hpp"
 #include "sns/profile/profiler.hpp"
 #include "sns/sim/cluster_sim.hpp"
-#include "sns/util/thread_pool.hpp"
 
 namespace sns::sim {
 namespace {
@@ -102,9 +100,9 @@ TEST_P(FlightEquivalence, RecorderOnOffBitIdentical) {
 // The recorder's dump is the determinism contract for `uberun why-slow`
 // and the degradation census: identical runs must produce byte-identical
 // interval stores and rollups, and every path that reorders or batches the
-// settle arithmetic internally — serial vs sharded selection, the batched
-// fast path vs the per-dispatch path an event sink forces — must leave the
-// recorded ledgers byte-identical too.
+// settle arithmetic internally — the batched fast path vs the
+// per-dispatch path an event sink forces — must leave the recorded ledgers
+// byte-identical too.
 TEST_P(FlightEquivalence, DumpByteIdenticalAcrossRunsAndOptFlags) {
   auto& f = fixture();
   const auto [policy, seed] = GetParam();
@@ -126,21 +124,14 @@ TEST_P(FlightEquivalence, DumpByteIdenticalAcrossRunsAndOptFlags) {
     EXPECT_EQ(again.toJson().dump(), ref_dump) << "repeat run diverged";
   }
 
-  util::ThreadPool pool(3);
-  obs::RingBufferLog log;
-  // The 8-node reference never owns a pool, so it is the serial scan;
-  // an injected pool shards every scan.
-  for (bool sharded : {true, false}) {
+  {
+    // The per-dispatch path an event sink forces.
+    obs::RingBufferLog log;
     SimConfig one = cfg;
-    if (sharded) {
-      one.search_pool = &pool;
-    } else {
-      one.sink = &log;
-    }
-    SCOPED_TRACE(sharded ? "sharded selection" : "event sink");
+    one.sink = &log;
     flight::FlightRecorder fr;
     expectIdentical(runWith(f, one, seq, &fr), ref);
-    EXPECT_EQ(fr.toJson().dump(), ref_dump);
+    EXPECT_EQ(fr.toJson().dump(), ref_dump) << "event sink diverged";
   }
 }
 

@@ -1,8 +1,7 @@
 // Equivalence suite for the simulator's internal paths. The batched
 // fast path (failed-spec memo, deferred end-of-pass rate refresh,
 // futile-pass gate) disengages whenever an observer needs per-dispatch
-// fidelity, and an injected search pool shards candidate scans;
-// each alternative must reproduce the plain run bit-for-bit — exact double
+// fidelity; each alternative must reproduce the plain run bit-for-bit — exact double
 // comparisons, no tolerances — across policies, seeds, trace-style
 // ce_time_override jobs, and monitored runs (which exercise the dense
 // accumulate path). The values themselves are pinned by
@@ -16,7 +15,6 @@
 #include "sns/obs/sink.hpp"
 #include "sns/profile/profiler.hpp"
 #include "sns/sim/cluster_sim.hpp"
-#include "sns/util/thread_pool.hpp"
 #include "sns/xray/span.hpp"
 
 namespace sns::sim {
@@ -99,17 +97,6 @@ SimResult runPerDispatch(const Fixture& f, SimConfig cfg,
   return runWith(f, cfg, seq);
 }
 
-/// Sharded candidate scans on any host: an injected pool sends every
-/// bucket scan and score fill through the pool. Without one, these
-/// 4-8 node clusters are far below the size at which the simulator owns
-/// a pool, so the plain run is the serial reference.
-SimResult runSharded(const Fixture& f, SimConfig cfg,
-                     const std::vector<app::JobSpec>& seq) {
-  util::ThreadPool pool(3);
-  cfg.search_pool = &pool;
-  return runWith(f, cfg, seq);
-}
-
 // The batched fast path (the optimized arm) against the per-dispatch path
 // every diagnostic run takes (the legacy arm).
 class OptimizedVsLegacy
@@ -126,8 +113,8 @@ TEST_P(OptimizedVsLegacy, RandomSequencesBitIdentical) {
   expectIdentical(runWith(f, cfg, seq), runPerDispatch(f, cfg, seq));
 }
 
-// Each path switch alone — per-dispatch scoring, tracer-bypassed gate,
-// sharded selection — with and without the flight recorder, which rides
+// Each path switch alone — per-dispatch scoring, tracer-bypassed gate —
+// with and without the flight recorder, which rides
 // the settle points these switches rewire and must stay a pure observer.
 TEST_P(OptimizedVsLegacy, EachFlagAloneBitIdentical) {
   auto& f = fixture();
@@ -151,7 +138,6 @@ TEST_P(OptimizedVsLegacy, EachFlagAloneBitIdentical) {
     SimConfig traced = one;
     traced.xray = &tracer;
     expectIdentical(runWith(f, traced, seq), ref);
-    expectIdentical(runSharded(f, one, seq), ref);
   }
 }
 
@@ -189,7 +175,6 @@ TEST(SimEquivalence, TraceStyleOverrideJobsBitIdentical) {
     SCOPED_TRACE(sched::to_string(policy));
     const SimResult ref = runWith(f, cfg, seq);
     expectIdentical(runPerDispatch(f, cfg, seq), ref);
-    expectIdentical(runSharded(f, cfg, seq), ref);
   }
 }
 
@@ -219,20 +204,6 @@ TEST(SimEquivalence, ContendedDuplicateSpecsBitIdentical) {
     cfg.nodes = 4;  // contended: nothing close to the aggregate demand
     SCOPED_TRACE(sched::to_string(policy));
     expectIdentical(runWith(f, cfg, seq), runPerDispatch(f, cfg, seq));
-  }
-}
-
-// The sharded candidate scan must reproduce the serial scan bit-for-bit
-// regardless of worker timing.
-TEST(SimEquivalence, ParallelSelectPoolBitIdentical) {
-  auto& f = fixture();
-  util::Rng rng(99);
-  const auto seq = app::randomSequence(rng, f.lib, 16, 0.9);
-  for (sched::PolicyKind policy :
-       {sched::PolicyKind::kCE, sched::PolicyKind::kCS, sched::PolicyKind::kSNS}) {
-    const SimConfig cfg = baseConfig(policy, /*monitored=*/true);
-    SCOPED_TRACE(sched::to_string(policy));
-    expectIdentical(runSharded(f, cfg, seq), runWith(f, cfg, seq));
   }
 }
 

@@ -10,8 +10,9 @@
 // after every call checks the group-level ledger against the per-node
 // semantics it replaced.
 //
-// referenceRanked() is the regroup-per-query node selection: it reads
-// nothing but per-node accessors, so it runs over either ledger.
+// referenceRanked(), referenceAligned() and referenceFeasible() are the
+// regroup-per-query node selections: they read nothing but per-node
+// accessors, so they run over either ledger.
 
 #include <algorithm>
 #include <map>
@@ -36,6 +37,8 @@ class ReferenceNodeLedger {
   int freeWays() const { return mach_->llc_ways - ways_reserved_; }
   double freeBandwidth() const { return peak_bw_ - bw_reserved_; }
   double freeNetwork() const { return mach_->net_bw_gbps - net_reserved_; }
+  double bwReserved() const { return bw_reserved_; }
+  double netReserved() const { return net_reserved_; }
   int jobCount() const { return static_cast<int>(allocs_.size()); }
   bool idle() const { return allocs_.empty(); }
   bool hasExclusiveJob() const { return exclusive_; }
@@ -178,6 +181,60 @@ std::vector<int> referenceRanked(int nodes, const NodeAt& node_at, int count,
     all.insert(all.end(), fit.begin(), fit.end());
   }
   return all.size() < n ? std::vector<int>{} : rank(all);
+}
+
+/// Alignment selection (ResourceLedger::selectNodesByAlignment) from
+/// scratch: every fitting node, ranked by the dot product of the
+/// normalized request and free-capacity vectors, highest first, id as the
+/// tie-break. `node_at(id)` returns anything with fits() and the free
+/// capacity accessors.
+template <typename NodeAt>
+std::vector<int> referenceAligned(int nodes, const NodeAt& node_at,
+                                  const hw::MachineConfig& m, int count,
+                                  const NodeAllocation& req) {
+  const double want[4] = {
+      static_cast<double>(req.cores) / m.cores,
+      static_cast<double>(req.ways) / m.llc_ways,
+      req.bw_gbps / m.peakBandwidth(),
+      req.net_gbps / m.net_bw_gbps,
+  };
+  std::vector<std::pair<double, int>> scored;
+  for (int id = 0; id < nodes; ++id) {
+    const auto& nl = node_at(id);
+    if (!nl.fits(req)) continue;
+    const double free[4] = {
+        static_cast<double>(nl.idleCores()) / m.cores,
+        static_cast<double>(nl.freeWays()) / m.llc_ways,
+        nl.freeBandwidth() / m.peakBandwidth(),
+        nl.freeNetwork() / m.net_bw_gbps,
+    };
+    double dot = 0.0;
+    for (int d = 0; d < 4; ++d) dot += want[d] * free[d];
+    scored.emplace_back(dot, id);
+  }
+  if (scored.size() < static_cast<std::size_t>(count)) return {};
+  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  std::vector<int> out;
+  for (int i = 0; i < count; ++i) out.push_back(scored[static_cast<std::size_t>(i)].second);
+  return out;
+}
+
+/// ResourceLedger::feasibleNodes from scratch: the nodes where `req` fits,
+/// most idle cores first, ascending id among equal idle cores.
+template <typename NodeAt>
+std::vector<int> referenceFeasible(int nodes, const NodeAt& node_at,
+                                   const NodeAllocation& req) {
+  std::vector<std::pair<int, int>> fit;  // (-idle cores, id)
+  for (int id = 0; id < nodes; ++id) {
+    const auto& nl = node_at(id);
+    if (nl.idleCores() >= req.cores && nl.fits(req)) fit.emplace_back(-nl.idleCores(), id);
+  }
+  std::sort(fit.begin(), fit.end());
+  std::vector<int> out;
+  for (const auto& [neg_idle, id] : fit) out.push_back(id);
+  return out;
 }
 
 }  // namespace sns::testsupport

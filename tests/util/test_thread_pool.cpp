@@ -1,5 +1,5 @@
-// ThreadPool unit tests. The pool backs the parallel replay harness and
-// the sharded placement search; these tests pin its contract — results
+// ThreadPool unit tests. The pool backs the parallel replay harness;
+// these tests pin its contract — results
 // arrive through futures, exceptions propagate, the destructor drains the
 // queue — and give the TSan CI lane a direct workout of the guarded
 // queue/stop-flag paths rather than only the bench-driven one.
@@ -73,8 +73,8 @@ TEST(ThreadPool, DestructorDrainsPendingTasks) {
 }
 
 TEST(ThreadPool, DisjointShardWritesJoinCleanly) {
-  // The parallel-selection idiom: workers fill disjoint ranges of a
-  // caller-owned scratch array; the caller reads only after joining.
+  // Workers fill disjoint ranges of a caller-owned scratch array; the
+  // caller reads only after joining.
   ThreadPool pool(4);
   constexpr int kShards = 8;
   constexpr int kPerShard = 1000;
