@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sns/obs/metrics.hpp"
@@ -26,16 +26,25 @@ namespace sns::perfmodel {
 /// library the simulator resolves jobs against. Misses are filled through
 /// the allocation-free flat path (NodeContentionSolver::solveInto), which
 /// is bit-identical to solve().
+///
+/// Storage is flat: an open-addressed, linearly probed table of small
+/// entries (key pointer, outcome pointer, hash, length) over two block
+/// arenas that hold each entry's keys and outcomes contiguously. Blocks
+/// never move once allocated and are reused after a wipe, so a miss
+/// copies into warm memory and allocates only when the arenas or the
+/// table grow.
 class SolverCache {
  public:
   explicit SolverCache(const NodeContentionSolver& solver) : solver_(&solver) {}
 
   /// Solve `shares`, reusing a cached outcome when the signature was seen
-  /// before. The returned reference stays valid until clear().
-  const std::vector<ShareOutcome>& solve(std::span<const NodeShare> shares);
+  /// before. One outcome per share, in share order. The span stays valid
+  /// until the next solve() or clear() (a miss may wipe the cache and
+  /// reuse its storage).
+  std::span<const ShareOutcome> solve(std::span<const NodeShare> shares);
 
   void clear();
-  std::size_t size() const { return cache_.size(); }
+  std::size_t size() const { return size_; }
   /// Entry bound for the capacity safety valve (default kMaxEntries). A
   /// miss that finds the cache at or past the bound wipes it wholesale
   /// before inserting, counting every discarded entry as an eviction.
@@ -61,17 +70,18 @@ class SolverCache {
   void attachMetrics(obs::Registry& reg);
 
   // ---- audit introspection (sns::audit) -------------------------------------
-  /// Validate signature <-> entry consistency: every cached outcome list is
-  /// exactly as long as its signature (solve() returns one outcome per
-  /// share), signatures are non-empty, the last-signature fast path points
-  /// at a live entry, and miss accounting covers the stored entries.
-  /// Returns human-readable descriptions of every violated invariant
-  /// (empty = consistent). O(entries); called by sns::audit.
+  /// Validate the table: every live entry has a non-empty signature, its
+  /// stored hash is its signature's hash and its home slot reaches it
+  /// without crossing an empty slot, the live count matches size(), the
+  /// last-signature fast path points at a live entry, and miss accounting
+  /// covers the stored entries. Returns human-readable descriptions of
+  /// every violated invariant (empty = consistent). O(table slots);
+  /// called by sns::audit.
   std::vector<std::string> auditInvariants() const;
 
-  /// Test hook (tests/audit): truncate one cached entry's outcome list so
-  /// the audit tests can prove corruption is caught. No-op on an empty
-  /// cache. Never called by production code.
+  /// Test hook (tests/audit): flip one live entry's stored hash so the
+  /// audit tests can prove corruption is caught. No-op on an empty cache.
+  /// Never called by production code.
   void debugCorruptEntry();
 
  private:
@@ -84,11 +94,45 @@ class SolverCache {
     std::uint64_t cap_bits;
     bool operator==(const Key&) const = default;
   };
-  using Signature = std::vector<Key>;
 
-  struct SigHash {
-    std::size_t operator()(const Signature& sig) const;
+  /// One table slot (24 bytes); `key == nullptr` marks it empty.
+  struct Entry {
+    const Key* key = nullptr;
+    const ShareOutcome* out = nullptr;
+    std::uint32_t hash = 0;
+    std::uint32_t len = 0;
   };
+
+  /// Append-only storage in fixed-size blocks. Blocks never move, so the
+  /// pointers handed out stay valid until reset(), which rewinds to the
+  /// first block and keeps every block for reuse.
+  template <typename T>
+  class BlockArena {
+   public:
+    T* append(std::span<const T> src);
+    void reset() {
+      block_ = 0;
+      used_ = 0;
+    }
+
+   private:
+    static constexpr std::size_t kBlockSize = 1024;
+    struct Block {
+      std::unique_ptr<T[]> data;
+      std::size_t size = 0;
+    };
+    std::vector<Block> blocks_;
+    std::size_t block_ = 0;  ///< block being filled
+    std::size_t used_ = 0;   ///< slots taken in blocks_[block_]
+  };
+
+  static std::uint32_t hashOf(std::span<const Key> sig);
+  /// Slot holding `sig` (hashing to `h`), or the empty slot that ends its
+  /// probe sequence.
+  std::size_t probe(std::uint32_t h, std::span<const Key> sig) const;
+  void grow();
+  /// Drop every entry, keeping the table and arena storage.
+  void wipe();
 
   /// Nodes host at most a handful of co-runners, so the cache stays small
   /// in practice; the bound is a safety valve against pathological runs.
@@ -96,13 +140,16 @@ class SolverCache {
 
   const NodeContentionSolver* solver_;
   std::size_t capacity_ = kMaxEntries;  ///< see setCapacity()
-  std::unordered_map<Signature, std::vector<ShareOutcome>, SigHash> cache_;
-  Signature scratch_;  ///< reused lookup key, no per-call allocation at steady state
+  std::vector<Entry> table_;  ///< power-of-two slots, at most 3/4 full
+  std::size_t size_ = 0;
+  BlockArena<Key> keys_;
+  BlockArena<ShareOutcome> outcomes_;
+  std::vector<Key> scratch_;  ///< reused lookup key, no per-call allocation at steady state
+  std::vector<ShareOutcome> fresh_;  ///< solveInto() output, reused across misses
   SolveScratch solve_scratch_;   ///< flat-path working set, reused across misses
   /// Most-recent entry, for the consecutive-identical-lookup fast path
-  /// (stable across rehash: node-based map, entries only move on clear()).
-  const Signature* last_sig_ = nullptr;
-  const std::vector<ShareOutcome>* last_ = nullptr;
+  /// (empty after a wipe).
+  Entry last_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

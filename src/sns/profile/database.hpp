@@ -51,8 +51,8 @@ class ProfileDatabase {
 
   /// Content version, unique across the process: one atomic counter hands
   /// out a fresh value on construction, copy, move, every put() and every
-  /// successful erase(). Memos keyed on profile pointers (SnsPolicy's
-  /// demand memo) compare it to detect that the pointer may now mean
+  /// successful erase(). Memos derived from profile contents (SnsPolicy's
+  /// placement plans) compare it to detect that a profile may now mean
   /// different contents — a profile replaced in place (find() returns
   /// stable addresses across std::map updates), a copy, or a different
   /// database built at a recycled address. Two databases never share a

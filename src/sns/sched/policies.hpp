@@ -1,10 +1,12 @@
 #pragma once
 
+#include <string>
 #include <unordered_map>
+#include <vector>
 
-#include "sns/profile/demand.hpp"
 #include "sns/profile/profiler.hpp"
 #include "sns/sched/policy.hpp"
+#include "sns/xray/provenance.hpp"
 
 namespace sns::sched {
 
@@ -73,30 +75,60 @@ class SnsPolicy final : public SchedulingPolicy {
   const Options& options() const { return opts_; }
 
  private:
-  /// estimateDemand() is a pure function of (scale profile, alpha,
-  /// machine); the machine is fixed per policy lifetime, so its results
-  /// are memoized keyed on the profile's identity and the exact alpha
-  /// bits. The database generation, unique across the process, guards
-  /// against every way a profile address can come to mean different
-  /// contents: a profile replaced in place (the monitor re-profiles
-  /// programs mid-run), a copied database, or another database built at
-  /// a recycled address.
-  struct DemandKey {
-    const profile::ScaleProfile* sp = nullptr;
+  /// Everything tryPlace() derives from a job's spec alone, before it
+  /// reads the ledger's free capacity: the exploration trial scale, or
+  /// the profiled scales in preference order, each with the per-node
+  /// request it makes or the reason it is skipped. A pure function of
+  /// (program, procs, alpha, cluster size, profile contents) for the
+  /// policy's fixed machine and options, so it is built once per spec.
+  struct PlanStep {
+    int k = 0;
+    int nodes = 0;
+    /// Per-node request (cores, and for placeable scales the estimated
+    /// ways, bandwidth and NIC demand).
+    actuator::NodeAllocation request;
+    /// kMultiNodeUnsupported or kClusterTooSmall for a skipped scale,
+    /// kNone for one the walk asks the ledger about.
+    xray::RejectReason skip = xray::RejectReason::kNone;
+  };
+  struct Plan {
+    std::string program;  ///< spec name the plan's profile was found under
+    int trial = 0;        ///< > 0: run exclusively at this trial scale
+    std::vector<PlanStep> steps;
+  };
+  /// Keyed like the simulator's failed-spec memo (program identity,
+  /// procs, alpha bits) plus the cluster size the walk is checked
+  /// against. The database generation, unique across the process, guards
+  /// the whole memo against every way a profile can come to mean
+  /// different contents: a profile replaced in place (the monitor
+  /// re-profiles programs mid-run), a copied database, or another
+  /// database built at a recycled address.
+  struct PlanKey {
+    const app::ProgramModel* prog = nullptr;
+    int procs = 0;
     std::uint64_t alpha_bits = 0;
-    bool operator==(const DemandKey&) const = default;
+    int cluster_nodes = 0;
+    bool operator==(const PlanKey&) const = default;
   };
-  struct DemandKeyHash {
-    std::size_t operator()(const DemandKey& k) const;
+  struct PlanKeyHash {
+    std::size_t operator()(const PlanKey& k) const;
   };
+
+  double alphaOf(const Job& job) const {
+    return job.spec.alpha > 0.0 ? job.spec.alpha : opts_.default_alpha;
+  }
+  /// The memoized plan for `job` on `ledger`'s cluster, built on first use.
+  const Plan& planFor(const Job& job, const actuator::ResourceLedger& ledger,
+                      const profile::ProfileDatabase& db) const;
+  Plan buildPlan(const Job& job, const actuator::ResourceLedger& ledger,
+                 const profile::ProfileDatabase& db) const;
 
   const perfmodel::Estimator* est_;
   Options opts_;
   // Memo state is logically observational (results are bit-identical with
   // or without it), so it is mutable behind the const tryPlace() path.
-  mutable std::unordered_map<DemandKey, profile::ResourceDemand, DemandKeyHash>
-      demand_memo_;
-  mutable std::uint64_t memo_generation_ = ~std::uint64_t{0};
+  mutable std::unordered_map<PlanKey, Plan, PlanKeyHash> plans_;
+  mutable std::uint64_t plans_generation_ = ~std::uint64_t{0};
 };
 
 /// Shared helper: an exclusive placement at the given scale factor. CE

@@ -278,16 +278,16 @@ void ClusterSimulator::solveGroup(sched::CorunGroups::GroupId g, int nd) {
     grp.in[i] = {r.prog, record(id).placement.procs_per_node, ways, rf, 1.0, cap};
   }
 
-  const std::vector<perfmodel::ShareOutcome>* outcomes;
+  std::span<const perfmodel::ShareOutcome> outcomes;
   {
     xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kSolverCall);
     const std::uint64_t hits_before = solve_cache_.hits();
-    outcomes = &solve_cache_.solve(grp.in);
+    outcomes = solve_cache_.solve(grp.in);
     if (m_solver_memo_hits_ && solve_cache_.hits() > hits_before) {
       m_solver_memo_hits_->inc();
     }
   }
-  grp.out.assign(outcomes->begin(), outcomes->end());
+  grp.out.assign(outcomes.begin(), outcomes.end());
 }
 
 double ClusterSimulator::placementBandwidth(sched::JobId id) const {
@@ -610,7 +610,7 @@ void ClusterSimulator::flightLeaveOneOut(sched::CorunGroups::GroupId g) {
       for (std::size_t i = 0; i < nres; ++i) {
         if (i != k) flight_loo_shares_.push_back(shares[i]);
       }
-      const auto& out = solve_cache_.solve(flight_loo_shares_);
+      const auto out = solve_cache_.solve(flight_loo_shares_);
       for (std::size_t i = 0; i < nres; ++i) {
         if (i != k) rows[k * nres + i] = out[i - (i > k ? 1 : 0)].rate_per_proc;
       }
@@ -1117,8 +1117,8 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
   queue_ = sched::JobQueue{};
   solve_cache_.clear();
   // The spec memo is epoch-guarded but the ledger (and its epochs) was
-  // just rebuilt; drop it. The policy's demand memo needs nothing: the
-  // copy above took a fresh database generation.
+  // just rebuilt; drop it. The policy's placement plans need nothing:
+  // the copy above took a fresh database generation.
   failed_specs_.clear();
   failed_specs_valid_ = false;
   failed_specs_min_floor_ = std::numeric_limits<int>::max();

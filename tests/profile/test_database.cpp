@@ -37,7 +37,7 @@ ProgramProfile sampleProfile(const std::string& name, int procs) {
 }
 
 TEST(Database, GenerationTracksMutations) {
-  // The generation backs memo invalidation in SnsPolicy's demand memo:
+  // The generation backs invalidation of SnsPolicy's placement plans:
   // every successful put/erase must move it on, a no-op erase must not,
   // and a copy (whose profiles live at new addresses) or another database
   // must never share it (so a fresh copy never aliases a stale memo).

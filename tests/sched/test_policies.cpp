@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "sns/app/library.hpp"
@@ -230,6 +232,109 @@ TEST_F(PolicyTest, SnsDemandMemoFollowsTheDatabaseNotItsAddress) {
   // Same scale, different demand: the check has teeth.
   EXPECT_EQ(placed[0].scale_factor, placed[1].scale_factor);
   EXPECT_NE(placed[0].bw_gbps, placed[1].bw_gbps);
+}
+
+TEST_F(PolicyTest, PlacementPlanFollowsNodeCountAndDatabase) {
+  // The per-spec placement plan is keyed on the cluster size and guarded
+  // by the database generation. One policy serves 8-, 64- and 4,096-node
+  // ledgers in turn and lives through a profile replaced in place; each
+  // placement and each provenance walk must match a fresh policy's.
+  // MG@128 needs 5/10/20/40 nodes at 1x/2x/4x/8x: only 1x fits 8 nodes.
+  // MG@64 profiled at 1x and 2x only (3 and 6 nodes) finishes exploring on
+  // 8 nodes (the 4x trial needs 12) but trials 4x on larger clusters.
+  // GAN is single-node; giving it MG's multi-node scales makes its walk
+  // skip them as unsupported. EP@32 is unprofiled (a 1x trial).
+  profile::ProfilerConfig cfg;
+  cfg.pmu_noise = 0.0;
+  profile::Profiler profiler(est_, cfg);
+  profile::ProfileDatabase db = db_;
+  const profile::ProgramProfile mg128 =
+      profiler.profileProgram(app::findProgram(lib_, "MG"), 128);
+  ASSERT_GT(mg128.scales.size(), 1u);
+  db.put(mg128);
+  profile::ProgramProfile mg64 =
+      profiler.profileProgram(app::findProgram(lib_, "MG"), 64);
+  ASSERT_NE(mg64.at(2), nullptr);
+  mg64.scales.resize(2);
+  db.put(mg64);
+  profile::ProgramProfile gan = *db_.find("MG", 16);
+  gan.program = "GAN";
+  ASSERT_GT(gan.scales.size(), 1u);
+  db.put(gan);
+
+  const std::vector<Job> jobs = {makeJob("MG", 128), makeJob("MG", 64),
+                                 makeJob("GAN", 16), makeJob("EP", 32),
+                                 makeJob("MG", 16)};
+  std::vector<std::unique_ptr<actuator::ResourceLedger>> ledgers;
+  for (int nodes : {8, 64, 4096}) {
+    ledgers.push_back(
+        std::make_unique<actuator::ResourceLedger>(nodes, est_.machine()));
+  }
+
+  SnsPolicy shared(est_);
+  xray::Tracer shared_tracer;
+  shared.attachXray(&shared_tracer);
+  std::map<xray::RejectReason, int> reasons;
+  JobId next_id = 1;
+  actuator::JobId next_alloc = 1000;
+  for (int round = 0; round < 4; ++round) {
+    if (round == 2) {
+      // Replace MG@128 in place (the database keeps its address) with its
+      // bandwidth curves halved: the plan must follow the new demand.
+      profile::ProgramProfile halved = mg128;
+      for (auto& sp : halved.scales) {
+        sp.bw_llc = sp.bw_llc.mapY([](double y) { return y * 0.5; });
+      }
+      const auto* before = db.find("MG", 128);
+      db.put(halved);
+      ASSERT_EQ(db.find("MG", 128), before);
+    }
+    for (auto& ledger : ledgers) {
+      for (Job job : jobs) {
+        // A fresh id per attempt: each store opens a fresh record.
+        job.id = next_id++;
+        SCOPED_TRACE("round " + std::to_string(round) + ", " +
+                     std::to_string(ledger->nodeCount()) + " nodes, " +
+                     job.spec.program + "@" + std::to_string(job.spec.procs));
+        SnsPolicy fresh(est_);
+        xray::Tracer fresh_tracer;
+        fresh.attachXray(&fresh_tracer);
+        const auto want = fresh.tryPlace(job, *ledger, db);
+        const auto got = shared.tryPlace(job, *ledger, db);
+        ASSERT_EQ(got.has_value(), want.has_value());
+        if (got.has_value()) {
+          EXPECT_EQ(got->nodes, want->nodes);
+          EXPECT_EQ(got->scale_factor, want->scale_factor);
+          EXPECT_EQ(got->procs_per_node, want->procs_per_node);
+          EXPECT_EQ(got->ways, want->ways);
+          EXPECT_EQ(got->bw_gbps, want->bw_gbps);
+          EXPECT_EQ(got->net_gbps, want->net_gbps);
+          EXPECT_EQ(got->exclusive, want->exclusive);
+        }
+        const xray::DecisionRecord& g = shared_tracer.provenance()->record(job.id);
+        const xray::DecisionRecord& w = fresh_tracer.provenance()->record(job.id);
+        EXPECT_EQ(g.exploration, w.exploration);
+        ASSERT_EQ(g.walk.size(), w.walk.size());
+        for (std::size_t i = 0; i < w.walk.size(); ++i) {
+          EXPECT_EQ(g.walk[i].scale, w.walk[i].scale) << i;
+          EXPECT_EQ(g.walk[i].nodes, w.walk[i].nodes) << i;
+          EXPECT_EQ(g.walk[i].cores, w.walk[i].cores) << i;
+          EXPECT_EQ(g.walk[i].ways, w.walk[i].ways) << i;
+          EXPECT_EQ(g.walk[i].bw_gbps, w.walk[i].bw_gbps) << i;
+          EXPECT_EQ(g.walk[i].reason, w.walk[i].reason) << i;
+          ++reasons[w.walk[i].reason];
+        }
+        // Load the ledger with every other placement, so later rounds
+        // also walk past scales the ledger rejects.
+        if (got.has_value() && (next_alloc++ % 2) == 0) {
+          ledger->allocate(got->nodes, next_alloc, got->nodeAllocation());
+        }
+      }
+    }
+  }
+  EXPECT_GT(reasons[xray::RejectReason::kMultiNodeUnsupported], 0);
+  EXPECT_GT(reasons[xray::RejectReason::kClusterTooSmall], 0);
+  EXPECT_GT(reasons[xray::RejectReason::kInsufficientResources], 0);
 }
 
 TEST_F(PolicyTest, SingleNodeProgramsNeverSpread) {

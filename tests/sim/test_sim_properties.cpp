@@ -3,10 +3,12 @@
 // schedules satisfying global invariants.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <tuple>
 
 #include "sns/app/library.hpp"
+#include "sns/audit/audit.hpp"
 #include "sns/profile/profiler.hpp"
 #include "sns/sim/cluster_sim.hpp"
 #include "sns/sim/metrics.hpp"
@@ -95,30 +97,68 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+// Seeded draws over the feature space: cluster size, per-job alpha, the
+// node-score weight beta, packing, way donation, MBA caps, network
+// management and online profiling (whose mid-run profile merges change the
+// database generation and so rebuild the policy's placement plans). Every
+// draw runs under a fail-fast auditor and must complete every job.
 class FeatureFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(FeatureFuzz, FeatureCombinationsKeepInvariants) {
   auto& f = fixture();
-  const int combo = GetParam();
-  util::Rng rng(5000ULL + static_cast<std::uint64_t>(combo));
-  const auto seq = app::randomSequence(rng, f.lib, 15, 0.9);
+  util::Rng rng(5000ULL + static_cast<std::uint64_t>(GetParam()));
+  const auto pick = [&rng](const auto& options) {
+    return options[static_cast<std::size_t>(rng.uniformInt(
+        0, static_cast<std::int64_t>(std::size(options)) - 1))];
+  };
+  auto seq = app::randomSequence(rng, f.lib, 15, 0.9);
+  const double alphas[] = {0.6, 0.75, 0.9, 1.0};
+  for (auto& spec : seq) spec.alpha = pick(alphas);
 
   SimConfig cfg;
-  cfg.nodes = 8;
+  const int node_counts[] = {8, 16, 64};
+  cfg.nodes = pick(node_counts);
   cfg.policy = sched::PolicyKind::kSNS;
-  cfg.donate_unused_ways = (combo & 1) != 0;
-  cfg.enforce_bandwidth_caps = (combo & 2) != 0;
-  cfg.online_profiling = (combo & 4) != 0;
-  cfg.sns.manage_network = (combo & 8) != 0;
-  // Online-profiling combos start from an empty database and learn.
-  profile::ProfileDatabase empty;
-  const profile::ProfileDatabase& db = cfg.online_profiling ? empty : f.db;
+  const double betas[] = {0.5, 1.0, 2.0, 4.0};
+  cfg.sns.beta = pick(betas);
+  cfg.sns.packing = rng.uniformInt(0, 1) == 0
+                        ? sched::SnsPolicy::Packing::kIdlestScore
+                        : sched::SnsPolicy::Packing::kDotProduct;
+  cfg.donate_unused_ways = rng.uniformInt(0, 1) == 1;
+  cfg.enforce_bandwidth_caps = rng.uniformInt(0, 1) == 1;
+  cfg.sns.manage_network = rng.uniformInt(0, 1) == 1;
+  cfg.online_profiling = rng.uniformInt(0, 1) == 1;
+  // Online profiling starts from an empty or a half-known database and
+  // learns the rest.
+  profile::ProfileDatabase partial;
+  if (cfg.online_profiling && rng.uniformInt(0, 1) == 1) {
+    for (std::size_t i = 0; i < f.lib.size(); i += 2) {
+      for (int procs : {16, 28}) {
+        if (const auto* prof = f.db.find(f.lib[i].name, procs)) partial.put(*prof);
+      }
+    }
+  }
+  const profile::ProfileDatabase& db = cfg.online_profiling ? partial : f.db;
+  audit::AuditorConfig acfg;
+  acfg.fail_fast = true;
+  audit::Auditor auditor(acfg);
+  cfg.auditor = &auditor;
+  SCOPED_TRACE("nodes=" + std::to_string(cfg.nodes) +
+               " beta=" + std::to_string(cfg.sns.beta) +
+               " dot_product=" +
+               std::to_string(cfg.sns.packing == sched::SnsPolicy::Packing::kDotProduct) +
+               " donate=" + std::to_string(cfg.donate_unused_ways) +
+               " mba=" + std::to_string(cfg.enforce_bandwidth_caps) +
+               " network=" + std::to_string(cfg.sns.manage_network) +
+               " online=" + std::to_string(cfg.online_profiling) +
+               " known=" + std::to_string(db.size()));
   ClusterSimulator sim(f.est, f.lib, db, cfg);
   const auto res = sim.run(seq);
-  checkInvariants(res, 8, seq);
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  checkInvariants(res, cfg.nodes, seq);
 }
 
-INSTANTIATE_TEST_SUITE_P(Combos, FeatureFuzz, ::testing::Range(0, 16));
+INSTANTIATE_TEST_SUITE_P(Combos, FeatureFuzz, ::testing::Range(0, 48));
 
 class ClusterSizeSweep : public ::testing::TestWithParam<int> {};
 
