@@ -1,11 +1,16 @@
 // Google-benchmark microbenchmarks of the solve layer and the SNS decision
-// path above it: a SolverCache hit (a table probe, not the back-to-back
-// fast path), a miss on a never-seen signature (probe, flat solve, arena
-// copy), a replay-like stream where about 41% of lookups hit (the Fig 20
-// 4K SNS replay's ratio), NodeContentionSolver::solveInto alone (the
-// contention solve without the cache), and an SnsPolicy::tryPlace that is
-// rejected on a loaded 4,096-node ledger (plan lookup plus one selection
-// query per profiled scale).
+// path above it. SolverCache memoizes per-share derivations and recombines
+// them on every call, so: a hit (warm 1-4 share sets, a probe per
+// derivation plus the combine), a miss (one share never seen), a
+// replay-like stream where about 41% of lookups hit (the Fig 20 4K SNS
+// replay's ratio before the memo became per-share), a warm 5-share
+// partitioned solve (the common SNS node), a cold derivation (a lone
+// partitioned share never seen: probe, derive, insert, combine), a
+// CE-style exclusive singleton (one free-sharing share, whose fixed-point
+// iterates repeat one memoized derivation), NodeContentionSolver::solveInto alone
+// (every share derived fresh), and an SnsPolicy::tryPlace that is rejected
+// on a loaded 4,096-node ledger (plan lookup plus one selection query per
+// profiled scale).
 //
 //   ./build/bench/bench_solver_gbench --benchmark_min_time=0.5
 //
@@ -14,6 +19,7 @@
 // rejection that places.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -114,8 +120,8 @@ BENCHMARK(BM_CacheHit)->Unit(benchmark::kNanosecond);
 
 void BM_CacheMiss(benchmark::State& state) {
   // The signatures BM_SolveInto solves, with the first share's remote
-  // fraction stepped on every lap, so no lookup repeats a signature and
-  // the difference to BM_SolveInto is the cache's own miss cost.
+  // fraction stepped on every lap, so every lookup derives that share
+  // fresh (the other shares are warm after the first lap).
   auto pool = signatures(64);
   SolverCache cache(env().est.solver());
   std::uint64_t step = 0;
@@ -179,6 +185,82 @@ void BM_CacheReplayMix(benchmark::State& state) {
       static_cast<double>(total_hits) / static_cast<double>(total > 0 ? total : 1);
 }
 BENCHMARK(BM_CacheReplayMix)->Unit(benchmark::kNanosecond);
+
+/// The timed loop's hit and miss counts must be exactly `want_hits` and
+/// `want_misses`.
+void checkCounts(benchmark::State& state, const SolverCache& cache,
+                 std::uint64_t hits0, std::uint64_t misses0,
+                 std::uint64_t want_hits, std::uint64_t want_misses) {
+  if (cache.hits() - hits0 != want_hits || cache.misses() - misses0 != want_misses) {
+    fail(state, "hit/miss counts disagree with the lookup stream");
+  }
+}
+
+void BM_WarmPartitionedSolve(benchmark::State& state) {
+  // Five CAT-partitioned co-runners, as on a shared SNS node; warm, so each
+  // call is five probes and the combine. The order rotates every call:
+  // a permuted set reuses the same five derivations.
+  const Env& e = env();
+  std::vector<NodeShare> shares;
+  for (int i = 0; i < 5; ++i) {
+    shares.push_back({&e.lib[static_cast<std::size_t>(i) % e.lib.size()], 2 + i,
+                      static_cast<double>(2 + i % 2), 0.1, 1.0, 0.0});
+  }
+  SolverCache cache(e.est.solver());
+  (void)cache.solve(shares);
+  const std::uint64_t hits0 = cache.hits(), misses0 = cache.misses();
+  for (auto _ : state) {
+    std::rotate(shares.begin(), shares.begin() + 1, shares.end());
+    benchmark::DoNotOptimize(cache.solve(shares).data());
+  }
+  checkCounts(state, cache, hits0, misses0,
+              static_cast<std::uint64_t>(state.iterations()), 0);
+  if (!sameOutcomes(cache.solve(shares), e.est.solver().solve(shares))) {
+    fail(state, "cached outcome differs from a fresh solve");
+  }
+}
+BENCHMARK(BM_WarmPartitionedSolve)->Unit(benchmark::kNanosecond);
+
+void BM_ColdDerivation(benchmark::State& state) {
+  // A lone partitioned share whose remote fraction steps every call, so
+  // each call derives once and inserts. The memo is bounded so a long run
+  // wipes it now and then instead of growing without limit.
+  const Env& e = env();
+  NodeShare share{&e.lib.front(), 8, 4.0, 0.0, 1.0, 0.0};
+  SolverCache cache(e.est.solver());
+  cache.setCapacity(std::size_t{1} << 16);
+  std::uint64_t step = 0;
+  for (auto _ : state) {
+    share.remote_frac = 1e-9 * static_cast<double>(++step);
+    benchmark::DoNotOptimize(cache.solve(std::span<const NodeShare>(&share, 1)).data());
+  }
+  checkCounts(state, cache, 0, 0, 0, static_cast<std::uint64_t>(state.iterations()));
+  const std::span<const NodeShare> one(&share, 1);
+  if (!sameOutcomes(cache.solve(one), e.est.solver().solve(one))) {
+    fail(state, "cached outcome differs from a fresh solve");
+  }
+}
+BENCHMARK(BM_ColdDerivation)->Unit(benchmark::kNanosecond);
+
+void BM_ExclusiveSingleton(benchmark::State& state) {
+  // CE's whole-node placement: one unpartitioned share on all 28 cores.
+  // Warm, its fixed-point iterates repeat one memoized derivation.
+  const Env& e = env();
+  const NodeShare share{&e.lib.front(), e.est.machine().cores, 0.0, 0.0, 1.0, 0.0};
+  const std::span<const NodeShare> one(&share, 1);
+  SolverCache cache(e.est.solver());
+  (void)cache.solve(one);
+  const std::uint64_t hits0 = cache.hits(), misses0 = cache.misses();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.solve(one).data());
+  }
+  checkCounts(state, cache, hits0, misses0,
+              static_cast<std::uint64_t>(state.iterations()), 0);
+  if (!sameOutcomes(cache.solve(one), e.est.solver().solve(one))) {
+    fail(state, "cached outcome differs from a fresh solve");
+  }
+}
+BENCHMARK(BM_ExclusiveSingleton)->Unit(benchmark::kNanosecond);
 
 void BM_SolveInto(benchmark::State& state) {
   const auto& solver = env().est.solver();

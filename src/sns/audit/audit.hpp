@@ -64,8 +64,9 @@ struct AuditorConfig {
 ///     with bucket population counts matching enumeration.
 ///   - JobQueue: tombstone / live-count / position-index accounting vs a
 ///     recount of the slot store, plus priority ordering.
-///   - SolverCache: table consistency (stored hashes, probe reachability,
-///     live count) and the last-signature fast path.
+///   - SolverCache: every memoized derivation re-derives bit-identically,
+///     plus table consistency (stored hashes, probe reachability, live
+///     count).
 ///   - Co-run groups: member counts vs a recount, group totals vs their
 ///     allocation lists, bucket membership vs group idle cores, job
 ///     histograms vs placement widths.

@@ -1,6 +1,7 @@
 #include "sns/perfmodel/contention.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "sns/util/error.hpp"
@@ -18,30 +19,22 @@ double NodeContentionSolver::mbPerProc(double ways, int procs) const {
   return per_socket_mb / procs_per_socket;
 }
 
-namespace {
-
-struct Derived {
-  double mb_pp = 0.0;
-  double miss = 0.0;
-  double refs = 0.0;
-  double cpi = 0.0;
-  double raw_rate = 0.0;  // instructions/s per process, unconstrained
-};
-
-Derived deriveAt(const app::ProgramModel& prog, const hw::MachineConfig& mach,
-                 const NodeShare& share, double ways,
-                 const NodeContentionSolver& solver) {
-  Derived d;
-  d.mb_pp = solver.mbPerProc(ways, share.procs);
-  d.miss = prog.missRatio(d.mb_pp, share.remote_frac);
+ShareDerivation NodeContentionSolver::derive(const NodeShare& share,
+                                             double ways) const {
+  const app::ProgramModel& prog = *share.prog;
+  ShareDerivation d;
+  d.miss = prog.missRatio(mbPerProc(ways, share.procs), share.remote_frac);
   d.refs = prog.memRefs(share.remote_frac) * share.mem_intensity;
   const double lat_eff = prog.dram_latency_cycles / prog.mlp;
-  d.cpi = prog.cpi_core + d.refs * d.miss * lat_eff;
-  d.raw_rate = mach.frequency_ghz * 1e9 / d.cpi;
+  const double cpi = prog.cpi_core + d.refs * d.miss * lat_eff;
+  d.raw_rate = mach_.frequency_ghz * 1e9 / cpi;
+  d.demand = share.procs * d.raw_rate * d.refs * d.miss * prog.bytes_per_miss / 1e9;
+  // A job alone cannot pull more than the saturation curve allows at its
+  // own core count; an MBA throttle clamps it further.
+  d.capped = std::min(d.demand, mach_.mem_bw.aggregate(share.procs));
+  if (share.bw_cap_gbps > 0.0) d.capped = std::min(d.capped, share.bw_cap_gbps);
   return d;
 }
-
-}  // namespace
 
 std::vector<ShareOutcome> NodeContentionSolver::solve(
     std::span<const NodeShare> shares) const {
@@ -82,7 +75,7 @@ std::vector<ShareOutcome> NodeContentionSolver::solve(
       std::vector<double> pressure(shares.size(), 0.0);
       for (std::size_t i = 0; i < shares.size(); ++i) {
         if (shares[i].ways > 0.0) continue;
-        const auto d = deriveAt(*shares[i].prog, mach_, shares[i], eff_ways[i], *this);
+        const ShareDerivation d = derive(shares[i], eff_ways[i]);
         // Occupancy in an unpartitioned LLC tracks each job's miss traffic.
         pressure[i] = shares[i].procs * d.refs * d.miss + 1e-9;
         total_pressure += pressure[i];
@@ -111,35 +104,27 @@ std::vector<ShareOutcome> NodeContentionSolver::solve(
   }
 
   // Bandwidth demands and the proportional-share roofline.
-  std::vector<Derived> derived(shares.size());
-  std::vector<double> demand(shares.size(), 0.0);
-  std::vector<double> capped(shares.size(), 0.0);
+  std::vector<ShareDerivation> derived(shares.size());
   double total_capped = 0.0;
   for (std::size_t i = 0; i < shares.size(); ++i) {
-    const auto& s = shares[i];
-    derived[i] = deriveAt(*s.prog, mach_, s, eff_ways[i], *this);
-    demand[i] = s.procs * derived[i].raw_rate * derived[i].refs * derived[i].miss *
-                s.prog->bytes_per_miss / 1e9;
-    // A job alone cannot pull more than the saturation curve allows at its
-    // own core count; an MBA throttle clamps it further.
-    capped[i] = std::min(demand[i], mach_.mem_bw.aggregate(s.procs));
-    if (s.bw_cap_gbps > 0.0) capped[i] = std::min(capped[i], s.bw_cap_gbps);
-    total_capped += capped[i];
+    derived[i] = derive(shares[i], eff_ways[i]);
+    total_capped += derived[i].capped;
   }
   const double capacity = mach_.mem_bw.aggregate(total_procs);
   const double scale = total_capped > capacity ? capacity / total_capped : 1.0;
 
   std::vector<ShareOutcome> out(shares.size());
   for (std::size_t i = 0; i < shares.size(); ++i) {
-    const double bw = capped[i] * scale;
-    const double f_bw = demand[i] > 1e-12 ? std::min(1.0, bw / demand[i]) : 1.0;
+    const ShareDerivation& d = derived[i];
+    const double bw = d.capped * scale;
+    const double f_bw = d.demand > 1e-12 ? std::min(1.0, bw / d.demand) : 1.0;
     ShareOutcome& o = out[i];
-    o.raw_rate_per_proc = derived[i].raw_rate;
-    o.rate_per_proc = derived[i].raw_rate * f_bw;
-    o.bw_gbps = demand[i] > 1e-12 ? demand[i] * f_bw : 0.0;
-    o.demand_gbps = demand[i];
+    o.raw_rate_per_proc = d.raw_rate;
+    o.rate_per_proc = d.raw_rate * f_bw;
+    o.bw_gbps = d.demand > 1e-12 ? d.demand * f_bw : 0.0;
+    o.demand_gbps = d.demand;
     o.ipc = o.rate_per_proc / (mach_.frequency_ghz * 1e9);
-    o.miss_ratio = derived[i].miss;
+    o.miss_ratio = d.miss;
     o.eff_ways = eff_ways[i];
   }
   return out;
@@ -148,6 +133,20 @@ std::vector<ShareOutcome> NodeContentionSolver::solve(
 void NodeContentionSolver::solveInto(std::span<const NodeShare> shares,
                                      SolveScratch& sc,
                                      std::vector<ShareOutcome>& out) const {
+  struct Fresh final : DerivationSource {
+    explicit Fresh(const NodeContentionSolver& s) : solver(s) {}
+    ShareDerivation derive(const NodeShare& share, double ways) override {
+      return solver.derive(share, ways);
+    }
+    const NodeContentionSolver& solver;
+  } fresh(*this);
+  solveInto(shares, sc, out, fresh);
+}
+
+void NodeContentionSolver::solveInto(std::span<const NodeShare> shares,
+                                     SolveScratch& sc,
+                                     std::vector<ShareOutcome>& out,
+                                     DerivationSource& source) const {
   SNS_REQUIRE(!shares.empty(), "solve() needs at least one share");
   const std::size_t n = shares.size();
   int total_procs = 0;
@@ -165,9 +164,21 @@ void NodeContentionSolver::solveInto(std::span<const NodeShare> shares,
 
   const double free_pool = std::max(0.0, static_cast<double>(mach_.llc_ways) - cat_ways);
 
-  // Effective ways: same fixed point as solve(), but the per-iteration
-  // pressure vector lives in the scratch instead of a fresh allocation.
+  // Effective ways: same fixed point as solve(), each iterate's
+  // derivation taken from `source`, the pressures kept in the scratch.
+  // derive() is pure, so a share whose ways did not move since its last
+  // derivation keeps it: a lone free share's iterates mostly repeat.
   sc.eff_ways.assign(n, 0.0);
+  sc.derived.resize(n);
+  sc.derived_at.assign(n, 0.0);  // ways are > 0, so 0 marks "not derived"
+  const auto derivedAt = [&](std::size_t i) -> const ShareDerivation& {
+    if (std::bit_cast<std::uint64_t>(sc.derived_at[i]) !=
+        std::bit_cast<std::uint64_t>(sc.eff_ways[i])) {
+      sc.derived[i] = source.derive(shares[i], sc.eff_ways[i]);
+      sc.derived_at[i] = sc.eff_ways[i];
+    }
+    return sc.derived[i];
+  };
   if (free_count > 0) {
     SNS_REQUIRE(free_pool > 0.0, "free-sharing jobs but no unpartitioned ways left");
     int free_procs = 0;
@@ -184,7 +195,7 @@ void NodeContentionSolver::solveInto(std::span<const NodeShare> shares,
       sc.pressure.assign(n, 0.0);
       for (std::size_t i = 0; i < n; ++i) {
         if (shares[i].ways > 0.0) continue;
-        const auto d = deriveAt(*shares[i].prog, mach_, shares[i], sc.eff_ways[i], *this);
+        const ShareDerivation& d = derivedAt(i);
         sc.pressure[i] = shares[i].procs * d.refs * d.miss + 1e-9;
         total_pressure += sc.pressure[i];
       }
@@ -209,46 +220,25 @@ void NodeContentionSolver::solveInto(std::span<const NodeShare> shares,
     if (shares[i].ways > 0.0) sc.eff_ways[i] = shares[i].ways;
   }
 
-  // Derived quantities, flattened: each element is the same deriveAt()
-  // arithmetic solve() runs, so values match bit-for-bit; splitting the
-  // derive and demand loops is safe because demand[i] depends only on
-  // element i.
-  sc.miss.resize(n);
-  sc.refs.resize(n);
-  sc.raw_rate.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto d = deriveAt(*shares[i].prog, mach_, shares[i], sc.eff_ways[i], *this);
-    sc.miss[i] = d.miss;
-    sc.refs[i] = d.refs;
-    sc.raw_rate[i] = d.raw_rate;
-  }
-  sc.demand.resize(n);
-  sc.capped.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sc.demand[i] = shares[i].procs * sc.raw_rate[i] * sc.refs[i] * sc.miss[i] *
-                   shares[i].prog->bytes_per_miss / 1e9;
-    double c = std::min(sc.demand[i], mach_.mem_bw.aggregate(shares[i].procs));
-    if (shares[i].bw_cap_gbps > 0.0) c = std::min(c, shares[i].bw_cap_gbps);
-    sc.capped[i] = c;
-  }
-  // In-order serial reduction — the one place vectorization could
-  // reassociate and change the sum, so it stays scalar.
+  // The per-node combine. The capped sum is an in-order serial reduction,
+  // so share order fixes its rounding exactly as in solve().
   double total_capped = 0.0;
-  for (std::size_t i = 0; i < n; ++i) total_capped += sc.capped[i];
+  for (std::size_t i = 0; i < n; ++i) total_capped += derivedAt(i).capped;
   const double capacity = mach_.mem_bw.aggregate(total_procs);
   const double scale = total_capped > capacity ? capacity / total_capped : 1.0;
 
-  out.assign(n, ShareOutcome{});
+  out.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const double bw = sc.capped[i] * scale;
-    const double f_bw = sc.demand[i] > 1e-12 ? std::min(1.0, bw / sc.demand[i]) : 1.0;
+    const ShareDerivation& d = sc.derived[i];
+    const double bw = d.capped * scale;
+    const double f_bw = d.demand > 1e-12 ? std::min(1.0, bw / d.demand) : 1.0;
     ShareOutcome& o = out[i];
-    o.raw_rate_per_proc = sc.raw_rate[i];
-    o.rate_per_proc = sc.raw_rate[i] * f_bw;
-    o.bw_gbps = sc.demand[i] > 1e-12 ? sc.demand[i] * f_bw : 0.0;
-    o.demand_gbps = sc.demand[i];
+    o.raw_rate_per_proc = d.raw_rate;
+    o.rate_per_proc = d.raw_rate * f_bw;
+    o.bw_gbps = d.demand > 1e-12 ? d.demand * f_bw : 0.0;
+    o.demand_gbps = d.demand;
     o.ipc = o.rate_per_proc / (mach_.frequency_ghz * 1e9);
-    o.miss_ratio = sc.miss[i];
+    o.miss_ratio = d.miss;
     o.eff_ways = sc.eff_ways[i];
   }
 }

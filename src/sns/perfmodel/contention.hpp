@@ -21,19 +21,41 @@ struct NodeShare {
   double bw_cap_gbps = 0.0;
 };
 
-/// Reusable flat working set for NodeContentionSolver::solveInto(): one
-/// array per model quantity (structure-of-arrays), grown once and reused
-/// across calls so the hot solve path stops allocating. Caller-owned
-/// because one solver instance is shared const across parallel simulators
-/// (bench_fig20's replay grid) — a member scratch would race.
+/// One share's contention-free quantities at one way count. A pure
+/// function of the share's bits and the ways it is derived at: with CAT
+/// honouring each partition exactly, co-runners touch a share only through
+/// the ways a free-sharing share is derived at and the node's bandwidth
+/// roofline, which the per-node combine applies.
+struct ShareDerivation {
+  double miss = 0.0;      ///< LLC miss ratio at the derived ways
+  double refs = 0.0;      ///< memory references per instruction
+  double raw_rate = 0.0;  ///< instructions/s per process, unconstrained
+  double demand = 0.0;    ///< unconstrained bandwidth demand, GB/s
+  /// Demand clamped by the saturation curve at the share's own core count
+  /// and by its MBA throttle: what it pulls from an uncongested node.
+  double capped = 0.0;
+};
+
+/// Where NodeContentionSolver::solveInto() takes each derivation from:
+/// derived fresh, or read from a memo (SolverCache).
+class DerivationSource {
+ public:
+  virtual ShareDerivation derive(const NodeShare& share, double ways) = 0;
+
+ protected:
+  ~DerivationSource() = default;
+};
+
+/// Reusable working set for NodeContentionSolver::solveInto(), grown once
+/// and reused across calls so the hot solve path stops allocating.
+/// Caller-owned because one solver instance is shared const across
+/// parallel simulators (bench_fig20's replay grid) — a member scratch
+/// would race.
 struct SolveScratch {
   std::vector<double> eff_ways;
   std::vector<double> pressure;
-  std::vector<double> miss;
-  std::vector<double> refs;
-  std::vector<double> raw_rate;
-  std::vector<double> demand;
-  std::vector<double> capped;
+  std::vector<ShareDerivation> derived;
+  std::vector<double> derived_at;  ///< ways each `derived` entry was derived at
 };
 
 /// Per-job outcome of the node-level co-run model.
@@ -68,17 +90,24 @@ class NodeContentionSolver {
   /// Solve one node. `shares` may mix CAT-partitioned and free entries.
   std::vector<ShareOutcome> solve(std::span<const NodeShare> shares) const;
 
-  /// Allocation-free, SIMD-friendly form of solve() — the path SolverCache
-  /// misses take; solve() is its test reference. Identical model
-  /// arithmetic — each per-share quantity is produced by the same
-  /// expressions in the same element order, and every cross-share
-  /// reduction stays a serial in-order sum — but staged through the
-  /// caller's flat scratch arrays, so results are bit-identical to solve()
-  /// while the element-wise demand/roofline/outcome loops compile to
-  /// vector code and the ~6 per-call heap allocations disappear. `out` is
-  /// resized to shares.size().
+  /// One share's derivation at `ways` (> 0). solve() and solveInto() run
+  /// exactly this arithmetic, so a stored derivation is bit-identical to a
+  /// fresh one.
+  ShareDerivation derive(const NodeShare& share, double ways) const;
+
+  /// Allocation-free form of solve(), in two steps: a derivation per share
+  /// (at its partition, or at each fixed-point iterate of its free-pool
+  /// split), then one combine per node — the capped demands summed serially
+  /// in share order, one saturation-curve read, the proportional scale.
+  /// A share is derived again only when its ways moved since its last
+  /// derivation. Each value comes from the same expressions in the same
+  /// order as in solve(), so results are bit-identical to it. The four-argument form
+  /// takes every derivation from `source`; the three-argument form derives
+  /// each one fresh. `out` is resized to shares.size().
   void solveInto(std::span<const NodeShare> shares, SolveScratch& scratch,
                  std::vector<ShareOutcome>& out) const;
+  void solveInto(std::span<const NodeShare> shares, SolveScratch& scratch,
+                 std::vector<ShareOutcome>& out, DerivationSource& source) const;
 
   /// LLC megabytes available per process when `procs` processes share
   /// `ways` ways on this node (two-socket layout: processes spread evenly

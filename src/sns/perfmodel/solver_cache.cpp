@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 
 #include "sns/util/hot_path.hpp"
 
@@ -23,48 +24,49 @@ inline std::uint32_t finalize(std::uint64_t x) {
   x ^= x >> 31;
   return static_cast<std::uint32_t>(x ^ (x >> 32));
 }
+
+bool sameBits(const ShareDerivation& a, const ShareDerivation& b) {
+  const auto eq = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  return eq(a.miss, b.miss) && eq(a.refs, b.refs) && eq(a.raw_rate, b.raw_rate) &&
+         eq(a.demand, b.demand) && eq(a.capped, b.capped);
+}
 }  // namespace
 
-template <typename T>
-T* SolverCache::BlockArena<T>::append(std::span<const T> src) {
-  // Entries never straddle blocks; a block too full (or, after a reset, too
-  // small) for this entry is skipped.
-  while (block_ < blocks_.size() && used_ + src.size() > blocks_[block_].size) {
-    ++block_;
-    used_ = 0;
-  }
-  if (block_ == blocks_.size()) {
-    const std::size_t n = std::max(kBlockSize, src.size());
-    blocks_.push_back({std::make_unique_for_overwrite<T[]>(n), n});
-  }
-  T* dst = blocks_[block_].data.get() + used_;
-  std::copy(src.begin(), src.end(), dst);
-  used_ += src.size();
-  return dst;
+SolverCache::Key SolverCache::keyOf(const NodeShare& share, double ways) {
+  return {share.prog,
+          share.procs,
+          std::bit_cast<std::uint64_t>(ways),
+          std::bit_cast<std::uint64_t>(share.remote_frac),
+          std::bit_cast<std::uint64_t>(share.mem_intensity),
+          std::bit_cast<std::uint64_t>(share.bw_cap_gbps)};
 }
 
-std::uint32_t SolverCache::hashOf(std::span<const Key> sig) {
-  std::uint64_t h = sig.size();
-  for (const Key& k : sig) {
-    h = mix(h, reinterpret_cast<std::uintptr_t>(k.prog));
-    h = mix(h, static_cast<std::uint64_t>(k.procs));
-    h = mix(h, k.ways_bits);
-    h = mix(h, k.remote_bits);
-    h = mix(h, k.intensity_bits);
-    h = mix(h, k.cap_bits);
-  }
+NodeShare SolverCache::shareOf(const Key& key) {
+  return {key.prog,
+          key.procs,
+          std::bit_cast<double>(key.ways_bits),
+          std::bit_cast<double>(key.remote_bits),
+          std::bit_cast<double>(key.intensity_bits),
+          std::bit_cast<double>(key.cap_bits)};
+}
+
+std::uint32_t SolverCache::hashOf(const Key& key) {
+  std::uint64_t h = reinterpret_cast<std::uintptr_t>(key.prog);
+  h = mix(h, static_cast<std::uint64_t>(key.procs));
+  h = mix(h, key.ways_bits);
+  h = mix(h, key.remote_bits);
+  h = mix(h, key.intensity_bits);
+  h = mix(h, key.cap_bits);
   return finalize(h);
 }
 
-std::size_t SolverCache::probe(std::uint32_t h, std::span<const Key> sig) const {
+std::size_t SolverCache::probe(std::uint32_t h, const Key& key) const {
   const std::size_t mask = table_.size() - 1;
   for (std::size_t i = h & mask;; i = (i + 1) & mask) {
     const Entry& e = table_[i];
-    if (e.key == nullptr) return i;
-    if (e.hash == h && e.len == sig.size() &&
-        std::equal(sig.begin(), sig.end(), e.key)) {
-      return i;
-    }
+    if (e.key.prog == nullptr || (e.hash == h && e.key == key)) return i;
   }
 }
 
@@ -73,9 +75,9 @@ void SolverCache::grow() {
   table_.assign(old.empty() ? 64 : 2 * old.size(), Entry{});
   const std::size_t mask = table_.size() - 1;
   for (const Entry& e : old) {
-    if (e.key == nullptr) continue;
+    if (e.key.prog == nullptr) continue;
     std::size_t i = e.hash & mask;
-    while (table_[i].key != nullptr) i = (i + 1) & mask;
+    while (table_[i].key.prog != nullptr) i = (i + 1) & mask;
     table_[i] = e;
   }
 }
@@ -83,50 +85,22 @@ void SolverCache::grow() {
 void SolverCache::wipe() {
   std::fill(table_.begin(), table_.end(), Entry{});
   size_ = 0;
-  keys_.reset();
-  outcomes_.reset();
-  last_ = Entry{};
 }
 
-std::span<const ShareOutcome> SolverCache::solve(
-    std::span<const NodeShare> shares) {
-  scratch_.clear();
-  for (const NodeShare& s : shares) {
-    scratch_.push_back({s.prog, s.procs, std::bit_cast<std::uint64_t>(s.ways),
-                        std::bit_cast<std::uint64_t>(s.remote_frac),
-                        std::bit_cast<std::uint64_t>(s.mem_intensity),
-                        std::bit_cast<std::uint64_t>(s.bw_cap_gbps)});
-  }
-  const std::span<const Key> sig(scratch_);
-  // Same-signature fast path: every node of a K-node exclusive placement
-  // issues the same single-share lookup back to back, so one key compare
-  // replaces K-1 hash probes.
-  if (last_.key != nullptr && last_.len == sig.size() &&
-      std::equal(sig.begin(), sig.end(), last_.key)) {
-    ++hits_;
-    if (m_hits_) m_hits_->inc();
-    return {last_.out, last_.len};
-  }
-  const std::uint32_t h = hashOf(sig);
+ShareDerivation SolverCache::derive(const NodeShare& share, double ways) {
+  const Key key = keyOf(share, ways);
+  const std::uint32_t h = hashOf(key);
   std::size_t slot = 0;
   if (!table_.empty()) {
-    slot = probe(h, sig);
-    const Entry& e = table_[slot];
-    if (e.key != nullptr) {
-      ++hits_;
-      if (m_hits_) m_hits_->inc();
-      last_ = e;
-      return {e.out, e.len};
-    }
+    slot = probe(h, key);
+    if (table_[slot].key.prog != nullptr) return table_[slot].d;
   }
-  ++misses_;
-  if (m_misses_) m_misses_->inc();
-  // Memo warm-up: a never-seen co-run signature enters the cache, which
-  // may allocate (an arena block, a table rehash). Declare the enclosing
-  // hot-path activation a boundary — replays of known signatures, the
-  // steady state the allocation contract gates, take the hit-paths above
-  // and stay heap-silent.
+  // Memo warm-up: a never-seen share may grow the table. Declare the
+  // enclosing hot-path activation a boundary — solves of known shares, the
+  // steady state the allocation contract gates, stay heap-silent.
   util::hotpath::markInnermostBoundary();
+  derived_fresh_ = true;
+  const ShareDerivation d = solver_->derive(share, ways);
   bool reprobe = false;
   if (size_ >= capacity_) {
     evictions_ += size_;
@@ -140,16 +114,26 @@ std::span<const ShareOutcome> SolverCache::solve(
   }
   // The lookup's probe ended at the slot the entry goes in, unless the
   // table was wiped or rehashed since.
-  if (reprobe) slot = probe(h, sig);
-  solver_->solveInto(shares, solve_scratch_, fresh_);
-  Entry& e = table_[slot];
-  e.key = keys_.append(sig);
-  e.out = outcomes_.append(std::span<const ShareOutcome>(fresh_));
-  e.hash = h;
-  e.len = static_cast<std::uint32_t>(sig.size());
+  if (reprobe) slot = probe(h, key);
+  table_[slot] = {key, d, h};
   ++size_;
-  last_ = e;
-  return {e.out, e.len};
+  return d;
+}
+
+std::span<const ShareOutcome> SolverCache::solve(
+    std::span<const NodeShare> shares) {
+  // A set wider than any before grows the reused buffers: warm-up too.
+  if (shares.size() > out_.capacity()) util::hotpath::markInnermostBoundary();
+  derived_fresh_ = false;
+  solver_->solveInto(shares, scratch_, out_, *this);
+  if (derived_fresh_) {
+    ++misses_;
+    if (m_misses_) m_misses_->inc();
+  } else {
+    ++hits_;
+    if (m_hits_) m_hits_->inc();
+  }
+  return out_;
 }
 
 void SolverCache::clear() {
@@ -163,53 +147,40 @@ std::vector<std::string> SolverCache::auditInvariants() const {
   std::vector<std::string> out;
   const std::size_t mask = table_.size() - 1;
   std::size_t live = 0;
-  bool last_found = last_.key == nullptr;
   for (std::size_t i = 0; i < table_.size(); ++i) {
     const Entry& e = table_[i];
-    if (e.key == nullptr) continue;
+    if (e.key.prog == nullptr) continue;
     ++live;
-    if (e.len == 0 || e.out == nullptr) {
-      out.push_back("cached entry with an empty co-run signature");
-      continue;
-    }
-    const std::span<const Key> sig(e.key, e.len);
-    if (e.hash != hashOf(sig)) {
-      out.push_back("slot " + std::to_string(i) +
-                    ": stored hash does not match its signature");
+    char name[160];
+    std::snprintf(name, sizeof name, "derivation of %s (%d procs) at %.17g ways",
+                  e.key.prog->name.c_str(), e.key.procs,
+                  std::bit_cast<double>(e.key.ways_bits));
+    if (e.hash != hashOf(e.key)) {
+      out.push_back(std::string(name) + ": stored hash does not match its key");
     }
     for (std::size_t j = e.hash & mask; j != i; j = (j + 1) & mask) {
-      if (table_[j].key == nullptr) {
-        out.push_back("slot " + std::to_string(i) +
-                      ": unreachable from its home slot");
+      if (table_[j].key.prog == nullptr) {
+        out.push_back(std::string(name) + ": unreachable from its home slot");
         break;
       }
     }
-    if (e.key == last_.key) {
-      last_found = e.out == last_.out && e.len == last_.len;
+    const NodeShare share = shareOf(e.key);
+    if (!sameBits(e.d, solver_->derive(share, share.ways))) {
+      out.push_back(std::string(name) + ": stored values differ from a fresh derivation");
     }
   }
   if (live != size_) {
-    out.push_back("table holds " + std::to_string(live) +
-                  " entries but size() is " + std::to_string(size_));
+    out.push_back("memo holds " + std::to_string(live) +
+                  " derivations but size() is " + std::to_string(size_));
   }
-  if (!last_found) {
-    out.push_back("last-signature fast path points at no live entry");
-  }
-  // Every stored entry was produced by a miss; evictions only ever discard
-  // entries, so the live count can never exceed the misses that created
-  // entries minus those wiped.
-  if (size_ > misses_) {
-    out.push_back("cache holds " + std::to_string(size_) +
-                  " entries but only " + std::to_string(misses_) +
-                  " misses were counted");
-  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
 void SolverCache::debugCorruptEntry() {
   for (Entry& e : table_) {
-    if (e.key != nullptr) {
-      e.hash ^= 1;
+    if (e.key.prog != nullptr) {
+      e.d.miss = std::bit_cast<double>(std::bit_cast<std::uint64_t>(e.d.miss) ^ 1);
       return;
     }
   }

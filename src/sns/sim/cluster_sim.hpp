@@ -96,7 +96,7 @@ struct SimConfig {
   /// compiled the hooks in (SNS_AUDIT, on by default outside Release) —
   /// every scheduling point cross-validates the ledger's cached occupancy
   /// totals and idle-core buckets, the queue's tombstone accounting and
-  /// the solver cache's signature consistency against full recomputation.
+  /// the solver cache's memoized derivations against full recomputation.
   /// Null (the default) costs nothing; caller-owned, must outlive run().
   /// A fail-fast auditor makes run() throw audit::AuditError on the first
   /// violated invariant (`uberun audit` maps that to a nonzero exit).

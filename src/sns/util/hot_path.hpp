@@ -107,7 +107,7 @@ void noteAllocation(std::size_t bytes);
 /// Scope::markBoundary for call sites that sit inside a marked scope but
 /// outside its lexical block — a callee declaring "this activation is a
 /// state-changing event". Used by memo warm-ups that live in other
-/// modules (a solver-cache miss caching a never-seen co-run signature)
+/// modules (a solver-cache miss deriving a never-seen share)
 /// and by append-only history writes (an event-log append): both allocate
 /// by design, at event rate, and neither is per-decision scratch. No-op
 /// when no scope is active.

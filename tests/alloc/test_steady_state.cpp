@@ -166,10 +166,10 @@ TEST(AllocContract, FlightSettleReopenHeapSilentAtSteadyState) {
 
 TEST(AllocContract, RateRefreshHeapSilentAtSteadyState) {
   (void)steadyStateRun();
-  // Refreshes that miss the solver cache (a never-seen co-run signature
+  // Refreshes that miss the solver cache (a never-seen share's derivation
   // entering the memo) declare themselves boundary activations — memo
   // warm-up happens at event rate for the whole run, it is not a leak.
-  // Every replayed-signature refresh must be heap-silent.
+  // Every refresh of known shares must be heap-silent.
   expectSteadyStateSilent("engine.refresh");
 }
 

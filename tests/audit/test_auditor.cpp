@@ -152,6 +152,8 @@ TEST_F(AuditorTest, CorruptedQueueAccountingIsCaught) {
 }
 
 TEST_F(AuditorTest, CorruptedSolverCacheEntryIsCaught) {
+  // One partitioned share, as on an SNS node: the memo holds its
+  // derivation and nothing else, and a flipped bit in it is caught.
   perfmodel::SolverCache cache(solver_);
   perfmodel::NodeShare share{&lib_.front(), 16, 20.0, 0.0, 1.0};
   cache.solve(std::span<const perfmodel::NodeShare>(&share, 1));
@@ -160,6 +162,8 @@ TEST_F(AuditorTest, CorruptedSolverCacheEntryIsCaught) {
   Auditor auditor;
   EXPECT_GT(auditor.auditSolverCache(cache), 0u);
   EXPECT_FALSE(auditor.ok());
+  EXPECT_NE(auditor.report().find("differ from a fresh derivation"), std::string::npos)
+      << auditor.report();
 }
 
 TEST_F(AuditorTest, FailFastThrowsOnFirstViolation) {

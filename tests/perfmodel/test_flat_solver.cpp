@@ -1,7 +1,7 @@
-// The flat-array solver path (NodeContentionSolver::solveInto, which fills
-// every SolverCache miss) must reproduce solve() bit-for-bit: identical
-// expression shapes, identical iteration order, only the storage layout
-// differs. Exact double comparisons throughout.
+// The allocation-free solver path (NodeContentionSolver::solveInto, which
+// SolverCache recombines its memoized derivations through) must reproduce
+// solve() bit-for-bit: identical expression shapes, identical iteration
+// order, only the storage differs. Exact double comparisons throughout.
 #include <gtest/gtest.h>
 
 #include <vector>

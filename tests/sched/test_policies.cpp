@@ -203,12 +203,13 @@ TEST_F(PolicyTest, SnsCoLocatesComplementaryJobs) {
 }
 
 TEST_F(PolicyTest, SnsDemandMemoFollowsTheDatabaseNotItsAddress) {
-  // The demand memo keys profiles by address. Two databases built one
-  // after the other at the same address, with the same number of puts,
-  // recycle the freed profile storage too; only the process-unique
-  // generation tells them apart. The second holds MG's profile with its
-  // bandwidth curves halved (same scale order, so the same profile slot),
-  // and a stale memo hit would place it with the first one's demand.
+  // Guards the placement-plan memo, which is dropped when the database
+  // generation moves. Two databases built one after the other at the same
+  // address, with the same number of puts, recycle the freed profile
+  // storage too; only the process-unique generation tells them apart. The
+  // second holds MG's profile with its bandwidth curves halved (same scale
+  // order, so the same plan steps), and a stale plan would place it with
+  // the first one's estimated demand.
   SnsPolicy sns(est_);
   const Job job = makeJob("MG", 16);
   std::vector<Placement> placed;
