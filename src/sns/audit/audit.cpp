@@ -183,13 +183,6 @@ std::size_t Auditor::auditLedger(const actuator::ResourceLedger& ledger) {
           "class " + std::to_string(k) + ": names a pooled or unknown group");
   }
 
-  // Selection cache (incremental candidate pruning): every entry the
-  // validity rules would serve must reproduce the node list a fresh scan
-  // returns right now.
-  for (const std::string& why : ledger.auditSelectionCache()) {
-    check(false, "ledger.selection_cache", 0.0, 0.0, why);
-  }
-
   return static_cast<std::size_t>(total_violations_ - before);
 }
 

@@ -61,7 +61,11 @@ struct AuditorConfig {
 ///   - ResourceLedger: cached occupancy totals and per-node occupancy
 ///     fractions vs re-summed per-node allocations; every node present in
 ///     exactly the idle-core bucket matching its recomputed idle count,
-///     with bucket population counts matching enumeration.
+///     with bucket population counts matching enumeration; every node
+///     naming a live exact node-state class whose member count, group and
+///     bucket agree with a recount. The ledger memoizes no selection, so
+///     there is no selection memo to re-execute: a selection is checked
+///     against the reference ledger in tests, not here.
 ///   - JobQueue: tombstone / live-count / position-index accounting vs a
 ///     recount of the slot store, plus priority ordering.
 ///   - SolverCache: every memoized derivation re-derives bit-identically,

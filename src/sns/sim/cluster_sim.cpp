@@ -4,9 +4,9 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <iterator>
 #include <limits>
 #include <optional>
+#include <unordered_map>
 
 #include "sns/app/comm.hpp"
 #include "sns/audit/audit.hpp"
@@ -66,8 +66,6 @@ ClusterSimulator::ClusterSimulator(const perfmodel::Estimator& est,
     m_sched_passes_ = &m.counter("sim.schedule_passes");
     m_ways_donated_ = &m.counter("sim.ways_donated");
     m_spec_skips_ = &m.counter("sim.spec_skips");
-    m_select_hits_ = &m.counter("sim.select_cache_hits");
-    m_select_misses_ = &m.counter("sim.select_cache_misses");
     m_futile_skips_ = &m.counter("sim.futile_pass_skips");
     m_active_hwm_ = &m.gauge("sim.active_jobs_hwm");
     m_queue_depth_ = &m.gauge("sim.queue_depth");
@@ -148,20 +146,6 @@ const perfmodel::SoloRun& ClusterSimulator::soloMemo(
   auto [it, fresh] = solo_memo_.try_emplace(key);
   if (fresh) it->second = est_->solo(prog, procs, nodes, ways);
   return it->second;
-}
-
-void ClusterSimulator::publishSelectMetrics() {
-  if (m_select_hits_ == nullptr) return;
-  const std::uint64_t hits = ledger_.selectionCacheHits();
-  const std::uint64_t misses = ledger_.selectionCacheMisses();
-  if (hits > select_hits_seen_) {
-    m_select_hits_->inc(static_cast<double>(hits - select_hits_seen_));
-  }
-  if (misses > select_misses_seen_) {
-    m_select_misses_->inc(static_cast<double>(misses - select_misses_seen_));
-  }
-  select_hits_seen_ = hits;
-  select_misses_seen_ = misses;
 }
 
 void ClusterSimulator::activate(sched::JobId id) {
@@ -769,12 +753,13 @@ bool ClusterSimulator::tryDispatch(const sched::Job& job, double now) {
   // a non-tracing tryPlace() is such a query — so a release whose freed
   // node still has fewer idle cores than that floor cannot have changed
   // anything the attempt read, and the failure stands.
-  SpecKey spec_key;
   const bool spec_memo = specMemoOn();
+  const std::uint32_t spec = job_spec_[static_cast<std::size_t>(job.id)];
   if (spec_memo) {
     if (!failed_specs_valid_ ||
         failed_specs_generation_ != local_db_.generation()) {
-      failed_specs_.clear();
+      for (const std::uint32_t id : failed_live_) failed_specs_[id].job = -1;
+      failed_live_.clear();
       failed_specs_min_floor_ = std::numeric_limits<int>::max();
       (void)ledger_.takeReleaseIdleWatermark();
       failed_specs_release_epoch_ = ledger_.releaseEpoch();
@@ -782,23 +767,28 @@ bool ClusterSimulator::tryDispatch(const sched::Job& job, double now) {
       failed_specs_valid_ = true;
     } else if (failed_specs_release_epoch_ != ledger_.releaseEpoch()) {
       const int watermark = ledger_.takeReleaseIdleWatermark();
-      // Erasure is order-independent: the surviving set is determined by
-      // the watermark alone, not by visit order.
-      for (auto it = failed_specs_.begin(); it != failed_specs_.end();) {  // snslint: allow(unordered-iteration)
-        it = it->second.floor <= watermark ? failed_specs_.erase(it) : std::next(it);
+      // The surviving set is determined by the watermark alone, not by
+      // the live list's order.
+      std::size_t kept = 0;
+      for (const std::uint32_t id : failed_live_) {
+        FailedSpec& e = failed_specs_[id];
+        if (e.floor <= watermark) {
+          e.job = -1;
+        } else {
+          failed_live_[kept++] = id;
+        }
       }
+      failed_live_.resize(kept);
       failed_specs_release_epoch_ = ledger_.releaseEpoch();
     }
-    spec_key = SpecKey{job.program, job.spec.procs,
-                       std::bit_cast<std::uint64_t>(job.spec.alpha)};
-    if (const auto it = failed_specs_.find(spec_key); it != failed_specs_.end()) {
+    if (const FailedSpec& e = failed_specs_[spec]; e.job >= 0) {
       if (m_spec_skips_) m_spec_skips_->inc();
       // The policy would walk the same scales to the same rejections as
       // the attempt that recorded the entry (its walk reads the same
       // profile and fails every ledger query it made), so provenance
       // records that walk as this job's latest attempt.
       if (prov != nullptr) {
-        prov->replayAttempt(job.id, it->second.job, job.spec.program,
+        prov->replayAttempt(job.id, e.job, job.spec.program,
                             job.spec.procs, cfg_.xray->passSimTime());
       }
       return false;
@@ -811,13 +801,15 @@ bool ClusterSimulator::tryDispatch(const sched::Job& job, double now) {
       policy_->tryPlace(job, ledger_, local_db_);
   if (!p.has_value()) {
     if (spec_memo) {
-      // First failure of this spec: recording it grows the memo (a node
-      // allocation) — memo warm-up, a state-changing event like a commit,
-      // hence boundary-exempt. Replayed failures hit the memo above and
-      // must stay heap-silent; that is what the alloc contract test gates.
+      // First failure of this spec: recording it writes a reserved slot,
+      // but the attempt that reached here may have warmed the policy's
+      // own memos — warm-up, a state-changing event like a commit, hence
+      // boundary-exempt. Replayed failures hit the memo above and must
+      // stay heap-silent; that is what the alloc contract test gates.
       SNS_HOT_PATH_BOUNDARY();
       const int floor = ledger_.queryCoreFloor();
-      failed_specs_.emplace(spec_key, FailedSpec{floor, job.id});
+      failed_specs_[spec] = FailedSpec{floor, job.id};
+      failed_live_.push_back(spec);
       // Running minimum over live entries, for the futile-pass gate. Only
       // lowered — purges never raise it back, which is conservative: a
       // stale-low floor makes the gate run a pass it could have skipped,
@@ -945,7 +937,6 @@ void ClusterSimulator::schedule(double now) {
       deferred_dirty_.clear();
     }
   }
-  publishSelectMetrics();
 
   if (m_queue_depth_) m_queue_depth_->set(static_cast<double>(queue_.size()));
   if (m_busy_nodes_) {
@@ -1117,9 +1108,9 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
   queue_ = sched::JobQueue{};
   solve_cache_.clear();
   // The spec memo is epoch-guarded but the ledger (and its epochs) was
-  // just rebuilt; drop it. The policy's placement plans need nothing:
-  // the copy above took a fresh database generation.
-  failed_specs_.clear();
+  // just rebuilt; drop it (the per-job loop below re-interns the spec ids
+  // and sizes it afresh). The policy's placement plans need nothing: the
+  // copy above took a fresh database generation.
   failed_specs_valid_ = false;
   failed_specs_min_floor_ = std::numeric_limits<int>::max();
   futile_ready_ = false;
@@ -1129,8 +1120,6 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
   std::fill(node_stamp_.begin(), node_stamp_.end(), 0u);
   node_stamp_epoch_ = 0;
   defer_refresh_ = false;
-  select_hits_seen_ = 0;
-  select_misses_seen_ = 0;
   running_.assign(n, Running{});
   records_.assign(n, JobRecord{});
   active_.clear();
@@ -1162,9 +1151,11 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
   busy_integral_ = 0.0;
   std::fill(node_donated_.begin(), node_donated_.end(), 0.0);
 
-  // Build submit-ordered job list.
+  // Build submit-ordered job list, interning each job's spec key.
   std::vector<sched::Job> submits;
   submits.reserve(n);
+  std::unordered_map<SpecKey, std::uint32_t, SpecKeyHash> spec_ids;
+  job_spec_.assign(n, 0u);
   for (std::size_t i = 0; i < n; ++i) {
     sched::Job j;
     j.id = static_cast<sched::JobId>(i);
@@ -1172,12 +1163,19 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
     j.program = &app::findProgram(*library_, jobs[i].program);
     SNS_REQUIRE(j.program->calibrated(), "program must be calibrated");
     j.submit_time = jobs[i].submit_time;
+    const SpecKey key{j.program, jobs[i].procs,
+                      std::bit_cast<std::uint64_t>(jobs[i].alpha)};
+    job_spec_[i] = spec_ids.try_emplace(key, static_cast<std::uint32_t>(spec_ids.size()))
+                       .first->second;
     JobRecord& rec = records_[i];
     rec.id = j.id;
     rec.spec = jobs[i];
     rec.submit = jobs[i].submit_time;
     submits.push_back(std::move(j));
   }
+  failed_specs_.assign(spec_ids.size(), FailedSpec{});
+  failed_live_.clear();
+  failed_live_.reserve(spec_ids.size());
   std::stable_sort(submits.begin(), submits.end(),
                    [](const sched::Job& a, const sched::Job& b) {
                      return a.submit_time < b.submit_time;
@@ -1261,7 +1259,9 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
   for (const JobRecord& rec : records_) {
     SNS_REQUIRE(rec.completed(), "job never completed");
   }
-  res.jobs = records_;  // already in ascending id order
+  // Already in ascending id order. Moved, not copied: the next run()
+  // reassigns records_ before reading it.
+  res.jobs = std::move(records_);
   return res;
 }
 

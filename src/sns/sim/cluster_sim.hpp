@@ -231,9 +231,6 @@ class ClusterSimulator {
   /// Memoized solo-baseline lookup (pure function of the arguments).
   const perfmodel::SoloRun& soloMemo(const app::ProgramModel& prog, int procs,
                                      int nodes, double ways);
-  /// Fold the ledger's selection-cache hit/miss counters into the metrics
-  /// registry (delta since the last call).
-  void publishSelectMetrics();
   void startJob(const sched::Job& job, const sched::Placement& p, double now);
   void finishJob(sched::JobId id, double now);
   /// Solve co-run group `g` on its member node `nd` (any member: the
@@ -431,15 +428,18 @@ class ClusterSimulator {
   std::size_t active_hwm_ = 0;
 
   // ---- batched queue-head scoring state -------------------------------------
-  /// "This spec cannot currently be placed" memo, keyed on the exact
-  /// inputs tryPlace() reads off a job: program identity, process count,
-  /// alpha bits. Each entry carries the minimum idle-core count any of the
-  /// failed attempt's ledger queries asked for (the query-core floor): a
-  /// release invalidates only entries whose floor the freed node's new
-  /// idle count reaches — no other entry's queries could see the freed
-  /// node. A profile-database change clears everything. Cleared per run.
-  /// The entry also names the job whose attempt recorded it: its
-  /// provenance walk is the one a memo hit replays.
+  /// "This spec cannot currently be placed" memo over the exact inputs
+  /// tryPlace() reads off a job: program identity, process count, alpha
+  /// bits. run() interns each job's triple once into a dense per-run spec
+  /// id (job_spec_), so the memo is an array indexed by spec id and a
+  /// queue visit costs no hash. Each entry carries the minimum idle-core
+  /// count any of the failed attempt's ledger queries asked for (the
+  /// query-core floor): a release invalidates only entries whose floor the
+  /// freed node's new idle count reaches — no other entry's queries could
+  /// see the freed node. A profile-database change clears everything.
+  /// Re-interned and cleared per run. The entry also names the job whose
+  /// attempt recorded it: its provenance walk is the one a memo hit
+  /// replays.
   struct SpecKey {
     const app::ProgramModel* prog = nullptr;
     int procs = 0;
@@ -451,9 +451,14 @@ class ClusterSimulator {
   };
   struct FailedSpec {
     int floor = 0;        ///< query-core floor of the failed attempt
-    sched::JobId job = -1;  ///< the job whose attempt failed
+    sched::JobId job = -1;  ///< the job whose attempt failed; -1 = no entry
   };
-  std::unordered_map<SpecKey, FailedSpec, SpecKeyHash> failed_specs_;
+  std::vector<std::uint32_t> job_spec_;      ///< job id -> spec id
+  std::vector<FailedSpec> failed_specs_;     ///< spec id -> memo entry
+  /// Spec ids holding an entry, in no meaningful order (the surviving set
+  /// of a purge depends on the watermark alone). Reserved to the spec
+  /// count at run start, so recording a failure never allocates.
+  std::vector<std::uint32_t> failed_live_;
   std::uint64_t failed_specs_release_epoch_ = 0;
   std::uint64_t failed_specs_generation_ = 0;
   bool failed_specs_valid_ = false;
@@ -477,9 +482,6 @@ class ClusterSimulator {
   std::vector<std::uint32_t> node_stamp_;
   std::uint32_t node_stamp_epoch_ = 0;
   bool defer_refresh_ = false;
-  /// Ledger selection-cache counter values already published to metrics.
-  std::uint64_t select_hits_seen_ = 0;
-  std::uint64_t select_misses_seen_ = 0;
 
   /// Decision tracing + metrics (sns::obs). The recorder's sink is wired
   /// per run() to the configured sink.
@@ -495,8 +497,6 @@ class ClusterSimulator {
   obs::Counter* m_sched_passes_ = nullptr;
   obs::Counter* m_ways_donated_ = nullptr;
   obs::Counter* m_spec_skips_ = nullptr;       ///< sim.spec_skips
-  obs::Counter* m_select_hits_ = nullptr;      ///< sim.select_cache_hits
-  obs::Counter* m_select_misses_ = nullptr;    ///< sim.select_cache_misses
   obs::Counter* m_futile_skips_ = nullptr;     ///< sim.futile_pass_skips
   obs::Gauge* m_active_hwm_ = nullptr;         ///< sim.active_jobs_hwm
   obs::Gauge* m_queue_depth_ = nullptr;

@@ -1,6 +1,9 @@
-// Unit tests for the ledger's incremental candidate pruning (the selection
-// cache), a bit-identity optimization: every cached answer must equal the
-// one a fresh scan returns.
+// Unit tests for ledger selection on the queries a memo of earlier answers
+// would serve: a failing query re-asked across allocations and releases,
+// the release watermark and query-core floor the simulator's failed-spec
+// memo keys on, and exclusive requests. The ledger memoizes no selection
+// (its population bound is the failure check), so every answer here is
+// computed afresh and must equal the regroup-every-node reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,73 +22,28 @@ class SelectionCacheTest : public ::testing::Test {
   ResourceLedger ledger_{8, mach_};
 };
 
-TEST_F(SelectionCacheTest, RepeatedQueryHitsAndMatches) {
-  const NodeAllocation req{4, 2, 5.0, false, 0.0};
-  const auto first = ledger_.selectNodes(3, req, 1.0);
-  EXPECT_EQ(ledger_.selectionCacheMisses(), 1u);
-  const auto again = ledger_.selectNodes(3, req, 1.0);
-  EXPECT_EQ(ledger_.selectionCacheHits(), 1u);
-  EXPECT_EQ(first, again);
-}
-
-TEST_F(SelectionCacheTest, DistinctQueriesDoNotCollide) {
-  const NodeAllocation req{4, 2, 5.0, false, 0.0};
-  ledger_.selectNodes(3, req, 1.0);
-  ledger_.selectNodes(2, req, 1.0);       // different count
-  ledger_.selectNodes(3, req, 2.0);       // different beta
-  NodeAllocation wider = req;
-  wider.ways = 4;
-  ledger_.selectNodes(3, wider, 1.0);     // different request
-  EXPECT_EQ(ledger_.selectionCacheHits(), 0u);
-  EXPECT_EQ(ledger_.selectionCacheMisses(), 4u);
-}
-
-TEST_F(SelectionCacheTest, AllocationInRangeInvalidates) {
-  const NodeAllocation req{4, 2, 5.0, false, 0.0};
-  const auto first = ledger_.selectNodes(3, req, 1.0);
-  // Allocating on a previously-idle node changes the scored set: the next
-  // identical query must rescan, and its answer must reflect the change.
-  ledger_.allocate(first[0], 1, {27, 0, 0.0, false});
-  const auto after = ledger_.selectNodes(3, req, 1.0);
-  EXPECT_EQ(ledger_.selectionCacheHits(), 0u);
-  EXPECT_TRUE(std::find(after.begin(), after.end(), first[0]) == after.end());
-}
-
-TEST_F(SelectionCacheTest, IrrelevantAllocationKeepsEntryValid) {
-  // Fill node 7 down to 2 idle cores. A 10-core query never reads nodes
-  // with fewer than 10 idle cores, so later mutations entirely below that
-  // range must not invalidate its cached answer.
-  ledger_.allocate(7, 1, {26, 0, 0.0, false});
-  const NodeAllocation req{10, 2, 5.0, false, 0.0};
-  const auto first = ledger_.selectNodes(3, req, 1.0);
-  ledger_.allocate(7, 2, {1, 0, 0.0, false});  // 2 -> 1 idle, below range
-  const auto again = ledger_.selectNodes(3, req, 1.0);
-  EXPECT_EQ(ledger_.selectionCacheHits(), 1u);
-  EXPECT_EQ(first, again);
-}
-
 TEST_F(SelectionCacheTest, EmptyResultStaysEmptyUntilRelease) {
   for (int n = 0; n < 8; ++n) ledger_.allocate(n, n + 1, {26, 0, 0.0, false});
   const NodeAllocation req{8, 2, 5.0, false, 0.0};
   EXPECT_TRUE(ledger_.selectNodes(2, req, 1.0).empty());
-  // Failure is monotone under further allocations: the cached miss serves.
+  // Failure is monotone under further allocations, and the population
+  // bound alone proves it: no node has 8 idle cores.
   ledger_.allocate(0, 100, {1, 0, 0.0, false});
+  EXPECT_LT(ledger_.feasibleUpperBound(req.cores, req.ways, 2), 2);
   EXPECT_TRUE(ledger_.selectNodes(2, req, 1.0).empty());
-  EXPECT_EQ(ledger_.selectionCacheHits(), 1u);
-  // A release can unblock the spec, so the entry must drop.
+  // A release can unblock the request.
   ledger_.release(1, 2);
   ledger_.release(2, 3);
   const auto after = ledger_.selectNodes(2, req, 1.0);
-  EXPECT_EQ(ledger_.selectionCacheHits(), 1u);  // no new hit: rescan happened
   ASSERT_EQ(after.size(), 2u);
+  EXPECT_EQ(after, (std::vector<int>{1, 2}));
 }
 
 TEST_F(SelectionCacheTest, EmptyResultSurvivesIrrelevantRelease) {
   // Two residents per node: a 20-core job and a 6-core job (2 idle). A
   // 10-core query is empty. Releasing the small job raises idle to 8 —
-  // still below the query's range — so the failure certificate holds and
-  // the repeat is a cache hit. Releasing the big job (idle 22 >= 10)
-  // must drop it.
+  // still below the query's range — so the population bound still rejects
+  // the repeat. Releasing the big job (idle 22 >= 10) unblocks it.
   for (int n = 0; n < 8; ++n) {
     ledger_.allocate(n, 100 + n, {20, 0, 0.0, false});
     ledger_.allocate(n, 200 + n, {6, 0, 0.0, false});
@@ -93,12 +51,14 @@ TEST_F(SelectionCacheTest, EmptyResultSurvivesIrrelevantRelease) {
   const NodeAllocation req{10, 2, 5.0, false, 0.0};
   EXPECT_TRUE(ledger_.selectNodes(2, req, 1.0).empty());
   ledger_.release(3, 203);  // 2 -> 8 idle, below the scanned range
+  EXPECT_EQ(ledger_.takeReleaseIdleWatermark(), 8);
+  EXPECT_EQ(ledger_.feasibleUpperBound(req.cores, req.ways, 2), 0);
   EXPECT_TRUE(ledger_.selectNodes(2, req, 1.0).empty());
-  EXPECT_EQ(ledger_.selectionCacheHits(), 1u);
+  EXPECT_TRUE(ledger_.selectNodesByAlignment(2, req).empty());
   ledger_.release(3, 103);  // 8 -> 28 idle: can now satisfy the query
   ledger_.release(4, 104);
-  EXPECT_EQ(ledger_.selectNodes(2, req, 1.0).size(), 2u);
-  EXPECT_EQ(ledger_.selectionCacheHits(), 1u);  // rescan, not a stale hit
+  EXPECT_EQ(ledger_.selectNodes(2, req, 1.0), (std::vector<int>{3, 4}));
+  EXPECT_EQ(ledger_.selectNodesByAlignment(2, req), (std::vector<int>{3, 4}));
 }
 
 TEST_F(SelectionCacheTest, ReleaseIdleWatermarkTracksFreedNodes) {
@@ -125,32 +85,20 @@ TEST_F(SelectionCacheTest, QueryCoreFloorTracksSmallestRequest) {
   EXPECT_EQ(ledger_.queryCoreFloor(), std::numeric_limits<int>::max());
 }
 
-TEST_F(SelectionCacheTest, ExclusiveRequestsBypassCache) {
+TEST_F(SelectionCacheTest, ExclusiveRequestsTakeTheFirstIdleNodes) {
+  // Exclusive requests fit only fully idle nodes and all score alike, so
+  // the answer is the first `count` idle ids, however often it is asked.
+  ledger_.allocate(1, 1, {4, 0, 0.0, false});
+  ledger_.allocate(4, 2, {4, 0, 0.0, false});
   const NodeAllocation req{28, 0, 0.0, true, 0.0};
-  ledger_.selectNodes(8, req, 1.0);
-  ledger_.selectNodes(8, req, 1.0);
-  EXPECT_EQ(ledger_.selectionCacheHits(), 0u);
-  EXPECT_EQ(ledger_.selectionCacheMisses(), 0u);
-}
-
-TEST_F(SelectionCacheTest, AlignmentQueriesCachedSeparately) {
-  const NodeAllocation req{4, 2, 5.0, false, 0.0};
-  const auto ranked = ledger_.selectNodes(3, req, 1.0);
-  const auto aligned = ledger_.selectNodesByAlignment(3, req);
-  EXPECT_EQ(ledger_.selectionCacheMisses(), 2u);  // distinct kinds, no mix
-  EXPECT_EQ(ledger_.selectNodesByAlignment(3, req), aligned);
-  EXPECT_EQ(ledger_.selectNodes(3, req, 1.0), ranked);
-  EXPECT_EQ(ledger_.selectionCacheHits(), 2u);
-}
-
-TEST_F(SelectionCacheTest, AuditAcceptsFreshCacheRejectsNothing) {
-  const NodeAllocation req{4, 2, 5.0, false, 0.0};
-  ledger_.selectNodes(3, req, 1.0);
-  ledger_.selectNodesByAlignment(2, req);
-  EXPECT_TRUE(ledger_.auditSelectionCache().empty());
-  ledger_.allocate(0, 1, {8, 4, 10.0, false});
-  // Stale-but-invalid entries are skipped by the audit, not reported.
-  EXPECT_TRUE(ledger_.auditSelectionCache().empty());
+  const std::vector<int> want{0, 2, 3, 5};
+  EXPECT_EQ(ledger_.selectNodes(4, req, 1.0), want);
+  EXPECT_EQ(ledger_.selectNodes(4, req, 1.0), want);
+  EXPECT_EQ(ledger_.selectNodesByAlignment(4, req), want);
+  EXPECT_TRUE(ledger_.selectNodes(7, req, 1.0).empty());
+  EXPECT_TRUE(ledger_.selectNodesByAlignment(7, req).empty());
+  ledger_.release(4, 2);
+  EXPECT_EQ(ledger_.selectNodes(7, req, 1.0), (std::vector<int>{0, 2, 3, 4, 5, 6, 7}));
 }
 
 // Ranked (selectNodes) reference: testsupport::referenceRanked, which
@@ -170,56 +118,76 @@ std::vector<int> referenceAligned(const ResourceLedger& ledger, int count,
       req);
 }
 
-// Randomized cross-check: the ledger (bucket index + selection cache)
-// driven through a mutation/query stream must answer exactly like the
-// regroup-everything reference at every step, cached repeats included.
-TEST(SelectionCacheRandomized, MatchesUncachedLedgerExactly) {
+// Randomized cross-check: the ledger driven through a mutation/query
+// stream must answer exactly like the regroup-everything reference after
+// every step. Besides each query step's random query, three standing
+// probes are re-asked after every step: wide requests that fail on the
+// loaded ledger, so each is the same failing query asked again across
+// allocations and across releases that do and do not lift a node into
+// its idle-core range — the pattern a failure memo would answer.
+TEST(SelectionRandomized, MatchesReferenceLedgerAfterEveryStep) {
   const auto mach = hw::MachineConfig::xeonE5_2680v4();
-  ResourceLedger cached(16, mach);
+  ResourceLedger ledger(16, mach);
   util::Rng rng(42);
   int next_job = 1;
   std::vector<std::pair<int, int>> live;  // (node, job)
-  for (int step = 0; step < 400; ++step) {
+  struct Probe {
+    int count;
+    NodeAllocation req;
+    bool failed = false;  ///< its last answer was empty
+  };
+  Probe probes[] = {{6, {20, 0, 0.0, false, 0.0}},
+                    {4, {24, 2, 3.0, false, 0.0}},
+                    {10, {12, 4, 6.0, false, 0.0}}};
+  // Releases seen while a probe stood failed, split by whether the freed
+  // node came out inside the probe's idle-core range.
+  int relevant = 0;
+  int irrelevant = 0;
+  const auto check = [&](int count, const NodeAllocation& req, double beta, int step) {
+    const auto ranked = ledger.selectNodes(count, req, beta);
+    EXPECT_EQ(ranked, referenceRanked(ledger, count, req, beta)) << "step " << step;
+    EXPECT_EQ(ledger.selectNodesByAlignment(count, req),
+              referenceAligned(ledger, count, req))
+        << "step " << step;
+    return ranked.empty();
+  };
+  for (int step = 0; step < 600; ++step) {
     const int op = static_cast<int>(rng.uniformInt(0, 9));
     if (op < 3 && !live.empty()) {
       const auto [nd, job] = live[static_cast<std::size_t>(rng.uniformInt(
           0, static_cast<std::int64_t>(live.size()) - 1))];
-      cached.release(nd, job);
+      ledger.release(nd, job);
       live.erase(std::remove(live.begin(), live.end(), std::make_pair(nd, job)),
                  live.end());
+      const int idle = ledger.node(nd).idleCores();
+      for (const Probe& p : probes) {
+        if (p.failed) ++(idle >= p.req.cores ? relevant : irrelevant);
+      }
     } else if (op < 6) {
       // ways: 0 (unpartitioned) or >= min_ways_per_job.
       const NodeAllocation alloc{static_cast<int>(rng.uniformInt(1, 8)),
                                  2 * static_cast<int>(rng.uniformInt(0, 2)),
                                  2.0 * static_cast<double>(rng.uniformInt(0, 5)),
                                  false, 0.0};
-      const auto nodes = referenceRanked(cached, 1, alloc, 1.0);
+      const auto nodes = referenceRanked(ledger, 1, alloc, 1.0);
       if (nodes.empty()) continue;
-      cached.allocate(nodes[0], next_job, alloc);
+      ledger.allocate(nodes[0], next_job, alloc);
       live.emplace_back(nodes[0], next_job);
       ++next_job;
     } else {
       const NodeAllocation req{static_cast<int>(rng.uniformInt(1, 12)),
                                static_cast<int>(rng.uniformInt(0, 6)),
                                3.0 * static_cast<double>(rng.uniformInt(0, 4)),
-                               false, 0.0};
+                               op == 9 && rng.uniformInt(0, 1) == 0, 0.0};
       const int count = static_cast<int>(rng.uniformInt(1, 4));
       const double beta = 0.5 * static_cast<double>(rng.uniformInt(1, 4));
-      // Each query runs twice back-to-back: the repeat is served from the
-      // cache (same version, no mutation in between) and must still match
-      // the reference.
-      for (int rep = 0; rep < 2; ++rep) {
-        EXPECT_EQ(cached.selectNodes(count, req, beta),
-                  referenceRanked(cached, count, req, beta))
-            << "step " << step << " rep " << rep;
-        EXPECT_EQ(cached.selectNodesByAlignment(count, req),
-                  referenceAligned(cached, count, req))
-            << "step " << step << " rep " << rep;
-      }
-      EXPECT_TRUE(cached.auditSelectionCache().empty()) << "step " << step;
+      // Asked twice back to back: a repeat must answer the same.
+      for (int rep = 0; rep < 2; ++rep) check(count, req, beta, step);
     }
+    for (Probe& p : probes) p.failed = check(p.count, p.req, 2.0, step);
   }
-  EXPECT_GT(cached.selectionCacheHits(), 0u);
+  EXPECT_GT(relevant, 0);
+  EXPECT_GT(irrelevant, 0);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "sns/app/library.hpp"
 #include "sns/flight/flight.hpp"
+#include "sns/obs/metrics.hpp"
 #include "sns/obs/sink.hpp"
 #include "sns/profile/profiler.hpp"
 #include "sns/sim/cluster_sim.hpp"
@@ -223,6 +224,57 @@ TEST(SimEquivalence, SameSeedSameInstanceDeterminism) {
 
   ClusterSimulator fresh(f.est, f.lib, f.db, cfg);
   expectIdentical(first, fresh.run(seq));
+}
+
+// run() interns each job's (program, procs, alpha) into a per-run spec id
+// that indexes the failed-spec memo. Back-to-back runs of one instance over
+// job lists with different spec sets and sizes must each match a fresh
+// instance, results and spec-skip counts alike. The lists cycle through
+// three and five specs, so a spec table carried over from the previous run
+// would map this run's jobs onto the wrong memo entries: distinct specs
+// would share an entry (an attempt skipped that must run) and equal specs
+// would not (an attempt repeated that may be skipped).
+TEST(SimEquivalence, BackToBackRunsOfDifferentListsMatchFreshInstances) {
+  auto& f = fixture();
+  const auto waves = [](std::vector<const char*> progs, int jobs, double alpha) {
+    std::vector<app::JobSpec> seq;
+    for (int i = 0; i < jobs; ++i) {
+      app::JobSpec j;
+      j.program = progs[static_cast<std::size_t>(i) % progs.size()];
+      j.procs = 16;
+      j.alpha = alpha;
+      j.submit_time = 100.0 * (i / 12);  // bursts of twelve: a deep queue
+      seq.push_back(j);
+    }
+    return seq;
+  };
+  const auto longer = waves({"MG", "LU", "EP"}, 24, 0.9);
+  const auto shorter = waves({"CG", "TS", "WC", "BW", "NW"}, 20, 0.9);
+  SimConfig cfg = baseConfig(sched::PolicyKind::kSNS, /*monitored=*/false);
+  cfg.nodes = 4;  // contended: failed attempts recur, so the memo answers
+
+  const auto skips = [](const obs::Registry& m) {
+    const obs::Counter* c = m.findCounter("sim.spec_skips");
+    return c != nullptr ? c->value() : 0.0;
+  };
+  obs::Registry reused_m;
+  SimConfig reused_cfg = cfg;
+  reused_cfg.metrics = &reused_m;
+  ClusterSimulator reused(f.est, f.lib, f.db, reused_cfg);
+  for (const auto* seq : {&longer, &shorter, &longer}) {
+    SCOPED_TRACE(seq->size());
+    const double before = skips(reused_m);
+    const SimResult got = reused.run(*seq);
+    const double got_skips = skips(reused_m) - before;
+
+    obs::Registry fresh_m;
+    SimConfig fresh_cfg = cfg;
+    fresh_cfg.metrics = &fresh_m;
+    ClusterSimulator fresh(f.est, f.lib, f.db, fresh_cfg);
+    expectIdentical(got, fresh.run(*seq));
+    EXPECT_EQ(got_skips, skips(fresh_m));
+    EXPECT_GT(got_skips, 0.0);  // the memo answered in this run
+  }
 }
 
 }  // namespace
