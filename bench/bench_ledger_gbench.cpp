@@ -2,8 +2,11 @@
 // engine layer behind every placement: ranked selection that succeeds,
 // ranked selection that passes the bucket-population bound and is then
 // proven empty, ranked selection that the population bound rejects (the
-// shape of most re-asked queries in a congested replay), and a
-// whole-placement allocate/release pair. Each runs on a 4,096- and a
+// shape of most re-asked queries in a congested replay), and two
+// whole-placement allocate/release pairs: one over the first fitting ids
+// in order (runs of consecutive ids, the replay's shape, which the ledger
+// commits a segment at a time) and one over every third id (no runs, the
+// worst case). Each runs on a 4,096- and a
 // 32,768-node ledger loaded with a congested mix of spread jobs
 // (fractional bandwidths, CAT partitions, interleaved departures), so
 // co-run groups split into several exact node-state classes as they do in
@@ -128,12 +131,13 @@ void BM_SelectBoundRejected(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectBoundRejected)->Arg(4096)->Arg(32768)->Unit(benchmark::kNanosecond);
 
-void BM_SpanAllocateRelease(benchmark::State& state) {
+/// Allocate and release one placement of the replay's mean event
+/// footprint: the first 384 fitting nodes among every `stride`-th id.
+void spanAllocateRelease(benchmark::State& state, int stride) {
   ResourceLedger& ledger = *loaded(static_cast<int>(state.range(0))).ledger;
   const NodeAllocation a{1, 0, 0.1, false, 0.0};
-  // A placement the size of the replay's mean event footprint.
   std::vector<int> span;
-  for (int nd = 0; nd < ledger.nodeCount() && span.size() < 384; nd += 3) {
+  for (int nd = 0; nd < ledger.nodeCount() && span.size() < 384; nd += stride) {
     if (ledger.node(nd).fits(a)) span.push_back(nd);
   }
   const sns::actuator::JobId job = 1 << 30;
@@ -143,7 +147,12 @@ void BM_SpanAllocateRelease(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * static_cast<std::int64_t>(span.size()));
 }
+
+void BM_SpanAllocateRelease(benchmark::State& state) { spanAllocateRelease(state, 3); }
 BENCHMARK(BM_SpanAllocateRelease)->Arg(4096)->Arg(32768)->Unit(benchmark::kMicrosecond);
+
+void BM_SpanRunsAllocateRelease(benchmark::State& state) { spanAllocateRelease(state, 1); }
+BENCHMARK(BM_SpanRunsAllocateRelease)->Arg(4096)->Arg(32768)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

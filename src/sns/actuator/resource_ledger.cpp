@@ -77,11 +77,34 @@ void ResourceLedger::fail(const char* error) {
 std::span<const ResourceLedger::Transition> ResourceLedger::commit(
     std::span<const int> nodes, JobId job, const NodeAllocation* join) {
   openEvent(job, join);
-  for (const int nd : nodes) {
-    if (const char* error = step(nd)) {
+  // Segment by segment: a maximal run of consecutive ids in one class
+  // routes once and moves together; an error leaves its segment unchanged
+  // and every earlier one committed, as per-node calls would. Classes are
+  // read as the scan reaches them; a node the event already moved sits in
+  // a target class, whose routing always fails (on a join it holds the
+  // job, on a leave it lacks it), so no segment moves such a node. A
+  // single node takes step(), so inputs without runs cost what a per-node
+  // walk does.
+  const std::size_t n = nodes.size();
+  for (std::size_t i = 0; i < n;) {
+    const int first = nodes[i];
+    std::size_t len = 1;
+    if (i + 1 < n && first >= 0 && first < nodeCount() - 1 && nodes[i + 1] == first + 1) {
+      // The run stops at the input's end and at the cluster's last id.
+      const std::size_t room =
+          std::min(n - i, static_cast<std::size_t>(nodeCount() - first));
+      const ClassId cls = slots_[static_cast<std::size_t>(first)].cls;
+      while (len < room && nodes[i + len] == first + static_cast<int>(len) &&
+             slots_[static_cast<std::size_t>(first) + len].cls == cls) {
+        ++len;
+      }
+    }
+    if (const char* error =
+            len == 1 ? step(first) : stepRun(first, static_cast<int>(len))) {
       closeEvent();
       fail(error);
     }
+    i += len;
   }
   closeEvent();
   return transitions_;
@@ -126,6 +149,30 @@ const char* ResourceLedger::step(int nd) {
               "ledger group index corrupt");
   s.cls = src.ev_dst;
   ++src.moved;
+  return nullptr;
+}
+
+const char* ResourceLedger::stepRun(int first, int len) {
+  const ClassId from = slots_[static_cast<std::size_t>(first)].cls;
+  if (classes_[from].ev_epoch != epoch_) {
+    if (const char* error = routeClass(from)) return error;
+  }
+  ClassRecord& src = classes_[from];
+  SNS_REQUIRE(buckets_[static_cast<std::size_t>(src.ev_src_idle)].transferRange(
+                  buckets_[static_cast<std::size_t>(src.ev_dst_idle)], first, len),
+              "ledger group index corrupt");
+  // One add per node, as step() does, so the total's bits do not depend
+  // on how the event was segmented.
+  const double bw = src.ev_bw;
+  double total = total_bw_reserved_;
+  if (open_join_) {
+    for (int j = 0; j < len; ++j) total += bw;
+  } else {
+    for (int j = 0; j < len; ++j) total -= bw;
+  }
+  total_bw_reserved_ = total;
+  std::fill_n(slots_.begin() + first, len, NodeSlot{src.ev_dst});
+  src.moved += static_cast<std::uint32_t>(len);
   return nullptr;
 }
 

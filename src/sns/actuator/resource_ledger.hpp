@@ -59,6 +59,32 @@ class NodeBitset {
     dst |= m;
     return true;
   }
+  /// transfer() for the `len` consecutive ids from `first` on, a word
+  /// mask at a time. Checks every covered word before it changes any bit:
+  /// returns false (and changes nothing) unless every id was here and
+  /// none was in `to`.
+  bool transferRange(NodeBitset& to, int first, int len) {
+    const auto lo = static_cast<std::size_t>(first);
+    const std::size_t hi = lo + static_cast<std::size_t>(len) - 1;
+    const std::size_t w0 = lo >> 6;
+    const std::size_t w1 = hi >> 6;
+    const auto mask = [&](std::size_t w) {
+      std::uint64_t m = ~std::uint64_t{0};
+      if (w == w0) m &= m << (lo & 63);
+      if (w == w1) m &= ~std::uint64_t{0} >> (63 - (hi & 63));
+      return m;
+    };
+    for (std::size_t w = w0; w <= w1; ++w) {
+      const std::uint64_t m = mask(w);
+      if ((words_[w] & m) != m || (to.words_[w] & m) != 0) return false;
+    }
+    for (std::size_t w = w0; w <= w1; ++w) {
+      const std::uint64_t m = mask(w);
+      words_[w] &= ~m;
+      to.words_[w] |= m;
+    }
+    return true;
+  }
   void adjust(int delta) { count_ += delta; }
 
   bool contains(int id) const {
@@ -121,8 +147,10 @@ class NodeBitset {
 /// join, x - b on a leave, exact zeros on going idle), so the fit check
 /// and the routing run once per source class. Member counts, the
 /// bucket-population rows and the release epoch change once per
-/// transition; per node there is one id store, one bucket-bit move and
-/// one add to the cluster bandwidth total.
+/// transition. A span event commits segment by segment — a segment being
+/// a maximal run of the input with consecutive ids in one class — with
+/// one class-id fill and one masked bucket move per segment; per node
+/// there remains one add to the cluster bandwidth total.
 ///
 /// Selection is index-driven so it stays fast on 32K-node clusters (the
 /// paper's Fig 20 simulations): a dense bucket array keyed by idle-core
@@ -472,6 +500,10 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   /// Move node `nd` within the open event. Returns nullptr, or why the
   /// move is not allowed (the node is then unchanged).
   const char* step(int nd);
+  /// step() for the `len` >= 2 in-range nodes from `first` on, all of one
+  /// class. Returns nullptr, or why the move is not allowed (the nodes
+  /// are then unchanged).
+  const char* stepRun(int first, int len);
   /// Route class `from` under the open event (the first of its nodes the
   /// event moves): route its group if this is the group's first node, then
   /// check the reservation sums and intern the target class. Returns

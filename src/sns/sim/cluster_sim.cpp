@@ -603,7 +603,7 @@ void ClusterSimulator::flightLeaveOneOut(sched::CorunGroups::GroupId g) {
   std::copy(it->second.begin(), it->second.end(), memo.loo.begin());
 }
 
-void ClusterSimulator::startJob(const sched::Job& job, const sched::Placement& p,
+void ClusterSimulator::startJob(const sched::Job& job, sched::Placement&& p,
                                 double now) {
   Running& r = running(job.id);
   r = Running{};
@@ -655,7 +655,8 @@ void ClusterSimulator::startJob(const sched::Job& job, const sched::Placement& p
 
   JobRecord& rec = records_[static_cast<std::size_t>(job.id)];
   rec.start = now;
-  rec.placement = p;
+  rec.placement = std::move(p);
+  const sched::Placement& placed = rec.placement;
   // The flight recorder anchors the job's lifetime account on the solo
   // baseline frozen here; the placement's mandatory rate refresh (same
   // virtual time, possibly deferred to the end of the pass) opens the
@@ -666,11 +667,11 @@ void ClusterSimulator::startJob(const sched::Job& job, const sched::Placement& p
                          r.solo_rate, job.spec.alpha);
   }
   rec_.jobStarted(job.id, job.spec.program,
-                  p.nodes.empty() ? -1 : p.nodes.front(), p.nodeCount(),
-                  p.ways, p.scale_factor, p.exclusive);
+                  placed.nodes.empty() ? -1 : placed.nodes.front(), placed.nodeCount(),
+                  placed.ways, placed.scale_factor, placed.exclusive);
   if (m_started_) m_started_->inc();
   if (donationsObserved()) {
-    for (int nd : p.nodes) noteDonations(nd);
+    for (int nd : placed.nodes) noteDonations(nd);
   }
 }
 
@@ -797,8 +798,7 @@ bool ClusterSimulator::tryDispatch(const sched::Job& job, double now) {
   }
   const std::uint64_t hits0 = prov != nullptr ? solve_cache_.hits() : 0;
   const std::uint64_t miss0 = prov != nullptr ? solve_cache_.misses() : 0;
-  const std::optional<sched::Placement> p =
-      policy_->tryPlace(job, ledger_, local_db_);
+  std::optional<sched::Placement> p = policy_->tryPlace(job, ledger_, local_db_);
   if (!p.has_value()) {
     if (spec_memo) {
       // First failure of this spec: recording it writes a reserved slot,
@@ -823,16 +823,17 @@ bool ClusterSimulator::tryDispatch(const sched::Job& job, double now) {
   ++pass_placements_;
   {
     xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kCommit, job_copy.id);
-    startJob(job_copy, *p, now);
+    startJob(job_copy, std::move(*p), now);
   }
+  const std::vector<int>& placed = record(job_copy.id).placement.nodes;
   if (defer_refresh_) {
     // Batched scoring: fold this placement's nodes into the end-of-pass
     // refresh set. Nothing reads progress rates until the pass ends, so
     // one refresh over the union matches per-placement refreshes exactly.
-    markDeferredDirty(p->nodes);
+    markDeferredDirty(placed);
   } else {
     xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kRateRefresh, job_copy.id);
-    refreshRates(now, p->nodes);
+    refreshRates(now, placed);
   }
   if (prov != nullptr) {
     const std::uint64_t hits = solve_cache_.hits() - hits0;

@@ -231,7 +231,8 @@ class ClusterSimulator {
   /// Memoized solo-baseline lookup (pure function of the arguments).
   const perfmodel::SoloRun& soloMemo(const app::ProgramModel& prog, int procs,
                                      int nodes, double ways);
-  void startJob(const sched::Job& job, const sched::Placement& p, double now);
+  /// Start `job` on `p`, which moves into the job's record.
+  void startJob(const sched::Job& job, sched::Placement&& p, double now);
   void finishJob(sched::JobId id, double now);
   /// Solve co-run group `g` on its member node `nd` (any member: the
   /// group's residents hold the same allocations on all of them) and

@@ -60,7 +60,9 @@ void resetCounters() {
 }
 
 Scope::Scope(Marker* m) : marker_(m) {
-  marker_->entries.fetch_add(1, std::memory_order_relaxed);
+  // Not a locked fetch_add: see Marker on why an undercount is acceptable.
+  marker_->entries.store(marker_->entries.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
   ScopeStack& stack = tlsStack();
   if (stack.depth < kMaxDepth) {
     stack.frames[stack.depth] = this;

@@ -15,9 +15,11 @@ namespace sns::util::hotpath {
 /// allocations happened during warm-up.
 ///
 /// Counters are atomics only so concurrent harnesses (several simulators
-/// on pool workers, each passing through marked scopes) stay defined;
-/// the scheduler hot path itself is single-threaded and pays two relaxed
-/// TLS writes per scope — nanoseconds against a 105 us decision.
+/// on pool workers, each passing through marked scopes) stay defined.
+/// Entry bumps `entries` with a relaxed load and store rather than a
+/// locked read-modify-write, so two threads entering one site at once may
+/// undercount it; the scheduler hot path itself is single-threaded. A
+/// scope costs that bump plus a push and a pop of a thread-local stack.
 struct Marker {
   const char* name;  ///< dotted contract name, e.g. "sched.decision"
   const char* file;

@@ -9,6 +9,11 @@
 // placements whose nodes reach one resident list through different
 // join/leave histories, so one co-run group splits into several exact
 // node-state classes, and checks every selection query at every step.
+// A third stream at 256 nodes commits spans whose ids run in ascending
+// order (so the ledger moves them a segment at a time, across 64-bit
+// bitmap words) against a twin ledger fed the same nodes one call at a
+// time, and the error cases check that a span failing mid-run leaves the
+// failing node unchanged with every earlier segment committed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +22,8 @@
 #include <cstdint>
 #include <iterator>
 #include <map>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "sns/actuator/resource_ledger.hpp"
@@ -526,6 +533,333 @@ TEST(LedgerOracle, TiesAcrossBucketsBreakById) {
   EXPECT_EQ(tie.selectNodes(3, small, 0.0), (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(tie.selectNodes(3, small, 0.0),
             testsupport::referenceRanked(4, [&](int id) { return tie.node(id); }, 3, small, 0.0));
+}
+
+TEST(NodeBitset, TransferRangeChecksEveryWordBeforeMoving) {
+  NodeBitset from(200);
+  NodeBitset to(200);
+  for (int id = 0; id < 200; ++id) from.insert(id);
+  // Ids 60..140 span three words; 130 already sits in `to`.
+  to.insert(130);
+  EXPECT_FALSE(from.transferRange(to, 60, 81));
+  for (int id = 60; id <= 140; ++id) {
+    ASSERT_TRUE(from.contains(id)) << id;
+    ASSERT_EQ(to.contains(id), id == 130) << id;
+  }
+  // 150 missing from the source fails a range that ends on it.
+  from.erase(150);
+  EXPECT_FALSE(from.transferRange(to, 131, 20));
+  EXPECT_TRUE(from.contains(131));
+  EXPECT_TRUE(from.transferRange(to, 131, 19));  // 131..149
+  EXPECT_TRUE(from.transferRange(to, 0, 130));   // whole words and a partial one
+  for (int id = 0; id < 200; ++id) {
+    const bool moved = id <= 149 && id != 130;
+    ASSERT_EQ(from.contains(id), !moved && id != 150) << id;
+    ASSERT_EQ(to.contains(id), moved || id == 130) << id;
+  }
+  EXPECT_TRUE(from.transferRange(to, 199, 1));  // the last id of the universe
+  EXPECT_TRUE(to.contains(199));
+}
+
+/// The transitions a span event must return, read off a ledger fed the
+/// same nodes one call at a time: one per source group in order of first
+/// appearance, `before`/`after` being each input node's group around the
+/// event.
+std::vector<ResourceLedger::Transition> expectedTransitions(
+    const std::vector<ResourceLedger::GroupId>& before,
+    const std::vector<ResourceLedger::GroupId>& after) {
+  std::vector<ResourceLedger::Transition> out;
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    auto it = std::find_if(out.begin(), out.end(),
+                           [&](const auto& t) { return t.src == before[i]; });
+    if (it == out.end()) {
+      out.push_back({before[i], after[i], 0});
+      it = std::prev(out.end());
+    }
+    EXPECT_EQ(it->dst, after[i]);
+    ++it->count;
+  }
+  return out;
+}
+
+/// The span ledger and its per-node twin hold the same state: the same
+/// class and group per node (both intern in the same order), the same
+/// views, buckets and cached totals.
+void compareTwins(ResourceLedger& span, ResourceLedger& twin, const std::string& where) {
+  for (int nd = 0; nd < span.nodeCount(); ++nd) {
+    const std::string at = where + " node " + std::to_string(nd);
+    ASSERT_EQ(span.classOf(nd), twin.classOf(nd)) << at;
+    ASSERT_EQ(span.groupOf(nd), twin.groupOf(nd)) << at;
+    const NodeLedger a = span.node(nd);
+    const NodeLedger b = twin.node(nd);
+    ASSERT_EQ(a.idleCores(), b.idleCores()) << at;
+    ASSERT_EQ(a.freeWays(), b.freeWays()) << at;
+    ASSERT_EQ(bits(a.freeBandwidth()), bits(b.freeBandwidth())) << at;
+    ASSERT_EQ(bits(a.freeNetwork()), bits(b.freeNetwork())) << at;
+    ASSERT_EQ(a.allocations().size(), b.allocations().size()) << at;
+    for (std::size_t i = 0; i < a.allocations().size(); ++i) {
+      const auto& [job, x] = a.allocations()[i];
+      const auto& [twin_job, y] = b.allocations()[i];
+      ASSERT_EQ(job, twin_job) << at;
+      ASSERT_TRUE(x.cores == y.cores && x.ways == y.ways && x.exclusive == y.exclusive &&
+                  bits(x.bw_gbps) == bits(y.bw_gbps) && bits(x.net_gbps) == bits(y.net_gbps))
+          << at;
+    }
+  }
+  for (int c = 0; c < span.bucketCount(); ++c) {
+    ASSERT_EQ(span.bucket(c).size(), twin.bucket(c).size()) << where << " bucket " << c;
+    for (int nd = 0; nd < span.nodeCount(); ++nd) {
+      ASSERT_EQ(span.bucket(c).contains(nd), twin.bucket(c).contains(nd))
+          << where << " bucket " << c << " node " << nd;
+    }
+  }
+  ASSERT_EQ(bits(span.cachedTotalBwReserved()), bits(twin.cachedTotalBwReserved())) << where;
+  ASSERT_EQ(span.cachedTotalCoresUsed(), twin.cachedTotalCoresUsed()) << where;
+  ASSERT_EQ(span.cachedTotalWaysReserved(), twin.cachedTotalWaysReserved()) << where;
+  ASSERT_EQ(span.idleNodeCount(), twin.idleNodeCount()) << where;
+}
+
+// Spans over windows of a 256-node cluster, in ascending id order or
+// shuffled, allocated and released in one call on one ledger and one node
+// per call on a twin. Ascending spans commit as segments of consecutive
+// ids in one class, crossing bitmap words; both ledgers and the per-node
+// references must agree after every event, transitions included.
+TEST(LedgerOracle, SpanRunsMatchPerNodeCallsAndReferences) {
+  constexpr int kNodes = 256;
+  const auto mach = hw::MachineConfig::xeonE5_2680v4();
+  Cluster cl(kNodes, mach);
+  ResourceLedger twin(kNodes, mach);
+  util::Rng rng(20261019);
+  const double bws[] = {0.1, 0.2, 0.7, 0.3, 1.1, 0.0};
+  const double nets[] = {0.0, 0.1, 0.2};
+  std::map<JobId, std::pair<NodeAllocation, std::vector<int>>> jobs;
+  JobId next = 1;
+  int ascending = 0;
+  int shuffled = 0;
+  int word_crossings = 0;  // events with a run over a 64-id boundary
+  int class_breaks = 0;    // events with consecutive ids in different classes
+  for (int step = 0; step < 240; ++step) {
+    const std::string where = "step " + std::to_string(step);
+    const bool join = jobs.size() < 5 || rng.uniform() < 0.55;
+    JobId id;
+    NodeAllocation a;
+    std::vector<int> span;
+    if (join) {
+      a.cores = static_cast<int>(rng.uniformInt(1, 6));
+      a.ways = rng.uniform() < 0.5 ? 0 : static_cast<int>(rng.uniformInt(2, 3));
+      a.bw_gbps = bws[rng.uniformInt(0, 5)];
+      a.net_gbps = nets[rng.uniformInt(0, 2)];
+      const int lo = static_cast<int>(rng.uniformInt(0, kNodes - 1));
+      const int width = static_cast<int>(rng.uniformInt(8, 200));
+      for (int i = 0; i < width; ++i) {
+        const int nd = (lo + i) % kNodes;
+        if (cl.ref(nd).fits(a) && rng.uniform() < 0.9) span.push_back(nd);
+      }
+      if (span.empty()) continue;
+      id = next++;
+    } else {
+      auto it = jobs.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.uniformInt(
+                           0, static_cast<std::int64_t>(jobs.size()) - 1)));
+      id = it->first;
+      span = it->second.second;
+      std::sort(span.begin(), span.end());
+    }
+    if (rng.uniform() < 0.4) {
+      std::shuffle(span.begin(), span.end(), rng);
+      ++shuffled;
+    } else {
+      ++ascending;
+    }
+    bool crosses = false;
+    bool breaks = false;
+    std::vector<ResourceLedger::GroupId> before;
+    for (std::size_t i = 0; i < span.size(); ++i) {
+      before.push_back(twin.groupOf(span[i]));
+      if (i + 1 < span.size() && span[i + 1] == span[i] + 1) {
+        crosses = crosses || span[i] % 64 == 63;
+        breaks = breaks || twin.classOf(span[i]) != twin.classOf(span[i + 1]);
+      }
+    }
+    word_crossings += crosses ? 1 : 0;
+    class_breaks += breaks ? 1 : 0;
+
+    std::vector<ResourceLedger::Transition> got;
+    if (join) {
+      const auto moves = cl.ledger().allocate(span, id, a);
+      got.assign(moves.begin(), moves.end());
+      for (const int nd : span) twin.allocate(nd, id, a);
+      cl.refAllocate(span, id, a);
+      jobs.emplace(id, std::make_pair(a, span));
+    } else {
+      const auto moves = cl.ledger().release(span, id);
+      got.assign(moves.begin(), moves.end());
+      for (const int nd : span) twin.release(nd, id);
+      cl.refRelease(span, id);
+      jobs.erase(id);
+    }
+    std::vector<ResourceLedger::GroupId> after;
+    for (const int nd : span) after.push_back(twin.groupOf(nd));
+    const auto want = expectedTransitions(before, after);
+    ASSERT_EQ(got.size(), want.size()) << where;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].src, want[i].src) << where << " transition " << i;
+      ASSERT_EQ(got[i].dst, want[i].dst) << where << " transition " << i;
+      ASSERT_EQ(got[i].count, want[i].count) << where << " transition " << i;
+    }
+    compareTwins(cl.ledger(), twin, where);
+    if (::testing::Test::HasFatalFailure()) return;
+    cl.compare(where);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(ascending, 60);
+  EXPECT_GT(shuffled, 40);
+  EXPECT_GT(word_crossings, 30);
+  EXPECT_GT(class_breaks, 10);
+  audit::Auditor auditor;
+  EXPECT_EQ(auditor.auditLedger(cl.ledger()), 0u) << auditor.report();
+  EXPECT_EQ(auditor.auditLedger(twin), 0u) << auditor.report();
+}
+
+/// A span that fails part-way on one ledger and the same nodes one call
+/// at a time on a twin: both throw the same message at the same node, and
+/// leave the same state behind.
+class SpanFailure {
+ public:
+  explicit SpanFailure(int nodes)
+      : mach_(hw::MachineConfig::xeonE5_2680v4()), span_(nodes, mach_), twin_(nodes, mach_) {}
+
+  /// Commit `nodes` for `job` on both ledgers, ahead of the failing call.
+  void setUp(const std::vector<int>& nodes, JobId job, const NodeAllocation& a) {
+    span_.allocate(nodes, job, a);
+    for (const int nd : nodes) twin_.allocate(nd, job, a);
+  }
+
+  /// Run the failing event (`join` null for a release) and check: the
+  /// message, the first `committed` nodes holding the job's change, every
+  /// other node unchanged, the twin failing at the same node with the
+  /// same message, and the twins equal afterwards.
+  void expectFailure(const std::vector<int>& nodes, JobId job, const NodeAllocation* join,
+                     const std::string& message, std::size_t committed) {
+    std::vector<ResourceLedger::ClassId> before;
+    for (int nd = 0; nd < span_.nodeCount(); ++nd) before.push_back(span_.classOf(nd));
+    std::string got;
+    try {
+      if (join != nullptr) {
+        span_.allocate(nodes, job, *join);
+      } else {
+        span_.release(nodes, job);
+      }
+    } catch (const util::PreconditionError& e) {
+      got = e.what();
+    }
+    EXPECT_EQ(got, "ResourceLedger: " + message);
+    std::string twin_got;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      try {
+        if (join != nullptr) {
+          twin_.allocate(nodes[i], job, *join);
+        } else {
+          twin_.release(nodes[i], job);
+        }
+      } catch (const util::PreconditionError& e) {
+        twin_got = e.what();
+        EXPECT_EQ(i, committed) << "the twin failed at another node";
+        break;
+      }
+    }
+    EXPECT_EQ(twin_got, got);
+    std::vector<bool> changed(static_cast<std::size_t>(span_.nodeCount()), false);
+    for (std::size_t i = 0; i < committed; ++i) {
+      changed[static_cast<std::size_t>(nodes[i])] = true;
+      const auto& residents = span_.node(nodes[i]).allocations();
+      const bool holds = std::any_of(residents.begin(), residents.end(),
+                                     [&](const auto& r) { return r.first == job; });
+      EXPECT_EQ(holds, join != nullptr) << "committed node " << nodes[i];
+    }
+    for (int nd = 0; nd < span_.nodeCount(); ++nd) {
+      if (!changed[static_cast<std::size_t>(nd)]) {
+        EXPECT_EQ(span_.classOf(nd), before[static_cast<std::size_t>(nd)]) << "node " << nd;
+      }
+    }
+    compareTwins(span_, twin_, message);
+    audit::Auditor auditor;
+    EXPECT_EQ(auditor.auditLedger(span_), 0u) << auditor.report();
+  }
+
+  ResourceLedger& ledger() { return span_; }
+
+ private:
+  hw::MachineConfig mach_;
+  ResourceLedger span_;
+  ResourceLedger twin_;
+};
+
+std::vector<int> ids(int first, int last) {
+  std::vector<int> out(static_cast<std::size_t>(last - first + 1));
+  std::iota(out.begin(), out.end(), first);
+  return out;
+}
+
+std::vector<int> concat(std::vector<int> a, const std::vector<int>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+TEST(LedgerOracle, SpanOutOfRangeMidRunCommitsTheRunBeforeIt) {
+  SpanFailure f(200);
+  const NodeAllocation a{2, 0, 0.3, false, 0.1};
+  f.setUp(ids(56, 70), 1, a);
+  // 60..69 are one class, then an id past the end, then 70.
+  const auto nodes = concat(concat(ids(60, 69), {200}), {70});
+  f.expectFailure(nodes, 2, &a, "node id out of range", 10);
+  const auto negative = concat(ids(120, 135), {-1, 136});
+  f.expectFailure(negative, 3, &a, "node id out of range", 16);
+}
+
+TEST(LedgerOracle, SpanDuplicateAfterARunFailsAtTheDuplicate) {
+  SpanFailure f(200);
+  const NodeAllocation a{3, 2, 0.7, false, 0.0};
+  // A run over the 63/64 word boundary, then its last id again.
+  f.expectFailure(concat(ids(50, 80), {80}), 1, &a,
+                  "job already holds resources on this node", 31);
+  EXPECT_EQ(f.ledger().node(80).jobCount(), 1);
+  // Released as a run, then one of its ids again.
+  f.expectFailure(concat(ids(50, 80), {66}), 1, nullptr, "job holds nothing on this node", 31);
+}
+
+TEST(LedgerOracle, SpanSecondSegmentThatDoesNotFitLeavesTheFirstCommitted) {
+  SpanFailure f(200);
+  // 100..139 hold a 20-core job, so only 8 cores stay idle there.
+  f.setUp(ids(100, 139), 1, {20, 0, 0.0, false, 0.0});
+  // 80..99 are idle and fit; 100..139 are the second segment and do not.
+  const NodeAllocation big{10, 0, 0.1, false, 0.0};
+  f.expectFailure(ids(80, 139), 2, &big, "allocation does not fit on node", 20);
+  EXPECT_EQ(f.ledger().node(99).idleCores(), 18);
+  EXPECT_EQ(f.ledger().node(100).idleCores(), 8);
+}
+
+TEST(LedgerOracle, SpanRunEndingAtTheLastNode) {
+  SpanFailure f(200);
+  const NodeAllocation a{1, 0, 0.2, false, 0.0};
+  // A run through the last id, then one past it: the run scan must stop
+  // at the end of the cluster, and the id past it fails on its own.
+  f.expectFailure(concat(ids(150, 199), {200}), 1, &a, "node id out of range", 50);
+  // The same run, ending at the last id, commits whole on a fresh job.
+  ResourceLedger& ledger = f.ledger();
+  const auto moves = ledger.allocate(ids(150, 199), 2, a);
+  ASSERT_EQ(moves.size(), 1u);
+  EXPECT_EQ(moves[0].count, 50u);
+  for (int nd = 0; nd < 200; ++nd) {
+    EXPECT_EQ(ledger.node(nd).jobCount(), nd >= 150 ? 2 : 0) << nd;
+    EXPECT_EQ(ledger.bucket(26).contains(nd), nd >= 150) << nd;
+  }
+  const auto back = ledger.release(ids(150, 199), 2);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].count, 50u);
+  EXPECT_EQ(ledger.bucket(27).size(), 50);
+  audit::Auditor auditor;
+  EXPECT_EQ(auditor.auditLedger(ledger), 0u) << auditor.report();
 }
 
 }  // namespace
