@@ -19,6 +19,8 @@ class CePolicy final : public SchedulingPolicy {
   std::optional<Placement> tryPlace(const Job& job,
                                     const actuator::ResourceLedger& ledger,
                                     const profile::ProfileDatabase& db) const override;
+  void explainFailure(const Job& job, const actuator::ResourceLedger& ledger,
+                      const profile::ProfileDatabase& db) const override;
 
  private:
   const perfmodel::Estimator* est_;
@@ -35,6 +37,8 @@ class CsPolicy final : public SchedulingPolicy {
   std::optional<Placement> tryPlace(const Job& job,
                                     const actuator::ResourceLedger& ledger,
                                     const profile::ProfileDatabase& db) const override;
+  void explainFailure(const Job& job, const actuator::ResourceLedger& ledger,
+                      const profile::ProfileDatabase& db) const override;
 
  private:
   const perfmodel::Estimator* est_;
@@ -72,6 +76,8 @@ class SnsPolicy final : public SchedulingPolicy {
   std::optional<Placement> tryPlace(const Job& job,
                                     const actuator::ResourceLedger& ledger,
                                     const profile::ProfileDatabase& db) const override;
+  void explainFailure(const Job& job, const actuator::ResourceLedger& ledger,
+                      const profile::ProfileDatabase& db) const override;
   const Options& options() const { return opts_; }
 
  private:
@@ -95,6 +101,7 @@ class SnsPolicy final : public SchedulingPolicy {
     std::string program;  ///< spec name the plan's profile was found under
     int trial = 0;        ///< > 0: run exclusively at this trial scale
     std::vector<PlanStep> steps;
+    mutable std::string failure_text;  ///< built by the first explainFailure()
   };
   /// Keyed like the simulator's failed-spec memo (program identity,
   /// procs, alpha bits) plus the cluster size the walk is checked
@@ -122,6 +129,8 @@ class SnsPolicy final : public SchedulingPolicy {
                       const profile::ProfileDatabase& db) const;
   Plan buildPlan(const Job& job, const actuator::ResourceLedger& ledger,
                  const profile::ProfileDatabase& db) const;
+  /// Rejection text of the ledger-queried steps of `plan` before `end`.
+  static std::string rejectionText(const Plan& plan, std::size_t end);
 
   const perfmodel::Estimator* est_;
   Options opts_;

@@ -27,6 +27,12 @@ class SchedulingPolicy {
                                             const actuator::ResourceLedger& ledger,
                                             const profile::ProfileDatabase& db) const = 0;
 
+  /// Emit the events of a failed tryPlace() of `job` without selecting
+  /// anything: tryPlace() calls it on failure, the simulator when its
+  /// failed-spec memo answers instead. The text reads no selection query.
+  virtual void explainFailure(const Job& job, const actuator::ResourceLedger& ledger,
+                              const profile::ProfileDatabase& db) const = 0;
+
   /// Attach the caller-owned decision recorder; policies then explain each
   /// tryPlace() as schedule_attempt / placement_decided / exploration
   /// events (null or a sink-less recorder disables emission entirely).

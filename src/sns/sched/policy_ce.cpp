@@ -67,7 +67,7 @@ std::optional<Placement> exclusivePlacement(const Job& job,
 
 std::optional<Placement> CePolicy::tryPlace(const Job& job,
                                             const actuator::ResourceLedger& ledger,
-                                            const profile::ProfileDatabase&) const {
+                                            const profile::ProfileDatabase& db) const {
   xray::ProvenanceStore* prov = provenance();
   if (prov != nullptr) {
     prov->beginAttempt(job.id, job.spec.program, job.spec.procs, 0.0, 0.0,
@@ -87,24 +87,28 @@ std::optional<Placement> CePolicy::tryPlace(const Job& job,
                                     : xray::RejectReason::kInsufficientResources});
     if (p.has_value()) decide(*prov, job.id, ledger, *p, 1, 0.0);
   }
-  if (tracing()) {
-    const int need = est_->minNodes(job.spec.procs);
-    if (p.has_value()) {
-      std::vector<obs::NodeScore> scored;
-      scored.reserve(p->nodes.size());
-      for (int nd : p->nodes) scored.push_back({nd, ledger.node(nd).score(0.0)});
-      rec_->scheduleAttempt(job.id, job.spec.program, 1, 0, 0.0, "", scored);
-      rec_->placementDecided(job.id, job.spec.program, 1, 0, 0.0,
-                             /*exclusive=*/true, std::move(scored));
-    } else {
-      rec_->scheduleAttempt(job.id, job.spec.program, 1, 0, 0.0,
-                            "needs " + std::to_string(need) +
-                                " idle node(s), only " +
-                                std::to_string(ledger.idleNodeCount()) +
-                                " idle");
-    }
+  if (!p.has_value()) {
+    explainFailure(job, ledger, db);
+  } else if (tracing()) {
+    std::vector<obs::NodeScore> scored;
+    scored.reserve(p->nodes.size());
+    for (int nd : p->nodes) scored.push_back({nd, ledger.node(nd).score(0.0)});
+    rec_->scheduleAttempt(job.id, job.spec.program, 1, 0, 0.0, "", scored);
+    rec_->placementDecided(job.id, job.spec.program, 1, 0, 0.0,
+                           /*exclusive=*/true, std::move(scored));
   }
   return p;
+}
+
+void CePolicy::explainFailure(const Job& job, const actuator::ResourceLedger& ledger,
+                              const profile::ProfileDatabase&) const {
+  if (!tracing()) return;
+  // The idle count is read when the failure is explained: it can change
+  // while the failure itself stands.
+  rec_->scheduleAttempt(job.id, job.spec.program, 1, 0, 0.0,
+                        "needs " + std::to_string(est_->minNodes(job.spec.procs)) +
+                            " idle node(s), only " +
+                            std::to_string(ledger.idleNodeCount()) + " idle");
 }
 
 }  // namespace sns::sched

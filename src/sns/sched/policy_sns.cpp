@@ -113,19 +113,16 @@ std::optional<Placement> SnsPolicy::tryPlace(const Job& job,
       prov->noteExploration(job.id, plan.trial, p.has_value());
       if (p.has_value()) decide(*prov, job.id, ledger, *p, plan.trial, opts_.beta);
     }
-    if (tracing()) {
-      if (p.has_value()) {
-        rec_->explorationStarted(job.id, job.spec.program, plan.trial);
-      } else {
-        rec_->explorationPreempted(job.id, job.spec.program, plan.trial,
-                                   "no idle nodes for the exclusive trial run");
-      }
+    if (!p.has_value()) {
+      explainFailure(job, ledger, db);
+    } else if (tracing()) {
+      rec_->explorationStarted(job.id, job.spec.program, plan.trial);
     }
     return p;
   }
 
-  std::string rejections;  // built only while tracing
-  for (const PlanStep& step : plan.steps) {
+  for (std::size_t i = 0; i < plan.steps.size(); ++i) {
+    const PlanStep& step = plan.steps[i];
     const actuator::NodeAllocation& request = step.request;
     if (step.skip != xray::RejectReason::kNone) {
       if (prov != nullptr) {
@@ -148,13 +145,6 @@ std::optional<Placement> SnsPolicy::tryPlace(const Job& job,
                          {step.k, step.nodes, request.cores, request.ways,
                           request.bw_gbps,
                           xray::RejectReason::kInsufficientResources});
-      }
-      if (tracing()) {
-        rejections += "k=" + std::to_string(step.k) + ": no " +
-                      std::to_string(step.nodes) + " node(s) with " +
-                      std::to_string(request.cores) + " cores + " +
-                      std::to_string(request.ways) + " ways + " +
-                      util::fmt(request.bw_gbps, 1) + " GB/s free; ";
       }
       continue;
     }
@@ -181,7 +171,7 @@ std::optional<Placement> SnsPolicy::tryPlace(const Job& job,
         scored.push_back({nd, ledger.node(nd).score(opts_.beta)});
       }
       rec_->scheduleAttempt(job.id, job.spec.program, step.k, request.ways,
-                            request.bw_gbps, rejections, scored);
+                            request.bw_gbps, rejectionText(plan, i), scored);
       rec_->placementDecided(job.id, job.spec.program, step.k, request.ways,
                              request.bw_gbps, /*exclusive=*/false,
                              std::move(scored));
@@ -192,11 +182,42 @@ std::optional<Placement> SnsPolicy::tryPlace(const Job& job,
     prov->addAttempt(job.id,
                      {0, 0, 0, 0, 0.0, xray::RejectReason::kNoFeasibleScale});
   }
-  if (tracing()) {
-    if (rejections.empty()) rejections = "no profiled scale fits the cluster";
-    rec_->scheduleAttempt(job.id, job.spec.program, 0, 0, 0.0, rejections);
-  }
+  explainFailure(job, ledger, db);
   return std::nullopt;
+}
+
+std::string SnsPolicy::rejectionText(const Plan& plan, std::size_t end) {
+  std::string text;
+  for (std::size_t i = 0; i < end; ++i) {
+    const PlanStep& step = plan.steps[i];
+    if (step.skip != xray::RejectReason::kNone) continue;
+    const actuator::NodeAllocation& request = step.request;
+    text += "k=" + std::to_string(step.k) + ": no " + std::to_string(step.nodes) +
+            " node(s) with " + std::to_string(request.cores) + " cores + " +
+            std::to_string(request.ways) + " ways + " +
+            util::fmt(request.bw_gbps, 1) + " GB/s free; ";
+  }
+  return text;
+}
+
+void SnsPolicy::explainFailure(const Job& job, const actuator::ResourceLedger& ledger,
+                               const profile::ProfileDatabase& db) const {
+  if (!tracing()) return;
+  // Built from the memoized plan: a failure means every step the walk
+  // asked the ledger about found no nodes.
+  const Plan& plan = planFor(job, ledger, db);
+  if (plan.trial > 0) {
+    rec_->explorationPreempted(job.id, job.spec.program, plan.trial,
+                               "no idle nodes for the exclusive trial run");
+    return;
+  }
+  if (plan.failure_text.empty()) {
+    plan.failure_text = rejectionText(plan, plan.steps.size());
+    if (plan.failure_text.empty()) {
+      plan.failure_text = "no profiled scale fits the cluster";
+    }
+  }
+  rec_->scheduleAttempt(job.id, job.spec.program, 0, 0, 0.0, plan.failure_text);
 }
 
 }  // namespace sns::sched

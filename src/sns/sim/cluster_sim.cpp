@@ -36,6 +36,9 @@ ClusterSimulator::ClusterSimulator(const perfmodel::Estimator& est,
     policy_ = sched::makePolicy(cfg_.policy, est);
   }
   node_stamp_.assign(static_cast<std::size_t>(cfg.nodes), 0u);
+  if (provenance() != nullptr) {
+    dirty_owner_.assign(static_cast<std::size_t>(cfg.nodes), -1);
+  }
   node_net_demand_.assign(static_cast<std::size_t>(cfg.nodes), 0.0);
   busy_pos_.assign(static_cast<std::size_t>(cfg.nodes), -1);
   episode_accum_.assign(static_cast<std::size_t>(cfg.nodes), 0.0);
@@ -123,19 +126,15 @@ std::size_t ClusterSimulator::FlightSigHash::operator()(
   return static_cast<std::size_t>(h ^ (h >> 31));
 }
 
-bool ClusterSimulator::specMemoOn() const { return !rec_.enabled(); }
-
-bool ClusterSimulator::batchFastPath() const {
-  if (!specMemoOn()) return false;
-  return cfg_.xray == nullptr || cfg_.xray->provenance() == nullptr;
-}
-
-void ClusterSimulator::markDeferredDirty(const std::vector<int>& nodes) {
+void ClusterSimulator::markDeferredDirty(const std::vector<int>& nodes,
+                                         sched::JobId owner) {
+  const bool owned = !dirty_owner_.empty();
   for (int nd : nodes) {
     auto& stamp = node_stamp_[static_cast<std::size_t>(nd)];
     if (stamp != node_stamp_epoch_) {
       stamp = node_stamp_epoch_;
       deferred_dirty_.push_back(nd);
+      if (owned) dirty_owner_[static_cast<std::size_t>(nd)] = owner;
     }
   }
 }
@@ -244,7 +243,7 @@ void ClusterSimulator::admit(sched::Job job) {
   if (m_queue_depth_) m_queue_depth_->set(static_cast<double>(queue_.size()));
 }
 
-void ClusterSimulator::solveGroup(sched::CorunGroups::GroupId g, int nd) {
+bool ClusterSimulator::solveGroup(sched::CorunGroups::GroupId g, int nd) {
   const auto& residents = ledger_.group(g).residents;
   auto& grp = groups_.slot(g);
   if (m_solver_calls_) m_solver_calls_->inc();
@@ -263,15 +262,16 @@ void ClusterSimulator::solveGroup(sched::CorunGroups::GroupId g, int nd) {
   }
 
   std::span<const perfmodel::ShareOutcome> outcomes;
+  bool hit = false;
   {
     xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kSolverCall);
     const std::uint64_t hits_before = solve_cache_.hits();
     outcomes = solve_cache_.solve(grp.in);
-    if (m_solver_memo_hits_ && solve_cache_.hits() > hits_before) {
-      m_solver_memo_hits_->inc();
-    }
+    hit = solve_cache_.hits() > hits_before;
+    if (m_solver_memo_hits_ && hit) m_solver_memo_hits_->inc();
   }
   grp.out.assign(outcomes.begin(), outcomes.end());
+  return hit;
 }
 
 double ClusterSimulator::placementBandwidth(sched::JobId id) const {
@@ -287,7 +287,8 @@ double ClusterSimulator::placementBandwidth(sched::JobId id) const {
 }
 
 void ClusterSimulator::refreshRates(double now,
-                                    const std::vector<int>& dirty_nodes) {
+                                    const std::vector<int>& dirty_nodes,
+                                    xray::ProvenanceStore* credit) {
   SNS_HOT_PATH("engine.refresh");
   // Jobs touching a dirty node need their progress rate re-derived.
   // Deduplicate with epoch stamps (collected in the same pass that
@@ -323,7 +324,11 @@ void ClusterSimulator::refreshRates(double now,
     auto& grp = groups_.slot(g);
     if (grp.stamp == group_epoch_) continue;
     grp.stamp = group_epoch_;
-    solveGroup(g, nd);
+    const bool hit = solveGroup(g, nd);
+    if (credit != nullptr) {
+      credit->noteSolverDelta(dirty_owner_[static_cast<std::size_t>(nd)], 1,
+                              hit ? 1 : 0);
+    }
     for (const auto& [id, alloc] : ledger_.group(g).residents) {
       auto& stamp = job_stamp_[static_cast<std::size_t>(id)];
       if (stamp != stamp_epoch_) {
@@ -342,11 +347,10 @@ void ClusterSimulator::refreshRates(double now,
     // Settle the job at this rate boundary under its outgoing rate. This
     // is the canonical progress arithmetic (DESIGN.md section 11): the
     // anchor moves only here, and the settlement is exactly zero when the
-    // job was already settled at `now` — so the deferred end-of-pass
-    // refresh, which revisits the pass's placements at the same instant,
-    // changes nothing. (The flight settle happens below, once the fresh
-    // values show the open interval actually ends here: the recorder
-    // carries its own copy of the outgoing rate.)
+    // job was already settled at `now`, as a job placed this pass is.
+    // (The flight settle happens below, once the fresh values show the
+    // open interval actually ends here: the recorder carries its own copy
+    // of the outgoing rate.)
     r.anchor_remaining -= (now - r.anchor_time) * r.rate;
     r.anchor_time = now;
     // The co-run rate is the slowest node's: the min over the job's
@@ -631,9 +635,8 @@ void ClusterSimulator::startJob(const sched::Job& job, sched::Placement&& p,
   r.comm_data_time = solo.comm_data_time * reps;
   r.wait_time = solo.wait_time * reps;
   r.solo_rate = solo.ipc * est_->machine().frequency_ghz * 1e9;
-  // Anchor at the start instant with zero rate: the mandatory rate
-  // refresh that follows every placement (possibly deferred to the end of
-  // the pass, still at the same virtual time) performs the first real
+  // Anchor at the start instant with zero rate: the end-of-pass rate
+  // refresh (still at the same virtual time) performs the first real
   // settlement — a no-op — and computes the first finish projection.
   r.anchor_time = now;
   r.anchor_remaining = 1.0;
@@ -658,9 +661,8 @@ void ClusterSimulator::startJob(const sched::Job& job, sched::Placement&& p,
   rec.placement = std::move(p);
   const sched::Placement& placed = rec.placement;
   // The flight recorder anchors the job's lifetime account on the solo
-  // baseline frozen here; the placement's mandatory rate refresh (same
-  // virtual time, possibly deferred to the end of the pass) opens the
-  // first real co-residency interval.
+  // baseline frozen here; the end-of-pass rate refresh (same virtual
+  // time) opens the first real co-residency interval.
   if (cfg_.flight != nullptr) {
     cfg_.flight->onStart(job.id, job.spec.program, rec.submit, now,
                          r.comp_time_solo, r.comm_data_time, r.wait_time,
@@ -740,10 +742,6 @@ bool ClusterSimulator::tryDispatch(const sched::Job& job, double now) {
   // successful dispatch is a rate boundary — committing a Placement and a
   // Running record allocates by design, so it is marked exempt below.
   SNS_HOT_PATH("sched.decision");
-  // Solver-cache provenance: attribute the deciding dispatch's contention
-  // solves (and how many the memo served) to the placed job.
-  xray::ProvenanceStore* prov =
-      cfg_.xray != nullptr ? cfg_.xray->provenance() : nullptr;
   // Failed-spec memo (batched scoring): tryPlace() is a pure function of
   // (program, procs, alpha) given fixed ledger and database contents, and
   // placements only shrink free capacity — so a recorded failure stays a
@@ -751,71 +749,60 @@ bool ClusterSimulator::tryDispatch(const sched::Job& job, double now) {
   // profile change wipes the memo; releases purge selectively: the entry
   // records the minimum idle-core count any of the failed attempt's
   // ledger queries asked for, and every decision-relevant ledger read in
-  // a non-tracing tryPlace() is such a query — so a release whose freed
-  // node still has fewer idle cores than that floor cannot have changed
-  // anything the attempt read, and the failure stands.
-  const bool spec_memo = specMemoOn();
+  // tryPlace() is such a query — so a release whose freed node still has
+  // fewer idle cores than that floor cannot have changed anything the
+  // attempt read, and the failure stands. Observers do not change this:
+  // a memo hit replays the failure to them (replayFailure) from text
+  // inputs only — the spec, its plan, the cluster size and CE's idle
+  // node count — never from a selection query.
   const std::uint32_t spec = job_spec_[static_cast<std::size_t>(job.id)];
-  if (spec_memo) {
-    if (!failed_specs_valid_ ||
-        failed_specs_generation_ != local_db_.generation()) {
-      for (const std::uint32_t id : failed_live_) failed_specs_[id].job = -1;
-      failed_live_.clear();
-      failed_specs_min_floor_ = std::numeric_limits<int>::max();
-      (void)ledger_.takeReleaseIdleWatermark();
-      failed_specs_release_epoch_ = ledger_.releaseEpoch();
-      failed_specs_generation_ = local_db_.generation();
-      failed_specs_valid_ = true;
-    } else if (failed_specs_release_epoch_ != ledger_.releaseEpoch()) {
-      const int watermark = ledger_.takeReleaseIdleWatermark();
-      // The surviving set is determined by the watermark alone, not by
-      // the live list's order.
-      std::size_t kept = 0;
-      for (const std::uint32_t id : failed_live_) {
-        FailedSpec& e = failed_specs_[id];
-        if (e.floor <= watermark) {
-          e.job = -1;
-        } else {
-          failed_live_[kept++] = id;
-        }
+  if (!failed_specs_valid_ ||
+      failed_specs_generation_ != local_db_.generation()) {
+    for (const std::uint32_t id : failed_live_) failed_specs_[id].job = -1;
+    failed_live_.clear();
+    failed_specs_min_floor_ = std::numeric_limits<int>::max();
+    (void)ledger_.takeReleaseIdleWatermark();
+    failed_specs_release_epoch_ = ledger_.releaseEpoch();
+    failed_specs_generation_ = local_db_.generation();
+    failed_specs_valid_ = true;
+  } else if (failed_specs_release_epoch_ != ledger_.releaseEpoch()) {
+    const int watermark = ledger_.takeReleaseIdleWatermark();
+    // The surviving set is determined by the watermark alone, not by
+    // the live list's order.
+    std::size_t kept = 0;
+    for (const std::uint32_t id : failed_live_) {
+      FailedSpec& e = failed_specs_[id];
+      if (e.floor <= watermark) {
+        e.job = -1;
+      } else {
+        failed_live_[kept++] = id;
       }
-      failed_live_.resize(kept);
-      failed_specs_release_epoch_ = ledger_.releaseEpoch();
     }
-    if (const FailedSpec& e = failed_specs_[spec]; e.job >= 0) {
-      if (m_spec_skips_) m_spec_skips_->inc();
-      // The policy would walk the same scales to the same rejections as
-      // the attempt that recorded the entry (its walk reads the same
-      // profile and fails every ledger query it made), so provenance
-      // records that walk as this job's latest attempt.
-      if (prov != nullptr) {
-        prov->replayAttempt(job.id, e.job, job.spec.program,
-                            job.spec.procs, cfg_.xray->passSimTime());
-      }
-      return false;
-    }
-    ledger_.resetQueryCoreFloor();
+    failed_live_.resize(kept);
+    failed_specs_release_epoch_ = ledger_.releaseEpoch();
   }
-  const std::uint64_t hits0 = prov != nullptr ? solve_cache_.hits() : 0;
-  const std::uint64_t miss0 = prov != nullptr ? solve_cache_.misses() : 0;
+  if (const FailedSpec& e = failed_specs_[spec]; e.job >= 0) {
+    if (m_spec_skips_) m_spec_skips_->inc();
+    replayFailure(job, e.job, now);
+    return false;
+  }
+  ledger_.resetQueryCoreFloor();
   std::optional<sched::Placement> p = policy_->tryPlace(job, ledger_, local_db_);
   if (!p.has_value()) {
-    if (spec_memo) {
-      // First failure of this spec: recording it writes a reserved slot,
-      // but the attempt that reached here may have warmed the policy's
-      // own memos — warm-up, a state-changing event like a commit, hence
-      // boundary-exempt. Replayed failures hit the memo above and must
-      // stay heap-silent; that is what the alloc contract test gates.
-      SNS_HOT_PATH_BOUNDARY();
-      const int floor = ledger_.queryCoreFloor();
-      failed_specs_[spec] = FailedSpec{floor, job.id};
-      failed_live_.push_back(spec);
-      // Running minimum over live entries, for the futile-pass gate. Only
-      // lowered — purges never raise it back, which is conservative: a
-      // stale-low floor makes the gate run a pass it could have skipped,
-      // never skip one it must run.
-      failed_specs_min_floor_ = std::min(failed_specs_min_floor_, floor);
-    }
+    // First failure of this spec: recording it writes a reserved slot,
+    // but the attempt that reached here may have warmed the policy's
+    // own memos — warm-up, a state-changing event like a commit, hence
+    // boundary-exempt. Replayed failures hit the memo above and must
+    // stay heap-silent; that is what the alloc contract test gates.
+    SNS_HOT_PATH_BOUNDARY();
+    const int floor = ledger_.queryCoreFloor();
+    failed_specs_[spec] = FailedSpec{floor, job.id};
+    failed_live_.push_back(spec);
+    // Running minimum over live entries, for the futile-pass gate. Only
+    // lowered — purges never raise it back, which is conservative: a
+    // stale-low floor makes the gate run a pass it could have skipped,
+    // never skip one it must run.
+    failed_specs_min_floor_ = std::min(failed_specs_min_floor_, floor);
     return false;
   }
   SNS_HOT_PATH_BOUNDARY();
@@ -825,25 +812,24 @@ bool ClusterSimulator::tryDispatch(const sched::Job& job, double now) {
     xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kCommit, job_copy.id);
     startJob(job_copy, std::move(*p), now);
   }
-  const std::vector<int>& placed = record(job_copy.id).placement.nodes;
-  if (defer_refresh_) {
-    // Batched scoring: fold this placement's nodes into the end-of-pass
-    // refresh set. Nothing reads progress rates until the pass ends, so
-    // one refresh over the union matches per-placement refreshes exactly.
-    markDeferredDirty(placed);
-  } else {
-    xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kRateRefresh, job_copy.id);
-    refreshRates(now, placed);
-  }
-  if (prov != nullptr) {
-    const std::uint64_t hits = solve_cache_.hits() - hits0;
-    const std::uint64_t misses = solve_cache_.misses() - miss0;
-    prov->noteSolverDelta(job_copy.id, hits + misses, hits);
-  }
+  // Nothing reads progress rates until the pass ends: the placement's
+  // nodes join the end-of-pass refresh set.
+  markDeferredDirty(record(job_copy.id).placement.nodes, job_copy.id);
   return true;
 }
 
-void ClusterSimulator::scheduleSinglePass(double now) {
+void ClusterSimulator::replayFailure(const sched::Job& job, sched::JobId source,
+                                     double now) {
+  if (rec_.enabled()) policy_->explainFailure(job, ledger_, local_db_);
+  if (xray::ProvenanceStore* prov = provenance()) {
+    // The policy would walk the same scales to the same rejections as the
+    // attempt that recorded the entry (its walk reads the same profile
+    // and fails every ledger query it made).
+    prov->replayAttempt(job.id, source, job.spec.program, job.spec.procs, now);
+  }
+}
+
+void ClusterSimulator::scheduleSinglePass(double now, bool futile) {
   // One priority-ordered walk. A placement only consumes resources and
   // per-node feasibility is monotone in free capacity, so a job that
   // failed tryPlace earlier in this pass can never succeed later in the
@@ -852,11 +838,19 @@ void ClusterSimulator::scheduleSinglePass(double now) {
   // re-running tryPlace over the already-skipped prefix. The `scanned`
   // counter tracks the job's live queue position, so the max_queue_scan
   // window and the head-age check count queue positions, not visits.
+  //
+  // A futile walk visits the same window of the same queue as the last
+  // executed pass (no admission or placement since; the head-age stop can
+  // only come earlier), so every job it visits holds a memo entry. It
+  // replays each to the observers and moves no counter.
   int scanned = 0;
   queue_.walk([&](const sched::Job& job) {
     using W = sched::JobQueue::Walk;
     if (++scanned > cfg_.max_queue_scan) return W::kStop;
-    if (tryDispatch(job, now)) {
+    if (futile) {
+      const std::uint32_t spec = job_spec_[static_cast<std::size_t>(job.id)];
+      replayFailure(job, failed_specs_[spec].job, now);
+    } else if (tryDispatch(job, now)) {
       --scanned;  // the dispatched job no longer occupies a queue position
       return W::kRemove;
     }
@@ -868,7 +862,7 @@ void ClusterSimulator::scheduleSinglePass(double now) {
       util::hotpath::markInnermostBoundary();
       rec_.backfillSkipped(job.id, job.age(now),
                            "head job aged past the backfill age limit");
-      if (m_backfill_skips_) m_backfill_skips_->inc();
+      if (m_backfill_skips_ && !futile) m_backfill_skips_->inc();
       return W::kStop;
     }
     return W::kContinue;
@@ -893,14 +887,18 @@ bool ClusterSimulator::passProvablyFutile() const {
 }
 
 void ClusterSimulator::schedule(double now) {
-  if (cfg_.xray == nullptr && passProvablyFutile()) {
+  if (passProvablyFutile()) {
     // A skipped pass is provably a no-op on simulation state: no clock
-    // reads, no queue walk, no events. Gauges still track reality; the
-    // pass counter stays put (no pass ran).
+    // reads, no pass span, no events. Gauges still track reality; the
+    // pass counter stays put (no pass ran). Only an event sink or a
+    // provenance store is shown the walk the pass would have made.
     if (m_futile_skips_) m_futile_skips_->inc();
     if (m_queue_depth_) m_queue_depth_->set(static_cast<double>(queue_.size()));
     if (m_busy_nodes_) {
       m_busy_nodes_->set(static_cast<double>(ledger_.busyNodeCount()));
+    }
+    if (rec_.enabled() || provenance() != nullptr) {
+      scheduleSinglePass(now, /*futile=*/true);
     }
     return;
   }
@@ -919,24 +917,20 @@ void ClusterSimulator::schedule(double now) {
   if (cfg_.xray != nullptr) cfg_.xray->beginPass(now);
   if (m_sched_passes_) m_sched_passes_->inc();
 
-  // Deferred end-of-pass rate refresh (batched scoring): placements made
-  // during the walk only collect their dirty nodes; one refresh over the
-  // union runs when the walk ends. Epoch-stamped dedup, reset on wrap.
-  defer_refresh_ = batchFastPath();
-  if (defer_refresh_ && ++node_stamp_epoch_ == 0) {
+  // End-of-pass rate refresh: placements made during the walk only
+  // collect their dirty nodes; one refresh over the union runs when the
+  // walk ends. Epoch-stamped dedup, reset on wrap.
+  if (++node_stamp_epoch_ == 0) {
     std::fill(node_stamp_.begin(), node_stamp_.end(), 0u);
     node_stamp_epoch_ = 1;
   }
 
-  scheduleSinglePass(now);
+  scheduleSinglePass(now, /*futile=*/false);
 
-  if (defer_refresh_) {
-    defer_refresh_ = false;
-    if (!deferred_dirty_.empty()) {
-      xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kBatchRefresh);
-      refreshRates(now, deferred_dirty_);
-      deferred_dirty_.clear();
-    }
+  if (!deferred_dirty_.empty()) {
+    xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kBatchRefresh);
+    refreshRates(now, deferred_dirty_, provenance());
+    deferred_dirty_.clear();
   }
 
   if (m_queue_depth_) m_queue_depth_->set(static_cast<double>(queue_.size()));
@@ -949,10 +943,10 @@ void ClusterSimulator::schedule(double now) {
         std::chrono::duration<double, std::micro>(Clock::now() - wall_begin)
             .count());
   }
-  // Arm the futile-pass gate: an empty-handed pass whose every failure
-  // went through the spec memo will replay identically until an
+  // Arm the futile-pass gate: an empty-handed pass recorded a memo entry
+  // for every job it visited, so it will replay identically until an
   // admission, a profile change or a big-enough release.
-  futile_ready_ = pass_placements_ == 0 && specMemoOn();
+  futile_ready_ = pass_placements_ == 0;
   if (pass_placements_ > 0) SNS_HOT_PATH_BOUNDARY();
 }
 
@@ -1120,7 +1114,6 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
   deferred_dirty_.clear();
   std::fill(node_stamp_.begin(), node_stamp_.end(), 0u);
   node_stamp_epoch_ = 0;
-  defer_refresh_ = false;
   running_.assign(n, Running{});
   records_.assign(n, JobRecord{});
   active_.clear();

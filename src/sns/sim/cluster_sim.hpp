@@ -81,9 +81,9 @@ struct SimConfig {
   /// Event-loop tracer + provenance (sns::xray): every event-loop step
   /// becomes a span tree rooted at `event` (accounting, finish with its
   /// rate refreshes and solver calls, the decision pass with candidate
-  /// pruning, curve scoring, commit and rate refresh, and the observer
-  /// tail) with nanosecond attribution, and the policy records per-job
-  /// placement provenance for `uberun explain`. Null (the default) is
+  /// pruning, curve scoring, commit and end-of-pass rate refresh, and the
+  /// observer tail) with nanosecond attribution, and the policy records
+  /// per-job placement provenance for `uberun explain`. Null (the default) is
   /// zero-cost — each span site is one predictable branch and no clocks
   /// are read. Sampling (TracerConfig::sample_period) bounds the overhead
   /// of attached tracers (bench_observer_overhead gates period 32 at
@@ -213,21 +213,19 @@ class ClusterSimulator {
   void observeStep(double now);
   void auditTick();  ///< cfg_.auditor checks (no-op unless SNS_AUDIT build)
   void sampleTelemetry(double now);  ///< offer state to cfg_.sampler
-  void scheduleSinglePass(double now);
+  /// One priority-ordered queue walk; a `futile` walk (passProvablyFutile)
+  /// only replays each visit's memo entry to the observers.
+  void scheduleSinglePass(double now, bool futile);
   bool tryDispatch(const sched::Job& job, double now);  ///< tryPlace + start
-  /// True while the failed-spec memo may answer tryPlace(): no event sink
-  /// recording, so a tracing run sees every job's full walk. A provenance
-  /// store does not turn the memo off: a memo hit replays the recorded
-  /// failing attempt into the job's record (ProvenanceStore::replayAttempt).
-  bool specMemoOn() const;
-  /// True while the whole batched-scoring fast path may run: the failed-spec
-  /// memo and the deferred end-of-pass refresh. The refresh stays per
-  /// placement under a provenance store, which attributes each placement's
-  /// refresh solves to the placed job.
-  bool batchFastPath() const;
-  /// Collect a placement's nodes into the deferred end-of-pass refresh
-  /// set (deduplicated via node stamps).
-  void markDeferredDirty(const std::vector<int>& nodes);
+  /// Show the observers a tryPlace() of `job` that the failed-spec memo
+  /// entry recorded by `source`'s attempt answered.
+  void replayFailure(const sched::Job& job, sched::JobId source, double now);
+  xray::ProvenanceStore* provenance() const {
+    return cfg_.xray != nullptr ? cfg_.xray->provenance() : nullptr;
+  }
+  /// Collect placement `owner`'s nodes into the end-of-pass refresh set
+  /// (deduplicated via node stamps), each new one owned by `owner`.
+  void markDeferredDirty(const std::vector<int>& nodes, sched::JobId owner);
   /// Memoized solo-baseline lookup (pure function of the arguments).
   const perfmodel::SoloRun& soloMemo(const app::ProgramModel& prog, int procs,
                                      int nodes, double ways);
@@ -236,15 +234,18 @@ class ClusterSimulator {
   void finishJob(sched::JobId id, double now);
   /// Solve co-run group `g` on its member node `nd` (any member: the
   /// group's residents hold the same allocations on all of them) and
-  /// store the per-resident rate / bandwidth in the group.
-  void solveGroup(sched::CorunGroups::GroupId g, int nd);
+  /// store the per-resident rate / bandwidth in the group. True when the
+  /// solver cache answered the solve.
+  bool solveGroup(sched::CorunGroups::GroupId g, int nd);
   /// Re-solve the co-run groups of `dirty_nodes` (each distinct group
   /// once, in first-dirty-node order) and re-derive the progress rate of
   /// every job resident in one of them, settling each at `now` (the rate
   /// boundary) and re-keying the finish calendar. `now` is the current
   /// virtual time of the simulation — every caller refreshes at the
-  /// instant the co-run actually changed.
-  void refreshRates(double now, const std::vector<int>& dirty_nodes);
+  /// instant the co-run actually changed. `credit` receives each solve,
+  /// credited to the owner of the node it is solved at.
+  void refreshRates(double now, const std::vector<int>& dirty_nodes,
+                    xray::ProvenanceStore* credit = nullptr);
   /// Job `id`'s achieved bandwidth summed over its placement in placement
   /// order (the MBA throttle event's only input).
   double placementBandwidth(sched::JobId id) const;
@@ -279,7 +280,8 @@ class ClusterSimulator {
   /// memoized and nothing since could unblock one (no admission, no
   /// profile change, and every release stayed below the failed-spec
   /// memo's query-core floor — peeked, not consumed). schedule() then
-  /// skips the pass outright unless an xray tracer wants per-pass spans.
+  /// skips the pass: only an event sink or a provenance store is shown
+  /// the replayed walk.
   bool passProvablyFutile() const;
   void accumulate(double t0, double t1);
   void admit(sched::Job job);
@@ -387,8 +389,8 @@ class ClusterSimulator {
   /// settle/reopen pair is skipped outright and the open interval extends.
   /// Every field the reopened state depends on is either here or read
   /// from a node whose co-run group serial is here; the comparison is pure
-  /// FP/integer equality, so the skip decision is identical on the batched
-  /// and per-dispatch paths and the interval stores stay byte-comparable.
+  /// FP/integer equality, so the skip decision depends on the derived
+  /// values alone and the interval stores stay byte-comparable.
   ///
   /// A serial stands in for the node's residency history exactly: both
   /// nodes are the job's own, so every residency change on them triggers
@@ -415,7 +417,7 @@ class ClusterSimulator {
   /// scheduling points, keyed by Running::finish_time.
   sched::FinishCalendar calendar_;
   /// Futile-pass gate state: true when the last executed pass placed
-  /// nothing while the failed-spec memo answered every failure — the
+  /// nothing, so every job it visited holds a failed-spec memo entry — the
   /// precondition for skipping a provably identical pass. Cleared by
   /// admissions and at run start.
   bool futile_ready_ = false;
@@ -476,13 +478,13 @@ class ClusterSimulator {
     std::size_t operator()(const SoloKey& k) const;
   };
   std::unordered_map<SoloKey, perfmodel::SoloRun, SoloKeyHash> solo_memo_;
-  /// Deferred end-of-pass rate refresh: union of nodes dirtied by this
-  /// pass's placements (stamp-deduplicated), refreshed once when the pass
-  /// ends. Active only while batchFastPath() holds for the whole pass.
+  /// End-of-pass rate refresh: union of nodes dirtied by this pass's
+  /// placements (stamp-deduplicated), refreshed once when the pass ends.
   std::vector<int> deferred_dirty_;
   std::vector<std::uint32_t> node_stamp_;
   std::uint32_t node_stamp_epoch_ = 0;
-  bool defer_refresh_ = false;
+  /// Node -> the placement that first dirtied it this pass (provenance only).
+  std::vector<sched::JobId> dirty_owner_;
 
   /// Decision tracing + metrics (sns::obs). The recorder's sink is wired
   /// per run() to the configured sink.

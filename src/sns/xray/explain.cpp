@@ -90,7 +90,7 @@ std::string renderExplain(const ProvenanceStore& store, std::int64_t job) {
 
   if (r.solver_lookups > 0) {
     out += "  solver provenance: " + std::to_string(r.solver_lookups) +
-           " contention solve(s) during the deciding dispatch, " +
+           " contention solve(s) credited to the placement, " +
            std::to_string(r.solver_hits) + " served from cache (" +
            util::fmtPct(static_cast<double>(r.solver_hits) /
                         static_cast<double>(r.solver_lookups)) +

@@ -77,8 +77,10 @@ struct DecisionRecord {
   std::vector<ScoredNode> chosen;
   int chosen_total = 0;  ///< full winning-node count before the cap
 
-  /// Contention-solver activity of the deciding dispatch (tryPlace +
-  /// commit + rate refresh): cache lookups and how many hit.
+  /// Contention-solver activity credited to the placement: the co-run
+  /// group solves of its pass's end-of-pass rate refresh that are solved
+  /// at a node this placement dirtied first in that pass (cache lookups,
+  /// and how many hit).
   std::uint64_t solver_lookups = 0;
   std::uint64_t solver_hits = 0;
 };

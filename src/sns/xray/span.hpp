@@ -22,8 +22,8 @@ enum class SpanKind : std::uint8_t {
   kCurveScore,      ///< demand estimation from the profile curves
   kSolverCall,      ///< per-node co-run contention solve (or memo hit)
   kCommit,          ///< ledger allocation + solo-model derivation (startJob)
-  kRateRefresh,     ///< progress-rate re-derivation after a placement or finish
-  kBatchRefresh,    ///< deferred end-of-pass rate refresh (batched scoring)
+  kRateRefresh,     ///< progress-rate re-derivation after a finish
+  kBatchRefresh,    ///< end-of-pass rate refresh over the pass's placements
   kEvent,           ///< one whole event-loop step (the simulator's root)
   kAccounting,      ///< busy-node integral + bandwidth episode fill
   kFinish,          ///< finish-calendar pop + finishJob of the completions

@@ -78,9 +78,9 @@ SteadyStateRun runQuickTrace() {
   cfg.max_queue_scan = 256;
   cfg.metrics = &metrics;
   cfg.flight = &flight;
-  // No event sink or tracer: the batched fast path (failed-spec memo,
-  // deferred refresh, futile gate) stays engaged — the configuration the
-  // contract gates.
+  // No event sink or tracer: an event sink's appends and a provenance
+  // store's replays allocate by design, so the contract gates the run
+  // without them (the engine path is the same either way).
   sim::ClusterSimulator sim(est, lib, db, cfg);
 
   util::hotpath::resetCounters();

@@ -173,17 +173,19 @@ TEST(EventEngine, EmptyQueueEventsSkipSchedulingEntirely) {
   // pass that could place) still run, so both counters move.
   EXPECT_GT(passes, 0.0);
 
-  // Ungated: an attached xray tracer needs every pass's spans, so the same
-  // trace walks every point and skips none.
-  SimConfig off = cfg;
-  obs::Registry reg_off;
-  off.metrics = &reg_off;
+  // Observed: an attached xray tracer reads the engine, it does not pick
+  // it, so the same trace skips the same points and times only the passes
+  // that ran.
+  SimConfig traced = cfg;
+  obs::Registry reg_traced;
+  traced.metrics = &reg_traced;
   xray::Tracer tracer;
-  off.xray = &tracer;
-  ClusterSimulator sim_off(f.est, f.lib, f.db, off);
-  sim_off.run(simultaneousBatch(6, 500.0));
-  EXPECT_EQ(reg_off.counter("sim.futile_pass_skips").value(), 0.0);
-  EXPECT_EQ(reg_off.counter("sim.schedule_passes").value(), passes + skips);
+  traced.xray = &tracer;
+  ClusterSimulator sim_traced(f.est, f.lib, f.db, traced);
+  sim_traced.run(simultaneousBatch(6, 500.0));
+  EXPECT_EQ(reg_traced.counter("sim.futile_pass_skips").value(), skips);
+  EXPECT_EQ(reg_traced.counter("sim.schedule_passes").value(), passes);
+  EXPECT_EQ(static_cast<double>(tracer.passes()), passes);
 }
 
 TEST(EventEngine, MemoizedFailureReplayIsGated) {
@@ -210,14 +212,25 @@ TEST(EventEngine, MemoizedFailureReplayIsGated) {
   ClusterSimulator sim(f.est, f.lib, f.db, gated);
   const SimResult a = sim.run(seq);
 
-  // An attached xray tracer bypasses the gate: every pass runs.
-  SimConfig ungated = gated;
-  ungated.metrics = nullptr;
-  xray::Tracer tracer;
-  ungated.xray = &tracer;
-  ClusterSimulator sim_off(f.est, f.lib, f.db, ungated);
-  const SimResult b = sim_off.run(seq);
+  EXPECT_GT(reg.counter("sim.futile_pass_skips").value(), 0.0);
 
+  // Every job is EP at 16 procs on its own node (one node's worth of
+  // cores), so a sound gate starts the backlog strictly in order, each job
+  // at the instant a node frees: job i > 1 starts when job i - 2 finishes.
+  ASSERT_EQ(a.jobs.size(), seq.size());
+  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
+    const double want = i < 2 ? 0.0 : a.jobs[i - 2].finish;
+    EXPECT_EQ(a.jobs[i].start, want) << "job " << i;
+  }
+
+  // An attached event sink sees the skipped passes replayed and changes
+  // nothing.
+  SimConfig logged = gated;
+  logged.metrics = nullptr;
+  obs::RingBufferLog log;
+  logged.sink = &log;
+  ClusterSimulator sim_logged(f.est, f.lib, f.db, logged);
+  const SimResult b = sim_logged.run(seq);
   ASSERT_EQ(a.jobs.size(), b.jobs.size());
   for (std::size_t i = 0; i < a.jobs.size(); ++i) {
     EXPECT_EQ(a.jobs[i].start, b.jobs[i].start) << "job " << i;

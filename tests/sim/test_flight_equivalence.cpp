@@ -3,8 +3,8 @@
 // identical to a run without it (exact double comparisons, no tolerances —
 // same contract as the xray and simulator-path equivalence suites). The
 // recorder's own output must in turn be deterministic: byte-identical
-// dumps across repeated runs and the batched vs per-dispatch paths, and the reconciliation invariant must hold on every
-// run the auditor replays.
+// dumps across repeated runs and with other observers attached, and the
+// reconciliation invariant must hold on every run the auditor replays.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -99,9 +99,8 @@ TEST_P(FlightEquivalence, RecorderOnOffBitIdentical) {
 
 // The recorder's dump is the determinism contract for `uberun why-slow`
 // and the degradation census: identical runs must produce byte-identical
-// interval stores and rollups, and every path that reorders or batches the
-// settle arithmetic internally — the batched fast path vs the
-// per-dispatch path an event sink forces — must leave the recorded ledgers
+// interval stores and rollups, and an event sink, which is shown memo hits
+// and skipped passes as replays, must leave the recorded ledgers
 // byte-identical too.
 TEST_P(FlightEquivalence, DumpByteIdenticalAcrossRunsAndOptFlags) {
   auto& f = fixture();
@@ -125,7 +124,7 @@ TEST_P(FlightEquivalence, DumpByteIdenticalAcrossRunsAndOptFlags) {
   }
 
   {
-    // The per-dispatch path an event sink forces.
+    // An event sink alongside the recorder.
     obs::RingBufferLog log;
     SimConfig one = cfg;
     one.sink = &log;

@@ -11,10 +11,10 @@
 // duplicate-spec burst on 4) x six config variants (default, no way
 // donation, MBA caps, online profiling, SNS network management,
 // dot-product packing) x observers off and all observers on; plus CE and
-// SNS on the 700-job Fig-20 quick trace at 4,096 and 32,768 nodes, where
-// the simulator's own parallel-select pool engages, with and without the
-// flight recorder; last, SNS under online profiling from a partial profile
-// database, where exploration trials move the database generation.
+// SNS on the 700-job Fig-20 quick trace at 4,096 and 32,768 nodes, with
+// and without the flight recorder; last, SNS under online profiling from a
+// partial profile database, where exploration trials move the database
+// generation.
 //
 // On a mismatch the test prints the complete replacement table. Replace
 // golden_digests.inc with it only when the behaviour change is intended
@@ -23,11 +23,15 @@
 // The deterministic work counters of the eight quick-trace cells (CE and
 // SNS at 4,096 to 32,768 nodes) are pinned next to the digests, and this
 // pin is their record: events, completions, the active-job high-water
-// mark, solver calls and memo/cache traffic, spec and futile-pass skips. They are a pure function of the simulated
-// schedule, so they are held exactly, in every build mode.
+// mark, solver calls and memo/cache traffic, spec and futile-pass skips.
+// They are a pure function of the simulated schedule, so they are held
+// exactly, in every build mode, with or without observers attached.
+//
+// Last, what the observers are shown — the event log and the provenance
+// store — is pinned on the small sets and one quick-trace cell
+// (observer_digests.inc).
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -44,6 +48,7 @@
 #include "sns/telemetry/sampler.hpp"
 #include "sns/trace/replay.hpp"
 #include "sns/xray/span.hpp"
+#include "tests/support/digest.hpp"
 
 namespace sns::sim {
 namespace {
@@ -57,28 +62,8 @@ constexpr Golden kGolden[] = {
 #include "golden_digests.inc"
 };
 
-/// FNV-1a over the bytes of each mixed value.
-class Digest {
- public:
-  void mix(std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) byte((v >> (8 * b)) & 0xffu);
-  }
-  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-  void mix(int v) { mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
-  void mix(bool v) { mix(static_cast<std::uint64_t>(v)); }
-  void mix(const std::string& s) {
-    mix(static_cast<std::uint64_t>(s.size()));
-    for (unsigned char c : s) byte(c);
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  void byte(std::uint64_t b) {
-    h_ ^= b;
-    h_ *= 1099511628211ull;
-  }
-  std::uint64_t h_ = 1469598103934665603ull;
-};
+using sns::testing::Digest;
+using sns::testing::provenanceDigest;
 
 std::uint64_t digestOf(const SimResult& res, const flight::FlightRecorder* fr) {
   Digest d;
@@ -326,16 +311,18 @@ std::vector<Computed> computeAll() {
   return out;
 }
 
-TEST(GoldenDigests, EveryCellMatchesTheCheckedInTable) {
-  const std::vector<Computed> got = computeAll();
-  bool match = got.size() == std::size(kGolden);
-  for (std::size_t i = 0; i < got.size() && i < std::size(kGolden); ++i) {
-    EXPECT_EQ(got[i].cell, kGolden[i].cell);
-    EXPECT_EQ(got[i].digest, kGolden[i].digest) << got[i].cell;
-    match = match && got[i].cell == kGolden[i].cell &&
-            got[i].digest == kGolden[i].digest;
+/// Compare `got` against a checked-in table; on any mismatch print the
+/// complete replacement table for `file`.
+template <std::size_t N>
+void expectTable(const std::vector<Computed>& got, const Golden (&want)[N],
+                 const char* file) {
+  bool match = got.size() == N;
+  for (std::size_t i = 0; i < got.size() && i < N; ++i) {
+    EXPECT_EQ(got[i].cell, want[i].cell);
+    EXPECT_EQ(got[i].digest, want[i].digest) << got[i].cell;
+    match = match && got[i].cell == want[i].cell && got[i].digest == want[i].digest;
   }
-  EXPECT_EQ(got.size(), std::size(kGolden));
+  EXPECT_EQ(got.size(), N);
   if (!match) {
     std::string table;
     char line[160];
@@ -344,8 +331,117 @@ TEST(GoldenDigests, EveryCellMatchesTheCheckedInTable) {
                     static_cast<unsigned long long>(c.digest));
       table += line;
     }
-    ADD_FAILURE() << "replacement tests/sim/golden_digests.inc:\n" << table;
+    ADD_FAILURE() << "replacement " << file << ":\n" << table;
   }
+}
+
+TEST(GoldenDigests, EveryCellMatchesTheCheckedInTable) {
+  expectTable(computeAll(), kGolden, "tests/sim/golden_digests.inc");
+}
+
+// ---- observer outputs ---------------------------------------------------------
+
+// What the observers were shown, pinned to hashes of their outputs: the
+// event log, with bandwidth_throttled events split out into their own
+// (time, job, node, cap) sequence, and the provenance dump without its
+// solver_lookups / solver_hits fields (the solver attribution is credited
+// from the end-of-pass refresh, so it is checked against the refresh by
+// XrayEquivalence.SolverAttributionSumsToEachPassRefresh instead). Every
+// observer is a pure reader, so these outputs may not depend on which
+// engine shortcut answered a decision: a failed-spec memo hit and a
+// skipped futile pass replay exactly what a full tryPlace() walk shows.
+//
+// The table was captured from an engine that turned the memo, the futile
+// gate and the end-of-pass refresh off under these observers. One entry
+// differs from that capture: contended/SNS/mba/throttled. The refresh now
+// runs once per pass, so three caps that held for zero virtual seconds —
+// jobs 0, 9 and 18, each capped while alone between two placements of one
+// pass and uncapped when the pass ended — are no longer reported.
+constexpr Golden kObserverGolden[] = {
+#include "observer_digests.inc"
+};
+
+/// Streams every event into one digest and every bandwidth_throttled
+/// event's (time, job, node, cap) into another.
+class EventDigestSink final : public obs::EventSink {
+ public:
+  void record(const obs::Event& e) override {
+    if (e.type == obs::EventType::kBandwidthThrottled) {
+      throttled.mix(e.time);
+      throttled.mix(static_cast<std::uint64_t>(e.job));
+      throttled.mix(e.node);
+      throttled.mix(e.value);
+      return;
+    }
+    log.mix(static_cast<std::uint64_t>(e.type));
+    log.mix(e.time);
+    log.mix(static_cast<std::uint64_t>(e.job));
+    log.mix(e.node);
+    log.mix(e.ways);
+    log.mix(e.scale);
+    log.mix(e.value);
+    log.mix(e.value2);
+    log.mix(e.what);
+    log.mix(e.detail);
+    log.mix(static_cast<std::uint64_t>(e.candidates.size()));
+    for (const obs::NodeScore& c : e.candidates) {
+      log.mix(c.node);
+      log.mix(c.score);
+    }
+  }
+  Digest log;
+  Digest throttled;
+};
+
+/// One observed cell: a run with only an event sink attached, and one
+/// with only a tracer (provenance on), so each observer alone decides
+/// what the engine must replay to it.
+void observeCell(const std::string& cell, const perfmodel::Estimator& est,
+                 const std::vector<app::ProgramModel>& lib,
+                 const profile::ProfileDatabase& db, const SimConfig& cfg,
+                 const std::vector<app::JobSpec>& jobs, std::vector<Computed>& out) {
+  EventDigestSink sink;
+  SimConfig logged = cfg;
+  logged.sink = &sink;
+  ClusterSimulator(est, lib, db, logged).run(jobs);
+  out.push_back({cell + "/events", sink.log.value()});
+  out.push_back({cell + "/throttled", sink.throttled.value()});
+
+  xray::Tracer tracer;
+  SimConfig traced = cfg;
+  traced.xray = &tracer;
+  ClusterSimulator(est, lib, db, traced).run(jobs);
+  out.push_back({cell + "/provenance", provenanceDigest(*tracer.provenance())});
+}
+
+TEST(GoldenDigests, ObserverOutputsMatchTheBaseline) {
+  std::vector<Computed> got;
+  const SmallEnv small;
+  for (const InputSet& set : inputSets(small)) {
+    for (sched::PolicyKind policy :
+         {sched::PolicyKind::kCE, sched::PolicyKind::kCS, sched::PolicyKind::kSNS}) {
+      for (const bool mba : {false, true}) {
+        SimConfig cfg;
+        cfg.nodes = set.nodes;
+        cfg.policy = policy;
+        cfg.age_limit_s = set.age_limit_s;
+        cfg.max_queue_scan = set.max_queue_scan;
+        cfg.enforce_bandwidth_caps = mba;
+        observeCell(set.name + "/" + sched::to_string(policy) +
+                        (mba ? "/mba" : "/default"),
+                    small.est, small.lib, small.db, cfg, set.jobs, got);
+      }
+    }
+  }
+  const TraceEnv big;
+  SimConfig cfg;
+  cfg.nodes = 4096;
+  cfg.policy = sched::PolicyKind::kSNS;
+  cfg.monitor_episode_s = 0.0;
+  cfg.age_limit_s = 14.0 * 86400.0;
+  cfg.max_queue_scan = 256;
+  observeCell("quick700/4096/SNS", big.est, big.lib, big.db, cfg, big.jobs, got);
+  expectTable(got, kObserverGolden, "tests/sim/observer_digests.inc");
 }
 
 // ---- deterministic work counters --------------------------------------------
@@ -392,37 +488,53 @@ double counterValue(const obs::Registry& m, const char* name) {
   return c != nullptr ? c->value() : 0.0;
 }
 
+// Observers are pure readers, so each cell is run twice against the same
+// row: with a metrics registry alone, and with an event sink, a tracer
+// with provenance and a flight recorder attached as well.
 TEST(GoldenDigests, WorkCountersMatchTheBaseline) {
   const TraceEnv big;
   for (const CounterCell& want : kCounterCells) {
-    // The quick-trace replay: a metrics registry, no other observer.
-    obs::Registry m;
-    SimConfig cfg;
-    cfg.nodes = want.nodes;
-    cfg.policy = want.policy;
-    cfg.monitor_episode_s = 0.0;
-    cfg.age_limit_s = 14.0 * 86400.0;
-    cfg.max_queue_scan = 256;
-    cfg.metrics = &m;
-    ClusterSimulator sim(big.est, big.lib, big.db, cfg);
-    (void)sim.run(big.jobs);
-    const std::string cell =
-        std::to_string(want.nodes) + "/" + sched::to_string(want.policy);
-    const obs::Gauge* hwm = m.findGauge("sim.active_jobs_hwm");
-    EXPECT_EQ(counterValue(m, "sim.jobs_submitted") + counterValue(m, "sim.jobs_started") +
-                  counterValue(m, "sim.jobs_finished"),
-              want.events)
-        << cell;
-    EXPECT_EQ(counterValue(m, "sim.jobs_finished"), want.jobs_completed) << cell;
-    EXPECT_EQ(hwm != nullptr ? hwm->value() : 0.0, want.active_jobs_hwm) << cell;
-    EXPECT_EQ(counterValue(m, "sim.solver_calls"), want.solver_calls) << cell;
-    EXPECT_EQ(counterValue(m, "sim.solver_memo_hits"), want.solver_memo_hits) << cell;
-    EXPECT_EQ(counterValue(m, "solver.cache.hits"), want.solver_cache_hits) << cell;
-    EXPECT_EQ(counterValue(m, "solver.cache.misses"), want.solver_cache_misses) << cell;
-    EXPECT_EQ(counterValue(m, "solver.cache.evictions"), want.solver_cache_evictions)
-        << cell;
-    EXPECT_EQ(counterValue(m, "sim.spec_skips"), want.spec_skips) << cell;
-    EXPECT_EQ(counterValue(m, "sim.futile_pass_skips"), want.futile_pass_skips) << cell;
+    for (const bool observed : {false, true}) {
+      obs::Registry m;
+      obs::NullSink sink;
+      xray::Tracer tracer;
+      flight::FlightRecorder flight;
+      SimConfig cfg;
+      cfg.nodes = want.nodes;
+      cfg.policy = want.policy;
+      cfg.monitor_episode_s = 0.0;
+      cfg.age_limit_s = 14.0 * 86400.0;
+      cfg.max_queue_scan = 256;
+      cfg.metrics = &m;
+      if (observed) {
+        cfg.sink = &sink;
+        cfg.xray = &tracer;
+        cfg.flight = &flight;
+      }
+      ClusterSimulator sim(big.est, big.lib, big.db, cfg);
+      (void)sim.run(big.jobs);
+      const std::string cell = std::to_string(want.nodes) + "/" +
+                               sched::to_string(want.policy) +
+                               (observed ? "/observed" : "/metrics-only");
+      const obs::Gauge* hwm = m.findGauge("sim.active_jobs_hwm");
+      EXPECT_EQ(counterValue(m, "sim.jobs_submitted") +
+                    counterValue(m, "sim.jobs_started") +
+                    counterValue(m, "sim.jobs_finished"),
+                want.events)
+          << cell;
+      EXPECT_EQ(counterValue(m, "sim.jobs_finished"), want.jobs_completed) << cell;
+      EXPECT_EQ(hwm != nullptr ? hwm->value() : 0.0, want.active_jobs_hwm) << cell;
+      EXPECT_EQ(counterValue(m, "sim.solver_calls"), want.solver_calls) << cell;
+      EXPECT_EQ(counterValue(m, "sim.solver_memo_hits"), want.solver_memo_hits) << cell;
+      EXPECT_EQ(counterValue(m, "solver.cache.hits"), want.solver_cache_hits) << cell;
+      EXPECT_EQ(counterValue(m, "solver.cache.misses"), want.solver_cache_misses)
+          << cell;
+      EXPECT_EQ(counterValue(m, "solver.cache.evictions"), want.solver_cache_evictions)
+          << cell;
+      EXPECT_EQ(counterValue(m, "sim.spec_skips"), want.spec_skips) << cell;
+      EXPECT_EQ(counterValue(m, "sim.futile_pass_skips"), want.futile_pass_skips)
+          << cell;
+    }
   }
 }
 

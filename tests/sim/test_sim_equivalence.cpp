@@ -1,11 +1,12 @@
-// Equivalence suite for the simulator's internal paths. The batched
-// fast path (failed-spec memo, deferred end-of-pass rate refresh,
-// futile-pass gate) disengages whenever an observer needs per-dispatch
-// fidelity; each alternative must reproduce the plain run bit-for-bit — exact double
-// comparisons, no tolerances — across policies, seeds, trace-style
-// ce_time_override jobs, and monitored runs (which exercise the dense
-// accumulate path). The values themselves are pinned by
-// test_golden_digests.cpp.
+// Equivalence suite for the simulator's one engine path. The failed-spec
+// memo, the end-of-pass rate refresh and the futile-pass gate run whatever
+// observers are attached; a run with an event sink and a tracer (which are
+// shown memo hits and skipped passes as replays) must reproduce the plain
+// run bit-for-bit — exact double comparisons, no tolerances — across
+// policies, seeds, trace-style ce_time_override jobs, and monitored runs
+// (which exercise the dense accumulate path). The values themselves are
+// pinned by test_golden_digests.cpp, and what the observers are shown by
+// its ObserverOutputsMatchTheBaseline.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -87,10 +88,10 @@ SimResult runWith(const Fixture& f, SimConfig cfg,
   return sim.run(seq);
 }
 
-/// The per-dispatch path: an event sink turns off the failed-spec memo
-/// and the deferred refresh, an xray tracer the futile-pass gate.
-SimResult runPerDispatch(const Fixture& f, SimConfig cfg,
-                         const std::vector<app::JobSpec>& seq) {
+/// A run with an event sink and an xray tracer (provenance on) attached:
+/// the observers every diagnostic run carries.
+SimResult runObserved(const Fixture& f, SimConfig cfg,
+                      const std::vector<app::JobSpec>& seq) {
   obs::RingBufferLog log;
   xray::Tracer tracer;
   cfg.sink = &log;
@@ -98,8 +99,8 @@ SimResult runPerDispatch(const Fixture& f, SimConfig cfg,
   return runWith(f, cfg, seq);
 }
 
-// The batched fast path (the optimized arm) against the per-dispatch path
-// every diagnostic run takes (the legacy arm).
+// The plain run against the same run under the observers every diagnostic
+// run attaches.
 class OptimizedVsLegacy
     : public ::testing::TestWithParam<std::tuple<sched::PolicyKind, std::uint64_t>> {
 };
@@ -111,12 +112,12 @@ TEST_P(OptimizedVsLegacy, RandomSequencesBitIdentical) {
   const auto seq = app::randomSequence(rng, f.lib, 16, 0.9);
 
   const SimConfig cfg = baseConfig(policy, /*monitored=*/true);
-  expectIdentical(runWith(f, cfg, seq), runPerDispatch(f, cfg, seq));
+  expectIdentical(runWith(f, cfg, seq), runObserved(f, cfg, seq));
 }
 
-// Each path switch alone — per-dispatch scoring, tracer-bypassed gate —
-// with and without the flight recorder, which rides
-// the settle points these switches rewire and must stay a pure observer.
+// Each observer alone — an event sink with a tracer, a tracer without
+// provenance — with and without the flight recorder, which rides the
+// settle points of the end-of-pass refresh and must stay a pure observer.
 TEST_P(OptimizedVsLegacy, EachFlagAloneBitIdentical) {
   auto& f = fixture();
   const auto [policy, seed] = GetParam();
@@ -132,10 +133,10 @@ TEST_P(OptimizedVsLegacy, EachFlagAloneBitIdentical) {
     if (recorded) one.flight = &fr;
     SCOPED_TRACE(recorded ? "recorder on" : "recorder off");
     expectIdentical(runWith(f, one, seq), ref);
-    expectIdentical(runPerDispatch(f, one, seq), ref);
+    expectIdentical(runObserved(f, one, seq), ref);
     xray::TracerConfig no_prov;
     no_prov.provenance = false;
-    xray::Tracer tracer(no_prov);  // gate bypassed, batching kept
+    xray::Tracer tracer(no_prov);
     SimConfig traced = one;
     traced.xray = &tracer;
     expectIdentical(runWith(f, traced, seq), ref);
@@ -151,8 +152,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Trace-style jobs: ce_time_override supplies the ground-truth run time
 // (the Fig 20 replay path), tight scan limits force backfilling decisions,
-// and the queue stays deep enough that the memoized and per-dispatch walks
-// genuinely diverge in work done (but must not diverge in results).
+// and the queue stays deep enough that the memo and the futile-pass gate
+// answer many visits, which the observers are shown as replays.
 TEST(SimEquivalence, TraceStyleOverrideJobsBitIdentical) {
   auto& f = fixture();
   std::vector<app::JobSpec> seq;
@@ -175,7 +176,7 @@ TEST(SimEquivalence, TraceStyleOverrideJobsBitIdentical) {
     cfg.max_queue_scan = 4;
     SCOPED_TRACE(sched::to_string(policy));
     const SimResult ref = runWith(f, cfg, seq);
-    expectIdentical(runPerDispatch(f, cfg, seq), ref);
+    expectIdentical(runObserved(f, cfg, seq), ref);
   }
 }
 
@@ -183,8 +184,7 @@ TEST(SimEquivalence, TraceStyleOverrideJobsBitIdentical) {
 // jobs sharing a handful of specs pile up on a small contended cluster, so
 // the queue walk repeats identical selection queries and identical
 // tryPlace failures pass after pass, with releases invalidating both
-// caches mid-run. The memoized decisions must match the per-dispatch
-// path exactly.
+// caches mid-run. Observing the memoized decisions must not change them.
 TEST(SimEquivalence, ContendedDuplicateSpecsBitIdentical) {
   auto& f = fixture();
   std::vector<app::JobSpec> seq;
@@ -204,7 +204,7 @@ TEST(SimEquivalence, ContendedDuplicateSpecsBitIdentical) {
     SimConfig cfg = baseConfig(policy, /*monitored=*/true);
     cfg.nodes = 4;  // contended: nothing close to the aggregate demand
     SCOPED_TRACE(sched::to_string(policy));
-    expectIdentical(runWith(f, cfg, seq), runPerDispatch(f, cfg, seq));
+    expectIdentical(runWith(f, cfg, seq), runObserved(f, cfg, seq));
   }
 }
 

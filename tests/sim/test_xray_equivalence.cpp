@@ -5,6 +5,9 @@
 // the simulator-path equivalence suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "sns/app/library.hpp"
@@ -14,6 +17,7 @@
 #include "sns/profile/profiler.hpp"
 #include "sns/sim/cluster_sim.hpp"
 #include "sns/xray/span.hpp"
+#include "tests/support/digest.hpp"
 
 namespace sns::sim {
 namespace {
@@ -108,9 +112,25 @@ TEST_P(XrayEquivalence, TracerOnOffBitIdentical) {
 }
 
 // Provenance under the failed-spec memo: a memo hit replays the walk of
-// the attempt that recorded the entry, so the store is byte-identical to
-// the one the per-dispatch path records (an event sink turns the memo
-// off), exploration trials included, and the schedule is unchanged.
+// the attempt that recorded the entry, and a skipped futile pass replays
+// each job it would have visited, so the store (solver attribution aside)
+// is byte-identical to the one a full tryPlace() walk on every visit
+// records, exploration trials included. The digests were captured from
+// such a per-visit engine; the schedule matches an unobserved run.
+struct ProvenancePin {
+  const char* cell;
+  std::uint64_t digest;
+};
+
+constexpr ProvenancePin kProvenancePins[] = {
+    {"CE/5/full", 0x236194fcab099974ull},   {"CE/5/online", 0x236194fcab099974ull},
+    {"CE/6/full", 0xf2e520fb769704d8ull},   {"CE/6/online", 0xf2e520fb769704d8ull},
+    {"CS/5/full", 0xc92ca5fb17b12a75ull},   {"CS/5/online", 0xc92ca5fb17b12a75ull},
+    {"CS/6/full", 0xff2c534945eb3f8aull},   {"CS/6/online", 0xff2c534945eb3f8aull},
+    {"SNS/5/full", 0xdab76928c26f43e4ull},  {"SNS/5/online", 0x58de33d2c34144cdull},
+    {"SNS/6/full", 0xdd0f5626e118b1adull},  {"SNS/6/online", 0x232aa42198f994d4ull},
+};
+
 TEST_P(XrayEquivalence, ProvenanceUnderSpecMemoMatchesPerDispatch) {
   auto& f = fixture();
   const auto [policy, seed] = GetParam();
@@ -123,35 +143,84 @@ TEST_P(XrayEquivalence, ProvenanceUnderSpecMemoMatchesPerDispatch) {
     if (const auto* prof = f.db.find(f.lib[i].name, 16)) partial.put(*prof);
   }
   for (const bool online : {false, true}) {
-    SCOPED_TRACE(online ? "online profiling" : "full profiles");
+    const std::string cell = sched::to_string(policy) + "/" + std::to_string(seed) +
+                             (online ? "/online" : "/full");
+    SCOPED_TRACE(cell);
     const profile::ProfileDatabase& db = online ? partial : f.db;
     SimConfig cfg;
     cfg.nodes = 8;
     cfg.policy = policy;
     cfg.online_profiling = online;
-    const auto run = [&](xray::Tracer& tracer, obs::EventSink* sink,
-                         obs::Registry& metrics) {
-      SimConfig c = cfg;
-      c.xray = &tracer;
-      c.sink = sink;
-      c.metrics = &metrics;
-      ClusterSimulator sim(f.est, f.lib, db, c);
-      return sim.run(seq);
-    };
-    xray::Tracer memo_tracer;
-    obs::Registry memo_metrics;
-    const SimResult memo = run(memo_tracer, nullptr, memo_metrics);
-    xray::Tracer ref_tracer;
-    obs::RingBufferLog log;
-    obs::Registry ref_metrics;
-    const SimResult ref = run(ref_tracer, &log, ref_metrics);
+    const SimResult plain = ClusterSimulator(f.est, f.lib, db, cfg).run(seq);
 
-    expectIdentical(memo, ref);
-    EXPECT_EQ(memo_tracer.provenance()->toJson().dump(),
-              ref_tracer.provenance()->toJson().dump());
-    // The memo answered attempts in one run and none in the other.
-    EXPECT_GT(memo_metrics.counter("sim.spec_skips").value(), 0.0);
-    EXPECT_EQ(ref_metrics.counter("sim.spec_skips").value(), 0.0);
+    xray::Tracer tracer;
+    obs::Registry metrics;
+    cfg.xray = &tracer;
+    cfg.metrics = &metrics;
+    const SimResult memo = ClusterSimulator(f.est, f.lib, db, cfg).run(seq);
+
+    expectIdentical(memo, plain);
+    const std::uint64_t got = testing::provenanceDigest(*tracer.provenance());
+    const auto* pin = std::find_if(
+        std::begin(kProvenancePins), std::end(kProvenancePins),
+        [&](const ProvenancePin& p) { return cell == p.cell; });
+    const std::uint64_t want = pin != std::end(kProvenancePins) ? pin->digest : 0;
+    EXPECT_EQ(got, want) << "pin: {\"" << cell << "\", 0x" << std::hex << got
+                         << "ull},";
+    // The memo answered attempts.
+    EXPECT_GT(metrics.counter("sim.spec_skips").value(), 0.0);
+  }
+}
+
+// Solver attribution: the end-of-pass refresh credits each co-run group
+// solve to the placement that first dirtied the node it is solved at, so
+// per pass the placed jobs' attributed lookups sum to the solver calls of
+// that pass's refresh (the solver_call spans inside its batch_refresh
+// span), and solves after a finish are credited to no one.
+TEST_P(XrayEquivalence, SolverAttributionSumsToEachPassRefresh) {
+  auto& f = fixture();
+  const auto [policy, seed] = GetParam();
+  util::Rng rng(seed + 40);
+  const auto seq = app::randomSequence(rng, f.lib, 24, 0.9);
+  xray::TracerConfig tc;
+  tc.keep_records = true;
+  xray::Tracer tracer(tc);
+  SimConfig cfg;
+  cfg.nodes = 8;
+  cfg.policy = policy;
+  cfg.xray = &tracer;
+  (void)ClusterSimulator(f.est, f.lib, f.db, cfg).run(seq);
+  ASSERT_EQ(tracer.droppedSpans(), 0u);
+  ASSERT_EQ(tracer.droppedRecords(), 0u);
+
+  // Refresh solver calls per pass time, from the retained spans.
+  std::map<double, std::uint64_t> refresh_calls;
+  const auto& records = tracer.records();
+  for (const xray::SpanRecord& br : records) {
+    if (br.kind != xray::SpanKind::kBatchRefresh) continue;
+    std::uint64_t& calls = refresh_calls[br.sim_time];
+    for (const xray::SpanRecord& r : records) {
+      calls += r.unit == br.unit && r.kind == xray::SpanKind::kSolverCall &&
+               r.depth == br.depth + 1 && r.t0_ns >= br.t0_ns && r.t1_ns <= br.t1_ns;
+    }
+  }
+  // Attributed lookups per decision time, from the provenance store.
+  std::map<double, std::uint64_t> attributed;
+  for (const xray::DecisionRecord& d : tracer.provenance()->records()) {
+    if (d.attempts_total == 0) continue;
+    EXPECT_LE(d.solver_hits, d.solver_lookups) << "job " << d.job;
+    if (!d.placed) {
+      EXPECT_EQ(d.solver_lookups, 0u) << "job " << d.job;
+      continue;
+    }
+    attributed[d.decided] += d.solver_lookups;
+  }
+  ASSERT_FALSE(attributed.empty());
+  for (auto& [t, calls] : refresh_calls) {
+    EXPECT_EQ(attributed[t], calls) << "pass at t=" << t;
+  }
+  for (const auto& [t, lookups] : attributed) {
+    EXPECT_EQ(refresh_calls[t], lookups) << "pass at t=" << t;
   }
 }
 

@@ -9,6 +9,7 @@
 #include "sns/obs/metrics.hpp"
 #include "sns/obs/sink.hpp"
 #include "sns/profile/profiler.hpp"
+#include "sns/sim/cluster_sim.hpp"
 
 namespace sns::uberun {
 namespace {
@@ -228,6 +229,36 @@ TEST_F(SystemTest, ObserversAttachThroughSimConfig) {
   EXPECT_EQ(ReportDigest(observed).value(), ReportDigest(plain).value());
   EXPECT_EQ(observed.events, plain.events);
   EXPECT_EQ(observed.reprofile, plain.reprofile);
+}
+
+TEST_F(SystemTest, BatchRunsTheBareSimulatorsEngine) {
+  // process() tees an event sink into every run; the sink reads the
+  // engine, it does not pick it. So a batch does the same work as a bare
+  // simulator run of the same jobs with only a metrics registry: the same
+  // failed-spec memo answers, futile-pass skips and contention solves.
+  util::Rng rng(404);
+  const auto jobs = app::randomSequence(rng, lib_, 12, 0.9);
+  UberunConfig cfg = config();
+
+  obs::Registry bare;
+  sim::SimConfig bare_cfg = cfg.sim;
+  bare_cfg.metrics = &bare;
+  (void)sim::ClusterSimulator(est_, lib_, db_, bare_cfg).run(jobs);
+
+  obs::Registry batch;
+  cfg.sim.metrics = &batch;
+  (void)UberunSystem(est_, lib_, db_, cfg).process(jobs);
+
+  for (const char* name :
+       {"sim.spec_skips", "sim.futile_pass_skips", "sim.solver_calls"}) {
+    const auto* want = bare.findCounter(name);
+    const auto* got = batch.findCounter(name);
+    ASSERT_NE(want, nullptr) << name;
+    ASSERT_NE(got, nullptr) << name;
+    EXPECT_EQ(got->value(), want->value()) << name;
+  }
+  EXPECT_GT(bare.findCounter("sim.spec_skips")->value(), 0.0);
+  EXPECT_GT(bare.findCounter("sim.futile_pass_skips")->value(), 0.0);
 }
 
 TEST_F(SystemTest, LaunchPlansNeverDoubleBookCores) {

@@ -48,7 +48,7 @@ TEST(Explain, PlacedJobReportsWalkScoresAndSolver) {
   EXPECT_NE(out.find("score = Co + Bo + 1.0 x Wo"), std::string::npos);
   EXPECT_NE(out.find("0.2500"), std::string::npos);
   EXPECT_NE(out.find("0.4000"), std::string::npos);
-  // Solver-cache provenance of the deciding dispatch.
+  // Solver-cache provenance credited to the placement.
   EXPECT_NE(out.find("10 contention solve(s)"), std::string::npos);
   EXPECT_NE(out.find("7 served from cache"), std::string::npos);
 }

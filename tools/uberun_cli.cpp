@@ -36,8 +36,8 @@
 // `uberun explain` replays a workload with the sns::xray provenance store
 // attached and answers "why did job J land where it did": the scale-factor
 // walk with per-step rejection reasons, the winning nodes with their
-// Co + Bo + beta x Wo score breakdown, and the solver-cache provenance of
-// the deciding dispatch. Without --job it prints a one-line-per-job index.
+// Co + Bo + beta x Wo score breakdown, and the contention solves credited
+// to the placement. Without --job it prints a one-line-per-job index.
 //
 // `uberun hotpath` replays a workload with the sns::xray tracer timing
 // every event-loop step (--sample N times every Nth) and prints the
