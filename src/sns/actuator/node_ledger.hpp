@@ -59,6 +59,22 @@ inline bool groupAdmits(const GroupState& g, const hw::MachineConfig& mach,
   return true;
 }
 
+/// Ways backing `alloc`'s data on a node of group `g`: its partition plus
+/// an equal share of the unallocated ways (CAT partitions can overlap, so
+/// leftover capacity is donated and reclaimed dynamically). A function of
+/// the group alone, so one co-run solve serves every member node.
+inline double effectiveWays(const GroupState& g, const hw::MachineConfig& mach,
+                            const NodeAllocation& alloc) {
+  if (alloc.exclusive || alloc.ways == 0) {
+    // Exclusive jobs own the whole cache; unpartitioned jobs compete for it
+    // (the contention model resolves the free-for-all split).
+    return alloc.ways == 0 ? 0.0 : static_cast<double>(mach.llc_ways);
+  }
+  const double donated = static_cast<double>(mach.llc_ways - g.ways_reserved) /
+                         static_cast<double>(g.residents.size());
+  return alloc.ways + donated;
+}
+
 /// Read-only view of one node's resource accounting, returned by value
 /// from ResourceLedger::node(): the node's co-run group state plus its
 /// class's bandwidth and NIC reservation sums. CAT semantics: way partitioning
@@ -126,20 +142,11 @@ class NodeLedger {
     return g_->residents;
   }
 
-  /// Ways actually backing a job's data right now: its partition plus an
-  /// equal share of all unallocated ways (CAT partitions can overlap, so
-  /// leftover capacity is donated and reclaimed dynamically).
+  /// Ways actually backing a job's data right now (actuator::effectiveWays).
   double effectiveWays(JobId job) const { return effectiveWays(allocation(job)); }
   /// Same, for a caller that already holds the allocation.
   double effectiveWays(const NodeAllocation& alloc) const {
-    if (alloc.exclusive || alloc.ways == 0) {
-      // Exclusive jobs own the whole cache; unpartitioned jobs compete for
-      // it (the contention model resolves the free-for-all split).
-      return alloc.ways == 0 ? 0.0 : static_cast<double>(mach_->llc_ways);
-    }
-    const double donated =
-        static_cast<double>(freeWays()) / static_cast<double>(jobCount());
-    return alloc.ways + donated;
+    return actuator::effectiveWays(*g_, *mach_, alloc);
   }
 
   const hw::MachineConfig& machine() const { return *mach_; }

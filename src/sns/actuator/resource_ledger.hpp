@@ -227,6 +227,9 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   }
   /// Upper bound on group ids (live or pooled).
   std::size_t groupSlots() const { return groups_.size(); }
+  /// The last Group::serial issued: every group interned after this read
+  /// carries a larger one.
+  std::uint64_t lastSerial() const { return serial_; }
   ClassId classOf(int nd) const { return slots_[static_cast<std::size_t>(nd)].cls; }
   GroupId groupOfClass(ClassId k) const { return classes_[k].group; }
   const NodeClass& nodeClass(ClassId k) const {

@@ -179,7 +179,16 @@ void NodeContentionSolver::solveInto(std::span<const NodeShare> shares,
     }
     return sc.derived[i];
   };
-  if (free_count > 0) {
+  // A free-sharing share alone on its node (CE's exclusive placements)
+  // iterates to a fixed point that depends on nothing else.
+  const bool lone = n == 1 && free_count == 1;
+  const std::optional<LoneFixedPoint> known =
+      lone ? source.findLone(shares[0]) : std::nullopt;
+  if (known) {
+    sc.eff_ways[0] = known->ways;
+    sc.derived[0] = known->d;
+    sc.derived_at[0] = known->ways;
+  } else if (free_count > 0) {
     SNS_REQUIRE(free_pool > 0.0, "free-sharing jobs but no unpartitioned ways left");
     int free_procs = 0;
     for (const auto& s : shares)
@@ -224,6 +233,7 @@ void NodeContentionSolver::solveInto(std::span<const NodeShare> shares,
   // so share order fixes its rounding exactly as in solve().
   double total_capped = 0.0;
   for (std::size_t i = 0; i < n; ++i) total_capped += derivedAt(i).capped;
+  if (lone && !known) source.storeLone(shares[0], {sc.eff_ways[0], sc.derived[0]});
   const double capacity = mach_.mem_bw.aggregate(total_procs);
   const double scale = total_capped > capacity ? capacity / total_capped : 1.0;
 

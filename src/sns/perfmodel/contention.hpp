@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -36,11 +37,25 @@ struct ShareDerivation {
   double capped = 0.0;
 };
 
+/// Where a lone free-sharing share's fixed point ends: the ways it
+/// converges to and its derivation there. A pure function of the share.
+struct LoneFixedPoint {
+  double ways = 0.0;
+  ShareDerivation d;
+};
+
 /// Where NodeContentionSolver::solveInto() takes each derivation from:
 /// derived fresh, or read from a memo (SolverCache).
 class DerivationSource {
  public:
   virtual ShareDerivation derive(const NodeShare& share, double ways) = 0;
+  /// The fixed point of `share` alone on a node, when the source holds
+  /// it: solveInto() then skips the iteration.
+  virtual std::optional<LoneFixedPoint> findLone(const NodeShare& /*share*/) {
+    return std::nullopt;
+  }
+  /// solveInto() iterated `share` alone on a node to `fp`.
+  virtual void storeLone(const NodeShare& /*share*/, const LoneFixedPoint& /*fp*/) {}
 
  protected:
   ~DerivationSource() = default;
@@ -100,10 +115,12 @@ class NodeContentionSolver {
   /// split), then one combine per node — the capped demands summed serially
   /// in share order, one saturation-curve read, the proportional scale.
   /// A share is derived again only when its ways moved since its last
-  /// derivation. Each value comes from the same expressions in the same
-  /// order as in solve(), so results are bit-identical to it. The four-argument form
-  /// takes every derivation from `source`; the three-argument form derives
-  /// each one fresh. `out` is resized to shares.size().
+  /// derivation, and a lone free-sharing share's fixed point is asked of
+  /// the source before it is iterated. Each value comes from the same
+  /// expressions in the same order as in solve(), so results are
+  /// bit-identical to it. The four-argument form takes every derivation
+  /// from `source`; the three-argument form derives each one fresh. `out`
+  /// is resized to shares.size().
   void solveInto(std::span<const NodeShare> shares, SolveScratch& scratch,
                  std::vector<ShareOutcome>& out) const;
   void solveInto(std::span<const NodeShare> shares, SolveScratch& scratch,

@@ -85,6 +85,16 @@ void SolverCache::grow() {
 void SolverCache::wipe() {
   std::fill(table_.begin(), table_.end(), Entry{});
   size_ = 0;
+  lone_ = 0;
+}
+
+void SolverCache::insert(std::size_t slot, const Entry& e) {
+  if (4 * (size_ + lone_ + 1) > 3 * table_.size()) {
+    util::hotpath::markInnermostBoundary();
+    grow();
+    slot = probe(e.hash, e.key);
+  }
+  table_[slot] = e;
 }
 
 ShareDerivation SolverCache::derive(const NodeShare& share, double ways) {
@@ -101,23 +111,34 @@ ShareDerivation SolverCache::derive(const NodeShare& share, double ways) {
   util::hotpath::markInnermostBoundary();
   derived_fresh_ = true;
   const ShareDerivation d = solver_->derive(share, ways);
-  bool reprobe = false;
   if (size_ >= capacity_) {
     evictions_ += size_;
     if (m_evictions_) m_evictions_->inc(static_cast<double>(size_));
     wipe();
-    reprobe = true;
-  }
-  if (4 * (size_ + 1) > 3 * table_.size()) {
-    grow();
-    reprobe = true;
+    wiped_ = true;
+    slot = probe(h, key);
   }
   // The lookup's probe ended at the slot the entry goes in, unless the
-  // table was wiped or rehashed since.
-  if (reprobe) slot = probe(h, key);
-  table_[slot] = {key, d, h};
+  // table was wiped since.
+  insert(slot, {key, d, ways, h});
   ++size_;
   return d;
+}
+
+std::optional<LoneFixedPoint> SolverCache::findLone(const NodeShare& share) {
+  if (table_.empty()) return std::nullopt;
+  const Key key = keyOf(share, share.ways);
+  const Entry& e = table_[probe(hashOf(key), key)];
+  if (e.key.prog == nullptr) return std::nullopt;
+  return LoneFixedPoint{e.at, e.d};
+}
+
+void SolverCache::storeLone(const NodeShare& share, const LoneFixedPoint& fp) {
+  if (wiped_) return;
+  const Key key = keyOf(share, share.ways);
+  const std::uint32_t h = hashOf(key);
+  insert(probe(h, key), {key, fp.d, fp.ways, h});
+  ++lone_;
 }
 
 std::span<const ShareOutcome> SolverCache::solve(
@@ -125,6 +146,7 @@ std::span<const ShareOutcome> SolverCache::solve(
   // A set wider than any before grows the reused buffers: warm-up too.
   if (shares.size() > out_.capacity()) util::hotpath::markInnermostBoundary();
   derived_fresh_ = false;
+  wiped_ = false;
   solver_->solveInto(shares, scratch_, out_, *this);
   if (derived_fresh_) {
     ++misses_;
@@ -147,14 +169,16 @@ std::vector<std::string> SolverCache::auditInvariants() const {
   std::vector<std::string> out;
   const std::size_t mask = table_.size() - 1;
   std::size_t live = 0;
+  std::size_t lone = 0;
   for (std::size_t i = 0; i < table_.size(); ++i) {
     const Entry& e = table_[i];
     if (e.key.prog == nullptr) continue;
-    ++live;
+    const bool is_lone = isLone(e.key);
+    ++(is_lone ? lone : live);
     char name[160];
-    std::snprintf(name, sizeof name, "derivation of %s (%d procs) at %.17g ways",
-                  e.key.prog->name.c_str(), e.key.procs,
-                  std::bit_cast<double>(e.key.ways_bits));
+    std::snprintf(name, sizeof name, "%s of %s (%d procs) at %.17g ways",
+                  is_lone ? "lone fixed point" : "derivation",
+                  e.key.prog->name.c_str(), e.key.procs, e.at);
     if (e.hash != hashOf(e.key)) {
       out.push_back(std::string(name) + ": stored hash does not match its key");
     }
@@ -165,13 +189,22 @@ std::vector<std::string> SolverCache::auditInvariants() const {
       }
     }
     const NodeShare share = shareOf(e.key);
-    if (!sameBits(e.d, solver_->derive(share, share.ways))) {
+    if (is_lone && std::bit_cast<std::uint64_t>(
+                       solver_->solve(std::span<const NodeShare>(&share, 1))[0].eff_ways) !=
+                       std::bit_cast<std::uint64_t>(e.at)) {
+      out.push_back(std::string(name) + ": a fresh solve converges elsewhere");
+    }
+    if (!sameBits(e.d, solver_->derive(share, e.at))) {
       out.push_back(std::string(name) + ": stored values differ from a fresh derivation");
     }
   }
   if (live != size_) {
     out.push_back("memo holds " + std::to_string(live) +
                   " derivations but size() is " + std::to_string(size_));
+  }
+  if (lone != lone_) {
+    out.push_back("memo holds " + std::to_string(lone) +
+                  " lone fixed points but counts " + std::to_string(lone_));
   }
   std::sort(out.begin(), out.end());
   return out;

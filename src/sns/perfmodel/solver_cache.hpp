@@ -1,6 +1,8 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,8 +24,12 @@ namespace sns::perfmodel {
 /// key and the combine is the solver's own, so every outcome is
 /// bit-identical to a fresh solve, and a permuted co-run set costs no
 /// derivation at all. Free-sharing shares read the memo at each iterate of
-/// their fixed point; a lone share's iterates recur, so repeated singleton
-/// solves stay hits.
+/// their fixed point. A lone free-sharing share (CE's whole-node
+/// placements) also stores where its fixed point ends, keyed on its own
+/// non-positive ways, so a repeated singleton solve is one probe. It is
+/// stored only when every iterate's derivation survives the solve and is
+/// wiped with them, so hits and misses do not depend on it; it counts
+/// toward neither size() nor the capacity bound.
 ///
 /// Doubles are keyed on their exact bit patterns; any difference derives
 /// afresh. Programs are keyed by pointer identity, which is stable for the
@@ -43,7 +49,7 @@ class SolverCache : private DerivationSource {
   std::span<const ShareOutcome> solve(std::span<const NodeShare> shares);
 
   void clear();
-  /// Stored derivations.
+  /// Stored derivations (lone fixed points not included).
   std::size_t size() const { return size_; }
   /// Entry bound for the capacity safety valve (default kMaxEntries). A
   /// fresh derivation that finds the memo at or past the bound wipes it
@@ -71,6 +77,7 @@ class SolverCache : private DerivationSource {
 
   // ---- audit introspection (sns::audit) -------------------------------------
   /// Validate the memo: every stored derivation re-derives bit-identically,
+  /// every lone fixed point re-solves to its ways,
   /// its stored hash is its key's hash and its home slot reaches it
   /// without crossing an empty slot, and the live count matches size().
   /// Returns human-readable descriptions of every violated invariant,
@@ -85,7 +92,8 @@ class SolverCache : private DerivationSource {
   void debugCorruptEntry();
 
  private:
-  /// One share's bits plus the ways it is derived at.
+  /// One share's bits plus the ways it is derived at — or, for a lone
+  /// fixed point, the share's own ways (<= 0).
   struct Key {
     const app::ProgramModel* prog = nullptr;
     int procs = 0;
@@ -96,23 +104,31 @@ class SolverCache : private DerivationSource {
     bool operator==(const Key&) const = default;
   };
 
-  /// One table slot; `key.prog == nullptr` marks it empty.
+  /// One table slot; `key.prog == nullptr` marks it empty. `d` is the
+  /// derivation at `at` ways: the key's ways, or a lone share's fixed point.
   struct Entry {
     Key key;
     ShareDerivation d;
+    double at = 0.0;
     std::uint32_t hash = 0;
   };
 
   /// The memoized derivation solveInto() asks for: a probe, and on a miss
   /// a fresh derivation inserted where the probe ended.
   ShareDerivation derive(const NodeShare& share, double ways) override;
+  std::optional<LoneFixedPoint> findLone(const NodeShare& share) override;
+  /// Skipped when the running solve() wiped an iterate's derivation.
+  void storeLone(const NodeShare& share, const LoneFixedPoint& fp) override;
 
   static Key keyOf(const NodeShare& share, double ways);
+  static bool isLone(const Key& key) { return !(std::bit_cast<double>(key.ways_bits) > 0.0); }
   static NodeShare shareOf(const Key& key);
   static std::uint32_t hashOf(const Key& key);
   /// Slot holding `key` (hashing to `h`), or the empty slot that ends its
   /// probe sequence.
   std::size_t probe(std::uint32_t h, const Key& key) const;
+  /// Store `e` where the probe for its key ended, growing first if due.
+  void insert(std::size_t slot, const Entry& e);
   void grow();
   /// Drop every entry, keeping the table storage.
   void wipe();
@@ -125,7 +141,9 @@ class SolverCache : private DerivationSource {
   std::size_t capacity_ = kMaxEntries;  ///< see setCapacity()
   std::vector<Entry> table_;  ///< power-of-two slots, at most 3/4 full
   std::size_t size_ = 0;
+  std::size_t lone_ = 0;        ///< stored lone fixed points
   bool derived_fresh_ = false;  ///< the running solve() derived a share
+  bool wiped_ = false;          ///< the running solve() wiped the memo
   std::vector<ShareOutcome> out_;  ///< solve()'s result, reused across calls
   SolveScratch scratch_;           ///< solveInto() working set, reused
   std::uint64_t hits_ = 0;

@@ -35,10 +35,6 @@ ClusterSimulator::ClusterSimulator(const perfmodel::Estimator& est,
   } else {
     policy_ = sched::makePolicy(cfg_.policy, est);
   }
-  node_stamp_.assign(static_cast<std::size_t>(cfg.nodes), 0u);
-  if (provenance() != nullptr) {
-    dirty_owner_.assign(static_cast<std::size_t>(cfg.nodes), -1);
-  }
   node_net_demand_.assign(static_cast<std::size_t>(cfg.nodes), 0.0);
   busy_pos_.assign(static_cast<std::size_t>(cfg.nodes), -1);
   episode_accum_.assign(static_cast<std::size_t>(cfg.nodes), 0.0);
@@ -126,15 +122,12 @@ std::size_t ClusterSimulator::FlightSigHash::operator()(
   return static_cast<std::size_t>(h ^ (h >> 31));
 }
 
-void ClusterSimulator::markDeferredDirty(const std::vector<int>& nodes,
-                                         sched::JobId owner) {
-  const bool owned = !dirty_owner_.empty();
-  for (int nd : nodes) {
-    auto& stamp = node_stamp_[static_cast<std::size_t>(nd)];
-    if (stamp != node_stamp_epoch_) {
-      stamp = node_stamp_epoch_;
-      deferred_dirty_.push_back(nd);
-      if (owned) dirty_owner_[static_cast<std::size_t>(nd)] = owner;
+void ClusterSimulator::collectDirty(
+    std::span<const actuator::ResourceLedger::Transition> moves,
+    std::vector<DirtyGroup>& set) const {
+  for (const auto& t : moves) {
+    if (t.dst != sched::CorunGroups::kIdle) {
+      set.push_back({t.dst, ledger_.group(t.dst).serial});
     }
   }
 }
@@ -243,17 +236,17 @@ void ClusterSimulator::admit(sched::Job job) {
   if (m_queue_depth_) m_queue_depth_->set(static_cast<double>(queue_.size()));
 }
 
-bool ClusterSimulator::solveGroup(sched::CorunGroups::GroupId g, int nd) {
-  const auto& residents = ledger_.group(g).residents;
+bool ClusterSimulator::solveGroup(sched::CorunGroups::GroupId g) {
+  const actuator::ResourceLedger::Group& state = ledger_.group(g);
+  const auto& residents = state.residents;
   auto& grp = groups_.slot(g);
   if (m_solver_calls_) m_solver_calls_->inc();
-  const actuator::NodeLedger node = ledger_.node(nd);
   for (std::size_t i = 0; i < residents.size(); ++i) {
     const auto& [id, alloc] = residents[i];
     const Running& r = running(id);
     const double rf = r.remote_frac;  // placement-fixed, hoisted to startJob
     const double ways = cfg_.donate_unused_ways
-                            ? node.effectiveWays(alloc)
+                            ? actuator::effectiveWays(state, est_->machine(), alloc)
                             : static_cast<double>(alloc.ways);
     const double cap = cfg_.enforce_bandwidth_caps && !alloc.exclusive
                            ? alloc.bw_gbps
@@ -286,11 +279,10 @@ double ClusterSimulator::placementBandwidth(sched::JobId id) const {
   return sum;
 }
 
-void ClusterSimulator::refreshRates(double now,
-                                    const std::vector<int>& dirty_nodes,
+void ClusterSimulator::refreshRates(double now, const std::vector<DirtyGroup>& dirty,
                                     xray::ProvenanceStore* credit) {
   SNS_HOT_PATH("engine.refresh");
-  // Jobs touching a dirty node need their progress rate re-derived.
+  // Jobs resident in a dirty group need their progress rate re-derived.
   // Deduplicate with epoch stamps (collected in the same pass that
   // re-solves each group) and sort, so the per-job refresh runs in
   // ascending id order, exactly like the old std::set-based collection.
@@ -299,37 +291,20 @@ void ClusterSimulator::refreshRates(double now,
     stamp_epoch_ = 1;
   }
   affected_scratch_.clear();
-  // Solve dedup: a co-run group is exactly one ordered resident list, and
-  // a job's allocation is uniform across its nodes — so every member node
-  // presents the same co-run signature and gets the same outcome. Each
-  // distinct dirty group is solved once, at its first dirty node: the
-  // solve sequence (and the SolverCache's hit/miss order) a per-node scan
-  // with resident-list comparison produces. Members that are not dirty
-  // this time hold the same list as at their last solve, hence the same
-  // values the group carries.
+  // Every member node of a co-run group presents the same co-run
+  // signature, so each dirty group is solved once; members no event moved
+  // keep the values of their last solve. An entry whose incarnation has
+  // been emptied since names no node (a reused id has its own entry).
   ++group_epoch_;
-  sched::CorunGroups::GroupId prev = sched::CorunGroups::kIdle;
-  actuator::ResourceLedger::ClassId prev_class = actuator::ResourceLedger::kIdleClass;
-  for (int nd : dirty_nodes) {
-    // Runs of one group are the norm (a spread placement's nodes), so
-    // the previous node's group short-circuits the stamp check — and a
-    // run of one node-state class, within it, the group lookup.
-    const auto k = ledger_.classOf(nd);
-    if (k == prev_class) continue;
-    prev_class = k;
-    const sched::CorunGroups::GroupId g = ledger_.groupOfClass(k);
-    if (g == prev) continue;
-    prev = g;
-    if (g == sched::CorunGroups::kIdle) continue;
-    auto& grp = groups_.slot(g);
+  for (const DirtyGroup& d : dirty) {
+    const actuator::ResourceLedger::Group& state = ledger_.group(d.group);
+    if (!state.live || state.serial != d.serial) continue;
+    auto& grp = groups_.slot(d.group);
     if (grp.stamp == group_epoch_) continue;
     grp.stamp = group_epoch_;
-    const bool hit = solveGroup(g, nd);
-    if (credit != nullptr) {
-      credit->noteSolverDelta(dirty_owner_[static_cast<std::size_t>(nd)], 1,
-                              hit ? 1 : 0);
-    }
-    for (const auto& [id, alloc] : ledger_.group(g).residents) {
+    const bool hit = solveGroup(d.group);
+    if (credit != nullptr) credit->noteSolverDelta(group_owner_[d.group], 1, hit ? 1 : 0);
+    for (const auto& [id, alloc] : state.residents) {
       auto& stamp = job_stamp_[static_cast<std::size_t>(id)];
       if (stamp != stamp_epoch_) {
         stamp = stamp_epoch_;
@@ -650,7 +625,21 @@ void ClusterSimulator::startJob(const sched::Job& job, sched::Placement&& p,
 
   activate(job.id);
   const actuator::NodeAllocation alloc = p.nodeAllocation();
-  groups_.join(job.id, ledger_, ledger_.allocate(p.nodes, job.id, alloc));
+  const auto moves = ledger_.allocate(p.nodes, job.id, alloc);
+  groups_.join(job.id, ledger_, moves);
+  // Nothing reads progress rates until the pass ends: the placement's
+  // destination groups join the end-of-pass refresh set.
+  collectDirty(moves, pass_dirty_);
+  if (provenance() != nullptr) {
+    // A destination's residents are its source's plus the joiner, which
+    // arrived last: the source's owner stays the earliest of the pass.
+    group_owner_.resize(std::max(group_owner_.size(), ledger_.groupSlots()), -1);
+    for (const auto& t : moves) {
+      group_owner_[t.dst] = ledger_.group(t.src).serial > pass_serial_floor_
+                                ? group_owner_[t.src]
+                                : job.id;
+    }
+  }
   updateBusyNodes(p.nodes, true);
   if (r.nic_demand != 0.0) {
     for (int nd : p.nodes) addNetDemand(nd, r.nic_demand);
@@ -721,7 +710,10 @@ void ClusterSimulator::finishJob(sched::JobId id, double now) {
       local_db_.put(std::move(pp));
     }
   }
-  groups_.leave(id, ledger_, ledger_.release(placement.nodes, id));
+  const auto moves = ledger_.release(placement.nodes, id);
+  groups_.leave(id, ledger_, moves);
+  finish_dirty_.clear();
+  collectDirty(moves, finish_dirty_);
   updateBusyNodes(placement.nodes, false);
   if (r.nic_demand != 0.0) {
     for (int nd : placement.nodes) addNetDemand(nd, -r.nic_demand);
@@ -730,10 +722,8 @@ void ClusterSimulator::finishJob(sched::JobId id, double now) {
     for (int nd : placement.nodes) noteDonations(nd);
   }
   deactivate(id);
-  // The record's placement node list stays valid after deactivation — no
-  // copy of the dirty-node list is needed.
   xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kRateRefresh, id);
-  refreshRates(now, placement.nodes);
+  refreshRates(now, finish_dirty_);
 }
 
 bool ClusterSimulator::tryDispatch(const sched::Job& job, double now) {
@@ -812,9 +802,6 @@ bool ClusterSimulator::tryDispatch(const sched::Job& job, double now) {
     xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kCommit, job_copy.id);
     startJob(job_copy, std::move(*p), now);
   }
-  // Nothing reads progress rates until the pass ends: the placement's
-  // nodes join the end-of-pass refresh set.
-  markDeferredDirty(record(job_copy.id).placement.nodes, job_copy.id);
   return true;
 }
 
@@ -918,19 +905,15 @@ void ClusterSimulator::schedule(double now) {
   if (m_sched_passes_) m_sched_passes_->inc();
 
   // End-of-pass rate refresh: placements made during the walk only
-  // collect their dirty nodes; one refresh over the union runs when the
-  // walk ends. Epoch-stamped dedup, reset on wrap.
-  if (++node_stamp_epoch_ == 0) {
-    std::fill(node_stamp_.begin(), node_stamp_.end(), 0u);
-    node_stamp_epoch_ = 1;
-  }
-
+  // collect their destination groups; one refresh over them runs when the
+  // walk ends.
+  pass_serial_floor_ = ledger_.lastSerial();
   scheduleSinglePass(now, /*futile=*/false);
 
-  if (!deferred_dirty_.empty()) {
+  if (!pass_dirty_.empty()) {
     xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kBatchRefresh);
-    refreshRates(now, deferred_dirty_, provenance());
-    deferred_dirty_.clear();
+    refreshRates(now, pass_dirty_, provenance());
+    pass_dirty_.clear();
   }
 
   if (m_queue_depth_) m_queue_depth_->set(static_cast<double>(queue_.size()));
@@ -1111,9 +1094,8 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
   futile_ready_ = false;
   pass_placements_ = 0;
   solo_memo_.clear();
-  deferred_dirty_.clear();
-  std::fill(node_stamp_.begin(), node_stamp_.end(), 0u);
-  node_stamp_epoch_ = 0;
+  pass_dirty_.clear();
+  group_owner_.clear();
   running_.assign(n, Running{});
   records_.assign(n, JobRecord{});
   active_.clear();

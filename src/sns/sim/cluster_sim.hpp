@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -157,9 +158,10 @@ struct SimResult {
 
 /// Rate-based discrete-event cluster simulator. Jobs progress at rates
 /// derived from the ground-truth contention model; every placement or
-/// completion re-solves the affected nodes. The scheduling policy only
-/// sees the resource ledger and the profile database — never the ground
-/// truth — which preserves the paper's belief-vs-reality split.
+/// completion re-solves the co-run groups its ledger transitions name.
+/// The scheduling policy only sees the resource ledger and the profile
+/// database — never the ground truth — which preserves the paper's
+/// belief-vs-reality split.
 ///
 /// Hot-path state is dense: job ids are contiguous (assigned 0..n-1 per
 /// run), so per-job state lives in vectors indexed by JobId with a compact
@@ -223,28 +225,31 @@ class ClusterSimulator {
   xray::ProvenanceStore* provenance() const {
     return cfg_.xray != nullptr ? cfg_.xray->provenance() : nullptr;
   }
-  /// Collect placement `owner`'s nodes into the end-of-pass refresh set
-  /// (deduplicated via node stamps), each new one owned by `owner`.
-  void markDeferredDirty(const std::vector<int>& nodes, sched::JobId owner);
+  /// A rate-refresh entry: a group an event moved nodes into, and that
+  /// incarnation's serial (ids are pooled and reused within a pass).
+  struct DirtyGroup {
+    sched::CorunGroups::GroupId group;
+    std::uint64_t serial;
+  };
+  /// Append each non-idle destination of `moves` to `set`.
+  void collectDirty(std::span<const actuator::ResourceLedger::Transition> moves,
+                    std::vector<DirtyGroup>& set) const;
   /// Memoized solo-baseline lookup (pure function of the arguments).
   const perfmodel::SoloRun& soloMemo(const app::ProgramModel& prog, int procs,
                                      int nodes, double ways);
   /// Start `job` on `p`, which moves into the job's record.
   void startJob(const sched::Job& job, sched::Placement&& p, double now);
   void finishJob(sched::JobId id, double now);
-  /// Solve co-run group `g` on its member node `nd` (any member: the
-  /// group's residents hold the same allocations on all of them) and
-  /// store the per-resident rate / bandwidth in the group. True when the
-  /// solver cache answered the solve.
-  bool solveGroup(sched::CorunGroups::GroupId g, int nd);
-  /// Re-solve the co-run groups of `dirty_nodes` (each distinct group
-  /// once, in first-dirty-node order) and re-derive the progress rate of
-  /// every job resident in one of them, settling each at `now` (the rate
-  /// boundary) and re-keying the finish calendar. `now` is the current
-  /// virtual time of the simulation — every caller refreshes at the
-  /// instant the co-run actually changed. `credit` receives each solve,
-  /// credited to the owner of the node it is solved at.
-  void refreshRates(double now, const std::vector<int>& dirty_nodes,
+  /// Solve co-run group `g` from its own state (every member node holds the
+  /// same allocations) and store the per-resident rate / bandwidth in the
+  /// group. True when the solver cache answered the solve.
+  bool solveGroup(sched::CorunGroups::GroupId g);
+  /// Re-solve the groups of `dirty` whose incarnation is still live, each
+  /// once, in list order, and re-derive the progress rate of every job
+  /// resident in one of them, settling each at `now` (the rate boundary,
+  /// the instant the co-run changed) and re-keying the finish calendar.
+  /// `credit` receives each solve, credited to group_owner_.
+  void refreshRates(double now, const std::vector<DirtyGroup>& dirty,
                     xray::ProvenanceStore* credit = nullptr);
   /// Job `id`'s achieved bandwidth summed over its placement in placement
   /// order (the MBA throttle event's only input).
@@ -478,13 +483,16 @@ class ClusterSimulator {
     std::size_t operator()(const SoloKey& k) const;
   };
   std::unordered_map<SoloKey, perfmodel::SoloRun, SoloKeyHash> solo_memo_;
-  /// End-of-pass rate refresh: union of nodes dirtied by this pass's
-  /// placements (stamp-deduplicated), refreshed once when the pass ends.
-  std::vector<int> deferred_dirty_;
-  std::vector<std::uint32_t> node_stamp_;
-  std::uint32_t node_stamp_epoch_ = 0;
-  /// Node -> the placement that first dirtied it this pass (provenance only).
-  std::vector<sched::JobId> dirty_owner_;
+  /// End-of-pass refresh set: the destinations of this pass's joins, in
+  /// commit order. A pass only joins, so its live entries are exactly the
+  /// groups holding a node placed this pass.
+  std::vector<DirtyGroup> pass_dirty_;
+  std::vector<DirtyGroup> finish_dirty_;  ///< one release's destinations
+  /// Provenance only: group id -> the earliest placement of the pass among
+  /// its residents. Groups with a serial above pass_serial_floor_ (the
+  /// ledger's last serial when the pass began) are this pass's.
+  std::vector<sched::JobId> group_owner_;
+  std::uint64_t pass_serial_floor_ = 0;
 
   /// Decision tracing + metrics (sns::obs). The recorder's sink is wired
   /// per run() to the configured sink.

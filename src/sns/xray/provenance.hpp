@@ -78,9 +78,10 @@ struct DecisionRecord {
   int chosen_total = 0;  ///< full winning-node count before the cap
 
   /// Contention-solver activity credited to the placement: the co-run
-  /// group solves of its pass's end-of-pass rate refresh that are solved
-  /// at a node this placement dirtied first in that pass (cache lookups,
-  /// and how many hit).
+  /// group solves of its pass's end-of-pass rate refresh whose group has
+  /// this placement as its earliest resident placed in that pass — the
+  /// placement that first dirtied the group's nodes (cache lookups, and
+  /// how many hit).
   std::uint64_t solver_lookups = 0;
   std::uint64_t solver_hits = 0;
 };

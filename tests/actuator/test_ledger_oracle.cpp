@@ -13,7 +13,9 @@
 // order (so the ledger moves them a segment at a time, across 64-bit
 // bitmap words) against a twin ledger fed the same nodes one call at a
 // time, and the error cases check that a span failing mid-run leaves the
-// failing node unchanged with every earlier segment committed.
+// failing node unchanged with every earlier segment committed. Last, the
+// transitions an event returns must name, through their live destinations,
+// exactly the groups its nodes are left in, as a rate refresh reads them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +25,7 @@
 #include <iterator>
 #include <map>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -306,6 +309,159 @@ TEST(LedgerOracle, OppositeArrivalOrdersMergeOnRelease) {
   EXPECT_EQ(ledger.group(ledger.groupOf(0)).members, 2u);
   audit::Auditor auditor;
   EXPECT_EQ(auditor.auditLedger(ledger), 0u) << auditor.report();
+}
+
+// What a rate refresh reads off the transitions instead of walking the
+// event's nodes. A destination is named with the serial of the
+// incarnation it was, and counts only while that incarnation is live.
+struct Named {
+  ResourceLedger::GroupId group;
+  std::uint64_t serial;
+};
+
+void nameDestinations(const ResourceLedger& ledger,
+                      std::span<const ResourceLedger::Transition> moves,
+                      std::vector<Named>& out) {
+  for (const auto& t : moves) {
+    if (t.dst != ResourceLedger::kIdleGroup) out.push_back({t.dst, ledger.group(t.dst).serial});
+  }
+}
+
+/// The live entries of `named`, each group once, in first-appearance order.
+std::vector<ResourceLedger::GroupId> liveGroups(const ResourceLedger& ledger,
+                                                const std::vector<Named>& named) {
+  std::vector<ResourceLedger::GroupId> out;
+  for (const Named& n : named) {
+    const ResourceLedger::Group& g = ledger.group(n.group);
+    if (!g.live || g.serial != n.serial) continue;
+    if (std::find(out.begin(), out.end(), n.group) == out.end()) out.push_back(n.group);
+  }
+  return out;
+}
+
+/// The distinct current groups of `nodes` other than the idle one, in
+/// first-appearance order.
+std::vector<ResourceLedger::GroupId> groupsOf(const ResourceLedger& ledger,
+                                              const std::vector<int>& nodes) {
+  std::vector<ResourceLedger::GroupId> out;
+  for (int nd : nodes) {
+    const ResourceLedger::GroupId g = ledger.groupOf(nd);
+    if (g == ResourceLedger::kIdleGroup) continue;
+    if (std::find(out.begin(), out.end(), g) == out.end()) out.push_back(g);
+  }
+  return out;
+}
+
+// Random batches of joins, each followed by releases: after a release,
+// its live destinations are the distinct current groups of its nodes in
+// first-appearance order; after a batch of joins, the live destinations
+// of the whole batch are the distinct groups of every node it placed. A
+// join can empty a group the batch named earlier, and a later join of the
+// batch can take the pooled id: the stale entry then no longer counts and
+// the id is named live once, under the new serial.
+TEST(LedgerOracle, TransitionDestinationsAreTheGroupsAnEventLeavesItsNodesIn) {
+  constexpr int kNodes = 24;
+  const auto mach = hw::MachineConfig::xeonE5_2680v4();  // the ledger keeps a pointer
+  ResourceLedger ledger(kNodes, mach);
+  util::Rng rng(20261019);
+  struct Held {
+    NodeAllocation alloc;
+    std::vector<int> nodes;
+  };
+  std::map<JobId, Held> placed;  // ordered: no hash-order draws
+  JobId next = 1;
+  int reused = 0;
+  int merges = 0;
+  for (int batch = 0; batch < 300; ++batch) {
+    const std::string where = "batch " + std::to_string(batch);
+    std::vector<Named> named;
+    std::vector<int> batch_nodes;
+    const int joins = static_cast<int>(rng.uniformInt(1, 4));
+    for (int k = 0; k < joins; ++k) {
+      // A new job, or a placed one spreading to more nodes: jobs then
+      // reach the same nodes in different orders, so a release can merge
+      // two groups into one.
+      JobId id = next;
+      Held h;
+      if (!placed.empty() && rng.uniform() < 0.3) {
+        auto it = placed.begin();
+        std::advance(it, rng.uniformInt(0, static_cast<std::int64_t>(placed.size()) - 1));
+        id = it->first;
+        h.alloc = it->second.alloc;
+      } else {
+        h.alloc.cores = static_cast<int>(rng.uniformInt(1, 6));
+        h.alloc.ways = rng.uniform() < 0.5 ? 0 : 2;
+        h.alloc.bw_gbps = 0.1 * static_cast<double>(rng.uniformInt(0, 20));
+      }
+      for (int nd = 0; nd < kNodes; ++nd) {
+        if (!ledger.node(nd).holds(id) && ledger.node(nd).fits(h.alloc) &&
+            rng.uniform() < 0.4) {
+          h.nodes.push_back(nd);
+        }
+      }
+      if (h.nodes.empty()) continue;
+      std::shuffle(h.nodes.begin(), h.nodes.end(), rng);
+      nameDestinations(ledger, ledger.allocate(h.nodes, id, h.alloc), named);
+      batch_nodes.insert(batch_nodes.end(), h.nodes.begin(), h.nodes.end());
+      if (id == next) {
+        placed.emplace(next++, std::move(h));
+      } else {
+        auto& nodes = placed[id].nodes;
+        nodes.insert(nodes.end(), h.nodes.begin(), h.nodes.end());
+      }
+    }
+    std::vector<ResourceLedger::GroupId> live = liveGroups(ledger, named);
+    std::vector<ResourceLedger::GroupId> want = groupsOf(ledger, batch_nodes);
+    std::sort(live.begin(), live.end());
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(live, want) << where;
+    for (const Named& n : named) {
+      const ResourceLedger::Group& g = ledger.group(n.group);
+      reused += g.live && g.serial != n.serial;
+    }
+
+    const int releases = static_cast<int>(rng.uniformInt(0, 3));
+    for (int k = 0; k < releases && !placed.empty(); ++k) {
+      auto it = placed.begin();
+      std::advance(it, rng.uniformInt(0, static_cast<std::int64_t>(placed.size()) - 1));
+      std::vector<int> nodes = std::move(it->second.nodes);
+      std::shuffle(nodes.begin(), nodes.end(), rng);
+      const auto moves = ledger.release(nodes, it->first);
+      placed.erase(it);
+      std::vector<Named> released;
+      nameDestinations(ledger, moves, released);
+      for (const Named& n : released) {
+        // The span is read before any other event: every destination is live.
+        ASSERT_TRUE(ledger.group(n.group).live) << where;
+      }
+      const std::vector<ResourceLedger::GroupId> dsts = liveGroups(ledger, released);
+      merges += dsts.size() < released.size();
+      ASSERT_EQ(dsts, groupsOf(ledger, nodes)) << where << " release " << k;
+    }
+  }
+  EXPECT_GT(reused, 0);
+  EXPECT_GT(merges, 0);
+}
+
+// The reuse case spelled out: job 1's group is emptied by job 2 joining
+// both its nodes, job 3 then takes the pooled id, and the batch names that
+// id live once, as job 3's group.
+TEST(LedgerOracle, AGroupEmptiedMidBatchIsNamedOnceUnderItsNewSerial) {
+  const auto mach = hw::MachineConfig::xeonE5_2680v4();
+  ResourceLedger ledger(3, mach);
+  const NodeAllocation a{4, 0, 1.0, false, 0.0};
+  std::vector<Named> named;
+  const std::vector<int> pair = {0, 1};
+  const std::vector<int> third = {2};
+  nameDestinations(ledger, ledger.allocate(pair, 1, a), named);
+  nameDestinations(ledger, ledger.allocate(pair, 2, a), named);
+  nameDestinations(ledger, ledger.allocate(third, 3, a), named);
+  ASSERT_EQ(named.size(), 3u);
+  EXPECT_EQ(named[0].group, named[2].group);  // job 1's id, pooled and reused
+  EXPECT_NE(named[0].serial, named[2].serial);
+  const std::vector<ResourceLedger::GroupId> want = {named[1].group, named[2].group};
+  EXPECT_EQ(liveGroups(ledger, named), want);
+  EXPECT_EQ(ledger.groupOf(2), named[2].group);
 }
 
 /// Selection queries of one large-cluster step against the references:

@@ -11,6 +11,8 @@
 
 #include <bit>
 #include <map>
+#include <optional>
+#include <set>
 #include <span>
 #include <tuple>
 #include <vector>
@@ -380,6 +382,92 @@ TEST_F(SolverCacheTest, PermutedPartitionedSetsAreEquivariantAndNeverMiss) {
   EXPECT_EQ(equal_sums + moved_sums, 900);
   EXPECT_GT(equal_sums, 0);
   EXPECT_GT(moved_sums, 0);
+  EXPECT_TRUE(cache.auditInvariants().empty());
+}
+
+// A free-sharing share alone on its node converges to ways that depend on
+// nothing else: solveInto() asks the source for that fixed point first,
+// skips the iteration when it is known, and hands the source a fixed point
+// it iterated to. Sets of two or more shares never ask.
+TEST_F(SolverCacheTest, LoneFreeShareSkipsTheFixedPointOnceItsEndIsKnown) {
+  struct Remembering final : DerivationSource {
+    explicit Remembering(const NodeContentionSolver& s) : solver(s) {}
+    ShareDerivation derive(const NodeShare& share, double ways) override {
+      ++derived;
+      return solver.derive(share, ways);
+    }
+    std::optional<LoneFixedPoint> findLone(const NodeShare& /*share*/) override {
+      ++asked;
+      return known;
+    }
+    void storeLone(const NodeShare& /*share*/, const LoneFixedPoint& fp) override {
+      ++stored;
+      known = fp;
+    }
+    const NodeContentionSolver& solver;
+    std::optional<LoneFixedPoint> known;
+    int derived = 0;
+    int asked = 0;
+    int stored = 0;
+  } source(solver_);
+  const NodeShare lone{&lib_.front(), 28, 0.0, 0.0, 1.0};
+  const std::span<const NodeShare> one(&lone, 1);
+  const std::vector<ShareOutcome> want = solver_.solve(one);
+  SolveScratch scratch;
+  std::vector<ShareOutcome> out;
+
+  solver_.solveInto(one, scratch, out, source);
+  ASSERT_TRUE(sameOutcome(out[0], want[0]));
+  EXPECT_GT(source.derived, 0);
+  EXPECT_EQ(source.stored, 1);
+  ASSERT_TRUE(source.known.has_value());
+  EXPECT_TRUE(sameBits(source.known->ways, want[0].eff_ways));
+
+  source.derived = 0;
+  solver_.solveInto(one, scratch, out, source);
+  ASSERT_TRUE(sameOutcome(out[0], want[0]));
+  EXPECT_EQ(source.derived, 0);
+  EXPECT_EQ(source.asked, 2);
+  EXPECT_EQ(source.stored, 1);
+
+  const std::vector<NodeShare> pair = {{&lib_[0], 14, 0.0, 0.0, 1.0},
+                                       {&lib_[1], 14, 0.0, 0.0, 1.0}};
+  solver_.solveInto(pair, scratch, out, source);
+  EXPECT_EQ(source.asked, 2);
+  EXPECT_EQ(source.stored, 1);
+
+  // The cache keeps the fixed point beside the derivations: the repeat is
+  // a hit, size() counts derivations only, and the audit re-solves it.
+  SolverCache cache(solver_);
+  (void)cache.solve(one);
+  const std::size_t size = cache.size();
+  const std::uint64_t hits = cache.hits();
+  ASSERT_TRUE(sameOutcome(cache.solve(one)[0], want[0]));
+  EXPECT_EQ(cache.hits(), hits + 1);
+  EXPECT_EQ(cache.size(), size);
+  EXPECT_TRUE(cache.auditInvariants().empty());
+}
+
+// A lone share whose fixed point takes two distinct iterates: at capacity
+// 1 the second derivation wipes the first, so the solve stores no fixed
+// point, and a repeat misses as its iterates do.
+TEST_F(SolverCacheTest, ASolveThatWipesTheMemoStoresNoFixedPoint) {
+  const NodeShare lone{&lib_.front(), 24, 0.0, 0.0, 1.0};
+  const std::span<const NodeShare> one(&lone, 1);
+  DerivationLog log(solver_);
+  SolveScratch scratch;
+  std::vector<ShareOutcome> out;
+  solver_.solveInto(one, scratch, out, log);
+  ASSERT_EQ(std::set<Bits>(log.keys.begin(), log.keys.end()).size(), 2u)
+      << "the share no longer takes two iterates; pick another";
+
+  SolverCache cache(solver_);
+  cache.setCapacity(1);
+  (void)cache.solve(one);
+  EXPECT_GE(cache.evictions(), 1u);
+  ASSERT_TRUE(sameOutcome(cache.solve(one)[0], solver_.solve(one)[0]));
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), 0u);
   EXPECT_TRUE(cache.auditInvariants().empty());
 }
 

@@ -29,7 +29,8 @@
 //
 // Last, what the observers are shown — the event log and the provenance
 // store — is pinned on the small sets and one quick-trace cell
-// (observer_digests.inc).
+// (observer_digests.inc), and the provenance store's per-placement solver
+// credit on two cells.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -442,6 +443,47 @@ TEST(GoldenDigests, ObserverOutputsMatchTheBaseline) {
   cfg.max_queue_scan = 256;
   observeCell("quick700/4096/SNS", big.est, big.lib, big.db, cfg, big.jobs, got);
   expectTable(got, kObserverGolden, "tests/sim/observer_digests.inc");
+}
+
+// The solver credit the provenance digests leave out: each placement's
+// solver_lookups, in job order. An end-of-pass solve is credited to the
+// earliest placement of the pass among its group's residents, whatever
+// order the refresh solves in; the hits are not pinned, since which
+// lookup of a pass hits follows the solve order. Captured from the engine
+// whose refresh walked the placements' nodes in first-dirty order.
+std::uint64_t creditDigest(const xray::ProvenanceStore& prov) {
+  Digest d;
+  for (const xray::DecisionRecord& r : prov.records()) {
+    if (!r.placed) continue;
+    d.mix(static_cast<std::uint64_t>(r.job));
+    d.mix(r.solver_lookups);
+  }
+  return d.value();
+}
+
+TEST(GoldenDigests, SolverCreditPerPlacementMatchesTheBaseline) {
+  const SmallEnv small;
+  const InputSet contended = inputSets(small).back();
+  ASSERT_EQ(contended.name, "contended");
+  xray::Tracer small_tracer;
+  SimConfig cfg;
+  cfg.nodes = contended.nodes;
+  cfg.policy = sched::PolicyKind::kSNS;
+  cfg.xray = &small_tracer;
+  (void)ClusterSimulator(small.est, small.lib, small.db, cfg).run(contended.jobs);
+  EXPECT_EQ(creditDigest(*small_tracer.provenance()), 0x43e8ca1f1e610620ull) << "contended/SNS";
+
+  const TraceEnv big;
+  xray::Tracer big_tracer;
+  cfg = SimConfig{};
+  cfg.nodes = 4096;
+  cfg.policy = sched::PolicyKind::kSNS;
+  cfg.monitor_episode_s = 0.0;
+  cfg.age_limit_s = 14.0 * 86400.0;
+  cfg.max_queue_scan = 256;
+  cfg.xray = &big_tracer;
+  (void)ClusterSimulator(big.est, big.lib, big.db, cfg).run(big.jobs);
+  EXPECT_EQ(creditDigest(*big_tracer.provenance()), 0x0a97686c7d1b66b1ull) << "quick700/4096/SNS";
 }
 
 // ---- deterministic work counters --------------------------------------------

@@ -3,9 +3,13 @@
 // schedules satisfying global invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <map>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "sns/app/library.hpp"
 #include "sns/audit/audit.hpp"
@@ -101,61 +105,106 @@ INSTANTIATE_TEST_SUITE_P(
 // node-score weight beta, packing, way donation, MBA caps, network
 // management and online profiling (whose mid-run profile merges change the
 // database generation and so rebuild the policy's placement plans). Every
-// draw runs under a fail-fast auditor and must complete every job.
+// draw runs under a fail-fast auditor and must complete every job, and its
+// busy-node integral must be the occupancy its schedule implies.
+struct FeatureDraw {
+  explicit FeatureDraw(int param) {
+    auto& f = fixture();
+    util::Rng rng(5000ULL + static_cast<std::uint64_t>(param));
+    const auto pick = [&rng](const auto& options) {
+      return options[static_cast<std::size_t>(rng.uniformInt(
+          0, static_cast<std::int64_t>(std::size(options)) - 1))];
+    };
+    seq = app::randomSequence(rng, f.lib, 15, 0.9);
+    const double alphas[] = {0.6, 0.75, 0.9, 1.0};
+    for (auto& spec : seq) spec.alpha = pick(alphas);
+
+    const int node_counts[] = {8, 16, 64};
+    cfg.nodes = pick(node_counts);
+    cfg.policy = sched::PolicyKind::kSNS;
+    const double betas[] = {0.5, 1.0, 2.0, 4.0};
+    cfg.sns.beta = pick(betas);
+    cfg.sns.packing = rng.uniformInt(0, 1) == 0
+                          ? sched::SnsPolicy::Packing::kIdlestScore
+                          : sched::SnsPolicy::Packing::kDotProduct;
+    cfg.donate_unused_ways = rng.uniformInt(0, 1) == 1;
+    cfg.enforce_bandwidth_caps = rng.uniformInt(0, 1) == 1;
+    cfg.sns.manage_network = rng.uniformInt(0, 1) == 1;
+    cfg.online_profiling = rng.uniformInt(0, 1) == 1;
+    // Online profiling starts from an empty or a half-known database and
+    // learns the rest.
+    if (!cfg.online_profiling) {
+      db = f.db;
+    } else if (rng.uniformInt(0, 1) == 1) {
+      for (std::size_t i = 0; i < f.lib.size(); i += 2) {
+        for (int procs : {16, 28}) {
+          if (const auto* prof = f.db.find(f.lib[i].name, procs)) db.put(*prof);
+        }
+      }
+    }
+    label = "nodes=" + std::to_string(cfg.nodes) +
+            " beta=" + std::to_string(cfg.sns.beta) + " dot_product=" +
+            std::to_string(cfg.sns.packing == sched::SnsPolicy::Packing::kDotProduct) +
+            " donate=" + std::to_string(cfg.donate_unused_ways) +
+            " mba=" + std::to_string(cfg.enforce_bandwidth_caps) +
+            " network=" + std::to_string(cfg.sns.manage_network) +
+            " online=" + std::to_string(cfg.online_profiling) +
+            " known=" + std::to_string(db.size());
+  }
+
+  SimResult run() const {
+    auto& f = fixture();
+    return ClusterSimulator(f.est, f.lib, db, cfg).run(seq);
+  }
+
+  std::vector<app::JobSpec> seq;
+  SimConfig cfg;
+  profile::ProfileDatabase db;
+  std::string label;
+};
+
 class FeatureFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(FeatureFuzz, FeatureCombinationsKeepInvariants) {
-  auto& f = fixture();
-  util::Rng rng(5000ULL + static_cast<std::uint64_t>(GetParam()));
-  const auto pick = [&rng](const auto& options) {
-    return options[static_cast<std::size_t>(rng.uniformInt(
-        0, static_cast<std::int64_t>(std::size(options)) - 1))];
-  };
-  auto seq = app::randomSequence(rng, f.lib, 15, 0.9);
-  const double alphas[] = {0.6, 0.75, 0.9, 1.0};
-  for (auto& spec : seq) spec.alpha = pick(alphas);
-
-  SimConfig cfg;
-  const int node_counts[] = {8, 16, 64};
-  cfg.nodes = pick(node_counts);
-  cfg.policy = sched::PolicyKind::kSNS;
-  const double betas[] = {0.5, 1.0, 2.0, 4.0};
-  cfg.sns.beta = pick(betas);
-  cfg.sns.packing = rng.uniformInt(0, 1) == 0
-                        ? sched::SnsPolicy::Packing::kIdlestScore
-                        : sched::SnsPolicy::Packing::kDotProduct;
-  cfg.donate_unused_ways = rng.uniformInt(0, 1) == 1;
-  cfg.enforce_bandwidth_caps = rng.uniformInt(0, 1) == 1;
-  cfg.sns.manage_network = rng.uniformInt(0, 1) == 1;
-  cfg.online_profiling = rng.uniformInt(0, 1) == 1;
-  // Online profiling starts from an empty or a half-known database and
-  // learns the rest.
-  profile::ProfileDatabase partial;
-  if (cfg.online_profiling && rng.uniformInt(0, 1) == 1) {
-    for (std::size_t i = 0; i < f.lib.size(); i += 2) {
-      for (int procs : {16, 28}) {
-        if (const auto* prof = f.db.find(f.lib[i].name, procs)) partial.put(*prof);
-      }
-    }
-  }
-  const profile::ProfileDatabase& db = cfg.online_profiling ? partial : f.db;
+  FeatureDraw draw(GetParam());
   audit::AuditorConfig acfg;
   acfg.fail_fast = true;
   audit::Auditor auditor(acfg);
-  cfg.auditor = &auditor;
-  SCOPED_TRACE("nodes=" + std::to_string(cfg.nodes) +
-               " beta=" + std::to_string(cfg.sns.beta) +
-               " dot_product=" +
-               std::to_string(cfg.sns.packing == sched::SnsPolicy::Packing::kDotProduct) +
-               " donate=" + std::to_string(cfg.donate_unused_ways) +
-               " mba=" + std::to_string(cfg.enforce_bandwidth_caps) +
-               " network=" + std::to_string(cfg.sns.manage_network) +
-               " online=" + std::to_string(cfg.online_profiling) +
-               " known=" + std::to_string(db.size()));
-  ClusterSimulator sim(f.est, f.lib, db, cfg);
-  const auto res = sim.run(seq);
+  draw.cfg.auditor = &auditor;
+  SCOPED_TRACE(draw.label);
+  const auto res = draw.run();
   EXPECT_TRUE(auditor.ok()) << auditor.report();
-  checkInvariants(res, cfg.nodes, seq);
+  checkInvariants(res, draw.cfg.nodes, draw.seq);
+}
+
+// Conservation of busy time: a node is busy exactly while some job's
+// placement holds it, so the simulator's busy-node integral must equal,
+// node by node, the length of the union of [start, finish) over the jobs
+// placed there.
+TEST_P(FeatureFuzz, BusyIntegralIsTheUnionOfOccupancyIntervals) {
+  const FeatureDraw draw(GetParam());
+  SCOPED_TRACE(draw.label);
+  const auto res = draw.run();
+  std::map<int, std::vector<std::pair<double, double>>> held;
+  for (const auto& j : res.jobs) {
+    for (int nd : j.placement.nodes) held[nd].emplace_back(j.start, j.finish);
+  }
+  double busy = 0.0;
+  for (auto& [nd, intervals] : held) {
+    std::sort(intervals.begin(), intervals.end());
+    double lo = intervals.front().first;
+    double hi = intervals.front().second;
+    for (const auto& [start, finish] : intervals) {
+      if (start > hi) {
+        busy += hi - lo;
+        lo = start;
+      }
+      hi = std::max(hi, finish);
+    }
+    busy += hi - lo;
+  }
+  ASSERT_GT(busy, 0.0);
+  EXPECT_NEAR(res.busy_node_seconds, busy, 1e-9 * busy);
 }
 
 INSTANTIATE_TEST_SUITE_P(Combos, FeatureFuzz, ::testing::Range(0, 48));
