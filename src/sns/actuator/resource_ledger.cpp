@@ -137,13 +137,6 @@ const char* ResourceLedger::step(int nd) {
     if (const char* error = routeClass(from)) return error;
   }
   ClassRecord& src = classes_[from];
-  // Per-node order of the bandwidth total is kept: meanBwOccupancy()
-  // reads it between events.
-  if (open_join_) {
-    total_bw_reserved_ += src.ev_bw;
-  } else {
-    total_bw_reserved_ -= src.ev_bw;
-  }
   SNS_REQUIRE(buckets_[static_cast<std::size_t>(src.ev_src_idle)].transfer(
                   buckets_[static_cast<std::size_t>(src.ev_dst_idle)], nd),
               "ledger group index corrupt");
@@ -161,16 +154,6 @@ const char* ResourceLedger::stepRun(int first, int len) {
   SNS_REQUIRE(buckets_[static_cast<std::size_t>(src.ev_src_idle)].transferRange(
                   buckets_[static_cast<std::size_t>(src.ev_dst_idle)], first, len),
               "ledger group index corrupt");
-  // One add per node, as step() does, so the total's bits do not depend
-  // on how the event was segmented.
-  const double bw = src.ev_bw;
-  double total = total_bw_reserved_;
-  if (open_join_) {
-    for (int j = 0; j < len; ++j) total += bw;
-  } else {
-    for (int j = 0; j < len; ++j) total -= bw;
-  }
-  total_bw_reserved_ = total;
   std::fill_n(slots_.begin() + first, len, NodeSlot{src.ev_dst});
   src.moved += static_cast<std::uint32_t>(len);
   return nullptr;
@@ -207,7 +190,6 @@ const char* ResourceLedger::routeClass(ClassId from) {
   const GroupId to_group = grp.ev_dst;
   const int src_idle = grp.ev_src_idle;
   const int dst_idle = grp.ev_dst_idle;
-  const double ev_bw = grp.ev_bw;
   const ClassId to = internClass(to_group, bw, net);  // may grow classes_
   ClassRecord& k = classes_[from];
   k.ev_epoch = epoch_;
@@ -215,7 +197,6 @@ const char* ResourceLedger::routeClass(ClassId from) {
   k.moved = 0;
   k.ev_src_idle = src_idle;
   k.ev_dst_idle = dst_idle;
-  k.ev_bw = ev_bw;
   class_moves_.push_back(from);
   return nullptr;
 }
@@ -246,6 +227,7 @@ const char* ResourceLedger::route(GroupId from) {
   s.ev_dst_idle = mach_->cores - groups_[to].cores_used;
   s.ev_bw = bw;
   s.ev_net = net;
+  s.ev_bw_units = bwUnits(bw);
   moves_.push_back(from);
   return nullptr;
 }
@@ -278,6 +260,8 @@ void ResourceLedger::closeEvent() {
     total_cores_used_ += static_cast<std::int64_t>(n) * (dst.cores_used - src.cores_used);
     total_ways_reserved_ +=
         static_cast<std::int64_t>(n) * (dst.ways_reserved - src.ways_reserved);
+    const std::int64_t bw_units = static_cast<std::int64_t>(n) * src.ev_bw_units;
+    total_bw_units_ += open_join_ ? bw_units : -bw_units;
     if (!open_join_) {
       release_epoch_ += n;
       release_idle_watermark_ = std::max(release_idle_watermark_, src.ev_dst_idle);
@@ -300,11 +284,6 @@ void ResourceLedger::closeEvent() {
     const GroupId to = groups_[from].ev_dst;
     if (to != kIdleGroup && groups_[to].live && groups_[to].members == 0) pool(to);
   }
-  // The bandwidth total is the one float among the cached totals, and a
-  // +=/-= pair need not cancel exactly, so an idle cluster can be left with
-  // a ~1-ulp residue (the invariant auditor flagged exactly this). An empty
-  // cluster is an unambiguous resync point: snap back to exact zero.
-  if (!open_join_ && total_cores_used_ == 0) total_bw_reserved_ = 0.0;
 }
 
 ResourceLedger::GroupId ResourceLedger::intern(GroupId from, std::size_t skip) {
@@ -515,6 +494,17 @@ void ResourceLedger::walkBucket(int c, std::size_t limit, bool all_fit) const {
   });
 }
 
+std::vector<int> ResourceLedger::firstFitting(int c, std::size_t n, bool all_fit) const {
+  std::vector<int> out;
+  out.reserve(n);
+  buckets_[static_cast<std::size_t>(c)].scan([&](int id) {
+    if (!all_fit && !verdicts_[classOf(id)].fits) return true;
+    out.push_back(id);
+    return out.size() < n;
+  });
+  return out;
+}
+
 void ResourceLedger::sortCandidates() const {
   for (const int id : cand_) order_.insert(id);
   cand_.clear();
@@ -527,11 +517,7 @@ void ResourceLedger::sortCandidates() const {
   for (const int id : cand_) order_.erase(id);
 }
 
-std::vector<int> ResourceLedger::rankCandidates(int count, bool descending) const {
-  hit_classes_.clear();
-  for (const ClassId k : cand_class_) {
-    if (verdicts_[k].hits++ == 0) hit_classes_.push_back(k);
-  }
+void ResourceLedger::rankSlices(bool descending) const {
   std::sort(hit_classes_.begin(), hit_classes_.end(), [&](ClassId a, ClassId b) {
     const double ka = verdicts_[a].key;
     const double kb = verdicts_[b].key;
@@ -548,19 +534,38 @@ std::vector<int> ResourceLedger::rankCandidates(int count, bool descending) cons
     v.rank = static_cast<std::uint32_t>(rank_start_.size() - 1);
     pos += v.hits;
   }
-  // Candidates arrive in ascending id order, so each slice fills in
-  // (key, id) order and only the first `count` positions are kept.
-  const auto n = static_cast<std::size_t>(count);
-  std::vector<int> out(n);
-  std::size_t placed = 0;
-  for (std::size_t i = 0; i < cand_.size() && placed < n; ++i) {
-    std::size_t& at = rank_start_[verdicts_[cand_class_[i]].rank];
-    if (at < n) {
-      out[at] = cand_[i];
-      ++placed;
-    }
-    ++at;
+}
+
+std::vector<int> ResourceLedger::rankCandidates(int count, bool descending) const {
+  hit_classes_.clear();
+  for (const ClassId k : cand_class_) {
+    if (verdicts_[k].hits++ == 0) hit_classes_.push_back(k);
   }
+  rankSlices(descending);
+  std::vector<int> out(static_cast<std::size_t>(count));
+  std::size_t placed = 0;
+  for (std::size_t i = 0; i < cand_.size(); ++i) {
+    if (!placeRanked(cand_[i], verdicts_[cand_class_[i]], out, placed)) break;
+  }
+  return out;
+}
+
+std::vector<int> ResourceLedger::rankBucket(int c, int count) const {
+  hit_classes_.clear();
+  for (ClassId k = bucket_classes_[static_cast<std::size_t>(c)]; k != kNoClass;
+       k = classes_[k].bucket_next) {
+    Verdict& v = verdicts_[k];
+    if (!v.fits || classes_[k].members == 0) continue;
+    v.hits = classes_[k].members;
+    hit_classes_.push_back(k);
+  }
+  rankSlices(/*descending=*/false);
+  std::vector<int> out(static_cast<std::size_t>(count));
+  std::size_t placed = 0;
+  buckets_[static_cast<std::size_t>(c)].scan([&](int id) {
+    const Verdict& v = verdicts_[classOf(id)];
+    return !v.fits || placeRanked(id, v, out, placed);
+  });
   return out;
 }
 
@@ -597,13 +602,7 @@ std::vector<int> ResourceLedger::selectNodes(int count, const NodeAllocation& re
   // the thousands on Fig 20 clusters. O(1) on failure.
   if (request.exclusive) {
     if (idleNodeCount() < count || !classView(kIdleClass).fits(request)) return {};
-    std::vector<int> out;
-    out.reserve(static_cast<std::size_t>(count));
-    buckets_[static_cast<std::size_t>(mach_->cores)].scan([&](int id) {
-      out.push_back(id);
-      return out.size() < static_cast<std::size_t>(count);
-    });
-    return out;
+    return firstFitting(mach_->cores, static_cast<std::size_t>(count), /*all_fit=*/true);
   }
 
   // The population bound is the failure check: the per-row way-suffix
@@ -629,7 +628,8 @@ std::vector<int> ResourceLedger::selectNodesRanked(int count,
   // id, so a single placement stays sub-linear on 32K-node clusters.
   // Fit and score are per class, so a bucket's fitting population is
   // known before any of its nodes is read: a bucket is walked only once it
-  // is known to contribute.
+  // is known to contribute, and a bucket that holds the whole request
+  // within the cap is ranked in the one walk that fills the output.
   const auto n = static_cast<std::size_t>(count);
   const std::size_t cap = std::max<std::size_t>(64, 2 * n + 8);
   const auto score = [beta](const NodeLedger& v) { return v.score(beta); };
@@ -646,13 +646,12 @@ std::vector<int> ResourceLedger::selectNodesRanked(int count,
     fit = judgeBucket(c, request, score, uniform);
     if (fit >= n) {
       const bool all_fit = static_cast<int>(fit) == bucket.size();
-      if (uniform) {
-        // Every candidate scores the same: the ranked prefix is the first
-        // `count` fitting ids.
-        walkBucket(c, n, all_fit);
-        return cand_;
-      }
-      walkBucket(c, std::min<std::size_t>(cap, fit), all_fit);
+      // Every candidate scores the same: the ranked prefix is the first
+      // `count` fitting ids.
+      if (uniform) return firstFitting(c, n, all_fit);
+      // Every fitting node is inside the window.
+      if (fit <= cap) return rankBucket(c, count);
+      walkBucket(c, cap, all_fit);
       return rankCandidates(count, /*descending=*/false);
     }
     total += std::min<std::size_t>(cap, fit);

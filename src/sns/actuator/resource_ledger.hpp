@@ -1,6 +1,7 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -146,11 +147,11 @@ class NodeBitset {
 /// Every member of a class moves to the same target class (x + b on a
 /// join, x - b on a leave, exact zeros on going idle), so the fit check
 /// and the routing run once per source class. Member counts, the
-/// bucket-population rows and the release epoch change once per
-/// transition. A span event commits segment by segment — a segment being
-/// a maximal run of the input with consecutive ids in one class — with
-/// one class-id fill and one masked bucket move per segment; per node
-/// there remains one add to the cluster bandwidth total.
+/// bucket-population rows, the cluster totals (all integers: bandwidth
+/// in bwUnits()) and the release epoch change once per transition. A span
+/// event commits segment by segment — a segment being a maximal run of
+/// the input with consecutive ids in one class — with one class-id fill
+/// and one masked bucket move per segment and no other per-node work.
 ///
 /// Selection is index-driven so it stays fast on 32K-node clusters (the
 /// paper's Fig 20 simulations): a dense bucket array keyed by idle-core
@@ -160,12 +161,14 @@ class NodeBitset {
 /// from. A query tests fit and computes its ranking key once per class of
 /// each bucket it reads, so a bucket without enough fitting nodes is
 /// decided without reading one node; the walk over a chosen bucket reads
-/// per node only its class id. Nothing is memoized across queries: a
-/// failing query is answered by feasibleUpperBound()'s population rows
-/// (O(cores)) before any bucket is read, and every other query runs the
-/// selection afresh. tests/actuator/test_selection_cache.cpp and
-/// test_ledger_oracle.cpp check every selection against a reference that
-/// regroups all nodes per query.
+/// per node only its class id, and when the whole bucket is inside the
+/// scan cap the walk writes each node straight into its ranked slot.
+/// Nothing is memoized across queries: a failing query is answered by
+/// feasibleUpperBound()'s population rows (O(cores)) before any bucket is
+/// read, and every other query runs the selection afresh.
+/// tests/actuator/test_selection_cache.cpp and test_ledger_oracle.cpp
+/// check every selection against a reference that regroups all nodes per
+/// query.
 ///
 /// Thread contract: SNS_THREAD_HOSTILE — even const selection queries
 /// write the mutable selection scratch buffers and the query-core floor
@@ -208,7 +211,13 @@ class SNS_THREAD_HOSTILE ResourceLedger {
     std::uint32_t count = 0;
   };
 
+  /// Keeps a reference to `mach`, which must outlive the ledger: a
+  /// temporary config does not compile.
   ResourceLedger(int nodes, const hw::MachineConfig& mach);
+  ResourceLedger(int nodes, hw::MachineConfig&& mach) = delete;
+
+  /// `gbps` in the cluster bandwidth total's exact units, 2^-32 GB/s.
+  static std::int64_t bwUnits(double gbps) { return std::llround(gbps * 0x1p32); }
 
   int nodeCount() const { return static_cast<int>(slots_.size()); }
   /// Node `id`'s accounting as a by-value view. Inline: this is the single
@@ -358,7 +367,8 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   }
   double meanBwOccupancy() const {
     settlePending();
-    return total_bw_reserved_ / (mach_->peakBandwidth() * nodeCount());
+    return static_cast<double>(total_bw_units_) * 0x1p-32 /
+           (mach_->peakBandwidth() * nodeCount());
   }
 
   const hw::MachineConfig& machine() const { return *mach_; }
@@ -383,9 +393,10 @@ class SNS_THREAD_HOSTILE ResourceLedger {
     settlePending();
     return total_ways_reserved_;
   }
-  double cachedTotalBwReserved() const {
+  /// The sum of bwUnits() over every resident allocation of every node.
+  std::int64_t cachedTotalBwUnits() const {
     settlePending();
-    return total_bw_reserved_;
+    return total_bw_units_;
   }
   int bucketCount() const { return static_cast<int>(buckets_.size()); }
   const NodeBitset& bucket(int idle_cores) const {
@@ -457,6 +468,7 @@ class SNS_THREAD_HOSTILE ResourceLedger {
     int ev_dst_idle = 0;
     double ev_bw = 0.0;
     double ev_net = 0.0;
+    std::int64_t ev_bw_units = 0;  ///< bwUnits(ev_bw), for the cluster total
   };
   /// A class record with the table's internals: its links in its group's
   /// class list and in its idle-core bucket's class list, and the open
@@ -470,7 +482,6 @@ class SNS_THREAD_HOSTILE ResourceLedger {
     std::uint32_t moved = 0;  ///< nodes moved by the open event
     int ev_src_idle = 0;
     int ev_dst_idle = 0;
-    double ev_bw = 0.0;  ///< the moving job's bandwidth, for the cluster total
   };
   /// One selection query's verdict on one class, refreshed for every class
   /// of a bucket before the query reads that bucket's nodes.
@@ -562,15 +573,37 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   /// the bucket's verdicts) to cand_ / cand_class_, in ascending id order;
   /// every node qualifies when `all_fit`.
   void walkBucket(int c, std::size_t limit, bool all_fit) const;
+  /// The first `n` nodes of bucket `c` whose class fits, in ascending id
+  /// order; every node qualifies when `all_fit`.
+  std::vector<int> firstFitting(int c, std::size_t n, bool all_fit) const;
   /// Put the candidates (one ascending run per bucket read) in ascending
   /// id order: mark them in a scratch bitset and read it back.
   void sortCandidates() const;
+  /// Rank the classes of hit_classes_ (each verdict's `hits` set) by key,
+  /// ascending or (`descending`) descending: one rank per distinct key,
+  /// rank_start_[r] = where rank r's slice of the ranked order begins.
+  void rankSlices(bool descending) const;
+  /// Put candidate `id` (verdict `v`; candidates in ascending id order) at
+  /// its rank's next slot if that is inside `out`; false once `out` is full.
+  bool placeRanked(int id, const Verdict& v, std::vector<int>& out,
+                   std::size_t& placed) const {
+    std::size_t& at = rank_start_[v.rank];
+    if (at < out.size()) {
+      out[at] = id;
+      ++placed;
+    }
+    ++at;
+    return placed < out.size();
+  }
   /// The best `count` candidates by (key, id), the key ascending or
   /// (`descending`) descending; the candidates must be in ascending id
   /// order. Classes are ranked once by key and the candidates distributed
   /// into their rank's slice in input order, so no comparison sort
   /// touches nodes.
   std::vector<int> rankCandidates(int count, bool descending) const;
+  /// rankCandidates() over every fitting node of bucket `c`, ascending
+  /// key: the hits are the member counts, so one bucket scan fills `out`.
+  std::vector<int> rankBucket(int c, int count) const;
   /// Every node fitting `request` into cand_ / cand_class_, most idle
   /// bucket first, ascending id within a bucket; verdicts keyed by `key`.
   template <typename KeyFn>
@@ -638,12 +671,11 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   std::uint64_t release_epoch_ = 0;        ///< maintained regardless of flags
   int release_idle_watermark_ = -1;        ///< see takeReleaseIdleWatermark()
   mutable int query_core_floor_ = std::numeric_limits<int>::max();
-  /// Reserved-resource totals across all nodes (see meanCoreOccupancy()).
-  /// Cores and ways are integers, so their totals are drift-free; the
-  /// bandwidth total accumulates at most one ulp per allocate/release.
+  /// Reserved-resource totals across all nodes (see meanCoreOccupancy()),
+  /// all integers and so drift-free: bandwidth in bwUnits().
   std::int64_t total_cores_used_ = 0;
   std::int64_t total_ways_reserved_ = 0;
-  double total_bw_reserved_ = 0.0;
+  std::int64_t total_bw_units_ = 0;
 };
 
 }  // namespace sns::actuator

@@ -14,9 +14,9 @@ bool near(double a, double b, double rel) {
   return std::abs(a - b) <= rel * std::max(1.0, std::abs(b));
 }
 
-/// Relative tolerance for the cluster-wide bandwidth total: it is the one
-/// cached value that legitimately accumulates floating-point drift (at
-/// most one ulp per allocate/release; integers are exact).
+/// Relative tolerance for a node's bandwidth occupancy: its reservation
+/// sum is a running +=/-= total, which drifts from a fresh left-to-right
+/// resummation by at most one ulp per allocate/release.
 constexpr double kBwTotalRelEps = 1e-9;
 
 /// Relative tolerance for the flight ledger's accumulated sums (closure
@@ -52,7 +52,7 @@ std::size_t Auditor::auditLedger(const actuator::ResourceLedger& ledger) {
 
   std::int64_t sum_cores = 0;
   std::int64_t sum_ways = 0;
-  double sum_bw = 0.0;
+  std::int64_t sum_bw_units = 0;
   int idle_nodes = 0;
   std::vector<std::int64_t> members(static_cast<std::size_t>(buckets), 0);
 
@@ -66,6 +66,7 @@ std::size_t Auditor::auditLedger(const actuator::ResourceLedger& ledger) {
       cores += alloc.cores;
       ways += alloc.ways;
       bw += alloc.bw_gbps;
+      sum_bw_units += actuator::ResourceLedger::bwUnits(alloc.bw_gbps);
       exclusive = exclusive || alloc.exclusive;
     }
     const auto tag = [id](const char* what) {
@@ -101,7 +102,6 @@ std::size_t Auditor::auditLedger(const actuator::ResourceLedger& ledger) {
 
     sum_cores += cores;
     sum_ways += ways;
-    sum_bw += bw;
     if (node.idle()) ++idle_nodes;
 
     // Idle-core index: the node must be in exactly the bucket keyed by its
@@ -135,15 +135,12 @@ std::size_t Auditor::auditLedger(const actuator::ResourceLedger& ledger) {
         static_cast<double>(ledger.cachedTotalWaysReserved()),
         static_cast<double>(sum_ways),
         "cached cluster way total disagrees with per-node resummation");
-  // Drift in the incremental bandwidth total accumulates over every
-  // allocate/release ever performed, so the tolerance must scale with the
-  // values actually summed — cluster bandwidth capacity — not with the
-  // current total, which can legitimately sit near zero on an idle cluster.
-  const double bw_capacity = mach.peakBandwidth() * ledger.nodeCount();
-  check(std::abs(ledger.cachedTotalBwReserved() - sum_bw) <=
-            kBwTotalRelEps * std::max(1.0, bw_capacity),
-        "ledger.bw_total", ledger.cachedTotalBwReserved(), sum_bw,
-        "cached cluster bandwidth total drifted beyond ulp tolerance");
+  // The bandwidth total is an integer sum of per-allocation units, so it
+  // must match the resummation exactly.
+  check(ledger.cachedTotalBwUnits() == sum_bw_units, "ledger.bw_total",
+        static_cast<double>(ledger.cachedTotalBwUnits()),
+        static_cast<double>(sum_bw_units),
+        "cached cluster bandwidth total disagrees with per-node resummation");
   check(ledger.idleNodeCount() == idle_nodes, "ledger.idle_nodes",
         ledger.idleNodeCount(), idle_nodes,
         "idle-node count (free-list bucket) disagrees with a full recount");

@@ -1,5 +1,7 @@
 #include "sns/sched/corun_groups.hpp"
 
+#include <algorithm>
+
 #include "sns/util/error.hpp"
 
 namespace sns::sched {
@@ -8,21 +10,25 @@ void CorunGroups::reset(std::size_t n_jobs) {
   slots_.clear();
   hist_.assign(n_jobs, {});
   hist_pool_.clear();
+  nic_.assign(n_jobs, 0.0);
+  nic_over_nodes_ = 0;
 }
 
-void CorunGroups::apply(JobId job, const actuator::ResourceLedger& ledger,
+void CorunGroups::apply(JobId job, double nic_demand, const actuator::ResourceLedger& ledger,
                         std::span<const Transition> moves, bool joining) {
   SNS_REQUIRE(job >= 0 && static_cast<std::size_t>(job) < hist_.size(),
               "job id outside the co-run group table");
   auto& h = hist_[static_cast<std::size_t>(job)];
   if (joining) {
     SNS_REQUIRE(h.empty(), "job already holds co-run groups");
+    nic_[static_cast<std::size_t>(job)] = nic_demand;
     if (!hist_pool_.empty()) {
       h.swap(hist_pool_.back());
       hist_pool_.pop_back();
     }
   }
   if (slots_.size() < ledger.groupSlots()) slots_.resize(ledger.groupSlots());
+  const double nic_cap = ledger.machine().net_bw_gbps;
   for (const Transition& t : moves) {
     // The source's resident list is still readable: the ledger pools an
     // emptied group's id but keeps its list until its next event.
@@ -41,7 +47,13 @@ void CorunGroups::apply(JobId job, const actuator::ResourceLedger& ledger,
       dst.hist_pos.assign(n, 0u);
       dst.stamp = 0;
       dst.serial = dst_grp.serial;
+      dst.nic = 0.0;
+      for (const auto& [k, alloc] : dst_grp.residents) {
+        dst.nic += nic_[static_cast<std::size_t>(k)];
+      }
     }
+    nic_over_nodes_ += static_cast<std::int64_t>(t.count) *
+                       ((dst.nic > nic_cap) - (src.nic > nic_cap));
     std::uint32_t at = 0;  // resident's index in dst
     for (std::size_t i = 0; i < src_res.size(); ++i) {
       const JobId k = src_res[i].first;
@@ -99,6 +111,19 @@ std::size_t CorunGroups::firstOf(JobId job, std::size_t entry,
   SNS_REQUIRE(i < placement.size(), "histogram group absent from the placement");
   e.first = static_cast<std::uint32_t>(i);
   return i;
+}
+
+CorunGroups::NicPeak CorunGroups::nicPeak(JobId job, std::span<const int> placement,
+                                          const actuator::ResourceLedger& ledger) {
+  const auto& h = hist_[static_cast<std::size_t>(job)];
+  NicPeak peak;
+  for (const HistEntry& e : h) peak.demand = std::max(peak.demand, slots_[e.group].nic);
+  peak.first = placement.size();
+  for (std::size_t k = 0; k < h.size(); ++k) {
+    if (slots_[h[k].group].nic != peak.demand) continue;
+    peak.first = std::min(peak.first, firstOf(job, k, placement, ledger));
+  }
+  return peak;
 }
 
 void CorunGroups::debugCorruptHistogram(JobId job, int delta) {

@@ -24,7 +24,10 @@ namespace sns::sched {
 /// index) over the groups its placement touches. Both are fed from the
 /// (src, dst, count) transitions the ledger reports for a join or leave,
 /// so they change once per transition, not once per node, and a job's
-/// co-run quantities derive in O(groups) instead of O(footprint).
+/// co-run quantities derive in O(groups) instead of O(footprint). The same
+/// holds for NIC demand: each group incarnation sums its residents' demand
+/// once, in arrival order, and the count of nodes above the link rate
+/// moves once per transition.
 /// Finished jobs' histogram storage is reused by the next job to start.
 class CorunGroups {
  public:
@@ -43,6 +46,9 @@ class CorunGroups {
     /// Free for the owner (the simulator's refresh dedup); 0 on creation.
     std::uint64_t stamp = 0;
     std::uint64_t serial = 0;  ///< the ledger incarnation this slot is sized for
+    /// The residents' NIC demand (GB/s) per node, summed in arrival order;
+    /// 0 on the idle group.
+    double nic = 0.0;
   };
 
   /// One job's share of one group: `count` of the job's placement nodes
@@ -73,24 +79,37 @@ class CorunGroups {
   std::size_t firstOf(JobId job, std::size_t entry, std::span<const int> placement,
                       const actuator::ResourceLedger& ledger);
 
+  /// Nodes whose NIC demand exceeds the link rate.
+  std::int64_t nicOverNodes() const { return nic_over_nodes_; }
+  /// The NIC demand `job` registered when it joined.
+  double nicDemand(JobId job) const { return nic_[static_cast<std::size_t>(job)]; }
+  /// The highest NIC demand over `job`'s nodes, and the position in
+  /// `placement` (its whole placement, in order) of the first node with it.
+  struct NicPeak {
+    double demand = 0.0;
+    std::size_t first = 0;
+  };
+  NicPeak nicPeak(JobId job, std::span<const int> placement,
+                  const actuator::ResourceLedger& ledger);
+
   // ---- events ---------------------------------------------------------------
-  /// `job` landed on its whole placement; `moves` is what the ledger's
-  /// allocate() returned for it.
-  void join(JobId job, const actuator::ResourceLedger& ledger,
+  /// `job` landed on its whole placement with `nic_demand` GB/s of NIC
+  /// demand per node; `moves` is what the ledger's allocate() returned.
+  void join(JobId job, double nic_demand, const actuator::ResourceLedger& ledger,
             std::span<const Transition> moves) {
-    apply(job, ledger, moves, true);
+    apply(job, nic_demand, ledger, moves, true);
   }
   /// `job` departed its whole placement; `moves` from the ledger's release().
   void leave(JobId job, const actuator::ResourceLedger& ledger,
              std::span<const Transition> moves) {
-    apply(job, ledger, moves, false);
+    apply(job, 0.0, ledger, moves, false);
   }
 
   // ---- test hooks (audit coverage) -------------------------------------------
   void debugCorruptHistogram(JobId job, int delta);
 
  private:
-  void apply(JobId job, const actuator::ResourceLedger& ledger,
+  void apply(JobId job, double nic_demand, const actuator::ResourceLedger& ledger,
              std::span<const Transition> moves, bool joining);
   /// Take `n` nodes off a histogram entry; drops it (swap-with-last) at 0.
   void shrink(std::vector<HistEntry>& h, std::uint32_t pos, std::uint32_t n);
@@ -98,6 +117,8 @@ class CorunGroups {
   std::vector<Slot> slots_;
   std::vector<std::vector<HistEntry>> hist_;       ///< per job
   std::vector<std::vector<HistEntry>> hist_pool_;  ///< finished jobs' storage
+  std::vector<double> nic_;                        ///< per job: NIC demand
+  std::int64_t nic_over_nodes_ = 0;
 };
 
 }  // namespace sns::sched

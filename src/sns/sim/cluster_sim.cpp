@@ -35,7 +35,6 @@ ClusterSimulator::ClusterSimulator(const perfmodel::Estimator& est,
   } else {
     policy_ = sched::makePolicy(cfg_.policy, est);
   }
-  node_net_demand_.assign(static_cast<std::size_t>(cfg.nodes), 0.0);
   busy_pos_.assign(static_cast<std::size_t>(cfg.nodes), -1);
   episode_accum_.assign(static_cast<std::size_t>(cfg.nodes), 0.0);
   node_donated_.assign(static_cast<std::size_t>(cfg.nodes), 0.0);
@@ -181,14 +180,6 @@ void ClusterSimulator::updateBusyNodes(const std::vector<int>& nodes,
       pos = -1;
     }
   }
-}
-
-void ClusterSimulator::addNetDemand(int nd, double delta) {
-  const double cap = est_->machine().net_bw_gbps;
-  double& demand = node_net_demand_[static_cast<std::size_t>(nd)];
-  const bool was_over = demand > cap;
-  demand += delta;
-  net_over_nodes_ += static_cast<int>(demand > cap) - static_cast<int>(was_over);
 }
 
 bool ClusterSimulator::donationsObserved() const {
@@ -340,20 +331,15 @@ void ClusterSimulator::refreshRates(double now, const std::vector<DirtyGroup>& d
     // NIC oversubscription on any node stretches everyone's comm. While no
     // node's demand exceeds the link rate, every demand / nic_cap rounds
     // to at most 1.0, so the max over the placement is exactly 1.0 and the
-    // scan is skipped. The flight arm also needs the argmax-demand node
-    // (first-wins), which only matters when net_over > 1.
+    // groups are not read. The flight arm also needs the argmax-demand
+    // node (first in placement order), which only matters when
+    // net_over > 1.
     double net_over = 1.0;
     int net_node = -1;
-    if (net_over_nodes_ > 0) {
-      double max_net = -kInf;
-      for (int nd : placement.nodes) {
-        const double demand = node_net_demand_[static_cast<std::size_t>(nd)];
-        if (demand > max_net) {
-          max_net = demand;
-          net_node = nd;
-        }
-        net_over = std::max(net_over, demand / nic_cap);
-      }
+    if (groups_.nicOverNodes() > 0) {
+      const auto peak = groups_.nicPeak(id, placement.nodes, ledger_);
+      net_over = std::max(net_over, peak.demand / nic_cap);
+      net_node = placement.nodes[peak.first];
     }
     // Flight attribution replays the bottleneck node: the first node in
     // placement order whose rate equals the min.
@@ -481,7 +467,7 @@ void ClusterSimulator::flightReopen(sched::JobId id, const Running& r,
     for (const auto& [other, alloc] :
          ledger_.group(ledger_.groupOf(net_node)).residents) {
       if (other != id)
-        flight_net_shares_.emplace_back(other, running(other).nic_demand);
+        flight_net_shares_.emplace_back(other, groups_.nicDemand(other));
     }
   }
   ctx.comp_deltas = flight_comp_deltas_;
@@ -616,17 +602,17 @@ void ClusterSimulator::startJob(const sched::Job& job, sched::Placement&& p,
   r.anchor_time = now;
   r.anchor_remaining = 1.0;
   r.finish_time = kInf;
-  // Ground-truth NIC usage: remote traffic volume over the solo run time
-  // (repeats and trace rescaling multiply volume and time alike).
-  r.nic_demand = solo.time > 0.0
-                     ? p.procs_per_node * job.program->comm_gb_per_proc *
-                           solo.remote_frac / solo.time
-                     : 0.0;
+  // Ground-truth NIC usage per node: remote traffic volume over the solo
+  // run time (repeats and trace rescaling multiply volume and time alike).
+  const double nic_demand = solo.time > 0.0
+                                ? p.procs_per_node * job.program->comm_gb_per_proc *
+                                      solo.remote_frac / solo.time
+                                : 0.0;
 
   activate(job.id);
   const actuator::NodeAllocation alloc = p.nodeAllocation();
   const auto moves = ledger_.allocate(p.nodes, job.id, alloc);
-  groups_.join(job.id, ledger_, moves);
+  groups_.join(job.id, nic_demand, ledger_, moves);
   // Nothing reads progress rates until the pass ends: the placement's
   // destination groups join the end-of-pass refresh set.
   collectDirty(moves, pass_dirty_);
@@ -641,9 +627,6 @@ void ClusterSimulator::startJob(const sched::Job& job, sched::Placement&& p,
     }
   }
   updateBusyNodes(p.nodes, true);
-  if (r.nic_demand != 0.0) {
-    for (int nd : p.nodes) addNetDemand(nd, r.nic_demand);
-  }
 
   JobRecord& rec = records_[static_cast<std::size_t>(job.id)];
   rec.start = now;
@@ -715,9 +698,6 @@ void ClusterSimulator::finishJob(sched::JobId id, double now) {
   finish_dirty_.clear();
   collectDirty(moves, finish_dirty_);
   updateBusyNodes(placement.nodes, false);
-  if (r.nic_demand != 0.0) {
-    for (int nd : placement.nodes) addNetDemand(nd, -r.nic_demand);
-  }
   if (donationsObserved()) {
     for (int nd : placement.nodes) noteDonations(nd);
   }
@@ -1119,8 +1099,6 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
   group_epoch_ = 0;
   busy_nodes_.clear();
   std::fill(busy_pos_.begin(), busy_pos_.end(), -1);
-  std::fill(node_net_demand_.begin(), node_net_demand_.end(), 0.0);
-  net_over_nodes_ = 0;
   episodes_.clear();
   std::fill(episode_accum_.begin(), episode_accum_.end(), 0.0);
   episode_start_ = 0.0;

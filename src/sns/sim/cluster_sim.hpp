@@ -194,7 +194,6 @@ class ClusterSimulator {
     double comp_time_solo = 0.0;   ///< solo compute time at allocated ways
     double comm_data_time = 0.0;   ///< placement-fixed data-movement time
     double wait_time = 0.0;        ///< placement-fixed sync-wait time
-    double nic_demand = 0.0;       ///< per-node NIC bandwidth demand, GB/s
     double remote_frac = 0.0;      ///< placement-fixed remote-traffic fraction
     double solo_rate = 0.0;        ///< per-proc instr rate when alone
     double rate = 0.0;             ///< d(remaining)/dt under current co-run
@@ -261,10 +260,6 @@ class ClusterSimulator {
   std::uint64_t nodeSerial(int nd) const {
     return ledger_.group(ledger_.groupOf(nd)).serial;
   }
-  /// Add `delta` to node `nd`'s NIC demand, tracking how many nodes are
-  /// oversubscribed (demand above the link rate). Adding a zero demand is
-  /// an exact no-op, so callers skip it.
-  void addNetDemand(int nd, double delta);
   /// The flight bottleneck: the first of job `id`'s placement `nodes` (in
   /// order) whose co-run group carries its minimum rate `corun_rate`.
   int firstMinRateNode(sched::JobId id, double corun_rate,
@@ -326,16 +321,14 @@ class ClusterSimulator {
   std::vector<sched::JobId> active_;       ///< ids of in-flight jobs
   std::vector<std::int32_t> active_pos_;   ///< id -> index in active_, -1 if idle
 
-  /// Every co-run group's solved rates and every running job's group
-  /// histogram, over the ledger's groups.
+  /// Every co-run group's solved rates and NIC demand (ground-truth
+  /// network contention) and every running job's group histogram, over
+  /// the ledger's groups. While no group's NIC demand exceeds
+  /// net_bw_gbps, every derivation's NIC stretch is exactly 1.0 (DESIGN.md
+  /// section 11).
   sched::CorunGroups groups_;
   /// Refresh stamp for CorunGroups::Slot::stamp (solve each group once).
   std::uint64_t group_epoch_ = 0;
-  /// total NIC bandwidth demand per node (ground-truth network contention)
-  std::vector<double> node_net_demand_;
-  /// Nodes whose NIC demand exceeds net_bw_gbps. While zero, every
-  /// derivation's NIC stretch is exactly 1.0 (DESIGN.md section 11).
-  int net_over_nodes_ = 0;
   /// nodes hosting at least one job (so accumulate() touches only them);
   /// maintained only while episode monitoring, its one reader, is on
   std::vector<int> busy_nodes_;

@@ -1,10 +1,12 @@
 #include "sns/telemetry/export.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 
+#include "sns/util/error.hpp"
 #include "sns/util/table.hpp"
 
 namespace sns::telemetry {
@@ -184,9 +186,15 @@ std::string renderTop(const TimeSeriesStore& store, double at, int bar_width) {
   std::vector<std::pair<int, double>> per_node;
   for (const auto& [key, s] : store.all()) {
     if (key.name != "node.core_occ" || key.labels.empty() || s.empty()) continue;
+    // The whole label value must be a node id.
+    const auto& [label, v] = key.labels.front();
+    int nd = 0;
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), nd);
+    if (ec != std::errc() || end != v.data() + v.size()) {
+      throw util::DataError(key.name + ": label " + label + "=\"" + v + "\" is not a node id");
+    }
     const SeriesPoint* p = s.at(t);
-    per_node.emplace_back(std::stoi(key.labels.front().second),
-                          p != nullptr ? p->last : 0.0);
+    per_node.emplace_back(nd, p != nullptr ? p->last : 0.0);
   }
   if (!per_node.empty()) {
     std::sort(per_node.begin(), per_node.end());

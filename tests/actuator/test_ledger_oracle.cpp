@@ -58,7 +58,7 @@ class Cluster {
       auto& r = ref_[static_cast<std::size_t>(nd)];
       if (r.holds(job) || !r.fits(a)) return;
       r.allocate(job, a);
-      total_bw_ += a.bw_gbps;
+      total_bw_ += ResourceLedger::bwUnits(a.bw_gbps);
       total_cores_ += a.cores;
     }
   }
@@ -67,9 +67,8 @@ class Cluster {
       auto& r = ref_[static_cast<std::size_t>(nd)];
       const NodeAllocation a = r.allocation(job);
       r.release(job);
-      total_bw_ -= a.bw_gbps;
+      total_bw_ -= ResourceLedger::bwUnits(a.bw_gbps);
       total_cores_ -= a.cores;
-      if (total_cores_ == 0) total_bw_ = 0.0;
     }
   }
 
@@ -127,7 +126,7 @@ class Cluster {
     }
     ASSERT_EQ(ledger_.cachedTotalCoresUsed(), cores) << where;
     ASSERT_EQ(cores, total_cores_) << where;
-    ASSERT_EQ(bits(ledger_.cachedTotalBwReserved()), bits(total_bw_)) << where;
+    ASSERT_EQ(ledger_.cachedTotalBwUnits(), total_bw_) << where;
     ASSERT_EQ(ledger_.idleNodeCount(), idle_nodes) << where;
 
     // The bucket population bound, summed row by row from the most idle
@@ -162,7 +161,7 @@ class Cluster {
   hw::MachineConfig mach_;
   ResourceLedger ledger_;
   std::vector<ReferenceNodeLedger> ref_;
-  double total_bw_ = 0.0;
+  std::int64_t total_bw_ = 0;  ///< in ResourceLedger::bwUnits()
   std::int64_t total_cores_ = 0;
 };
 
@@ -769,7 +768,7 @@ void compareTwins(ResourceLedger& span, ResourceLedger& twin, const std::string&
           << where << " bucket " << c << " node " << nd;
     }
   }
-  ASSERT_EQ(bits(span.cachedTotalBwReserved()), bits(twin.cachedTotalBwReserved())) << where;
+  ASSERT_EQ(span.cachedTotalBwUnits(), twin.cachedTotalBwUnits()) << where;
   ASSERT_EQ(span.cachedTotalCoresUsed(), twin.cachedTotalCoresUsed()) << where;
   ASSERT_EQ(span.cachedTotalWaysReserved(), twin.cachedTotalWaysReserved()) << where;
   ASSERT_EQ(span.idleNodeCount(), twin.idleNodeCount()) << where;

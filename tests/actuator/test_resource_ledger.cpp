@@ -3,11 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
+#include <type_traits>
 
 #include "sns/util/error.hpp"
 
 namespace sns::actuator {
 namespace {
+
+// The ledger keeps a reference to its machine config, so a temporary one
+// must not compile into a dangling pointer; a named config still binds.
+static_assert(!std::is_constructible_v<ResourceLedger, int, hw::MachineConfig>);
+static_assert(std::is_constructible_v<ResourceLedger, int, hw::MachineConfig&>);
+static_assert(std::is_constructible_v<ResourceLedger, int, const hw::MachineConfig&>);
 
 class ResourceLedgerTest : public ::testing::Test {
  protected:
@@ -80,6 +88,23 @@ TEST_F(ResourceLedgerTest, FallsBackAcrossGroupsWhenNoGroupSuffices) {
   ASSERT_EQ(picked.size(), 2u);
   EXPECT_TRUE(std::find(picked.begin(), picked.end(), 6) != picked.end());
   EXPECT_TRUE(std::find(picked.begin(), picked.end(), 7) != picked.end());
+}
+
+TEST_F(ResourceLedgerTest, BandwidthTotalIsExactInAnyEventOrder) {
+  // (0.1 + 0.2) - 0.1 is not 0.2 in doubles; the total's units cancel.
+  const auto units = [](double gbps) { return ResourceLedger::bwUnits(gbps); };
+  ledger_.allocate(0, 1, {1, 0, 0.1, false});
+  ledger_.allocate(0, 2, {1, 0, 0.2, false});
+  const std::vector<int> span = {1, 2, 3};
+  ledger_.allocate(span, 3, {1, 0, 0.7, false});
+  EXPECT_EQ(ledger_.cachedTotalBwUnits(), units(0.1) + units(0.2) + 3 * units(0.7));
+  ledger_.release(0, 1);
+  EXPECT_EQ(ledger_.cachedTotalBwUnits(), units(0.2) + 3 * units(0.7));
+  ledger_.release(span, 3);
+  EXPECT_EQ(ledger_.cachedTotalBwUnits(), units(0.2));
+  ledger_.release(0, 2);
+  EXPECT_EQ(ledger_.cachedTotalBwUnits(), 0);
+  EXPECT_EQ(ledger_.meanBwOccupancy(), 0.0);
 }
 
 TEST_F(ResourceLedgerTest, BetaWeightsCacheOccupancy) {

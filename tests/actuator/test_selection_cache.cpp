@@ -1,9 +1,11 @@
 // Unit tests for ledger selection on the queries a memo of earlier answers
 // would serve: a failing query re-asked across allocations and releases,
 // the release watermark and query-core floor the simulator's failed-spec
-// memo keys on, and exclusive requests. The ledger memoizes no selection
-// (its population bound is the failure check), so every answer here is
-// computed afresh and must equal the regroup-every-node reference.
+// memo keys on, and exclusive requests; then the three shapes of a query
+// that one bucket satisfies (ranked in one scan, ranked over a capped
+// window, uniform keys). The ledger memoizes no selection (its population
+// bound is the failure check), so every answer here is computed afresh
+// and must equal the regroup-every-node reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -116,6 +118,66 @@ std::vector<int> referenceAligned(const ResourceLedger& ledger, int count,
   return testsupport::referenceAligned(
       ledger.nodeCount(), [&](int id) { return ledger.node(id); }, ledger.machine(), count,
       req);
+}
+
+// One idle-core bucket of 300 nodes (24 idle cores each) that holds every
+// query below, plus 20 fully idle nodes. Bucket members carry six
+// different bandwidth reservations and CAT partitions on every third
+// node, so they score differently; the sixth reservation leaves too
+// little bandwidth for the request, so one node in six does not fit.
+class WholeBucketTest : public ::testing::Test {
+ protected:
+  static constexpr int kBucket = 300;
+  WholeBucketTest() {
+    const double bws[] = {0.0, 1.3, 0.7, 2.9, 0.2, mach_.peakBandwidth() - 1.0};
+    for (int nd = 0; nd < kBucket; ++nd) {
+      ledger_.allocate(nd, nd + 1, {4, nd % 3 == 0 ? 2 : 0, bws[nd % 6], false, 0.0});
+    }
+  }
+  /// Fitting nodes in the 24-idle-core bucket.
+  int bucketFit(const NodeAllocation& req) const {
+    int fit = 0;
+    for (int nd = 0; nd < ledger_.nodeCount(); ++nd) {
+      if (ledger_.node(nd).idleCores() == 24 && ledger_.node(nd).fits(req)) ++fit;
+    }
+    return fit;
+  }
+  hw::MachineConfig mach_ = hw::MachineConfig::xeonE5_2680v4();
+  ResourceLedger ledger_{kBucket + 20, mach_};
+};
+
+TEST_F(WholeBucketTest, NonUniformKeysMatchTheReferenceInsideAndBeyondTheCap) {
+  const NodeAllocation req{20, 0, 5.0, false, 0.0};
+  const int fit = bucketFit(req);
+  ASSERT_EQ(fit, 250);
+  // The scan cap is max(64, 2 * count + 8): from count 121 on the whole
+  // bucket is the window (one scan), below it a capped window is ranked.
+  for (const int count : {1, 2, 28, 60, 120, 121, 122, 200, 249, 250}) {
+    const std::size_t cap = std::max<std::size_t>(64, 2 * static_cast<std::size_t>(count) + 8);
+    SCOPED_TRACE(static_cast<std::size_t>(fit) <= cap ? "one scan" : "capped window");
+    for (const double beta : {0.0, 1.0, 2.0}) {
+      const auto got = ledger_.selectNodes(count, req, beta);
+      ASSERT_EQ(got.size(), static_cast<std::size_t>(count));
+      EXPECT_EQ(got, referenceRanked(ledger_, count, req, beta))
+          << "count " << count << " beta " << beta;
+    }
+  }
+  // One node more than the bucket holds takes the cluster-wide fallback.
+  EXPECT_EQ(ledger_.selectNodes(fit + 1, req, 2.0), referenceRanked(ledger_, fit + 1, req, 2.0));
+}
+
+TEST_F(WholeBucketTest, UniformKeysTakeTheFirstFittingIds) {
+  // Only the members without a bandwidth reservation (every sixth node,
+  // all partitioned alike) fit this request: they score the same, while
+  // the members that do not fit score differently.
+  const NodeAllocation req{20, 0, mach_.peakBandwidth() - 0.05, false, 0.0};
+  ASSERT_EQ(bucketFit(req), 50);
+  for (const int count : {1, 7, 50}) {
+    std::vector<int> want;
+    for (int nd = 0; static_cast<int>(want.size()) < count; nd += 6) want.push_back(nd);
+    EXPECT_EQ(ledger_.selectNodes(count, req, 2.0), want) << count;
+    EXPECT_EQ(referenceRanked(ledger_, count, req, 2.0), want) << count;
+  }
 }
 
 // Randomized cross-check: the ledger driven through a mutation/query

@@ -278,8 +278,8 @@ TEST_F(AuditorTest, CorunGroupTableAuditsCleanAndCatchesDrift) {
   groups.reset(3);
   const std::vector<int> p1 = {0, 1, 2};
   const std::vector<int> p2 = {1, 2};
-  groups.join(1, ledger, ledger.allocate(p1, 1, a1));
-  groups.join(2, ledger, ledger.allocate(p2, 2, a2));
+  groups.join(1, 0.0, ledger, ledger.allocate(p1, 1, a1));
+  groups.join(2, 0.0, ledger, ledger.allocate(p2, 2, a2));
   const std::vector<std::pair<sched::JobId, int>> widths = {{1, 3}, {2, 2}};
 
   Auditor clean;

@@ -6,6 +6,7 @@
 
 #include "sns/obs/metrics.hpp"
 #include "sns/telemetry/timeseries.hpp"
+#include "sns/util/error.hpp"
 
 namespace sns::telemetry {
 namespace {
@@ -138,6 +139,21 @@ TEST(Top, PerNodeBarsWhenRecorded) {
   EXPECT_TRUE(contains(out, "per-node core occupancy"));
   EXPECT_TRUE(contains(out, "node 0"));
   EXPECT_TRUE(contains(out, "node 1"));
+}
+
+TEST(Top, MalformedNodeLabelIsADataErrorNamingIt) {
+  for (const char* bad : {"x1", "1x", "", " 2", "99999999999"}) {
+    TimeSeriesStore store(64);
+    store.series("cluster.core_util").append(0.0, 0.5);
+    store.series("node.core_occ", {{"node", bad}}).append(0.0, 0.25);
+    try {
+      (void)renderTop(store, 0.0);
+      ADD_FAILURE() << "label \"" << bad << "\" rendered";
+    } catch (const util::DataError& e) {
+      EXPECT_TRUE(contains(e.what(), "node.core_occ")) << e.what();
+      EXPECT_TRUE(contains(e.what(), std::string("node=\"") + bad + "\"")) << e.what();
+    }
+  }
 }
 
 TEST(Top, EmptyStoreSaysSo) {
