@@ -1,7 +1,9 @@
 // Google-benchmark microbenchmarks of actuator::ResourceLedger, the
 // engine layer behind every placement: ranked selection that succeeds,
 // ranked selection that one bucket holds whole within its scan cap
-// (ranked in one scan of the bucket), ranked selection that passes the
+// (ranked in one scan of the bucket), ranked selection that no single
+// bucket holds but the buckets hold together (every fitting node of every
+// bucket competes), ranked selection that passes the
 // bucket-population bound and is then proven empty, ranked selection that
 // the population bound rejects (the shape of most re-asked queries in a
 // congested replay), and two
@@ -141,6 +143,42 @@ void BM_SelectWholeBucket(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SelectWholeBucket)->Arg(4096)->Arg(32768)->Unit(benchmark::kMicrosecond);
+
+void BM_SelectAcrossBuckets(benchmark::State& state) {
+  LoadedLedger& l = loaded(static_cast<int>(state.range(0)));
+  ResourceLedger& ledger = *l.ledger;
+  // One node more than the fullest bucket fits: no single bucket holds
+  // the query, so every fitting node of every bucket competes.
+  const NodeAllocation req{1, 0, 2.0, false, 0.0};
+  std::vector<std::pair<double, int>> ranked;  // (score, id) of the fitting nodes
+  std::size_t widest = 0;
+  for (int c = req.cores; c <= l.mach.cores; ++c) {
+    std::size_t fit = 0;
+    ledger.bucket(c).scan([&](int id) {
+      if (ledger.node(id).fits(req)) {
+        ranked.emplace_back(ledger.node(id).score(2.0), id);
+        ++fit;
+      }
+      return true;
+    });
+    widest = std::max(widest, fit);
+  }
+  const int count = static_cast<int>(widest) + 1;
+  if (ranked.size() < static_cast<std::size_t>(count)) {
+    fail(state, "the query misses the multi-bucket shape");
+    return;
+  }
+  std::sort(ranked.begin(), ranked.end());
+  std::vector<int> want;
+  for (int i = 0; i < count; ++i) want.push_back(ranked[static_cast<std::size_t>(i)].second);
+  if (ledger.selectNodes(count, req, 2.0) != want) fail(state, "selection answered wrongly");
+  for (auto _ : state) {
+    const auto nodes = ledger.selectNodes(count, req, 2.0);
+    if (nodes.size() != static_cast<std::size_t>(count)) fail(state, "selection came back short");
+    benchmark::DoNotOptimize(nodes.data());
+  }
+}
+BENCHMARK(BM_SelectAcrossBuckets)->Arg(4096)->Arg(32768)->Unit(benchmark::kMicrosecond);
 
 void BM_SelectProvenFailure(benchmark::State& state) {
   LoadedLedger& l = loaded(static_cast<int>(state.range(0)));

@@ -34,12 +34,10 @@ ResourceLedger::ResourceLedger(int nodes, const hw::MachineConfig& mach)
   index_.assign(64, kIdleGroup);
   const auto rows = static_cast<std::size_t>(mach.cores) + 1;
   buckets_.assign(rows, NodeBitset(nodes));
-  order_ = NodeBitset(nodes);
   auto& idle_bucket = buckets_[static_cast<std::size_t>(mach.cores)];
   for (int i = 0; i < nodes; ++i) idle_bucket.insert(i);
   bucket_classes_.assign(rows, kNoClass);
   bucket_classes_[static_cast<std::size_t>(mach.cores)] = kIdleClass;
-  bucket_fit_.assign(rows, 0);
   way_rows_.assign(rows * static_cast<std::size_t>(mach.llc_ways + 1), 0);
   addToRows(mach.cores, mach.llc_ways, nodes);
 }
@@ -482,18 +480,6 @@ std::uint32_t ResourceLedger::judgeBucket(int c, const NodeAllocation& request,
   return fit;
 }
 
-void ResourceLedger::walkBucket(int c, std::size_t limit, bool all_fit) const {
-  if (limit == 0) return;
-  const std::size_t begin = cand_.size();
-  buckets_[static_cast<std::size_t>(c)].scan([&](int id) {
-    const ClassId k = classOf(id);
-    if (!all_fit && !verdicts_[k].fits) return true;
-    cand_.push_back(id);
-    cand_class_.push_back(k);
-    return cand_.size() - begin < limit;
-  });
-}
-
 std::vector<int> ResourceLedger::firstFitting(int c, std::size_t n, bool all_fit) const {
   std::vector<int> out;
   out.reserve(n);
@@ -505,87 +491,119 @@ std::vector<int> ResourceLedger::firstFitting(int c, std::size_t n, bool all_fit
   return out;
 }
 
-void ResourceLedger::sortCandidates() const {
-  for (const int id : cand_) order_.insert(id);
-  cand_.clear();
-  cand_class_.clear();
-  order_.scan([&](int id) {
-    cand_.push_back(id);
-    cand_class_.push_back(classOf(id));
-    return true;
-  });
-  for (const int id : cand_) order_.erase(id);
+std::vector<int> ResourceLedger::rankBuckets(int lo, int hi, std::size_t count,
+                                             bool descending) const {
+  hit_classes_.clear();
+  for (int c = lo; c <= hi; ++c) {
+    for (ClassId k = bucket_classes_[static_cast<std::size_t>(c)]; k != kNoClass;
+         k = classes_[k].bucket_next) {
+      Verdict& v = verdicts_[k];
+      if (classes_[k].members == 0 || !v.fits) continue;
+      v.hits = classes_[k].members;
+      hit_classes_.push_back(k);
+    }
+  }
+  return fillRanked(lo, hi, count, descending);
 }
 
-void ResourceLedger::rankSlices(bool descending) const {
+std::vector<int> ResourceLedger::rankWindow(int c, std::size_t count, std::size_t cap) const {
+  hit_classes_.clear();
+  std::size_t seen = 0;
+  buckets_[static_cast<std::size_t>(c)].scan([&](int id) {
+    const ClassId k = classOf(id);
+    Verdict& v = verdicts_[k];
+    if (!v.fits) return true;
+    if (v.hits++ == 0) hit_classes_.push_back(k);
+    return ++seen < cap;
+  });
+  // The window is the bucket's first `cap` fitting ids, and every slot of
+  // the output belongs to one of them, so the fill below stops inside it.
+  return fillRanked(c, c, count, /*descending=*/false);
+}
+
+std::vector<int> ResourceLedger::fillRanked(int lo, int hi, std::size_t count,
+                                            bool descending) const {
   std::sort(hit_classes_.begin(), hit_classes_.end(), [&](ClassId a, ClassId b) {
     const double ka = verdicts_[a].key;
     const double kb = verdicts_[b].key;
     return descending ? ka > kb : ka < kb;
   });
-  // One rank per distinct key (classes with equal keys share a rank, their
-  // nodes then ordered by id alone); rank_start_[r] = where its slice of
-  // the ranked order begins.
+  // One rank per distinct key (classes with equal keys share a rank);
+  // rank_start_[r] = where its slice of the ranked order begins, with the
+  // end of the last slice appended. Buckets are filled one after another,
+  // each in ascending id order, so a rank whose classes lie in several
+  // buckets goes to tied_, to be put in id order after the fill.
   rank_start_.clear();
+  tied_.clear();
   std::size_t pos = 0;
   for (std::size_t i = 0; i < hit_classes_.size(); ++i) {
-    Verdict& v = verdicts_[hit_classes_[i]];
-    if (i == 0 || v.key != verdicts_[hit_classes_[i - 1]].key) rank_start_.push_back(pos);
+    const ClassId k = hit_classes_[i];
+    Verdict& v = verdicts_[k];
+    if (i == 0 || v.key != verdicts_[hit_classes_[i - 1]].key) {
+      rank_start_.push_back(pos);
+    } else if (groups_[classes_[k].group].cores_used !=
+                   groups_[classes_[hit_classes_[i - 1]].group].cores_used &&
+               (tied_.empty() || tied_.back().first != rank_start_.size() - 1)) {
+      tied_.emplace_back(rank_start_.size() - 1, 0);
+    }
     v.rank = static_cast<std::uint32_t>(rank_start_.size() - 1);
     pos += v.hits;
   }
-}
-
-std::vector<int> ResourceLedger::rankCandidates(int count, bool descending) const {
-  hit_classes_.clear();
-  for (const ClassId k : cand_class_) {
-    if (verdicts_[k].hits++ == 0) hit_classes_.push_back(k);
+  rank_start_.push_back(pos);
+  // A tied rank that straddles `count` is filled whole, so that its lowest
+  // ids are the ones kept.
+  std::size_t size = count;
+  for (auto& [begin, end] : tied_) {
+    end = rank_start_[begin + 1];
+    begin = rank_start_[begin];
+    if (begin < count) size = std::max(size, end);
   }
-  rankSlices(descending);
-  std::vector<int> out(static_cast<std::size_t>(count));
+  std::vector<int> out(size);
   std::size_t placed = 0;
-  for (std::size_t i = 0; i < cand_.size(); ++i) {
-    if (!placeRanked(cand_[i], verdicts_[cand_class_[i]], out, placed)) break;
+  for (int c = lo; c <= hi && placed < size; ++c) {
+    // Skip a bucket whose fitting classes all rank past the output.
+    bool wanted = false;
+    for (ClassId k = bucket_classes_[static_cast<std::size_t>(c)]; k != kNoClass && !wanted;
+         k = classes_[k].bucket_next) {
+      const Verdict& v = verdicts_[k];
+      wanted = v.hits != 0 && rank_start_[v.rank] < size;
+    }
+    if (!wanted) continue;
+    buckets_[static_cast<std::size_t>(c)].scan([&](int id) {
+      const Verdict& v = verdicts_[classOf(id)];
+      if (!v.fits) return true;
+      std::size_t& at = rank_start_[v.rank];
+      if (at < size) {
+        out[at] = id;
+        ++placed;
+      }
+      ++at;
+      return placed < size;
+    });
   }
+  for (const auto& [begin, end] : tied_) {
+    if (begin < count) {
+      std::sort(out.begin() + static_cast<std::ptrdiff_t>(begin),
+                out.begin() + static_cast<std::ptrdiff_t>(end));
+    }
+  }
+  out.resize(count);
   return out;
-}
-
-std::vector<int> ResourceLedger::rankBucket(int c, int count) const {
-  hit_classes_.clear();
-  for (ClassId k = bucket_classes_[static_cast<std::size_t>(c)]; k != kNoClass;
-       k = classes_[k].bucket_next) {
-    Verdict& v = verdicts_[k];
-    if (!v.fits || classes_[k].members == 0) continue;
-    v.hits = classes_[k].members;
-    hit_classes_.push_back(k);
-  }
-  rankSlices(/*descending=*/false);
-  std::vector<int> out(static_cast<std::size_t>(count));
-  std::size_t placed = 0;
-  buckets_[static_cast<std::size_t>(c)].scan([&](int id) {
-    const Verdict& v = verdicts_[classOf(id)];
-    return !v.fits || placeRanked(id, v, out, placed);
-  });
-  return out;
-}
-
-template <typename KeyFn>
-void ResourceLedger::collectFeasible(const NodeAllocation& request, const KeyFn& key) const {
-  cand_.clear();
-  cand_class_.clear();
-  for (int c = mach_->cores; c >= std::max(0, request.cores); --c) {
-    if (buckets_[static_cast<std::size_t>(c)].empty()) continue;
-    bool uniform = true;
-    const std::uint32_t fit = judgeBucket(c, request, key, uniform);
-    walkBucket(c, fit, static_cast<int>(fit) == buckets_[static_cast<std::size_t>(c)].size());
-  }
 }
 
 std::vector<int> ResourceLedger::feasibleNodes(const NodeAllocation& request) const {
   settlePending();
   query_core_floor_ = std::min(query_core_floor_, request.cores);
-  collectFeasible(request, [](const NodeLedger&) { return 0.0; });
-  return cand_;
+  std::vector<int> out;
+  for (int c = mach_->cores; c >= std::max(0, request.cores); --c) {
+    bool uniform = true;
+    judgeBucket(c, request, [](const NodeLedger&) { return 0.0; }, uniform);
+    buckets_[static_cast<std::size_t>(c)].scan([&](int id) {
+      if (verdicts_[classOf(id)].fits) out.push_back(id);
+      return true;
+    });
+  }
+  return out;
 }
 
 std::vector<int> ResourceLedger::selectNodes(int count, const NodeAllocation& request,
@@ -623,49 +641,31 @@ std::vector<int> ResourceLedger::selectNodesRanked(int count,
   // idle nodes for large jobs (the paper's fragmentation-reduction rule,
   // §4.4). Within a bucket, the least-loaded nodes win by the score
   // Co + Bo + beta x Wo, id breaking ties. If no single bucket suffices,
-  // fall back to the idlest feasible nodes cluster-wide. Each bucket
-  // contributes its first max(64, 2*count+8) fitting nodes in ascending
-  // id, so a single placement stays sub-linear on 32K-node clusters.
-  // Fit and score are per class, so a bucket's fitting population is
-  // known before any of its nodes is read: a bucket is walked only once it
-  // is known to contribute, and a bucket that holds the whole request
-  // within the cap is ranked in the one walk that fills the output.
+  // fall back to the idlest feasible nodes cluster-wide. A bucket's window
+  // is its first max(64, 2*count+8) fitting nodes in ascending id, so a
+  // single placement stays sub-linear on 32K-node clusters; the fallback
+  // runs only when every bucket holds fewer than `count` fitting nodes, so
+  // there every fitting node competes. Fit and score are per class, so a
+  // bucket's fitting population is known before any of its nodes is read.
   const auto n = static_cast<std::size_t>(count);
   const std::size_t cap = std::max<std::size_t>(64, 2 * n + 8);
   const auto score = [beta](const NodeLedger& v) { return v.score(beta); };
   const int from = std::max(0, request.cores);
-  cand_.clear();
-  cand_class_.clear();
   std::size_t total = 0;
   for (int c = from; c <= mach_->cores; ++c) {
-    const NodeBitset& bucket = buckets_[static_cast<std::size_t>(c)];
-    std::uint32_t& fit = bucket_fit_[static_cast<std::size_t>(c)];
-    fit = 0;
-    if (bucket.empty()) continue;
     bool uniform = true;
-    fit = judgeBucket(c, request, score, uniform);
+    const std::uint32_t fit = judgeBucket(c, request, score, uniform);
     if (fit >= n) {
-      const bool all_fit = static_cast<int>(fit) == bucket.size();
+      const bool all_fit = static_cast<int>(fit) == buckets_[static_cast<std::size_t>(c)].size();
       // Every candidate scores the same: the ranked prefix is the first
       // `count` fitting ids.
       if (uniform) return firstFitting(c, n, all_fit);
-      // Every fitting node is inside the window.
-      if (fit <= cap) return rankBucket(c, count);
-      walkBucket(c, cap, all_fit);
-      return rankCandidates(count, /*descending=*/false);
+      return fit <= cap ? rankBuckets(c, c, n, /*descending=*/false) : rankWindow(c, n, cap);
     }
-    total += std::min<std::size_t>(cap, fit);
+    total += fit;
   }
   if (total < n) return {};
-  for (int c = from; c <= mach_->cores; ++c) {
-    const std::uint32_t fit = bucket_fit_[static_cast<std::size_t>(c)];
-    walkBucket(c, std::min<std::size_t>(cap, fit),
-               static_cast<int>(fit) == buckets_[static_cast<std::size_t>(c)].size());
-  }
-  // Buckets were read in idle-core order; equal scores across buckets
-  // rank by id.
-  sortCandidates();
-  return rankCandidates(count, /*descending=*/false);
+  return rankBuckets(from, mach_->cores, n, /*descending=*/false);
 }
 
 std::vector<int> ResourceLedger::selectNodesByAlignment(
@@ -702,10 +702,14 @@ std::vector<int> ResourceLedger::selectNodesAligned(
     return dot;
   };
   // Every feasible node competes: best alignment first, id breaking ties.
-  collectFeasible(request, alignment);
-  if (cand_.size() < static_cast<std::size_t>(count)) return {};
-  sortCandidates();
-  return rankCandidates(count, /*descending=*/true);
+  const int from = std::max(0, request.cores);
+  std::size_t total = 0;
+  for (int c = from; c <= mach_->cores; ++c) {
+    bool uniform = true;
+    total += judgeBucket(c, request, alignment, uniform);
+  }
+  if (total < static_cast<std::size_t>(count)) return {};
+  return rankBuckets(from, mach_->cores, static_cast<std::size_t>(count), /*descending=*/true);
 }
 
 int ResourceLedger::feasibleUpperBound(int from, int ways, int enough) const {

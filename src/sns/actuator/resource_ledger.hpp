@@ -160,9 +160,10 @@ class NodeBitset {
 /// bucket doubles as the free list CE-style exclusive placements draw
 /// from. A query tests fit and computes its ranking key once per class of
 /// each bucket it reads, so a bucket without enough fitting nodes is
-/// decided without reading one node; the walk over a chosen bucket reads
-/// per node only its class id, and when the whole bucket is inside the
-/// scan cap the walk writes each node straight into its ranked slot.
+/// decided without reading one node. Ranking orders classes, not nodes:
+/// one scan of each contributing bucket reads per node only its class id
+/// and writes it straight into its ranked slot, stopping once the output
+/// is full, and no candidate list is kept.
 /// Nothing is memoized across queries: a failing query is answered by
 /// feasibleUpperBound()'s population rows (O(cores)) before any bucket is
 /// read, and every other query runs the selection afresh.
@@ -488,7 +489,7 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   struct Verdict {
     bool fits = false;
     double key = 0.0;           ///< ranking key: score or alignment
-    std::uint32_t hits = 0;     ///< candidates of this class being ranked
+    std::uint32_t hits = 0;     ///< its nodes being ranked
     std::uint32_t rank = 0;     ///< index of `key` among the distinct keys
   };
 
@@ -569,45 +570,25 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   template <typename KeyFn>
   std::uint32_t judgeBucket(int c, const NodeAllocation& request, const KeyFn& key,
                             bool& uniform) const;
-  /// Append the first `limit` nodes of bucket `c` whose class fits (per
-  /// the bucket's verdicts) to cand_ / cand_class_, in ascending id order;
-  /// every node qualifies when `all_fit`.
-  void walkBucket(int c, std::size_t limit, bool all_fit) const;
   /// The first `n` nodes of bucket `c` whose class fits, in ascending id
   /// order; every node qualifies when `all_fit`.
   std::vector<int> firstFitting(int c, std::size_t n, bool all_fit) const;
-  /// Put the candidates (one ascending run per bucket read) in ascending
-  /// id order: mark them in a scratch bitset and read it back.
-  void sortCandidates() const;
+  /// The best `count` fitting nodes of buckets `lo`..`hi` (all judged) by
+  /// (key, id), the key ascending or (`descending`) descending: every
+  /// fitting node competes, so each fitting class's hits are its members.
+  std::vector<int> rankBuckets(int lo, int hi, std::size_t count, bool descending) const;
+  /// The best `count` by (score, id) among the first `cap` fitting nodes
+  /// of bucket `c`: one scan counts the window's hits per class, then
+  /// fillRanked() runs.
+  std::vector<int> rankWindow(int c, std::size_t count, std::size_t cap) const;
   /// Rank the classes of hit_classes_ (each verdict's `hits` set) by key,
-  /// ascending or (`descending`) descending: one rank per distinct key,
-  /// rank_start_[r] = where rank r's slice of the ranked order begins.
-  void rankSlices(bool descending) const;
-  /// Put candidate `id` (verdict `v`; candidates in ascending id order) at
-  /// its rank's next slot if that is inside `out`; false once `out` is full.
-  bool placeRanked(int id, const Verdict& v, std::vector<int>& out,
-                   std::size_t& placed) const {
-    std::size_t& at = rank_start_[v.rank];
-    if (at < out.size()) {
-      out[at] = id;
-      ++placed;
-    }
-    ++at;
-    return placed < out.size();
-  }
-  /// The best `count` candidates by (key, id), the key ascending or
-  /// (`descending`) descending; the candidates must be in ascending id
-  /// order. Classes are ranked once by key and the candidates distributed
-  /// into their rank's slice in input order, so no comparison sort
-  /// touches nodes.
-  std::vector<int> rankCandidates(int count, bool descending) const;
-  /// rankCandidates() over every fitting node of bucket `c`, ascending
-  /// key: the hits are the member counts, so one bucket scan fills `out`.
-  std::vector<int> rankBucket(int c, int count) const;
-  /// Every node fitting `request` into cand_ / cand_class_, most idle
-  /// bucket first, ascending id within a bucket; verdicts keyed by `key`.
-  template <typename KeyFn>
-  void collectFeasible(const NodeAllocation& request, const KeyFn& key) const;
+  /// ascending or (`descending`) descending, one rank per distinct key,
+  /// then fill the output in one scan of each bucket `lo`..`hi` holding a
+  /// rank that starts inside it: each node goes to its rank's next slot,
+  /// and the scans stop once the output is full, so no comparison sort
+  /// touches nodes. Only a rank whose classes lie in several buckets is
+  /// sorted by id afterwards.
+  std::vector<int> fillRanked(int lo, int hi, std::size_t count, bool descending) const;
   /// The ranked (score / group-preference) selection behind selectNodes(),
   /// which wraps it with the exclusive shortcut and the population bound.
   std::vector<int> selectNodesRanked(int count, const NodeAllocation& request,
@@ -647,12 +628,10 @@ class SNS_THREAD_HOSTILE ResourceLedger {
   /// simulator and not shared across threads). verdicts_ grows with the
   /// class table, so a query allocates nothing at steady state.
   mutable std::vector<Verdict> verdicts_;
-  mutable std::vector<std::uint32_t> bucket_fit_;  ///< fitting nodes per bucket
-  mutable std::vector<int> cand_;                  ///< candidate ids
-  mutable std::vector<ClassId> cand_class_;        ///< their classes
-  mutable std::vector<ClassId> hit_classes_;       ///< classes among cand_
-  mutable std::vector<std::size_t> rank_start_;    ///< slice start per rank
-  mutable NodeBitset order_;                       ///< see sortCandidates()
+  mutable std::vector<ClassId> hit_classes_;     ///< classes being ranked
+  mutable std::vector<std::size_t> rank_start_;  ///< slice start per rank
+  /// Slices of ranks that span several buckets, sorted by id after a fill.
+  mutable std::vector<std::pair<std::size_t, std::size_t>> tied_;
   /// buckets_[c] = ids of nodes with exactly c idle cores (the paper's node
   /// groups), maintained on every allocate/release. buckets_[cores] is the
   /// idle-node free list.

@@ -3,7 +3,8 @@
 // the release watermark and query-core floor the simulator's failed-spec
 // memo keys on, and exclusive requests; then the three shapes of a query
 // that one bucket satisfies (ranked in one scan, ranked over a capped
-// window, uniform keys). The ledger memoizes no selection (its population
+// window, uniform keys), equal keys across buckets, and a stream that
+// reaches every shape. The ledger memoizes no selection (its population
 // bound is the failure check), so every answer here is computed afresh
 // and must equal the regroup-every-node reference.
 #include <gtest/gtest.h>
@@ -250,6 +251,126 @@ TEST(SelectionRandomized, MatchesReferenceLedgerAfterEveryStep) {
   }
   EXPECT_GT(relevant, 0);
   EXPECT_GT(irrelevant, 0);
+}
+
+// Two classes in different idle-core buckets with bit-equal keys, for
+// both rankings: nodes holding 14 cores (score 0.5 at beta 1) against
+// nodes holding 7 cores and a 5-way partition (0.25 + 0.25), and for a
+// 7-core, 5-way request the same alignment (0.25 x 0.5 + 0.25 x 1 against
+// 0.25 x 0.75 + 0.25 x 0.75). No bucket holds the request alone, so the
+// tied rank spans two buckets; the answer takes its lowest ids.
+TEST(SelectionTies, EqualKeysAcrossBucketsTakeTheLowestIds) {
+  const auto mach = hw::MachineConfig::xeonE5_2680v4();
+  ResourceLedger ledger(8, mach);
+  ledger.allocate(std::vector<int>{0, 3, 4}, 1, {14, 0, 0.0, false, 0.0});
+  ledger.allocate(std::vector<int>{1, 2, 5}, 2, {7, 5, 0.0, false, 0.0});
+  ledger.allocate(std::vector<int>{6, 7}, 3, {1, 0, 0.0, false, 0.0});
+  const NodeAllocation req{7, 5, 0.0, false, 0.0};
+  ASSERT_EQ(ledger.node(0).score(1.0), ledger.node(1).score(1.0));
+  ASSERT_LT(ledger.node(6).score(1.0), ledger.node(0).score(1.0));
+  const double align[2] = {
+      0.25 * ledger.node(0).idleCores() / mach.cores +
+          0.25 * ledger.node(0).freeWays() / mach.llc_ways,
+      0.25 * ledger.node(1).idleCores() / mach.cores +
+          0.25 * ledger.node(1).freeWays() / mach.llc_ways};
+  ASSERT_EQ(align[0], align[1]);
+  // Count 5 straddles the tied rank (ranked slots 2..7), count 8 holds it.
+  for (const int count : {5, 8}) {
+    std::vector<int> want{6, 7};
+    for (int nd = 0; static_cast<int>(want.size()) < count; ++nd) want.push_back(nd);
+    EXPECT_EQ(ledger.selectNodes(count, req, 1.0), want) << count;
+    EXPECT_EQ(referenceRanked(ledger, count, req, 1.0), want) << count;
+    EXPECT_EQ(ledger.selectNodesByAlignment(count, req), want) << count;
+    EXPECT_EQ(referenceAligned(ledger, count, req), want) << count;
+  }
+}
+
+// The shapes a ranked query can take, read off the public node views:
+// the best-fit bucket holding `count` fitting nodes within the scan cap
+// (ranked whole) or beyond it (a capped window), every candidate scoring
+// alike there, no single bucket (the multi-bucket fallback), or too few.
+enum class Shape { kWholeBucket, kCappedWindow, kUniform, kFallback, kEmpty };
+
+Shape rankedShape(const ResourceLedger& ledger, int count, const NodeAllocation& req,
+                  double beta) {
+  const std::size_t cap = std::max<std::size_t>(64, 2 * static_cast<std::size_t>(count) + 8);
+  std::size_t total = 0;
+  for (int c = std::max(0, req.cores); c <= ledger.machine().cores; ++c) {
+    std::vector<double> scores;
+    for (int nd = 0; nd < ledger.nodeCount(); ++nd) {
+      const NodeLedger n = ledger.node(nd);
+      if (n.idleCores() == c && n.fits(req)) scores.push_back(n.score(beta));
+    }
+    if (scores.size() >= static_cast<std::size_t>(count)) {
+      if (std::all_of(scores.begin(), scores.end(), [&](double s) { return s == scores[0]; })) {
+        return Shape::kUniform;
+      }
+      return scores.size() <= cap ? Shape::kWholeBucket : Shape::kCappedWindow;
+    }
+    total += scores.size();
+  }
+  return total >= static_cast<std::size_t>(count) ? Shape::kFallback : Shape::kEmpty;
+}
+
+// Randomized cross-check at a size where the scan cap binds: spread jobs
+// of 8-96 nodes on a 320-node ledger, so buckets hold more fitting nodes
+// than a small query's cap, and query counts on both sides of it. After
+// every step both selections must answer like the references, and the
+// stream must reach a capped window, a whole bucket, the multi-bucket
+// fallback and an alignment answer drawn from several buckets.
+TEST(SelectionRandomized, MatchesReferenceAcrossShapesOnHundredsOfNodes) {
+  const auto mach = hw::MachineConfig::xeonE5_2680v4();
+  constexpr int kNodes = 320;
+  ResourceLedger ledger(kNodes, mach);
+  util::Rng rng(2718);
+  JobId next_job = 1;
+  std::vector<std::pair<JobId, std::vector<int>>> live;
+  int shapes[5] = {};
+  int aligned_across = 0;
+  for (int step = 0; step < 400; ++step) {
+    const int op = static_cast<int>(rng.uniformInt(0, 9));
+    if (op < 3 && !live.empty()) {
+      const auto k = static_cast<std::size_t>(
+          rng.uniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
+      ledger.release(live[k].second, live[k].first);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+    } else if (op < 6) {
+      const NodeAllocation alloc{static_cast<int>(rng.uniformInt(1, 4)) * 3,
+                                 2 * static_cast<int>(rng.uniformInt(0, 2)),
+                                 0.5 * static_cast<double>(rng.uniformInt(0, 6)), false,
+                                 0.0};
+      const int width = static_cast<int>(rng.uniformInt(8, 96));
+      auto nodes = referenceRanked(ledger, width, alloc, 1.0);
+      if (nodes.empty()) continue;
+      std::sort(nodes.begin(), nodes.end());
+      ledger.allocate(nodes, next_job, alloc);
+      live.emplace_back(next_job++, std::move(nodes));
+    } else {
+      const NodeAllocation req{static_cast<int>(rng.uniformInt(1, 14)),
+                               static_cast<int>(rng.uniformInt(0, 4)),
+                               2.0 * static_cast<double>(rng.uniformInt(0, 4)), false, 0.0};
+      const double beta = 0.5 * static_cast<double>(rng.uniformInt(0, 4));
+      // Small counts rank a capped window of a large bucket; large ones
+      // take a bucket whole or fall back across buckets.
+      const int count = rng.uniformInt(0, 1) == 0 ? static_cast<int>(rng.uniformInt(1, 24))
+                                                   : static_cast<int>(rng.uniformInt(25, 200));
+      const auto ranked = ledger.selectNodes(count, req, beta);
+      ASSERT_EQ(ranked, referenceRanked(ledger, count, req, beta)) << "step " << step;
+      ++shapes[static_cast<int>(rankedShape(ledger, count, req, beta))];
+      const auto aligned = ledger.selectNodesByAlignment(count, req);
+      ASSERT_EQ(aligned, referenceAligned(ledger, count, req)) << "step " << step;
+      if (!aligned.empty() &&
+          std::any_of(aligned.begin(), aligned.end(), [&](int nd) {
+            return ledger.node(nd).idleCores() != ledger.node(aligned[0]).idleCores();
+          })) {
+        ++aligned_across;
+      }
+    }
+  }
+  EXPECT_GT(shapes[static_cast<int>(Shape::kCappedWindow)], 0);
+  EXPECT_GT(shapes[static_cast<int>(Shape::kWholeBucket)], 0);
+  EXPECT_GT(shapes[static_cast<int>(Shape::kFallback)], 0);
+  EXPECT_GT(aligned_across, 0);
 }
 
 }  // namespace

@@ -9,6 +9,9 @@
 #include "sns/profile/profiler.hpp"
 #include "sns/sim/cluster_sim.hpp"
 #include "sns/sim/metrics.hpp"
+#include "sns/trace/generator.hpp"
+#include "sns/trace/replay.hpp"
+#include "sns/util/rng.hpp"
 #include "sns/util/stats.hpp"
 
 namespace sns {
@@ -217,6 +220,48 @@ TEST_F(PaperClaims, SlowdownViolationsExistButAreRare) {
     total += static_cast<int>(seq.size());
   }
   EXPECT_LT(violations, total / 2);
+}
+
+TEST(PaperClaimsFig20, LargerClustersFavourSns) {
+  // Fig 20: the 7,044-job Trinity-like trace replayed under CE and SNS,
+  // with the profile database, trace seed and ratio mapping of
+  // bench_fig20_trace_sim. Once the cluster is large enough that wait
+  // vanishes (8K nodes and up) SNS's faster runs win at both scaling
+  // ratios, more so at ratio 0.9 than 0.5; on the stampeded 4K cluster at
+  // ratio 0.5 its faster runs shorten the wait enough to win as well.
+  std::vector<app::ProgramModel> lib = app::programLibrary();
+  perfmodel::Estimator est;
+  for (auto& p : lib) est.calibrate(p);
+  profile::ProfilerConfig pcfg;
+  pcfg.pmu_noise = 0.02;
+  profile::Profiler prof(est, pcfg, 0xBE7C4);
+  profile::ProfileDatabase ref;
+  for (const auto& p : lib) {
+    ref.put(prof.profileProgram(p, 16));
+    if (!p.pow2_procs && p.multi_node) ref.put(prof.profileProgram(p, 28));
+  }
+  for (const char* n : {"HC", "BW"}) ref.put(prof.profileProgram(app::findProgram(lib, n), 28));
+  util::Rng trace_rng(0x7417177);
+  const auto raw = trace::generateTrace(trace_rng, trace::TraceGenParams{});
+  const auto gain = [&](double ratio, int nodes) {
+    util::Rng map_rng(static_cast<std::uint64_t>(ratio * 1000));
+    const auto jobs = trace::mapTraceToJobs(map_rng, raw, ratio, est.machine().cores);
+    const auto db = trace::synthesizeTraceProfiles(ref, 16, jobs, est);
+    const auto ce = trace::simulateTrace(est, lib, db, jobs, nodes, sched::PolicyKind::kCE);
+    const auto sns = trace::simulateTrace(est, lib, db, jobs, nodes, sched::PolicyKind::kSNS);
+    return sns.throughput() / ce.throughput() - 1.0;
+  };
+  double at_32k[2] = {};
+  for (const int r : {0, 1}) {
+    const double ratio = r == 0 ? 0.9 : 0.5;
+    for (const int nodes : {8192, 16384, 32768}) {
+      const double g = gain(ratio, nodes);
+      EXPECT_GT(g, 0.0) << nodes << " nodes, ratio " << ratio;
+      if (nodes == 32768) at_32k[r] = g;
+    }
+  }
+  EXPECT_GT(at_32k[0], at_32k[1]);
+  EXPECT_GT(gain(0.5, 4096), 0.0);
 }
 
 }  // namespace
