@@ -33,8 +33,11 @@
 // credit on two cells.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -344,7 +347,8 @@ TEST(GoldenDigests, EveryCellMatchesTheCheckedInTable) {
 
 // What the observers were shown, pinned to hashes of their outputs: the
 // event log, with bandwidth_throttled events split out into their own
-// (time, job, node, cap) sequence, and the provenance dump without its
+// (time, job, node, cap) sequence and way-donation events into an
+// order-free, node-weighted multiset, and the provenance dump without its
 // solver_lookups / solver_hits fields (the solver attribution is credited
 // from the end-of-pass refresh, so it is checked against the refresh by
 // XrayEquivalence.SolverAttributionSumsToEachPassRefresh instead). Every
@@ -363,7 +367,11 @@ constexpr Golden kObserverGolden[] = {
 };
 
 /// Streams every event into one digest and every bandwidth_throttled
-/// event's (time, job, node, cap) into another.
+/// event's (time, job, node, cap) into another. Way-donation events are
+/// counted instead, as a multiset of (type, time, value bits, value2 bits)
+/// in which each event counts once per node it covers: the digest pins
+/// what every node was donated or had reclaimed, and when, but not the
+/// order or the grouping the engine reports it in.
 class EventDigestSink final : public obs::EventSink {
  public:
   void record(const obs::Event& e) override {
@@ -372,6 +380,15 @@ class EventDigestSink final : public obs::EventSink {
       throttled.mix(static_cast<std::uint64_t>(e.job));
       throttled.mix(e.node);
       throttled.mix(e.value);
+      return;
+    }
+    if (e.type == obs::EventType::kWaysDonated ||
+        e.type == obs::EventType::kWaysReclaimed) {
+      const DonationKey key{static_cast<std::uint64_t>(e.type),
+                            std::bit_cast<std::uint64_t>(e.time),
+                            std::bit_cast<std::uint64_t>(e.value),
+                            std::bit_cast<std::uint64_t>(e.value2)};
+      donations_[key] += 1;
       return;
     }
     log.mix(static_cast<std::uint64_t>(e.type));
@@ -390,8 +407,21 @@ class EventDigestSink final : public obs::EventSink {
       log.mix(c.score);
     }
   }
+  /// The donation multiset, in key order.
+  std::uint64_t donations() const {
+    Digest d;
+    for (const auto& [key, nodes] : donations_) {
+      for (const std::uint64_t field : key) d.mix(field);
+      d.mix(nodes);
+    }
+    return d.value();
+  }
   Digest log;
   Digest throttled;
+
+ private:
+  using DonationKey = std::array<std::uint64_t, 4>;
+  std::map<DonationKey, std::uint64_t> donations_;
 };
 
 /// One observed cell: a run with only an event sink attached, and one
@@ -406,6 +436,7 @@ void observeCell(const std::string& cell, const perfmodel::Estimator& est,
   logged.sink = &sink;
   ClusterSimulator(est, lib, db, logged).run(jobs);
   out.push_back({cell + "/events", sink.log.value()});
+  out.push_back({cell + "/donations", sink.donations()});
   out.push_back({cell + "/throttled", sink.throttled.value()});
 
   xray::Tracer tracer;
