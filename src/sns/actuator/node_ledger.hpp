@@ -75,6 +75,17 @@ inline double effectiveWays(const GroupState& g, const hw::MachineConfig& mach,
   return alloc.ways + donated;
 }
 
+/// LLC ways a node of group `g` donates in total: each partitioned
+/// resident gets the same share of the unallocated ways (effectiveWays
+/// minus its partition), so the total is partitioned x share. 0 on a group
+/// with no partitioned resident, the idle group included.
+inline double donatedWays(const GroupState& g, const hw::MachineConfig& mach) {
+  if (g.partitioned == 0) return 0.0;
+  return static_cast<double>(g.partitioned) *
+         (static_cast<double>(mach.llc_ways - g.ways_reserved) /
+          static_cast<double>(g.residents.size()));
+}
+
 /// Read-only view of one node's resource accounting, returned by value
 /// from ResourceLedger::node(): the node's co-run group state plus its
 /// class's bandwidth and NIC reservation sums. CAT semantics: way partitioning
@@ -98,10 +109,8 @@ class NodeLedger {
   int jobCount() const { return static_cast<int>(g_->residents.size()); }
   bool idle() const { return g_->residents.empty(); }
   bool hasExclusiveJob() const { return g_->exclusive; }
-  /// Residents holding a CAT partition (ways > 0, not exclusive) — the
-  /// only jobs way donation applies to, so donation observers can skip the
-  /// per-resident recompute on the (dominant) nodes where it provably
-  /// totals zero.
+  /// Residents holding a CAT partition (ways > 0, not exclusive): the
+  /// only jobs way donation applies to (actuator::donatedWays).
   int partitionedResidents() const { return g_->partitioned; }
 
   /// True if the requested allocation fits; exclusive requests need an

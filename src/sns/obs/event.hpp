@@ -54,8 +54,12 @@ struct NodeScore {
 ///                          candidates=scored nodes of the accepted scale
 ///   placement_decided:     job, what=program, scale, ways, value=bw_gbps,
 ///                          value2=exclusive(0/1), candidates=chosen nodes
-///   ways_donated:          node, value=ways newly donated, value2=node total
-///   ways_reclaimed:        node, value=ways taken back, value2=node total
+///   ways_donated:          one per co-run group transition (nodes that
+///                          moved from one group to one other together):
+///                          job=the job whose start or finish moved them,
+///                          scale=node count, value=ways newly donated per
+///                          node, value2=per-node donated total
+///   ways_reclaimed:        as ways_donated, value=ways taken back per node
 ///   backfill_skipped:      job=head job, value=head age (s), detail=cause
 ///   exploration_started:   job, what=program, scale=trial scale
 ///   exploration_preempted: job, what=program, scale=trial scale, detail=why

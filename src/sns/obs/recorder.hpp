@@ -78,21 +78,23 @@ class Recorder {
     emit(std::move(e));
   }
 
-  void waysDonated(int node, double delta, double total) {
+  void waysDonated(std::int64_t job, int nodes, double delta, double total) {
     if (sink_ == nullptr) return;
     Event e;
     e.type = EventType::kWaysDonated;
-    e.node = node;
+    e.job = job;
+    e.scale = nodes;
     e.value = delta;
     e.value2 = total;
     emit(std::move(e));
   }
 
-  void waysReclaimed(int node, double delta, double total) {
+  void waysReclaimed(std::int64_t job, int nodes, double delta, double total) {
     if (sink_ == nullptr) return;
     Event e;
     e.type = EventType::kWaysReclaimed;
-    e.node = node;
+    e.job = job;
+    e.scale = nodes;
     e.value = delta;
     e.value2 = total;
     emit(std::move(e));

@@ -113,15 +113,10 @@ std::size_t CorunGroups::firstOf(JobId job, std::size_t entry,
   return i;
 }
 
-CorunGroups::NicPeak CorunGroups::nicPeak(JobId job, std::span<const int> placement,
-                                          const actuator::ResourceLedger& ledger) {
-  const auto& h = hist_[static_cast<std::size_t>(job)];
-  NicPeak peak;
-  for (const HistEntry& e : h) peak.demand = std::max(peak.demand, slots_[e.group].nic);
-  peak.first = placement.size();
-  for (std::size_t k = 0; k < h.size(); ++k) {
-    if (slots_[h[k].group].nic != peak.demand) continue;
-    peak.first = std::min(peak.first, firstOf(job, k, placement, ledger));
+double CorunGroups::nicPeak(JobId job) const {
+  double peak = 0.0;
+  for (const HistEntry& e : hist_[static_cast<std::size_t>(job)]) {
+    peak = std::max(peak, slots_[e.group].nic);
   }
   return peak;
 }

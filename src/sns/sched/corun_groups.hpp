@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -83,14 +84,21 @@ class CorunGroups {
   std::int64_t nicOverNodes() const { return nic_over_nodes_; }
   /// The NIC demand `job` registered when it joined.
   double nicDemand(JobId job) const { return nic_[static_cast<std::size_t>(job)]; }
-  /// The highest NIC demand over `job`'s nodes, and the position in
-  /// `placement` (its whole placement, in order) of the first node with it.
-  struct NicPeak {
-    double demand = 0.0;
-    std::size_t first = 0;
-  };
-  NicPeak nicPeak(JobId job, std::span<const int> placement,
-                  const actuator::ResourceLedger& ledger);
+  /// The highest NIC demand over `job`'s nodes.
+  double nicPeak(JobId job) const;
+  /// Position in `placement` (the job's whole placement, in order) of its
+  /// first node whose histogram entry satisfies `pred`; placement.size()
+  /// when none does.
+  template <class Pred>
+  std::size_t firstWhere(JobId job, std::span<const int> placement,
+                         const actuator::ResourceLedger& ledger, Pred pred) {
+    const auto& h = hist_[static_cast<std::size_t>(job)];
+    std::size_t first = placement.size();
+    for (std::size_t k = 0; k < h.size(); ++k) {
+      if (pred(h[k])) first = std::min(first, firstOf(job, k, placement, ledger));
+    }
+    return first;
+  }
 
   // ---- events ---------------------------------------------------------------
   /// `job` landed on its whole placement with `nic_demand` GB/s of NIC

@@ -37,7 +37,6 @@ ClusterSimulator::ClusterSimulator(const perfmodel::Estimator& est,
   }
   busy_pos_.assign(static_cast<std::size_t>(cfg.nodes), -1);
   episode_accum_.assign(static_cast<std::size_t>(cfg.nodes), 0.0);
-  node_donated_.assign(static_cast<std::size_t>(cfg.nodes), 0.0);
   if (cfg_.online_profiling) {
     monitor_ = std::make_unique<profile::Profiler>(est, cfg_.monitor);
     monitor_->attachRecorder(&rec_);  // piggybacked episodes become events
@@ -187,36 +186,25 @@ bool ClusterSimulator::donationsObserved() const {
          (rec_.enabled() || m_ways_donated_ != nullptr);
 }
 
-void ClusterSimulator::noteDonations(int nd) {
-  const actuator::NodeLedger node = ledger_.node(nd);
-  double& prev_donated = node_donated_[static_cast<std::size_t>(nd)];
-  // O(1) fast-out: only partitioned, non-exclusive residents receive
-  // donated ways. With none on the node and nothing previously observed,
-  // the total below is 0.0 and nothing changes — and wide spread
-  // placements make this the dominant case (every node of an exclusive or
-  // unpartitioned placement takes it on start and finish).
-  const int partitioned = node.partitionedResidents();
-  if (partitioned == 0 && prev_donated == 0.0) return;
-  // Each partitioned resident receives the same donated share
-  // freeWays / jobCount (effectiveWays(alloc) - alloc.ways cancels the
-  // partition term exactly), so the node total is just count x share —
-  // no walk over the resident allocations. This runs on every node of
-  // every placement at start and finish, so the closed form is what keeps
-  // wide spread placements from paying O(residents) here.
-  double total = 0.0;
-  if (partitioned > 0) {
-    total = static_cast<double>(partitioned) *
-            (static_cast<double>(node.freeWays()) /
-             static_cast<double>(node.jobCount()));
+void ClusterSimulator::noteDonations(sched::JobId id,
+                                     std::span<const sched::CorunGroups::Transition> moves) {
+  // Every member of a group donates alike, and a node changes group only
+  // through startJob/finishJob, which call this with the event's
+  // transitions: so the total last observed on a transition's nodes is
+  // its source's. The source's record stays readable until the next
+  // ledger event.
+  const hw::MachineConfig& mach = ledger_.machine();
+  for (const auto& t : moves) {
+    const double total = actuator::donatedWays(ledger_.group(t.dst), mach);
+    const double delta = total - actuator::donatedWays(ledger_.group(t.src), mach);
+    const int nodes = static_cast<int>(t.count);
+    if (delta > 1e-9) {
+      rec_.waysDonated(id, nodes, delta, total);
+      if (m_ways_donated_) m_ways_donated_->inc(nodes * delta);
+    } else if (delta < -1e-9) {
+      rec_.waysReclaimed(id, nodes, -delta, total);
+    }
   }
-  const double delta = total - prev_donated;
-  if (delta > 1e-9) {
-    rec_.waysDonated(nd, delta, total);
-    if (m_ways_donated_) m_ways_donated_->inc(delta);
-  } else if (delta < -1e-9) {
-    rec_.waysReclaimed(nd, -delta, total);
-  }
-  prev_donated = total;
 }
 
 void ClusterSimulator::admit(sched::Job job) {
@@ -256,18 +244,6 @@ bool ClusterSimulator::solveGroup(sched::CorunGroups::GroupId g) {
   }
   grp.out.assign(outcomes.begin(), outcomes.end());
   return hit;
-}
-
-double ClusterSimulator::placementBandwidth(sched::JobId id) const {
-  double sum = 0.0;
-  for (int nd : record(id).placement.nodes) {
-    const sched::CorunGroups::GroupId g = ledger_.groupOf(nd);
-    const auto& residents = ledger_.group(g).residents;
-    std::size_t i = 0;
-    while (residents[i].first != id) ++i;
-    sum += groups_.slot(g).out[i].bw_gbps;
-  }
-  return sum;
 }
 
 void ClusterSimulator::refreshRates(double now, const std::vector<DirtyGroup>& dirty,
@@ -331,15 +307,19 @@ void ClusterSimulator::refreshRates(double now, const std::vector<DirtyGroup>& d
     // NIC oversubscription on any node stretches everyone's comm. While no
     // node's demand exceeds the link rate, every demand / nic_cap rounds
     // to at most 1.0, so the max over the placement is exactly 1.0 and the
-    // groups are not read. The flight arm also needs the argmax-demand
-    // node (first in placement order), which only matters when
-    // net_over > 1.
+    // groups are not read. Only the flight arm reads the argmax-demand
+    // node (first in placement order), and only when net_over > 1.
     double net_over = 1.0;
     int net_node = -1;
     if (groups_.nicOverNodes() > 0) {
-      const auto peak = groups_.nicPeak(id, placement.nodes, ledger_);
-      net_over = std::max(net_over, peak.demand / nic_cap);
-      net_node = placement.nodes[peak.first];
+      const double peak = groups_.nicPeak(id);
+      net_over = std::max(net_over, peak / nic_cap);
+      if (flight_on) {
+        net_node = placement.nodes[groups_.firstWhere(
+            id, placement.nodes, ledger_, [&](const sched::CorunGroups::HistEntry& e) {
+              return groups_.slot(e.group).nic == peak;
+            })];
+      }
     }
     // Flight attribution replays the bottleneck node: the first node in
     // placement order whose rate equals the min.
@@ -360,9 +340,12 @@ void ClusterSimulator::refreshRates(double now, const std::vector<DirtyGroup>& d
     if (cfg_.enforce_bandwidth_caps && rec_.enabled()) {
       // Report each transition into the MBA-capped regime exactly once.
       // The per-node bandwidth is this event's only input, so it is summed
-      // (in placement order) only here.
-      const double bw_per_node =
-          placementBandwidth(id) / placement.nodeCount();
+      // (over the job's co-run groups) only here.
+      double bw_sum = 0.0;
+      for (const auto& e : hist) {
+        bw_sum += e.count * groups_.slot(e.group).out[e.index].bw_gbps;
+      }
+      const double bw_per_node = bw_sum / placement.nodeCount();
       const double cap = placement.bw_gbps;
       const bool capped = !placement.exclusive && cap > 0.0 &&
                           bw_per_node >= cap * (1.0 - 1e-6);
@@ -408,13 +391,10 @@ void ClusterSimulator::refreshRates(double now, const std::vector<DirtyGroup>& d
 int ClusterSimulator::firstMinRateNode(sched::JobId id, double corun_rate,
                                        const std::vector<int>& nodes) {
   // The earliest first node among the job's min-rate groups.
-  const auto& hist = groups_.histogram(id);
-  std::size_t first = nodes.size();
-  for (std::size_t k = 0; k < hist.size(); ++k) {
-    const auto& e = hist[k];
-    if (groups_.slot(e.group).out[e.index].rate_per_proc != corun_rate) continue;
-    first = std::min(first, groups_.firstOf(id, k, nodes, ledger_));
-  }
+  const std::size_t first = groups_.firstWhere(
+      id, nodes, ledger_, [&](const sched::CorunGroups::HistEntry& e) {
+        return groups_.slot(e.group).out[e.index].rate_per_proc == corun_rate;
+      });
   return first < nodes.size() ? nodes[first] : -1;
 }
 
@@ -644,9 +624,7 @@ void ClusterSimulator::startJob(const sched::Job& job, sched::Placement&& p,
                   placed.nodes.empty() ? -1 : placed.nodes.front(), placed.nodeCount(),
                   placed.ways, placed.scale_factor, placed.exclusive);
   if (m_started_) m_started_->inc();
-  if (donationsObserved()) {
-    for (int nd : placed.nodes) noteDonations(nd);
-  }
+  if (donationsObserved()) noteDonations(job.id, moves);
 }
 
 void ClusterSimulator::finishJob(sched::JobId id, double now) {
@@ -698,9 +676,7 @@ void ClusterSimulator::finishJob(sched::JobId id, double now) {
   finish_dirty_.clear();
   collectDirty(moves, finish_dirty_);
   updateBusyNodes(placement.nodes, false);
-  if (donationsObserved()) {
-    for (int nd : placement.nodes) noteDonations(nd);
-  }
+  if (donationsObserved()) noteDonations(id, moves);
   deactivate(id);
   xray::ScopedSpan xs(cfg_.xray, xray::SpanKind::kRateRefresh, id);
   refreshRates(now, finish_dirty_);
@@ -1103,7 +1079,6 @@ SimResult ClusterSimulator::run(const std::vector<app::JobSpec>& jobs) {
   std::fill(episode_accum_.begin(), episode_accum_.end(), 0.0);
   episode_start_ = 0.0;
   busy_integral_ = 0.0;
-  std::fill(node_donated_.begin(), node_donated_.end(), 0.0);
 
   // Build submit-ordered job list, interning each job's spec key.
   std::vector<sched::Job> submits;

@@ -250,9 +250,6 @@ class ClusterSimulator {
   /// `credit` receives each solve, credited to group_owner_.
   void refreshRates(double now, const std::vector<DirtyGroup>& dirty,
                     xray::ProvenanceStore* credit = nullptr);
-  /// Job `id`'s achieved bandwidth summed over its placement in placement
-  /// order (the MBA throttle event's only input).
-  double placementBandwidth(sched::JobId id) const;
   /// Busy-node list upkeep after `nodes` gained (joined) or lost a
   /// resident.
   void updateBusyNodes(const std::vector<int>& nodes, bool joined);
@@ -288,10 +285,13 @@ class ClusterSimulator {
   /// True when way-donation changes are observed (event sink or the
   /// sim.ways_donated counter) — the only reason to call noteDonations().
   bool donationsObserved() const;
-  /// Re-derive how many LLC ways node `nd` currently donates to its
-  /// partitioned residents and emit ways_donated / ways_reclaimed on
-  /// change. Only called at placement changes, and only when observing.
-  void noteDonations(int nd);
+  /// Emit one ways_donated / ways_reclaimed event for each of `moves` (the
+  /// ledger transitions job `id`'s start or finish just made) whose
+  /// donated total per node (actuator::donatedWays) changed, and add the
+  /// donations, times their node counts, to sim.ways_donated. Only called
+  /// when observing.
+  void noteDonations(sched::JobId id,
+                     std::span<const sched::CorunGroups::Transition> moves);
 
   Running& running(sched::JobId id) { return running_[static_cast<std::size_t>(id)]; }
   bool alive(sched::JobId id) const {
@@ -490,7 +490,6 @@ class ClusterSimulator {
   /// Decision tracing + metrics (sns::obs). The recorder's sink is wired
   /// per run() to the configured sink.
   obs::Recorder rec_;
-  std::vector<double> node_donated_;  ///< last observed donated ways per node
   telemetry::ClusterSample sample_scratch_;  ///< hoisted sampler snapshot
   obs::Counter* m_solver_calls_ = nullptr;
   obs::Counter* m_solver_memo_hits_ = nullptr;

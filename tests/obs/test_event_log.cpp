@@ -244,6 +244,32 @@ TEST(Recorder, StampsCurrentTimeOnEmit) {
   EXPECT_DOUBLE_EQ(snap[1].value, 2.0);  // node count
 }
 
+TEST(Recorder, DonationEventCarriesTheJobAndTheNodeCount) {
+  // One donation event covers one co-run group transition: the job whose
+  // start or finish moved the nodes, how many moved, and the per-node
+  // donation. It names no single node.
+  RingBufferLog log(8);
+  Recorder rec(&log);
+  rec.setTime(3.0);
+  rec.waysDonated(7, 12, 2.5, 5.0);
+  rec.waysReclaimed(8, 4, 1.25, 0.0);
+  const auto snap = log.snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  const auto donated = toJson(snap[0]);
+  EXPECT_EQ(donated.get("type").asString(), "ways_donated");
+  EXPECT_EQ(donated.get("job").asNumber(), 7.0);
+  EXPECT_EQ(donated.get("scale").asNumber(), 12.0);  // node count
+  EXPECT_EQ(donated.get("value").asNumber(), 2.5);
+  EXPECT_EQ(donated.get("value2").asNumber(), 5.0);
+  EXPECT_FALSE(donated.has("node"));
+  const auto reclaimed = toJson(snap[1]);
+  EXPECT_EQ(reclaimed.get("type").asString(), "ways_reclaimed");
+  EXPECT_EQ(reclaimed.get("job").asNumber(), 8.0);
+  EXPECT_EQ(reclaimed.get("scale").asNumber(), 4.0);
+  EXPECT_EQ(reclaimed.get("value").asNumber(), 1.25);
+  EXPECT_FALSE(reclaimed.has("value2"));  // the node total fell to zero
+}
+
 TEST(BandwidthThrottled, MbaCapEventSequenceIsPinned) {
   // Contended SNS co-location with MBA caps enforced: every transition of
   // a co-located job into the capped regime emits one bandwidth_throttled

@@ -362,6 +362,11 @@ TEST(GoldenDigests, EveryCellMatchesTheCheckedInTable) {
 // runs once per pass, so three caps that held for zero virtual seconds —
 // jobs 0, 9 and 18, each capped while alone between two placements of one
 // pass and uncapped when the pass ended — are no longer reported.
+//
+// The /donations entries were split out of /events on the engine that
+// reported way donation once per node, each event counted once; every
+// other entry kept its value. The engine now reports one event per ledger
+// transition, weighted by its node count, and reproduces every entry.
 constexpr Golden kObserverGolden[] = {
 #include "observer_digests.inc"
 };
@@ -388,7 +393,7 @@ class EventDigestSink final : public obs::EventSink {
                             std::bit_cast<std::uint64_t>(e.time),
                             std::bit_cast<std::uint64_t>(e.value),
                             std::bit_cast<std::uint64_t>(e.value2)};
-      donations_[key] += 1;
+      donations_[key] += static_cast<std::uint64_t>(e.scale);  // node count
       return;
     }
     log.mix(static_cast<std::uint64_t>(e.type));

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <iterator>
 #include <map>
 #include <string>
@@ -13,6 +15,8 @@
 
 #include "sns/app/library.hpp"
 #include "sns/audit/audit.hpp"
+#include "sns/flight/flight.hpp"
+#include "sns/obs/sink.hpp"
 #include "sns/profile/profiler.hpp"
 #include "sns/sim/cluster_sim.hpp"
 #include "sns/sim/metrics.hpp"
@@ -205,6 +209,55 @@ TEST_P(FeatureFuzz, BusyIntegralIsTheUnionOfOccupancyIntervals) {
   }
   ASSERT_GT(busy, 0.0);
   EXPECT_NEAR(res.busy_node_seconds, busy, 1e-9 * busy);
+}
+
+/// Sums the way-donation events of a run: donated minus reclaimed ways,
+/// each weighted by the nodes its transition moved.
+class DonationBalance final : public obs::EventSink {
+ public:
+  void record(const obs::Event& e) override {
+    if (e.type == obs::EventType::kWaysDonated) {
+      net += e.scale * e.value;
+      nodes_moved += e.scale;
+    } else if (e.type == obs::EventType::kWaysReclaimed) {
+      net -= e.scale * e.value;
+      nodes_moved += e.scale;
+    }
+  }
+  double net = 0.0;
+  std::int64_t nodes_moved = 0;
+};
+
+// Two conservation laws, observed on the same draws. Every job's flight
+// account telescopes: its attributed slowdown sums to actual minus solo
+// run time. And way donation nets out: every node ends the run idle, so
+// whatever was donated to it was reclaimed. Some donation draws never
+// co-locate a partitioned job with free ways and so donate nothing.
+TEST_P(FeatureFuzz, FlightAccountsTelescopeAndDonationsNetOut) {
+  FeatureDraw draw(GetParam());
+  SCOPED_TRACE(draw.label);
+  DonationBalance balance;
+  flight::FlightRecorder fr;
+  draw.cfg.sink = &balance;
+  draw.cfg.flight = &fr;
+  const auto res = draw.run();
+  checkInvariants(res, draw.cfg.nodes, draw.seq);
+
+  audit::Auditor auditor;
+  EXPECT_EQ(auditor.auditFlightLedger(fr), 0u) << auditor.report();
+  for (const auto& j : res.jobs) {
+    const flight::JobRollup* jr = fr.find(j.id);
+    ASSERT_NE(jr, nullptr) << "job " << j.id;
+    const double scale = std::max({1.0, jr->actual, jr->t_solo});
+    EXPECT_LE(std::abs(jr->closure), 1e-6 * scale) << "job " << j.id;
+  }
+
+  if (draw.cfg.donate_unused_ways) {
+    EXPECT_LE(std::abs(balance.net),
+              1e-9 * static_cast<double>(balance.nodes_moved));
+  } else {
+    EXPECT_EQ(balance.nodes_moved, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Combos, FeatureFuzz, ::testing::Range(0, 48));
